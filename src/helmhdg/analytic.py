@@ -126,20 +126,24 @@ class ExactSolution:
         assert abs(den) > 0.0, "J0(kappa) + i J1(kappa) vanished"
         self.coef = complex(math.cos(self.kappa), math.sin(self.kappa)) / (self.kappa * den)
 
-    def u(self, points: np.ndarray) -> np.ndarray:
-        r = _radius(points)
-        j0, _ = _j0j1(self.kappa * r)
-        return np.cos(self.kappa * r) / self.kappa - self.coef * j0
-
-    def grad_u(self, points: np.ndarray) -> np.ndarray:
-        """Gradient of u, shape (npts, 2); zero at the origin by symmetry."""
+    def u_and_grad(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u, shape (npts,), and grad u, shape (npts, 2), from one Bessel
+        evaluation; the gradient is zero at the origin by symmetry."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         r = _radius(pts)
-        _, j1 = _j0j1(self.kappa * r)
+        j0, j1 = _j0j1(self.kappa * r)
+        u = np.cos(self.kappa * r) / self.kappa - self.coef * j0
         du_dr = -np.sin(self.kappa * r) + self.coef * self.kappa * j1
         safe = np.where(r > 0.0, r, 1.0)
         direction = np.where(r[:, None] > 0.0, pts / safe[:, None], 0.0)
-        return du_dr[:, None] * direction
+        return u, du_dr[:, None] * direction
+
+    def u(self, points: np.ndarray) -> np.ndarray:
+        return self.u_and_grad(points)[0]
+
+    def grad_u(self, points: np.ndarray) -> np.ndarray:
+        """Gradient of u, shape (npts, 2)."""
+        return self.u_and_grad(points)[1]
 
     def q(self, points: np.ndarray) -> np.ndarray:
         """Exact flux q = i grad(u) / kappa, shape (npts, 2)."""
@@ -149,7 +153,8 @@ class ExactSolution:
 def exact_solution(kappa: float, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Convenience evaluator returning (u, grad u, q) at the given points."""
     sol = ExactSolution(kappa)
-    return sol.u(points), sol.grad_u(points), sol.q(points)
+    u, grad = sol.u_and_grad(points)
+    return u, grad, 1j * grad / sol.kappa
 
 
 @dataclass
@@ -182,8 +187,8 @@ class DataFunctions:
 
     def g_tilde(self, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
         normals = np.asarray(normals, dtype=float).reshape(-1, 2)
-        du_dn = np.sum(self.exact.grad_u(points) * normals, axis=1)
-        return du_dn + 1j * self.kappa * self.exact.u(points)
+        u, grad = self.exact.u_and_grad(points)
+        return np.sum(grad * normals, axis=1) + 1j * self.kappa * u
 
     def g(self, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
         return -1j * self.g_tilde(points, normals) / self.kappa

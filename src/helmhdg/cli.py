@@ -19,6 +19,8 @@ import json
 import math
 import os
 import sys
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -33,6 +35,7 @@ from .diagnostics import (
 )
 from .mesh import build_structured_mesh, write_mesh
 from .hdg_local import ProblemConfig
+from .polybasis import MAX_ORDER
 from .skeleton import write_solution_csv
 from .verify import run_verify
 
@@ -61,20 +64,42 @@ class RunConfig:
     def validate(self) -> None:
         if not self.kappas or not self.orders or not self.sizes:
             raise UsageError("kappa, p, and n lists must be non-empty")
-        if any(k <= 0 for k in self.kappas):
-            raise UsageError("wave numbers must be positive")
-        if any(p < 1 for p in self.orders):
-            raise UsageError("polynomial orders must be >= 1")
+        if not all(math.isfinite(k) and k > 0 for k in self.kappas):
+            raise UsageError("wave numbers must be finite and positive")
+        if not all(1 <= p <= MAX_ORDER for p in self.orders):
+            raise UsageError(f"polynomial orders must be in [1, {MAX_ORDER}]")
         if any(n < 1 for n in self.sizes):
             raise UsageError("mesh subdivisions must be >= 1")
+        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
+            raise UsageError("mesh subdivisions must be strictly increasing")
         if self.workers < 1 or self.max_dofs < 1:
             raise UsageError("guards and worker counts must be positive")
+        if self.data_quad_degree is not None and self.data_quad_degree < 0:
+            raise UsageError("quadrature degree must be >= 0")
         if self.fixed_kappa_h is not None and self.fixed_kappa3h2 is not None:
             raise UsageError("choose at most one of --fixed-kappa-h / --fixed-kappa3h2")
+        for line in (self.fixed_kappa_h, self.fixed_kappa3h2):
+            if line is not None and not (math.isfinite(line) and line > 0):
+                raise UsageError("fixed-line constants must be finite and positive")
 
 
 class UsageError(Exception):
     pass
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value matches a RunConfig field annotation; ints
+    count as floats, bools as neither."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if origin is types.UnionType:
+        return any(_has_type(value, h) for h in args)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def _parse_list(text: str, cast) -> list:
@@ -247,11 +272,20 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            for key, value in json.load(fh).items():
-                if not hasattr(cfg, key):
-                    raise UsageError(f"unknown config key {key!r}")
-                setattr(cfg, key, value)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                settings = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read config file {args.config!r}: {exc}") from exc
+        if not isinstance(settings, dict):
+            raise UsageError("config file must hold a JSON object")
+        hints = typing.get_type_hints(RunConfig)
+        for key, value in settings.items():
+            if key == "command" or key not in hints:
+                raise UsageError(f"unknown config key {key!r}")
+            if not _has_type(value, hints[key]):
+                raise UsageError(f"config key {key!r} has the wrong type: {value!r}")
+            setattr(cfg, key, value)
     if args.kappa is not None:
         cfg.kappas = _parse_list(args.kappa, float)
     if args.p is not None:

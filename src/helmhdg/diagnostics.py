@@ -30,11 +30,12 @@ import numpy as np
 
 from .analytic import ExactSolution, benchmark_problem, data_quadrature_degree
 from .hdg_local import ProblemConfig
-from .mesh import Mesh, build_structured_mesh, mesh_entities
+from .mesh import Mesh, build_structured_mesh
 from .polybasis import EdgeBasis, TriangleBasis, quadrature_rule, reference_face_points
 from .skeleton import (
     Solution,
     SolveInfo,
+    _boundary_batches,
     _error_batches,
     boundary_loads,
     build_dof_map,
@@ -166,8 +167,9 @@ def compute_errors(
         scale = 1.0 / math.sqrt(geom.det)
         v0 = mesh.vertices[mesh.triangles[ids, 0]]
         phys = (v0[:, None, :] + rule.points @ geom.jacobian.T).reshape(-1, 2)
-        du = scale * (solution.U[ids] @ phi.T) - exact.u(phys).reshape(len(ids), -1)
-        qe = exact.q(phys).reshape(len(ids), -1, 2)
+        ue, grad = exact.u_and_grad(phys)
+        du = scale * (solution.U[ids] @ phi.T) - ue.reshape(len(ids), -1)
+        qe = (1j * grad / exact.kappa).reshape(len(ids), -1, 2)
         dq1 = scale * (solution.Q[ids, :n] @ phi.T) - qe[:, :, 0]
         dq2 = scale * (solution.Q[ids, n:] @ phi.T) - qe[:, :, 1]
         e_u_sq += geom.det * float((np.abs(du) ** 2 @ rule.weights).sum())
@@ -294,17 +296,10 @@ def data_norms(mesh: Mesh, cfg: ProblemConfig, f: Callable, g: Callable) -> tupl
     degree = cfg.data_quad_degree
     if degree is None:
         degree = data_quadrature_degree(cfg.p, cfg.kappa, mesh.h_global)
-    rule = quadrature_rule("edge", degree)
     g_sq = 0.0
-    for edge in np.flatnonzero(mesh.boundary_flags):
-        lo, hi = mesh.edges[edge]
-        a, b = mesh.vertices[lo], mesh.vertices[hi]
-        length = float(np.linalg.norm(b - a))
-        elem, face = mesh.edge_to_elements[edge, 0]
-        normal = mesh_entities(mesh, int(elem)).normals[int(face)]
-        pts = a + rule.points[:, None] * (b - a)
-        values = np.abs(np.asarray(g(pts, np.tile(normal, (rule.n_points, 1))), dtype=complex)) ** 2
-        g_sq += length * float(values @ rule.weights)
+    for edges, rule, lengths, pts, normals in _boundary_batches(mesh, lambda _: degree):
+        values = np.abs(np.asarray(g(pts, normals), dtype=complex)).reshape(len(edges), -1) ** 2
+        g_sq += float(lengths @ (values @ rule.weights))
     return math.sqrt(f_sq), math.sqrt(g_sq)
 
 

@@ -18,8 +18,17 @@ translated elements and leaves per-element work to the source moments.
 Assembly order is deterministic (ascending element index with duplicate
 summation), so repeated runs are bit-identical.
 
+The skeleton LU orders columns by minimum degree on the pattern of
+A + A^T (SuperLU's ``MMD_AT_PLUS_A``).  The skeleton matrix is
+structurally symmetric, so a symmetric fill-reducing ordering fits it
+better than the default COLAMD ordering, which orders A^T A: on the
+pollution meshes it stores about half the factor entries and factors in
+well under half the time, with the same residual contract.
+
 A monolithic solver assembles the uncondensed coupled equations directly
-and serves as an independent oracle for the condensed pipeline.
+and serves as an independent oracle for the condensed pipeline; it keeps
+SuperLU's default ordering so that it shares no solver choice with the
+condensed path.
 """
 
 from __future__ import annotations
@@ -253,22 +262,45 @@ def boundary_loads(mesh: Mesh, cfg: ProblemConfig, g: BoundaryFn) -> np.ndarray:
     """Boundary data moments <g, mu> as a skeleton-sized vector."""
     m = cfg.p + 1
     basis = EdgeBasis(cfg.p)
-    out = np.zeros(m * mesh.n_edges, dtype=complex)
-    for edge in np.flatnonzero(mesh.boundary_flags):
-        lo, hi = mesh.edges[edge]
-        a, b = mesh.vertices[lo], mesh.vertices[hi]
-        length = float(np.linalg.norm(b - a))
-        degree = cfg.data_quad_degree
-        if degree is None:
-            degree = data_quadrature_degree(cfg.p, cfg.kappa, length)
-        rule = quadrature_rule("edge", degree)
-        elem, face = mesh.edge_to_elements[edge, 0]
-        normal = mesh_entities(mesh, int(elem)).normals[int(face)]
-        pts = a + rule.points[:, None] * (b - a)
-        values = np.asarray(g(pts, np.tile(normal, (rule.n_points, 1))), dtype=complex)
+    out = np.zeros((mesh.n_edges, m), dtype=complex)
+
+    def degree(length: float) -> int:
+        if cfg.data_quad_degree is not None:
+            return cfg.data_quad_degree
+        return data_quadrature_degree(cfg.p, cfg.kappa, length)
+
+    for edges, rule, lengths, pts, normals in _boundary_batches(mesh, degree):
+        values = np.asarray(g(pts, normals), dtype=complex).reshape(len(edges), -1)
         psi = basis.eval(rule.points)
-        out[m * edge : m * (edge + 1)] = math.sqrt(length) * (psi.T @ (rule.weights * values))
-    return out
+        out[edges] = np.sqrt(lengths)[:, None] * ((values * rule.weights) @ psi)
+    return out.ravel()
+
+
+def _boundary_batches(mesh: Mesh, degree: Callable[[float], int]):
+    """Boundary edges grouped by the quadrature degree of their length.
+
+    Per group yields (edge ids, edge rule, lengths (nE,), points (nE*nq, 2),
+    outward normals (nE*nq, 2)); points run along the global edge direction,
+    edge-major, and the normal is that of the owning element's face.
+    """
+    edges = np.flatnonzero(mesh.boundary_flags)
+    a = mesh.vertices[mesh.edges[edges, 0]]
+    b = mesh.vertices[mesh.edges[edges, 1]]
+    lengths = np.linalg.norm(b - a, axis=1)
+    elem, face = mesh.edge_to_elements[edges, 0].T
+    tangent = (
+        mesh.vertices[mesh.triangles[elem, (face + 1) % 3]]
+        - mesh.vertices[mesh.triangles[elem, face]]
+    )
+    normals = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / lengths[:, None]
+    degrees = np.array([degree(float(length)) for length in lengths], dtype=np.int64)
+    for deg in np.unique(degrees):
+        sel = degrees == deg
+        rule = quadrature_rule("edge", int(deg))
+        t = rule.points[None, :, None]
+        pts = a[sel, None, :] + t * (b[sel] - a[sel])[:, None, :]
+        nrm = np.repeat(normals[sel], rule.n_points, axis=0)
+        yield edges[sel], rule, lengths[sel], pts.reshape(-1, 2), nrm
 
 
 def assemble_skeleton(
@@ -280,7 +312,7 @@ def assemble_skeleton(
 
 def solve_skeleton(system: SkeletonSystem) -> np.ndarray:
     """Solve the skeleton system by sparse LU; enforces the residual contract."""
-    lu = spla.splu(system.matrix)
+    lu = spla.splu(system.matrix, permc_spec="MMD_AT_PLUS_A")
     uhat = lu.solve(system.rhs)
     resid = skeleton_residual(system, uhat)
     if resid > RESIDUAL_TOL:

@@ -1,5 +1,8 @@
 import os
 
+import pytest
+
+from helmhdg import cli
 from helmhdg.cli import main
 
 
@@ -76,6 +79,26 @@ def test_usage_errors_exit_2(tmp_path):
         "converge", "--kappa", "5", "--p", "1", "--n", "4",
         "--fixed-kappa-h", "1", "--fixed-kappa3h2", "1", "--out", str(tmp_path),
     ]) == 2
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--kappa", "nan"], None),
+    (["--kappa", "inf"], None),
+    (["--p", "11"], None),
+    (["--n", "8,4"], None),
+    ([], '{"kappas": 20}'),
+], ids=["kappa-nan", "kappa-inf", "p-above-max", "n-decreasing", "config-scalar-kappas"])
+def test_bad_input_exits_2_before_any_solve(tmp_path, monkeypatch, flags, config):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the input was validated")
+
+    monkeypatch.setattr(cli, "run_benchmark_case", no_solve)
+    args = ["converge", "--kappa", "5", "--p", "1", "--n", "4,8", "--out", str(tmp_path)]
+    if config is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(config)
+        args = ["converge", "--config", str(path), "--out", str(tmp_path)]
+    assert main(args + flags) == 2
 
 
 def test_size_guard_refusal_names_guard(tmp_path, capsys):

@@ -227,3 +227,20 @@ def test_convergence_csv_format(tmp_path):
     assert float(rows[1][9]) == pytest.approx(2.0)
     # 17 significant digits round-trip
     assert float(rows[0][3]) == math.sqrt(2.0) / 4.0
+
+
+def test_boundary_data_is_evaluated_in_batches(monkeypatch):
+    # One g call per boundary pass (loads in the solve and in the energy
+    # balance, and the data norm), not one per boundary edge.
+    from helmhdg.analytic import DataFunctions
+
+    calls = []
+    g = DataFunctions.g
+
+    def counting_g(self, points, normals):
+        calls.append(len(points))
+        return g(self, points, normals)
+
+    monkeypatch.setattr(DataFunctions, "g", counting_g)
+    run_benchmark_case(20.0, 2, 8)
+    assert 0 < len(calls) <= 6

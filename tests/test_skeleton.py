@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from helmhdg.analytic import benchmark_problem
+from helmhdg.analytic import benchmark_problem, data_quadrature_degree
+from helmhdg.diagnostics import data_norms
 from helmhdg.hdg_local import (
     ProblemConfig,
     assemble_local_blocks,
     flux_functional,
     local_residual,
 )
-from helmhdg.mesh import build_structured_mesh, mesh_entities
-from helmhdg.polybasis import TriangleBasis
+from helmhdg.mesh import _finish_mesh, build_structured_mesh, mesh_entities
+from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule
 from helmhdg.skeleton import (
     Solution,
     MONOLITHIC_GUARD,
     _AssemblyContext,
     assemble_skeleton,
+    boundary_loads,
     build_dof_map,
     monolithic_solve,
     reconstruct_interior,
@@ -316,3 +319,78 @@ def test_solution_csv_dump(tmp_path):
     assert first[0] == pytest.approx(pts[0, 0])
     assert first[2] == pytest.approx(u[0].real)
     assert first[6] == pytest.approx(q[0, 1].real)
+
+
+def _per_edge_boundary_reference(mesh, cfg, g):
+    """Boundary moments and ||g|| edge by edge, one g call per edge and rule:
+    moments use the rule of the edge's own length, the norm that of h."""
+    m = cfg.p + 1
+    basis = EdgeBasis(cfg.p)
+    loads = np.zeros(m * mesh.n_edges, dtype=complex)
+    g_sq = 0.0
+    for edge in np.flatnonzero(mesh.boundary_flags):
+        lo, hi = mesh.edges[edge]
+        a, b = mesh.vertices[lo], mesh.vertices[hi]
+        length = float(np.linalg.norm(b - a))
+        elem, face = mesh.edge_to_elements[edge, 0]
+        normal = mesh_entities(mesh, int(elem)).normals[int(face)]
+
+        def values(degree):
+            rule = quadrature_rule("edge", degree)
+            pts = a + rule.points[:, None] * (b - a)
+            return rule, np.asarray(g(pts, np.tile(normal, (rule.n_points, 1))), dtype=complex)
+
+        forced = cfg.data_quad_degree
+        rule, vals = values(forced or data_quadrature_degree(cfg.p, cfg.kappa, length))
+        psi = basis.eval(rule.points)
+        loads[m * edge : m * (edge + 1)] = np.sqrt(length) * (psi.T @ (rule.weights * vals))
+        rule, vals = values(forced or data_quadrature_degree(cfg.p, cfg.kappa, mesh.h_global))
+        g_sq += length * float(np.abs(vals) ** 2 @ rule.weights)
+    return loads, np.sqrt(g_sq)
+
+
+def _mesh_with_uneven_boundary(n):
+    # Slide a boundary vertex along its side so boundary edge lengths (and
+    # with them the data quadrature degrees) differ.
+    base = build_structured_mesh(n)
+    vertices = base.vertices.copy()
+    vertices[1, 0] += 0.4 / n
+    return _finish_mesh(vertices, base.triangles.copy(), n=None)
+
+
+@pytest.mark.parametrize("kappa, p, n, quad_degree, uneven", [
+    (20.0, 2, 8, None, False),
+    (40.0, 3, 5, None, False),
+    (20.0, 2, 8, 13, False),
+    (40.0, 3, 5, 21, False),
+    (40.0, 2, 4, None, True),
+])
+def test_batched_boundary_data_matches_per_edge_loop(kappa, p, n, quad_degree, uneven):
+    mesh = _mesh_with_uneven_boundary(n) if uneven else build_structured_mesh(n)
+    cfg = ProblemConfig.for_mesh(kappa, p, mesh, data_quad_degree=quad_degree)
+    _, data = benchmark_problem(kappa)
+    ref_loads, ref_g_norm = _per_edge_boundary_reference(mesh, cfg, data.g)
+    loads = boundary_loads(mesh, cfg, data.g)
+    assert np.abs(loads - ref_loads).max() <= 1e-13 * np.abs(ref_loads).max()
+    _, g_norm = data_norms(mesh, cfg, data.f, data.g)
+    assert abs(g_norm - ref_g_norm) <= 1e-13 * ref_g_norm
+
+
+def test_skeleton_lu_fill_guard(monkeypatch):
+    # The fill-reducing ordering must keep the skeleton factor well below
+    # what SuperLU's default COLAMD ordering stores for the same matrix.
+    factored = []
+    splu = spla.splu
+
+    def recording_splu(matrix, *args, **kwargs):
+        lu = splu(matrix, *args, **kwargs)
+        factored.append((matrix, lu.nnz))
+        return lu
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    mesh = build_structured_mesh(32)
+    cfg = ProblemConfig.for_mesh(40.0, 2, mesh)
+    _, data = benchmark_problem(40.0)
+    solve_helmholtz(mesh, cfg, data.f, data.g)
+    ((matrix, nnz),) = factored
+    assert nnz <= 0.6 * splu(matrix, permc_spec="COLAMD").nnz
