@@ -328,6 +328,12 @@ def _per_edge_boundary_reference(mesh, cfg, g):
     basis = EdgeBasis(cfg.p)
     loads = np.zeros(m * mesh.n_edges, dtype=complex)
     g_sq = 0.0
+
+    def degree(h):
+        if cfg.data_quad_degree is not None:
+            return cfg.data_quad_degree
+        return data_quadrature_degree(cfg.p, cfg.kappa, h)
+
     for edge in np.flatnonzero(mesh.boundary_flags):
         lo, hi = mesh.edges[edge]
         a, b = mesh.vertices[lo], mesh.vertices[hi]
@@ -335,16 +341,15 @@ def _per_edge_boundary_reference(mesh, cfg, g):
         elem, face = mesh.edge_to_elements[edge, 0]
         normal = mesh_entities(mesh, int(elem)).normals[int(face)]
 
-        def values(degree):
-            rule = quadrature_rule("edge", degree)
+        def values(deg):
+            rule = quadrature_rule("edge", deg)
             pts = a + rule.points[:, None] * (b - a)
             return rule, np.asarray(g(pts, np.tile(normal, (rule.n_points, 1))), dtype=complex)
 
-        forced = cfg.data_quad_degree
-        rule, vals = values(forced or data_quadrature_degree(cfg.p, cfg.kappa, length))
+        rule, vals = values(degree(length))
         psi = basis.eval(rule.points)
         loads[m * edge : m * (edge + 1)] = np.sqrt(length) * (psi.T @ (rule.weights * vals))
-        rule, vals = values(forced or data_quadrature_degree(cfg.p, cfg.kappa, mesh.h_global))
+        rule, vals = values(degree(mesh.h_global))
         g_sq += length * float(np.abs(vals) ** 2 @ rule.weights)
     return loads, np.sqrt(g_sq)
 
