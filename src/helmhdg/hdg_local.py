@@ -22,12 +22,13 @@ the face moments of qhat.n; those element matrices are the only coupling
 that survives in the global skeleton system.
 
 All functions here are pure: they read the geometry and configuration
-they are given and share no mutable state, so elements may be processed
-concurrently.
+they are given and share no mutable state (the per-order reference
+tables are cached read-only), so elements may be processed concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -136,48 +137,88 @@ class LocalBlocks:
         return np.concatenate([top, bottom])
 
 
+@dataclass(frozen=True)
+class _ReferenceTables:
+    """Geometry-independent operator tables of the order-p element, all
+    read-only: the 2p triangle rule weights with basis values and
+    gradients at its points, the scalar mass M, and per local face the
+    moments phi_f^T W psi for both edge orientations (index 0 for +1,
+    1 for -1) and the face mass phi_f^T W phi_f."""
+
+    weights: np.ndarray  # (nq,)
+    phi: np.ndarray  # (nq, N)
+    grad: np.ndarray  # (nq, N, 2)
+    M: np.ndarray  # (N, N)
+    face_trace: np.ndarray  # (3, 2, N, p+1)
+    face_mass: np.ndarray  # (3, N, N)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_tables(p: int) -> _ReferenceTables:
+    basis = TriangleBasis(p)
+    rule = quadrature_rule("triangle", 2 * p)
+    phi, grad = basis.eval_with_grad(rule.points)
+    M = phi.T @ (rule.weights[:, None] * phi)
+
+    edge_basis = EdgeBasis(p)
+    face_rule = quadrature_rule("edge", 2 * p)
+    w = face_rule.weights
+    psi = [edge_basis.eval(face_rule.points), edge_basis.eval(1.0 - face_rule.points)]
+    face_trace, face_mass = [], []
+    for face in range(3):
+        phi_f = basis.eval(reference_face_points(face, face_rule.points))
+        face_trace.append([phi_f.T @ (w[:, None] * psi_o) for psi_o in psi])
+        face_mass.append(phi_f.T @ (w[:, None] * phi_f))
+    tables = _ReferenceTables(
+        weights=rule.weights,
+        phi=phi,
+        grad=grad,
+        M=M,
+        face_trace=np.array(face_trace),
+        face_mass=np.array(face_mass),
+    )
+    for array in vars(tables).values():
+        array.flags.writeable = False
+    return tables
+
+
 def assemble_local_blocks(geom: ElementGeometry, cfg: ProblemConfig) -> LocalBlocks:
     """Element blocks of the local equations on one triangle.
 
     All operator integrals are polynomial on affine elements and use
-    exactness degree 2p; the resulting blocks are exact to rounding.
+    exactness degree 2p; the resulting blocks are exact to rounding.  The
+    reference tables are built once per order; only the geometry-dependent
+    products are formed here.
     """
     if geom.area <= 1e-14:
         raise ValueError(f"degenerate element (area = {geom.area!r})")
     p = cfg.p
-    basis = TriangleBasis(p)
-    n = basis.dim
+    ref = _reference_tables(p)
+    n = ref.M.shape[0]
     m = p + 1
 
-    rule = quadrature_rule("triangle", 2 * p)
-    phi, grad = basis.eval_with_grad(rule.points)
     # Physical gradients carry inv(J)^T; the det factors of the two scaled
     # basis functions cancel against the volume Jacobian.
-    gphys = np.einsum("qad,cd->qac", grad, geom.inv_jt)
-    B = np.einsum("q,qac,qj->caj", rule.weights, gphys, phi).reshape(2 * n, n)
-    M = phi.T @ (rule.weights[:, None] * phi)
-    A = 1j * cfg.kappa * np.kron(np.eye(2), M)
+    gphys = np.einsum("qad,cd->qac", ref.grad, geom.inv_jt)
+    B = np.einsum("q,qac,qj->caj", ref.weights, gphys, ref.phi).reshape(2 * n, n)
+    A = 1j * cfg.kappa * np.kron(np.eye(2), ref.M)
 
-    edge_basis = EdgeBasis(p)
-    face_rule = quadrature_rule("edge", 2 * p)
     C = np.zeros((2 * n, 3 * m))
     S = np.zeros((n, n))
     R = np.zeros((n, 3 * m))
     for face in range(3):
-        ref_pts = reference_face_points(face, face_rule.points)
-        phi_f = basis.eval(ref_pts)
-        t_global = face_rule.points if geom.edge_orient[face] == 1 else 1.0 - face_rule.points
-        psi = edge_basis.eval(t_global)
         lf = geom.face_lengths[face]
-        w = face_rule.weights
         sl = slice(face * m, (face + 1) * m)
+        orient = 0 if geom.edge_orient[face] == 1 else 1
 
-        trace = math.sqrt(lf / geom.det) * (phi_f.T @ (w[:, None] * psi))  # (n, m)
+        trace = math.sqrt(lf / geom.det) * ref.face_trace[face, orient]  # (n, m)
         for c in range(2):
             C[c * n : (c + 1) * n, sl] = geom.normals[face, c] * trace
-        S += cfg.tau * (lf / geom.det) * (phi_f.T @ (w[:, None] * phi_f))
+        S += cfg.tau * (lf / geom.det) * ref.face_mass[face]
         R[:, sl] = cfg.tau * trace
-    return LocalBlocks(p=p, kappa=cfg.kappa, tau=cfg.tau, n_scalar=n, A=A, B=B, C=C, S=S, R=R, M=M)
+    return LocalBlocks(
+        p=p, kappa=cfg.kappa, tau=cfg.tau, n_scalar=n, A=A, B=B, C=C, S=S, R=R, M=ref.M
+    )
 
 
 def volume_load(

@@ -173,7 +173,7 @@ class _AssemblyContext:
         for ids, rep in _group_elements(mesh):
             geom = mesh_entities(mesh, rep)
             ops = _CondensedOperators(assemble_local_blocks(geom, cfg))
-            loads = self._volume_loads(ids, geom, f) if f is not None else None
+            loads = _class_volume_loads(mesh, cfg, ids, geom, f) if f is not None else None
             self.groups.append((ids, geom, ops, loads))
             logger.debug(
                 "element class of %d (rep %d): local condition number %.3e",
@@ -185,24 +185,6 @@ class _AssemblyContext:
             "max local condition number %.3e",
             cfg.kappa, cfg.p, cfg.tau, len(self.groups), self.max_local_cond,
         )
-
-    def _volume_loads(self, ids: np.ndarray, geom: ElementGeometry, f: SourceFn) -> np.ndarray:
-        degree = self.cfg.data_quad_degree
-        if degree is None:
-            degree = data_quadrature_degree(self.cfg.p, self.cfg.kappa, geom.h)
-        rule = quadrature_rule("triangle", degree)
-        phi = TriangleBasis(self.cfg.p).eval(rule.points)
-        v0 = self.mesh.vertices[self.mesh.triangles[ids, 0]]
-        phys = v0[:, None, :] + rule.points @ geom.jacobian.T
-        values = np.asarray(f(phys.reshape(-1, 2)), dtype=complex).reshape(len(ids), -1)
-        return math.sqrt(geom.det) * ((values * rule.weights) @ phi)
-
-    def volume_load_array(self) -> np.ndarray:
-        """Source moments of every element, shape (F, N)."""
-        out = np.zeros((self.mesh.n_elements, self.n_scalar), dtype=complex)
-        for ids, _, _, loads in self.groups:
-            out[ids] = loads
-        return out
 
     def build_system(self, g: BoundaryFn | None) -> SkeletonSystem:
         m = self.dof_map.dofs_per_edge
@@ -253,9 +235,28 @@ class _AssemblyContext:
         return solution
 
 
+def _class_volume_loads(
+    mesh: Mesh, cfg: ProblemConfig, ids: np.ndarray, geom: ElementGeometry, f: SourceFn
+) -> np.ndarray:
+    """Source moments of the elements `ids` of one congruence class with
+    representative geometry `geom`, shape (len(ids), N)."""
+    degree = cfg.data_quad_degree
+    if degree is None:
+        degree = data_quadrature_degree(cfg.p, cfg.kappa, geom.h)
+    rule = quadrature_rule("triangle", degree)
+    phi = TriangleBasis(cfg.p).eval(rule.points)
+    v0 = mesh.vertices[mesh.triangles[ids, 0]]
+    phys = v0[:, None, :] + rule.points @ geom.jacobian.T
+    values = np.asarray(f(phys.reshape(-1, 2)), dtype=complex).reshape(len(ids), -1)
+    return math.sqrt(geom.det) * ((values * rule.weights) @ phi)
+
+
 def volume_loads(mesh: Mesh, cfg: ProblemConfig, f: SourceFn) -> np.ndarray:
-    """Source moments (f, w) of every element, shape (F, N)."""
-    return _AssemblyContext(mesh, cfg, f).volume_load_array()
+    """Source moments (f, w) of every element, shape (F, N); no condensation."""
+    out = np.zeros((mesh.n_elements, TriangleBasis(cfg.p).dim), dtype=complex)
+    for ids, rep in _group_elements(mesh):
+        out[ids] = _class_volume_loads(mesh, cfg, ids, mesh_entities(mesh, rep), f)
+    return out
 
 
 def boundary_loads(mesh: Mesh, cfg: ProblemConfig, g: BoundaryFn) -> np.ndarray:

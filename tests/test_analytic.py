@@ -139,6 +139,20 @@ def test_robin_residual_on_boundary():
         assert np.abs(resid).max() <= 1e-13
 
 
+def test_exact_solution_check_catches_wrong_robin_data(monkeypatch):
+    from helmhdg.verify import _check_exact_solution
+
+    assert _check_exact_solution().passed
+
+    def flipped(self, points, normals):
+        u, grad = self.exact.u_and_grad(points)
+        return np.sum(grad * np.asarray(normals).reshape(-1, 2), axis=1) - 1j * self.kappa * u
+
+    monkeypatch.setattr(DataFunctions, "g_tilde", flipped)
+    result = _check_exact_solution()
+    assert not result.passed, result.measured
+
+
 def test_flux_definition():
     sol = ExactSolution(7.0)
     pts = np.array([[0.2, -0.1], [0.31, 0.4]])
@@ -223,6 +237,63 @@ def test_projection_error_halving_ratio(p):
     coarse = _projection_errors(8, p, func)[0]
     fine = _projection_errors(16, p, func)[0]
     assert coarse / fine == pytest.approx(2.0 ** (p + 1), rel=0.15)
+
+
+def _projection_errors_per_element(n, p, func):
+    """Reference: the projection check one element at a time."""
+    from helmhdg.mesh import build_structured_mesh, mesh_entities
+    from helmhdg.polybasis import reference_face_points
+
+    mesh = build_structured_mesh(n)
+    basis = TriangleBasis(p)
+    vol_rule = quadrature_rule("triangle", 2 * p + 12)
+    edge_rule = quadrature_rule("edge", 2 * p + 12)
+    vol_sq = 0.0
+    trace_sq = 0.0
+    for elem in range(mesh.n_elements):
+        geom = mesh_entities(mesh, elem)
+        coeff = l2_project("element", func, p, geom, quad_degree=2 * p + 12)
+        vals = basis.eval(vol_rule.points) @ coeff / math.sqrt(geom.det)
+        diff = func(geom.map_to_physical(vol_rule.points)) - vals
+        vol_sq += geom.det * float(np.abs(diff) ** 2 @ vol_rule.weights)
+        for face in range(3):
+            ref_pts = reference_face_points(face, edge_rule.points)
+            fvals = basis.eval(ref_pts) @ coeff / math.sqrt(geom.det)
+            fdiff = func(geom.map_to_physical(ref_pts)) - fvals
+            trace_sq += geom.face_lengths[face] * float(np.abs(fdiff) ** 2 @ edge_rule.weights)
+    return math.sqrt(vol_sq), math.sqrt(trace_sq)
+
+
+@pytest.mark.parametrize("n, p", [(8, 1), (8, 3), (24, 2)])
+def test_blocked_projection_matches_per_element_loop(n, p):
+    # n = 24 has 1 152 elements, so one block boundary is crossed.
+    from helmhdg.verify import _projection_errors
+
+    func = lambda pts: np.sin(3.0 * pts[:, 0]) * np.cos(2.0 * pts[:, 1])  # noqa: E731
+    got = _projection_errors(n, p, func)
+    want = _projection_errors_per_element(n, p, func)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_projection_check_calls_func_per_block(monkeypatch):
+    from helmhdg import analytic, mesh, verify
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-element call in the projection check")
+
+    for module, name in ((verify, "l2_project"), (analytic, "l2_project"),
+                         (verify, "mesh_entities"), (mesh, "mesh_entities")):
+        monkeypatch.setattr(module, name, forbidden, raising=False)
+    calls = []
+
+    def func(pts):
+        calls.append(len(pts))
+        return np.sin(3.0 * pts[:, 0]) * np.cos(2.0 * pts[:, 1])
+
+    n = 32
+    verify._projection_errors(n, 1, func)
+    n_blocks = math.ceil(2 * n * n / verify._PROJECTION_BLOCK)
+    assert 0 < len(calls) <= 4 * n_blocks
 
 
 def test_edge_projection_of_constant():

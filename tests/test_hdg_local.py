@@ -247,6 +247,68 @@ def test_blocks_are_pure_and_thread_safe():
         assert np.array_equal(a.R, b.R)
 
 
+def _assemble_uncached(geom, cfg):
+    """Reference: the local blocks built from fresh reference tables."""
+    from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule, reference_face_points
+
+    p = cfg.p
+    basis = TriangleBasis(p)
+    n = basis.dim
+    m = p + 1
+    rule = quadrature_rule("triangle", 2 * p)
+    phi, grad = basis.eval_with_grad(rule.points)
+    gphys = np.einsum("qad,cd->qac", grad, geom.inv_jt)
+    B = np.einsum("q,qac,qj->caj", rule.weights, gphys, phi).reshape(2 * n, n)
+    M = phi.T @ (rule.weights[:, None] * phi)
+    A = 1j * cfg.kappa * np.kron(np.eye(2), M)
+    edge_basis = EdgeBasis(p)
+    face_rule = quadrature_rule("edge", 2 * p)
+    C = np.zeros((2 * n, 3 * m))
+    S = np.zeros((n, n))
+    R = np.zeros((n, 3 * m))
+    for face in range(3):
+        phi_f = basis.eval(reference_face_points(face, face_rule.points))
+        t_global = face_rule.points if geom.edge_orient[face] == 1 else 1.0 - face_rule.points
+        psi = edge_basis.eval(t_global)
+        lf = geom.face_lengths[face]
+        w = face_rule.weights
+        sl = slice(face * m, (face + 1) * m)
+        trace = math.sqrt(lf / geom.det) * (phi_f.T @ (w[:, None] * psi))
+        for c in range(2):
+            C[c * n : (c + 1) * n, sl] = geom.normals[face, c] * trace
+        S += cfg.tau * (lf / geom.det) * (phi_f.T @ (w[:, None] * phi_f))
+        R[:, sl] = cfg.tau * trace
+    return {"A": A, "B": B, "C": C, "S": S, "R": R, "M": M}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_cached_tables_reproduce_uncached_blocks_exactly(p):
+    mesh, cfg = _config(kappa=20.0, p=p, n=4)
+    # Elements 0 and 1 carry the two face-orientation patterns of the
+    # structured mesh; the third geometry is a perturbed general triangle.
+    geoms = [mesh_entities(mesh, 0), mesh_entities(mesh, 1)]
+    assert not np.array_equal(geoms[0].edge_orient, geoms[1].edge_orient)
+    geoms.append(ElementGeometry.from_vertices(
+        [[0.013, -0.021], [0.271, 0.034], [0.052, 0.243]], edge_orient=np.array([1, -1, -1])
+    ))
+    for geom in geoms:
+        blocks = assemble_local_blocks(geom, cfg)
+        for name, want in _assemble_uncached(geom, cfg).items():
+            assert np.array_equal(getattr(blocks, name), want), name
+
+
+def test_cached_tables_are_read_only():
+    from helmhdg.hdg_local import _reference_tables
+
+    blocks = assemble_local_blocks(REF_GEOM, ProblemConfig(kappa=5.0, p=2, tau=1.0))
+    with pytest.raises(ValueError):
+        blocks.M[0, 0] = 2.0
+    tables = _reference_tables(2)
+    for name, array in vars(tables).items():
+        with pytest.raises(ValueError):
+            array[...] = 0.0
+
+
 def test_sesquilinearity_convention():
     # The assembled system realizes a form that is linear in the trial
     # coefficients and conjugate-linear in the test coefficients.
