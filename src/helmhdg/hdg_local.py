@@ -58,12 +58,12 @@ class ProblemConfig:
     data_quad_degree: int | None = None
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("wave number must be positive")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError(f"wave number must be finite and positive, got {self.kappa!r}")
         if not (1 <= self.p <= MAX_ORDER):
             raise ValueError(f"polynomial order must be in [1, {MAX_ORDER}]")
-        if self.tau <= 0:
-            raise ValueError("stabilization parameter must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"stabilization parameter must be finite and positive, got {self.tau!r}")
 
     @classmethod
     def for_mesh(

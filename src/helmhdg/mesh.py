@@ -22,6 +22,10 @@ import numpy as np
 #: Bounds (xmin, ymin, xmax, ymax) of the computational domain.
 DOMAIN_BOUNDS = (-0.5, -0.5, 0.5, 0.5)
 
+#: Tree nodes of at most this many elements are leaves of the
+#: nested-dissection ordering.
+ND_LEAF_SIZE = 8
+
 
 @dataclass(frozen=True)
 class Mesh:
@@ -266,6 +270,68 @@ def mesh_entities(mesh: Mesh, elem: int) -> ElementGeometry:
         edge_ids=mesh.elem_edges[elem],
         edge_orient=mesh.elem_edge_orient[elem],
     )
+
+
+def nested_dissection_edges(mesh: Mesh) -> np.ndarray:
+    """Edge permutation (E,) from recursive coordinate bisection of the elements.
+
+    Each tree node of more than `ND_LEAF_SIZE` elements is cut across the
+    longer extent of its element centroids, at the vertex coordinate nearest
+    the median centroid (at the median rank if that leaves one side empty).
+    Its separator is the set of edges whose two elements fall on opposite
+    sides; edges come out in post-order: left subtree, right subtree,
+    separator.  One step per tree level: each step appends one base-3
+    digit per edge (0 left, 1 right, 2 separator, 0 once placed), and one
+    stable sort over the digits, level 0 first, yields the order.
+    """
+    cent = mesh.vertices[mesh.triangles].mean(axis=1)
+    grid = [np.unique(mesh.vertices[:, axis]) for axis in range(2)]
+    e1 = mesh.edge_to_elements[:, 0, 0]
+    e2 = np.where(mesh.boundary_flags, e1, mesh.edge_to_elements[:, 1, 0])
+    ids = np.arange(mesh.n_elements)  # elements of nodes that may still split
+    nd = np.zeros(mesh.n_elements, dtype=np.int64)  # their tree nodes
+    open_edges = np.ones(mesh.n_edges, dtype=bool)  # not yet in a separator
+    digits = []
+    while True:
+        count = np.bincount(nd)
+        keep = count[nd] > ND_LEAF_SIZE
+        ids, nd = ids[keep], nd[keep]
+        if ids.size == 0:
+            break
+        # Splitting nodes in ascending id; `seg` is the node of each
+        # position in the node-major sorted element lists.
+        count = count[count > ND_LEAF_SIZE]
+        start = np.cumsum(count) - count
+        last = start + count - 1
+        seg = np.repeat(np.arange(count.size), count)
+        c = cent[ids]
+        by_x, by_y = np.lexsort((c[:, 0], nd)), np.lexsort((c[:, 1], nd))
+        axis = (c[by_y[last], 1] - c[by_y[start], 1] > c[by_x[last], 0] - c[by_x[start], 0])
+        axis = axis.astype(np.int64)
+        order = np.where(axis[seg] == 1, by_y, by_x)
+        coord = c[order, axis[seg]]
+        median = coord[start + (count - 1) // 2]
+        cut = np.empty(count.size)
+        for a in range(2):
+            sel = axis == a
+            k = np.clip(np.searchsorted(grid[a], median[sel]), 1, grid[a].size - 1)
+            below, above = grid[a][k - 1], grid[a][k]
+            cut[sel] = np.where(median[sel] - below <= above - median[sel], below, above)
+        right = coord >= cut[seg]
+        n_right = np.add.reduceat(right.astype(np.int64), start)
+        uneven = ((n_right == 0) | (n_right == count))[seg]
+        rank = np.arange(ids.size) - start[seg]
+        right[uneven] = rank[uneven] >= (count // 2)[seg][uneven]
+        ids, nd = ids[order], 2 * seg + right
+        side = np.full(mesh.n_elements, -1, dtype=np.int64)  # -1: in a leaf
+        side[ids] = right
+        inside = open_edges & (side[e1] >= 0)
+        separator = inside & (side[e1] != side[e2])
+        digits.append(np.where(separator, 2, np.where(inside, side[e1], 0)).astype(np.int8))
+        open_edges &= ~separator
+    if not digits:
+        return np.arange(mesh.n_edges)
+    return np.lexsort(digits[::-1])
 
 
 def format_mesh(mesh: Mesh) -> str:

@@ -18,17 +18,23 @@ translated elements and leaves per-element work to the source moments.
 Assembly order is deterministic (ascending element index with duplicate
 summation), so repeated runs are bit-identical.
 
-The skeleton LU orders columns by minimum degree on the pattern of
-A + A^T (SuperLU's ``MMD_AT_PLUS_A``).  The skeleton matrix is
-structurally symmetric, so a symmetric fill-reducing ordering fits it
-better than the default COLAMD ordering, which orders A^T A: on the
-pollution meshes it stores about half the factor entries and factors in
-well under half the time, with the same residual contract.
+The skeleton LU factors P A P^T, where P numbers the edges in a
+geometric nested-dissection order (`mesh.nested_dissection_edges`):
+recursive coordinate bisection of the elements, each separator (the
+edges between the two halves) numbered after both halves.  On structured
+meshes the separators are grid lines, as in George's nested dissection
+of a regular grid.  SuperLU keeps that order (``permc_spec="NATURAL"``)
+in symmetric mode, preferring diagonal pivots (threshold 0.1): the
+skeleton matrix is structurally symmetric, so diagonal pivots keep the
+elimination tree and fill of the symmetric ordering.  On the pollution
+meshes this stores 15 % fewer factor entries than minimum degree on
+A + A^T, with the same residual contract.  The assembly writes P A P^T
+directly, so the factorization holds no second copy of the matrix.
 
 A monolithic solver assembles the uncondensed coupled equations directly
 and serves as an independent oracle for the condensed pipeline; it keeps
-SuperLU's default ordering so that it shares no solver choice with the
-condensed path.
+SuperLU's default COLAMD ordering and pivoting so that it shares no
+solver choice with the condensed path.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from .hdg_local import (
     assemble_local_blocks,
     volume_load,
 )
-from .mesh import ElementGeometry, Mesh, mesh_entities
+from .mesh import ElementGeometry, Mesh, mesh_entities, nested_dissection_edges
 from .polybasis import EdgeBasis, TriangleBasis, quadrature_rule, reference_face_points
 
 logger = logging.getLogger(__name__)
@@ -95,11 +101,22 @@ def build_dof_map(mesh: Mesh, p: int) -> DofMap:
 
 @dataclass(frozen=True)
 class SkeletonSystem:
-    """Global complex sparse system in the edge trace unknowns."""
+    """Global complex sparse system A uhat = rhs in the edge trace unknowns.
 
-    matrix: sp.csc_matrix
+    A is stored once, as the matrix P A P^T that the LU factors: its row
+    and column i belong to dof perm[i].
+    """
+
+    permuted: sp.csc_matrix  # P A P^T
     rhs: np.ndarray
     dof_map: DofMap
+    perm: np.ndarray  # (n_dofs,) factorization order of the dofs
+
+    @property
+    def matrix(self) -> sp.csc_matrix:
+        """A in the global dof numbering (a new matrix on every call)."""
+        position = np.argsort(self.perm)
+        return self.permuted[position][:, position]
 
 
 @dataclass
@@ -154,11 +171,14 @@ def _group_elements(mesh: Mesh) -> list[tuple[np.ndarray, int]]:
     t = mesh.triangles
     jac = np.stack([v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]], axis=2)  # (F, 2, 2)
     keys = np.round(jac / mesh.h_global, 12).reshape(mesh.n_elements, 4)
-    groups: dict[bytes, list[int]] = {}
-    for elem in range(mesh.n_elements):
-        key = keys[elem].tobytes() + mesh.elem_edge_orient[elem].tobytes()
-        groups.setdefault(key, []).append(elem)
-    return [(np.asarray(ids, dtype=np.int64), ids[0]) for ids in groups.values()]
+    # Bit patterns, so that 0.0 and -0.0 stay distinct keys.
+    rows = np.column_stack([keys.view(np.int64), mesh.elem_edge_orient])
+    order = np.lexsort(rows.T)  # stable: each class's members in ascending order
+    ranked = rows[order]
+    start = np.flatnonzero(np.r_[True, np.any(ranked[1:] != ranked[:-1], axis=1)])
+    members = np.split(order, start[1:])
+    reps = order[start]
+    return [(members[k], int(reps[k])) for k in np.argsort(reps)]
 
 
 class _AssemblyContext:
@@ -190,29 +210,32 @@ class _AssemblyContext:
         m = self.dof_map.dofs_per_edge
         width = 3 * m
         n_dofs = self.dof_map.n_dofs
+        perm = (m * nested_dissection_edges(self.mesh)[:, None] + np.arange(m)).ravel()
+        position = np.argsort(perm)  # row of each dof in P A P^T
         rows, cols, vals = [], [], []
         rhs = np.zeros(n_dofs, dtype=complex)
         for ids, _, ops, loads in self.groups:
             gidx = self.dof_map.elem_dofs[ids]  # (nE, 3m)
-            rows.append(np.repeat(gidx, width, axis=1).ravel())
-            cols.append(np.tile(gidx, (1, width)).ravel())
+            pidx = position[gidx]
+            rows.append(np.repeat(pidx, width, axis=1).ravel())
+            cols.append(np.tile(pidx, (1, width)).ravel())
             vals.append(np.broadcast_to(-ops.K, (len(ids), width, width)).ravel())
             if loads is not None:
                 f_flux = loads @ ops.load_to_flux.T  # (nE, 3m)
                 np.add.at(rhs, gidx.ravel(), -f_flux.ravel())
 
-        bd_dofs = self._boundary_dofs()
+        bd_dofs = position[self._boundary_dofs()]
         rows.append(bd_dofs)
         cols.append(bd_dofs)
         vals.append(np.ones(bd_dofs.size, dtype=complex))
         if g is not None:
             rhs += boundary_loads(self.mesh, self.cfg, g)
 
-        matrix = sp.coo_matrix(
+        permuted = sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n_dofs, n_dofs),
         ).tocsc()
-        return SkeletonSystem(matrix=matrix, rhs=rhs, dof_map=self.dof_map)
+        return SkeletonSystem(permuted=permuted, rhs=rhs, dof_map=self.dof_map, perm=perm)
 
     def _boundary_dofs(self) -> np.ndarray:
         m = self.dof_map.dofs_per_edge
@@ -312,9 +335,14 @@ def assemble_skeleton(
 
 
 def solve_skeleton(system: SkeletonSystem) -> np.ndarray:
-    """Solve the skeleton system by sparse LU; enforces the residual contract."""
-    lu = spla.splu(system.matrix, permc_spec="MMD_AT_PLUS_A")
-    uhat = lu.solve(system.rhs)
+    """Solve the skeleton system by sparse LU of P A P^T in the system's
+    nested-dissection order; enforces the residual contract."""
+    lu = spla.splu(
+        system.permuted, permc_spec="NATURAL", diag_pivot_thresh=0.1,
+        options=dict(SymmetricMode=True),
+    )
+    uhat = np.empty(system.rhs.shape, dtype=complex)
+    uhat[system.perm] = lu.solve(system.rhs[system.perm])
     resid = skeleton_residual(system, uhat)
     if resid > RESIDUAL_TOL:
         raise RuntimeError(f"skeleton solve residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
@@ -322,9 +350,11 @@ def solve_skeleton(system: SkeletonSystem) -> np.ndarray:
 
 
 def skeleton_residual(system: SkeletonSystem, uhat: np.ndarray) -> float:
-    """Relative residual of a candidate trace solution."""
+    """Relative residual ||A uhat - rhs|| / ||rhs|| of a candidate trace
+    solution, evaluated as ||P A P^T (P uhat) - P rhs||."""
+    perm = system.perm
     rhs_norm = float(np.linalg.norm(system.rhs))
-    err = float(np.linalg.norm(system.matrix @ uhat - system.rhs))
+    err = float(np.linalg.norm(system.permuted @ uhat[perm] - system.rhs[perm]))
     if rhs_norm == 0.0:
         return 0.0 if err == 0.0 else float("inf")
     return err / rhs_norm

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic import DataFunctions, ExactSolution, benchmark_problem
-from .diagnostics import convergence_rates, ConvergenceTable, run_benchmark_case
+from .diagnostics import run_benchmark_case
 from .hdg_local import ProblemConfig, assemble_local_blocks, local_solve
 from .mesh import ElementGeometry, build_structured_mesh, mesh_entities
 from .polybasis import (

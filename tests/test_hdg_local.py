@@ -35,6 +35,14 @@ def test_config_validation():
         ProblemConfig.for_mesh(20.0, 1, mesh, tau_rule="const")
 
 
+@pytest.mark.parametrize("kappa, tau", [
+    (float("nan"), 1.0), (float("inf"), 1.0), (20.0, float("nan")),
+], ids=["kappa-nan", "kappa-inf", "tau-nan"])
+def test_config_rejects_non_finite(kappa, tau):
+    with pytest.raises(ValueError, match="finite"):
+        ProblemConfig(kappa=kappa, p=1, tau=tau)
+
+
 def test_tau_follows_mesh():
     kappa, p = 20.0, 2
     coarse = build_structured_mesh(8)

@@ -5,9 +5,11 @@ import pytest
 
 from helmhdg.mesh import (
     ElementGeometry,
+    _finish_mesh,
     build_structured_mesh,
     format_mesh,
     mesh_entities,
+    nested_dissection_edges,
     write_mesh,
 )
 
@@ -135,3 +137,56 @@ def test_mesh_dump_sections(tmp_path):
     flags = [int(line.split()[-1]) for line in lines[edge_at + 1 :]]
     assert sum(flags) == int(mesh.boundary_flags.sum())
     assert format_mesh(mesh) == path.read_text()
+
+
+def _perturbed_mesh():
+    base = build_structured_mesh(2)
+    vertices = base.vertices.copy()
+    center = np.argmin(np.abs(vertices).sum(axis=1))
+    vertices[center] += [0.05, -0.03]
+    return _finish_mesh(vertices, base.triangles.copy(), n=None)
+
+
+def _fan_strip_mesh():
+    # A 4 x 0.25 strip (unit area): 8 triangles fan from the left side to
+    # the lower-right corner, one spans the right side.  Eight of nine
+    # centroids share x = -2/3, whose nearest vertex coordinate is x = -2,
+    # so the vertex cut leaves the left side empty.
+    left = np.column_stack([np.full(9, -2.0), np.linspace(-0.125, 0.125, 9)])
+    vertices = np.vstack([left, [[2.0, -0.125], [2.0, 0.125]]])
+    triangles = np.array([[i, 9, i + 1] for i in range(8)] + [[8, 9, 10]])
+    return _finish_mesh(vertices, triangles, n=None)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_structured_mesh(1),
+    lambda: build_structured_mesh(2),
+    lambda: build_structured_mesh(8),
+    _perturbed_mesh,
+    _fan_strip_mesh,
+], ids=["n1", "n2", "n8", "perturbed", "fan-strip"])
+def test_nested_dissection_is_a_repeatable_permutation(make):
+    mesh = make()
+    order = nested_dissection_edges(mesh)
+    assert np.array_equal(np.sort(order), np.arange(mesh.n_edges))
+    assert np.array_equal(order, nested_dissection_edges(make()))
+
+
+def test_nested_dissection_ends_with_the_middle_grid_line():
+    # The root cut of an 8 x 8 grid is the grid line x = 0; its 8 edges
+    # are the separator of the whole mesh, so they come last.
+    mesh = build_structured_mesh(8)
+    last = mesh.edges[nested_dissection_edges(mesh)[-8:]]
+    assert np.all(mesh.vertices[last][:, :, 0] == 0.0)
+
+
+def test_nested_dissection_separates_its_subtrees():
+    # Post-order: no edge of the left subtree (the first edges, before the
+    # right subtree and the root separator) shares an element with an edge
+    # of the right subtree.
+    mesh = build_structured_mesh(8)
+    order = nested_dissection_edges(mesh)
+    half = (mesh.n_edges - 8) // 2
+    elements = [set(mesh.edge_to_elements[edges, :, 0].ravel()) - {-1}
+                for edges in (order[:half], order[half:-8])]
+    assert not elements[0] & elements[1]

@@ -399,3 +399,56 @@ def test_skeleton_lu_fill_guard(monkeypatch):
     solve_helmholtz(mesh, cfg, data.f, data.g)
     ((matrix, nnz),) = factored
     assert nnz <= 0.6 * splu(matrix, permc_spec="COLAMD").nnz
+
+
+def _grouping_reference(mesh):
+    # Per-element dict loop: classes in first-appearance order, each keyed
+    # by the bytes of its rounded Jacobian and orientation pattern.
+    v, t = mesh.vertices, mesh.triangles
+    jac = np.stack([v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]], axis=2)
+    keys = np.round(jac / mesh.h_global, 12).reshape(mesh.n_elements, 4)
+    groups = {}
+    for elem in range(mesh.n_elements):
+        key = keys[elem].tobytes() + mesh.elem_edge_orient[elem].tobytes()
+        groups.setdefault(key, []).append(elem)
+    return [(ids, ids[0]) for ids in groups.values()]
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["structured-n8", "perturbed"])
+def test_group_elements_matches_per_element_loop(perturbed):
+    from helmhdg.skeleton import _group_elements
+
+    mesh = build_structured_mesh(8)
+    if perturbed:
+        base = build_structured_mesh(2)
+        vertices = base.vertices.copy()
+        center = np.argmin(np.abs(vertices).sum(axis=1))
+        vertices[center] += [0.05, -0.03]
+        mesh = _finish_mesh(vertices, base.triangles.copy(), n=None)
+    groups = _group_elements(mesh)
+    reference = _grouping_reference(mesh)
+    assert len(groups) == len(reference)
+    for (ids, rep), (ref_ids, ref_rep) in zip(groups, reference):
+        assert ids.tolist() == ref_ids
+        assert rep == ref_rep and type(rep) is int
+
+
+def test_nested_dissection_factor_is_smaller_than_minimum_degree(monkeypatch):
+    # The nested-dissection order stores at most 0.9 x the factor entries
+    # of SuperLU's minimum degree on A + A^T for the same matrix.
+    factored = []
+    splu = spla.splu
+
+    def recording_splu(matrix, *args, **kwargs):
+        lu = splu(matrix, *args, **kwargs)
+        factored.append(lu.nnz)
+        return lu
+
+    mesh = build_structured_mesh(63)
+    cfg = ProblemConfig.for_mesh(40.0, 2, mesh)
+    _, data = benchmark_problem(40.0)
+    system = assemble_skeleton(mesh, cfg, data.f, data.g)
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    solve_skeleton(system)
+    (nnz,) = factored
+    assert nnz <= 0.9 * splu(system.matrix, permc_spec="MMD_AT_PLUS_A").nnz
