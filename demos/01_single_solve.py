@@ -10,7 +10,13 @@ condition numbers, and a point-cloud dump of the fields.
 
 import numpy as np
 
-from helmhdg import ProblemConfig, benchmark_problem, build_structured_mesh, solve_helmholtz
+from helmhdg import (
+    ProblemConfig,
+    benchmark_problem,
+    build_structured_mesh,
+    discretize,
+    solve_helmholtz,
+)
 from helmhdg.diagnostics import compute_errors, energy_balance
 from helmhdg.skeleton import sample_solution, write_solution_csv
 
@@ -24,29 +30,34 @@ cfg = ProblemConfig.for_mesh(KAPPA, ORDER, mesh)
 exact, data = benchmark_problem(KAPPA)
 print(f"mesh: {mesh.n_elements} triangles, h = {mesh.h_global:.4f}, tau = {cfg.tau:.4f}")
 
-# The solve returns the coefficients of (q_h, u_h, uhat_h) plus bookkeeping.
-solution, info = solve_helmholtz(mesh, cfg, data.f, data.g)
+# The discretization is built once: element classes with their condensed
+# operators, and the source and boundary moments.  The solve and every
+# diagnostic below read it; the solve returns the coefficients of
+# (q_h, u_h, uhat_h) plus bookkeeping.
+disc = discretize(mesh, cfg, data.f, data.g)
+print(f"{len(disc.classes)} element classes")
+solution, info = solve_helmholtz(disc)
 print(f"skeleton unknowns: {info.n_skeleton_dofs}, solve residual {info.residual:.2e}, "
       f"{info.seconds:.2f} s, max local condition number {info.max_local_cond:.1e}")
 
 # Errors against the exact solution.
-report = compute_errors(solution, exact, mesh, cfg)
+report = compute_errors(solution, exact, disc)
 print(f"errors: |u-u_h| = {report.e_u:.4e}  |q-q_h| = {report.e_q:.4e}  "
       f"trace = {report.e_trace:.4e}")
 
 # The discrete energy identity is an algebraic consequence of the scheme;
 # for a correct solve both sides agree to solver precision.
-balance = energy_balance(solution, data.f, data.g, mesh, cfg)
+balance = energy_balance(solution, disc)
 print(f"energy identity: lhs = {balance.lhs:.6e}")
 print(f"                 rhs = {balance.rhs:.6e}")
 print(f"residuals: re {balance.residual_re:.2e}, im {balance.residual_im:.2e}")
 
 # Point samples for external plotting (same rows as the CSV dump).
-pts, u_vals, q_vals = sample_solution(mesh, cfg, solution)
+pts, u_vals, q_vals = sample_solution(disc, solution)
 center = np.argmin(np.abs(pts[:, 0]) + np.abs(pts[:, 1]))
 print(f"u_h near the center {pts[center]}: {u_vals[center]:.6f}  "
       f"(exact {exact.u(pts[center:center + 1])[0]:.6f})")
 
-write_solution_csv("solution_k20_p2_n32.csv", mesh, cfg, solution,
+write_solution_csv("solution_k20_p2_n32.csv", disc, solution,
                    header_lines=[f"kappa = {KAPPA}", f"p = {ORDER}", f"n = {SUBDIVISIONS}"])
 print("wrote solution_k20_p2_n32.csv")

@@ -19,7 +19,13 @@ try:
 except ImportError:  # plotting is optional by design
     raise SystemExit("matplotlib not available; install it to run this demo")
 
-from helmhdg import ProblemConfig, benchmark_problem, build_structured_mesh, solve_helmholtz
+from helmhdg import (
+    ProblemConfig,
+    benchmark_problem,
+    build_structured_mesh,
+    discretize,
+    solve_helmholtz,
+)
 from helmhdg.skeleton import write_solution_csv
 
 KAPPA, ORDER, SUBDIVISIONS = 40.0, 2, 64
@@ -27,12 +33,13 @@ KAPPA, ORDER, SUBDIVISIONS = 40.0, 2, 64
 mesh = build_structured_mesh(SUBDIVISIONS)
 cfg = ProblemConfig.for_mesh(KAPPA, ORDER, mesh)
 exact, data = benchmark_problem(KAPPA)
-solution, info = solve_helmholtz(mesh, cfg, data.f, data.g)
+disc = discretize(mesh, cfg, data.f, data.g)
+solution, info = solve_helmholtz(disc)
 print(f"solved kappa={KAPPA:g} p={ORDER} n={SUBDIVISIONS} "
       f"({info.n_skeleton_dofs} skeleton dofs, {info.seconds:.1f} s)")
 
 dump = "field_k40_p2_n64.csv"
-write_solution_csv(dump, mesh, cfg, solution,
+write_solution_csv(dump, disc, solution,
                    header_lines=[f"kappa = {KAPPA}", f"p = {ORDER}", f"n = {SUBDIVISIONS}"])
 
 # Consume the dump exactly like an external tool would.

@@ -25,7 +25,6 @@ from .diagnostics import (
     ErrorReport,
     compute_errors,
     convergence_rates,
-    energy_identity_residual,
     run_benchmark_case,
 )
 from .hdg_local import (
@@ -46,13 +45,13 @@ from .polybasis import (
     triangle_basis_eval,
 )
 from .skeleton import (
+    Discretization,
     DofMap,
     SkeletonSystem,
     Solution,
-    assemble_skeleton,
     build_dof_map,
+    discretize,
     monolithic_solve,
-    reconstruct_interior,
     solve_helmholtz,
     solve_skeleton,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "ErrorReport",
     "compute_errors",
     "convergence_rates",
-    "energy_identity_residual",
     "run_benchmark_case",
     "CondensedElement",
     "LocalBlocks",
@@ -89,13 +87,13 @@ __all__ = [
     "edge_basis_eval",
     "quadrature_rule",
     "triangle_basis_eval",
+    "Discretization",
     "DofMap",
     "SkeletonSystem",
     "Solution",
-    "assemble_skeleton",
     "build_dof_map",
+    "discretize",
     "monolithic_solve",
-    "reconstruct_interior",
     "solve_helmholtz",
     "solve_skeleton",
 ]

@@ -27,14 +27,13 @@ from dataclasses import dataclass, field
 from . import __version__
 from .analytic import data_quadrature_degree
 from .diagnostics import (
-    CaseResult,
     ConvergenceTable,
+    ErrorReport,
     format_float,
     run_benchmark_case,
     write_convergence_csv,
 )
-from .mesh import build_structured_mesh, write_mesh
-from .hdg_local import ProblemConfig
+from .mesh import write_mesh
 from .polybasis import MAX_ORDER
 from .skeleton import write_solution_csv
 from .verify import run_verify
@@ -51,7 +50,6 @@ class RunConfig:
     kappas: list[float] = field(default_factory=lambda: [20.0])
     orders: list[int] = field(default_factory=lambda: [1])
     sizes: list[int] = field(default_factory=lambda: [8, 16, 32, 64])
-    tau_rule: str = "p/(kappa*h)"
     out_dir: str = "."
     workers: int = 1
     data_quad_degree: int | None = None
@@ -138,14 +136,14 @@ def _config_lines(cfg: RunConfig, kappa: float, p: int, sizes: list[int]) -> lis
         f"kappa = {format_float(kappa)}",
         f"p = {p}",
         f"n = {','.join(str(n) for n in sizes)}",
-        f"tau rule = {cfg.tau_rule}; tau = {','.join(taus)}",
+        f"tau rule = p/(kappa*h); tau = {','.join(taus)}",
         f"data quadrature degree = {','.join(degrees)}",
     ]
 
 
-def _run_case(args: tuple) -> CaseResult:
-    kappa, p, n, tau_rule, quad_degree = args
-    return run_benchmark_case(kappa, p, n, tau_rule=tau_rule, data_quad_degree=quad_degree)
+def _run_case(args: tuple) -> ErrorReport:
+    kappa, p, n, quad_degree = args
+    return run_benchmark_case(kappa, p, n, data_quad_degree=quad_degree).report
 
 
 def _sizes_for(cfg: RunConfig, kappa: float, p: int) -> list[int]:
@@ -166,7 +164,7 @@ def cmd_converge(cfg: RunConfig) -> int:
         for kappa in cfg.kappas:
             for n in _sizes_for(cfg, kappa, p):
                 _guard(cfg, kappa, p, n)
-                jobs.append((kappa, p, n, cfg.tau_rule, cfg.data_quad_degree))
+                jobs.append((kappa, p, n, cfg.data_quad_degree))
 
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -179,7 +177,7 @@ def cmd_converge(cfg: RunConfig) -> int:
             for kappa in cfg.kappas:
                 table = ConvergenceTable()
                 for n in cfg.sizes:
-                    table.add(results[(kappa, p, n, cfg.tau_rule, cfg.data_quad_degree)].report)
+                    table.add(results[(kappa, p, n, cfg.data_quad_degree)])
                 path = os.path.join(cfg.out_dir, f"converge_k{kappa:g}_p{p}.csv")
                 write_convergence_csv(path, table, _config_lines(cfg, kappa, p, cfg.sizes))
                 print(f"wrote {path}")
@@ -193,7 +191,7 @@ def cmd_converge(cfg: RunConfig) -> int:
             lines = [f"fixed line: {mode}"]
             for kappa in cfg.kappas:
                 (n,) = _sizes_for(cfg, kappa, p)
-                table.rows.append(results[(kappa, p, n, cfg.tau_rule, cfg.data_quad_degree)].report)
+                table.rows.append(results[(kappa, p, n, cfg.data_quad_degree)])
                 lines += _config_lines(cfg, kappa, p, [n])
             path = os.path.join(cfg.out_dir, f"pollution_p{p}.csv")
             write_convergence_csv(path, table, lines)
@@ -208,9 +206,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         for p in cfg.orders:
             for n in cfg.sizes:
                 _guard(cfg, kappa, p, n)
-                result = run_benchmark_case(
-                    kappa, p, n, tau_rule=cfg.tau_rule, data_quad_degree=cfg.data_quad_degree
-                )
+                result = run_benchmark_case(kappa, p, n, data_quad_degree=cfg.data_quad_degree)
                 r = result.report
                 print(
                     f"kappa={kappa:g} p={p} n={n}: "
@@ -221,17 +217,13 @@ def cmd_solve(cfg: RunConfig) -> int:
                     f"dofs={r.dofs} local_cond={result.info.max_local_cond:.3e} "
                     f"seconds={r.seconds:.3f}"
                 )
-                mesh = build_structured_mesh(n)
-                pcfg = ProblemConfig.for_mesh(
-                    kappa, p, mesh, tau_rule=cfg.tau_rule, data_quad_degree=cfg.data_quad_degree
-                )
                 path = os.path.join(cfg.out_dir, f"solution_k{kappa:g}_p{p}_n{n}.csv")
-                write_solution_csv(path, mesh, pcfg, result.solution,
+                write_solution_csv(path, result.disc, result.solution,
                                    header_lines=_config_lines(cfg, kappa, p, [n]))
                 print(f"wrote {path}")
                 if cfg.dump_mesh:
                     mesh_path = os.path.join(cfg.out_dir, f"mesh_n{n}.txt")
-                    write_mesh(mesh, mesh_path)
+                    write_mesh(result.disc.mesh, mesh_path)
                     print(f"wrote {mesh_path}")
     return 0
 
@@ -251,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--kappa", default=None, help="comma-separated wave numbers")
         cmd.add_argument("--p", default=None, help="comma-separated polynomial orders")
         cmd.add_argument("--n", default=None, help="comma-separated mesh subdivisions")
-        cmd.add_argument("--tau-rule", default=None, help='stabilization rule (default "p/(kappa*h)")')
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--workers", type=int, default=None, help="parallel (kappa,p,n) runs")
         cmd.add_argument("--quad-degree", type=int, default=None, help="override data quadrature degree")
@@ -293,7 +284,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.n is not None:
         cfg.sizes = _parse_list(args.n, int)
     for flag, attr in (
-        ("tau_rule", "tau_rule"),
         ("out", "out_dir"),
         ("workers", "workers"),
         ("quad_degree", "data_quad_degree"),

@@ -7,16 +7,17 @@ any computed solution,
         + ||uhat||^2_dOmega  =  (f, u_h) + <g, uhat>_dOmega,
 
 an algebraic consequence of testing the scheme with its own solution.
-Both sides are evaluated from the assembled quantities (coefficient
-norms, assembly-rule face integrals, and the very load vectors used in
-the solve), so the residual of each part is limited only by the direct
-solver and must sit at machine precision.  Its real part also yields the
-computable bound  tau ||u_h - uhat||^2 <= ||f|| ||u_h|| + ||g||^2, which
-the standard pipeline asserts on every solve.
+Both sides are evaluated from the solve's own `Discretization`
+(coefficient norms, assembly-rule face integrals, and the very load
+vectors the solve used, not recomputed), so the residual of each part is
+limited only by the direct solver and must sit at machine precision.
+Its real part also yields the computable bound
+tau ||u_h - uhat||^2 <= ||f|| ||u_h|| + ||g||^2.  The standard pipeline
+enforces both on every solve.
 
-Error norms against the exact solution use the high-degree data rule;
-the trace error counts interior edges once per incident element (twice
-in total), matching the broken-boundary norm.
+Error norms against the exact solution use the classes' data rules; the
+trace error counts interior edges once per incident element (twice in
+total), matching the broken-boundary norm.
 """
 
 from __future__ import annotations
@@ -24,24 +25,24 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .analytic import ExactSolution, benchmark_problem, data_quadrature_degree
+from .analytic import ExactSolution, benchmark_problem
 from .hdg_local import ProblemConfig
 from .mesh import Mesh, build_structured_mesh
 from .polybasis import EdgeBasis, TriangleBasis, quadrature_rule, reference_face_points
 from .skeleton import (
+    Discretization,
     Solution,
     SolveInfo,
     _boundary_batches,
-    _error_batches,
-    boundary_loads,
-    build_dof_map,
+    discretize,
     solve_helmholtz,
-    volume_loads,
 )
+
+#: Contract on both parts of the relative energy-identity residual.
+ENERGY_IDENTITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -134,14 +135,12 @@ def _face_points(mesh: Mesh, face: int, t: np.ndarray) -> tuple[np.ndarray, np.n
     return pts, np.linalg.norm(b - a, axis=1)
 
 
-def _uhat_on_faces(
-    mesh: Mesh, cfg: ProblemConfig, uhat: np.ndarray, face: int, t: np.ndarray
-) -> np.ndarray:
+def _uhat_on_faces(disc: Discretization, uhat: np.ndarray, face: int, t: np.ndarray) -> np.ndarray:
     """Trace unknown evaluated on one local face slot of every element, (F, nq)."""
-    m = cfg.p + 1
-    dof_map = build_dof_map(mesh, cfg.p)
-    coeff = uhat[dof_map.elem_dofs[:, face * m : (face + 1) * m]]
-    basis = EdgeBasis(cfg.p)
+    mesh, p = disc.mesh, disc.cfg.p
+    m = p + 1
+    coeff = uhat[disc.dof_map.elem_dofs[:, face * m : (face + 1) * m]]
+    basis = EdgeBasis(p)
     plus = coeff @ basis.eval(t).T
     minus = coeff @ basis.eval(1.0 - t).T
     flags = mesh.elem_edge_orient[:, face]
@@ -155,35 +154,31 @@ def _uhat_on_faces(
 def compute_errors(
     solution: Solution,
     exact: ExactSolution,
-    mesh: Mesh,
-    cfg: ProblemConfig,
+    disc: Discretization,
     seconds: float = float("nan"),
 ) -> ErrorReport:
     """L2 errors of (u_h, q_h) and the broken trace error of uhat."""
+    mesh, cfg = disc.mesh, disc.cfg
     n = TriangleBasis(cfg.p).dim
     e_u_sq = 0.0
     e_q_sq = 0.0
-    for ids, geom, rule, phi, _ in _error_batches(mesh, cfg):
-        scale = 1.0 / math.sqrt(geom.det)
-        v0 = mesh.vertices[mesh.triangles[ids, 0]]
-        phys = (v0[:, None, :] + rule.points @ geom.jacobian.T).reshape(-1, 2)
-        ue, grad = exact.u_and_grad(phys)
+    for cls in disc.classes:
+        ids, phi, det = cls.ids, cls.phi, cls.geom.det
+        scale = 1.0 / math.sqrt(det)
+        ue, grad = exact.u_and_grad(cls.points(mesh).reshape(-1, 2))
         du = scale * (solution.U[ids] @ phi.T) - ue.reshape(len(ids), -1)
         qe = (1j * grad / exact.kappa).reshape(len(ids), -1, 2)
         dq1 = scale * (solution.Q[ids, :n] @ phi.T) - qe[:, :, 0]
         dq2 = scale * (solution.Q[ids, n:] @ phi.T) - qe[:, :, 1]
-        e_u_sq += geom.det * float((np.abs(du) ** 2 @ rule.weights).sum())
-        e_q_sq += geom.det * float(((np.abs(dq1) ** 2 + np.abs(dq2) ** 2) @ rule.weights).sum())
+        e_u_sq += det * float((np.abs(du) ** 2 @ cls.rule.weights).sum())
+        e_q_sq += det * float(((np.abs(dq1) ** 2 + np.abs(dq2) ** 2) @ cls.rule.weights).sum())
 
-    degree = cfg.data_quad_degree
-    if degree is None:
-        degree = data_quadrature_degree(cfg.p, cfg.kappa, mesh.h_global)
-    rule = quadrature_rule("edge", degree)
+    rule = quadrature_rule("edge", cfg.data_degree(mesh.h_global))
     e_t_sq = 0.0
     for face in range(3):
         pts, lengths = _face_points(mesh, face, rule.points)
         diff = exact.u(pts.reshape(-1, 2)).reshape(mesh.n_elements, -1)
-        diff -= _uhat_on_faces(mesh, cfg, solution.uhat, face, rule.points)
+        diff -= _uhat_on_faces(disc, solution.uhat, face, rule.points)
         e_t_sq += float(lengths @ (np.abs(diff) ** 2 @ rule.weights))
 
     e_u = math.sqrt(e_u_sq)
@@ -193,7 +188,7 @@ def compute_errors(
         p=cfg.p,
         n=mesh.n if mesh.n is not None else -1,
         h=mesh.h_global,
-        dofs=(cfg.p + 1) * mesh.n_edges,
+        dofs=disc.dof_map.n_dofs,
         e_u=e_u,
         e_q=e_q,
         e_q_scaled=cfg.kappa * e_q,
@@ -216,20 +211,15 @@ class EnergyBalance:
     residual_im: float
 
 
-def energy_balance(
-    solution: Solution,
-    f: Callable,
-    g: Callable,
-    mesh: Mesh,
-    cfg: ProblemConfig,
-) -> EnergyBalance:
+def energy_balance(solution: Solution, disc: Discretization) -> EnergyBalance:
     """Evaluate the discrete energy identity for a computed solution.
 
     Volume norms come from coefficient sums (the bases are orthonormal),
     face terms from the 2p assembly rule, and the right-hand side pairs
-    the solution with the same load vectors the solve used, so the
-    identity holds to solver precision.
+    the solution with the load vectors held by the discretization the
+    solve used, so the identity holds to solver precision.
     """
+    mesh, cfg = disc.mesh, disc.cfg
     n = TriangleBasis(cfg.p).dim
     m = cfg.p + 1
     norm_u_sq = float(np.sum(np.abs(solution.U) ** 2))
@@ -238,16 +228,18 @@ def energy_balance(
     face_rule = quadrature_rule("edge", 2 * cfg.p)
     basis = TriangleBasis(cfg.p)
     edge_basis = EdgeBasis(cfg.p)
-    dof_map = build_dof_map(mesh, cfg.p)
     jump_sq = 0.0
-    for ids, geom, _, _, _ in _error_batches(mesh, cfg):
+    f_loads = np.zeros((mesh.n_elements, n), dtype=complex)
+    for cls in disc.classes:
+        ids, geom = cls.ids, cls.geom
+        f_loads[ids] = cls.f_moments
         scale = 1.0 / math.sqrt(geom.det)
         for face in range(3):
             phi_f = basis.eval(reference_face_points(face, face_rule.points))
             uh = scale * (solution.U[ids] @ phi_f.T)
             t = face_rule.points if geom.edge_orient[face] == 1 else 1.0 - face_rule.points
             psi = edge_basis.eval(t) / math.sqrt(geom.face_lengths[face])
-            lam = solution.uhat[dof_map.elem_dofs[ids, face * m : (face + 1) * m]] @ psi.T
+            lam = solution.uhat[disc.dof_map.elem_dofs[ids, face * m : (face + 1) * m]] @ psi.T
             jump_sq += geom.face_lengths[face] * float(
                 (np.abs(uh - lam) ** 2 @ face_rule.weights).sum()
             )
@@ -255,9 +247,9 @@ def energy_balance(
     bd_dofs = (m * np.flatnonzero(mesh.boundary_flags)[:, None] + np.arange(m)).ravel()
     uhat_bd_sq = float(np.sum(np.abs(solution.uhat[bd_dofs]) ** 2))
 
-    f_loads = volume_loads(mesh, cfg, f)
-    g_loads = boundary_loads(mesh, cfg, g)
-    rhs = complex(np.sum(f_loads * np.conj(solution.U)) + np.dot(g_loads, np.conj(solution.uhat)))
+    rhs = complex(
+        np.sum(f_loads * np.conj(solution.U)) + np.dot(disc.g_moments, np.conj(solution.uhat))
+    )
     lhs = 1j * cfg.kappa * (norm_u_sq - norm_q_sq) + cfg.tau * jump_sq + uhat_bd_sq
 
     def rel(a: float, b: float) -> float:
@@ -276,31 +268,17 @@ def energy_balance(
     )
 
 
-def energy_identity_residual(
-    solution: Solution, f: Callable, g: Callable, mesh: Mesh, cfg: ProblemConfig
-) -> tuple[float, float]:
-    """Relative residuals (real part, imaginary part) of the energy identity."""
-    balance = energy_balance(solution, f, g, mesh, cfg)
-    return balance.residual_re, balance.residual_im
+def data_norms(disc: Discretization) -> tuple[float, float]:
+    """L2 norms of the source over the domain and of g over the boundary.
 
-
-def data_norms(mesh: Mesh, cfg: ProblemConfig, f: Callable, g: Callable) -> tuple[float, float]:
-    """L2 norms of the source over the domain and of g over the boundary."""
-    f_sq = 0.0
-    for ids, geom, rule, _, _ in _error_batches(mesh, cfg):
-        v0 = mesh.vertices[mesh.triangles[ids, 0]]
-        phys = (v0[:, None, :] + rule.points @ geom.jacobian.T).reshape(-1, 2)
-        values = np.abs(np.asarray(f(phys), dtype=complex)).reshape(len(ids), -1) ** 2
-        f_sq += geom.det * float((values @ rule.weights).sum())
-
-    degree = cfg.data_quad_degree
-    if degree is None:
-        degree = data_quadrature_degree(cfg.p, cfg.kappa, mesh.h_global)
+    ||f|| sums the class shares taken from the solve's own evaluation of
+    f; g is evaluated on the rule of the global mesh size."""
+    degree = disc.cfg.data_degree(disc.mesh.h_global)
     g_sq = 0.0
-    for edges, rule, lengths, pts, normals in _boundary_batches(mesh, lambda _: degree):
-        values = np.abs(np.asarray(g(pts, normals), dtype=complex)).reshape(len(edges), -1) ** 2
+    for edges, rule, lengths, pts, normals in _boundary_batches(disc.mesh, lambda _: degree):
+        values = np.abs(np.asarray(disc.g(pts, normals), dtype=complex)).reshape(len(edges), -1) ** 2
         g_sq += float(lengths @ (values @ rule.weights))
-    return math.sqrt(f_sq), math.sqrt(g_sq)
+    return math.sqrt(sum(cls.f_sq for cls in disc.classes)), math.sqrt(g_sq)
 
 
 def stability_ratio(norm_u: float, f_norm: float, g_norm: float, cfg: ProblemConfig, h: float) -> float:
@@ -320,6 +298,7 @@ class CaseResult:
     """Everything measured for one benchmark solve."""
 
     report: ErrorReport
+    disc: Discretization
     solution: Solution
     info: SolveInfo
     balance: EnergyBalance
@@ -327,40 +306,36 @@ class CaseResult:
 
 
 def run_benchmark_case(
-    kappa: float,
-    p: int,
-    n: int,
-    tau_rule: str = "p/(kappa*h)",
-    data_quad_degree: int | None = None,
-    check: bool = True,
+    kappa: float, p: int, n: int, data_quad_degree: int | None = None
 ) -> CaseResult:
     """Solve the benchmark problem on the structured n x n mesh.
 
-    With ``check=True`` (the default pipeline behavior) the computable
-    energy inequality  tau ||u_h - uhat||^2 <= ||f|| ||u_h|| + ||g||^2
-    is asserted after the solve.
+    Enforces the discrete energy identity (both parts within
+    ENERGY_IDENTITY_TOL) and the computable energy inequality
+    tau ||u_h - uhat||^2 <= ||f|| ||u_h|| + ||g||^2 after the solve.
     """
     mesh = build_structured_mesh(n)
-    cfg = ProblemConfig.for_mesh(
-        kappa, p, mesh, tau_rule=tau_rule, data_quad_degree=data_quad_degree
-    )
+    cfg = ProblemConfig.for_mesh(kappa, p, mesh, data_quad_degree=data_quad_degree)
     exact, data = benchmark_problem(kappa)
     t0 = time.perf_counter()
-    solution, info = solve_helmholtz(mesh, cfg, data.f, data.g)
-    balance = energy_balance(solution, data.f, data.g, mesh, cfg)
-    f_norm, g_norm = data_norms(mesh, cfg, data.f, data.g)
-    if check:
-        bound = f_norm * balance.norm_u + g_norm**2
-        if balance.trace_jump_sq > bound * (1.0 + 1e-9) + 1e-300:
-            raise RuntimeError(
-                f"energy inequality violated: {balance.trace_jump_sq!r} > {bound!r}"
-            )
-    report = compute_errors(
-        solution, exact, mesh, cfg, seconds=time.perf_counter() - t0
-    )
+    disc = discretize(mesh, cfg, data.f, data.g)
+    solution, info = solve_helmholtz(disc)
+    balance = energy_balance(solution, disc)
+    f_norm, g_norm = data_norms(disc)
+    if max(balance.residual_re, balance.residual_im) > ENERGY_IDENTITY_TOL:
+        raise RuntimeError(
+            f"energy identity violated at kappa={kappa:g} p={p} n={n}: relative residual "
+            f"re {balance.residual_re:.3e} im {balance.residual_im:.3e} "
+            f"exceeds {ENERGY_IDENTITY_TOL:.0e}"
+        )
+    bound = f_norm * balance.norm_u + g_norm**2
+    if balance.trace_jump_sq > bound * (1.0 + 1e-9) + 1e-300:
+        raise RuntimeError(f"energy inequality violated: {balance.trace_jump_sq!r} > {bound!r}")
+    report = compute_errors(solution, exact, disc, seconds=time.perf_counter() - t0)
     stability = stability_ratio(balance.norm_u, f_norm, g_norm, cfg, mesh.h_global)
     return CaseResult(
-        report=report, solution=solution, info=info, balance=balance, stability=stability
+        report=report, disc=disc, solution=solution, info=info, balance=balance,
+        stability=stability,
     )
 
 

@@ -37,7 +37,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .analytic import data_quadrature_degree
-from .mesh import DOMAIN_BOUNDS, ElementGeometry, Mesh
+from .mesh import ElementGeometry, Mesh
 from .polybasis import (
     EdgeBasis,
     TriangleBasis,
@@ -54,7 +54,6 @@ class ProblemConfig:
     kappa: float
     p: int
     tau: float
-    domain: tuple = DOMAIN_BOUNDS
     data_quad_degree: int | None = None
 
     def __post_init__(self):
@@ -67,26 +66,26 @@ class ProblemConfig:
 
     @classmethod
     def for_mesh(
-        cls,
-        kappa: float,
-        p: int,
-        mesh: Mesh,
-        tau_rule: str = "p/(kappa*h)",
-        data_quad_degree: int | None = None,
+        cls, kappa: float, p: int, mesh: Mesh, data_quad_degree: int | None = None
     ) -> "ProblemConfig":
         """Configuration with tau = p/(kappa h) evaluated on this mesh.
 
         The stabilization uses the global mesh size, so it must be
         recomputed whenever the mesh changes.
         """
-        if tau_rule != "p/(kappa*h)":
-            raise ValueError(f"unknown tau rule {tau_rule!r}")
         return cls(
             kappa=float(kappa),
             p=int(p),
             tau=float(p) / (float(kappa) * mesh.h_global),
             data_quad_degree=data_quad_degree,
         )
+
+    def data_degree(self, h: float) -> int:
+        """Exactness degree of the data rule on an entity of size h: the
+        override if one is set, else `data_quadrature_degree`."""
+        if self.data_quad_degree is not None:
+            return self.data_quad_degree
+        return data_quadrature_degree(self.p, self.kappa, h)
 
 
 @dataclass(frozen=True)

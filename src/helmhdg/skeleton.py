@@ -11,10 +11,18 @@ impedance condition on boundary edges:
 where K_T, F_T are the per-element condensed matrices.  Once the traces
 are known, interior coefficients are recovered element by element.
 
-Uniform meshes contain only a handful of element shapes, so condensation
-operators are cached per congruence class (Jacobian and face-orientation
-pattern) and applied to all members in batch; this is exact for
-translated elements and leaves per-element work to the source moments.
+`discretize` builds everything a solve and its diagnostics read, once per
+(mesh, config, data): the dof map, and per congruence class of elements
+(equal Jacobian and face-orientation pattern) the member ids, the
+representative geometry, the condensed operators, the data rule with its
+basis values and the source moments; plus the boundary data moments.
+Uniform meshes contain only a handful of classes, so condensation runs
+once per class and is applied to all members in batch; this is exact for
+translated elements.  `solve_helmholtz`, `sample_solution` and the
+diagnostics read that one `Discretization`, so the data are evaluated
+once and the energy identity pairs the solution with the very loads the
+solve used.  The discretization holds no sparse matrix, factor or
+per-point array, so it adds nothing to the peak memory of the LU.
 Assembly order is deterministic (ascending element index with duplicate
 summation), so repeated runs are bit-identical.
 
@@ -49,7 +57,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .analytic import data_quadrature_degree
 from .hdg_local import (
     LocalBlocks,
     ProblemConfig,
@@ -58,7 +65,13 @@ from .hdg_local import (
     volume_load,
 )
 from .mesh import ElementGeometry, Mesh, mesh_entities, nested_dissection_edges
-from .polybasis import EdgeBasis, TriangleBasis, quadrature_rule, reference_face_points
+from .polybasis import (
+    EdgeBasis,
+    QuadratureRule,
+    TriangleBasis,
+    quadrature_rule,
+    reference_face_points,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -78,7 +91,6 @@ class DofMap:
 
     n_dofs: int
     dofs_per_edge: int
-    edge_offsets: np.ndarray  # (E,)
     elem_dofs: np.ndarray  # (F, 3(p+1)) gather indices, face-major
     elem_orient: np.ndarray  # (F, 3) orientation flags of the gathered edges
 
@@ -88,12 +100,10 @@ class DofMap:
 
 def build_dof_map(mesh: Mesh, p: int) -> DofMap:
     m = p + 1
-    offsets = m * np.arange(mesh.n_edges, dtype=np.int64)
     elem_dofs = (m * mesh.elem_edges[:, :, None] + np.arange(m)).reshape(mesh.n_elements, 3 * m)
     return DofMap(
         n_dofs=m * mesh.n_edges,
         dofs_per_edge=m,
-        edge_offsets=offsets,
         elem_dofs=elem_dofs,
         elem_orient=mesh.elem_edge_orient,
     )
@@ -181,32 +191,47 @@ def _group_elements(mesh: Mesh) -> list[tuple[np.ndarray, int]]:
     return [(members[k], int(reps[k])) for k in np.argsort(reps)]
 
 
-class _AssemblyContext:
-    """Shared state of one solve: dof map, per-class operators, data loads."""
+@dataclass(frozen=True)
+class ElementClass:
+    """Congruent elements sharing every condensation operator and the
+    data rule; the first member is the representative."""
 
-    def __init__(self, mesh: Mesh, cfg: ProblemConfig, f: SourceFn | None = None):
-        self.mesh = mesh
-        self.cfg = cfg
-        self.dof_map = build_dof_map(mesh, cfg.p)
-        self.n_scalar = TriangleBasis(cfg.p).dim
-        self.groups = []
-        for ids, rep in _group_elements(mesh):
-            geom = mesh_entities(mesh, rep)
-            ops = _CondensedOperators(assemble_local_blocks(geom, cfg))
-            loads = _class_volume_loads(mesh, cfg, ids, geom, f) if f is not None else None
-            self.groups.append((ids, geom, ops, loads))
-            logger.debug(
-                "element class of %d (rep %d): local condition number %.3e",
-                len(ids), rep, ops.cond,
-            )
-        self.max_local_cond = max(ops.cond for _, _, ops, _ in self.groups)
-        logger.debug(
-            "assembly context: kappa=%g p=%d tau=%g, %d element classes, "
-            "max local condition number %.3e",
-            cfg.kappa, cfg.p, cfg.tau, len(self.groups), self.max_local_cond,
-        )
+    ids: np.ndarray  # (nE,) member element ids, ascending
+    geom: ElementGeometry  # representative geometry
+    ops: _CondensedOperators
+    rule: QuadratureRule  # data rule of the representative's size
+    phi: np.ndarray  # (nq, N) basis values at the rule points
+    f_moments: np.ndarray  # (nE, N) source moments (f, w)
+    f_sq: float  # ||f||^2 over the members
 
-    def build_system(self, g: BoundaryFn | None) -> SkeletonSystem:
+    def points(self, mesh: Mesh) -> np.ndarray:
+        """Physical data-rule points of every member, shape (nE, nq, 2)."""
+        return _data_points(mesh, self.ids, self.geom, self.rule)
+
+
+def _data_points(
+    mesh: Mesh, ids: np.ndarray, geom: ElementGeometry, rule: QuadratureRule
+) -> np.ndarray:
+    v0 = mesh.vertices[mesh.triangles[ids, 0]]
+    return v0[:, None, :] + rule.points @ geom.jacobian.T
+
+
+@dataclass(frozen=True)
+class Discretization:
+    """Everything a solve and its diagnostics read for one (mesh, config)
+    and data (f, g); built once by `discretize`."""
+
+    mesh: Mesh
+    cfg: ProblemConfig
+    dof_map: DofMap
+    classes: tuple[ElementClass, ...]
+    g: BoundaryFn  # kept for the boundary data norm
+    g_moments: np.ndarray  # (n_dofs,) boundary data moments <g, mu>
+    max_local_cond: float
+
+    def assemble(self) -> SkeletonSystem:
+        """The condensed global system a_h(uhat, mu) = b_h(mu), stored as
+        P A P^T in the nested-dissection order."""
         m = self.dof_map.dofs_per_edge
         width = 3 * m
         n_dofs = self.dof_map.n_dofs
@@ -214,22 +239,21 @@ class _AssemblyContext:
         position = np.argsort(perm)  # row of each dof in P A P^T
         rows, cols, vals = [], [], []
         rhs = np.zeros(n_dofs, dtype=complex)
-        for ids, _, ops, loads in self.groups:
-            gidx = self.dof_map.elem_dofs[ids]  # (nE, 3m)
+        for cls in self.classes:
+            gidx = self.dof_map.elem_dofs[cls.ids]  # (nE, 3m)
             pidx = position[gidx]
             rows.append(np.repeat(pidx, width, axis=1).ravel())
             cols.append(np.tile(pidx, (1, width)).ravel())
-            vals.append(np.broadcast_to(-ops.K, (len(ids), width, width)).ravel())
-            if loads is not None:
-                f_flux = loads @ ops.load_to_flux.T  # (nE, 3m)
-                np.add.at(rhs, gidx.ravel(), -f_flux.ravel())
+            vals.append(np.broadcast_to(-cls.ops.K, (len(cls.ids), width, width)).ravel())
+            f_flux = cls.f_moments @ cls.ops.load_to_flux.T  # (nE, 3m)
+            np.add.at(rhs, gidx.ravel(), -f_flux.ravel())
 
-        bd_dofs = position[self._boundary_dofs()]
+        bd_edges = np.flatnonzero(self.mesh.boundary_flags)
+        bd_dofs = position[(m * bd_edges[:, None] + np.arange(m)).ravel()]
         rows.append(bd_dofs)
         cols.append(bd_dofs)
         vals.append(np.ones(bd_dofs.size, dtype=complex))
-        if g is not None:
-            rhs += boundary_loads(self.mesh, self.cfg, g)
+        rhs += self.g_moments
 
         permuted = sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -237,49 +261,57 @@ class _AssemblyContext:
         ).tocsc()
         return SkeletonSystem(permuted=permuted, rhs=rhs, dof_map=self.dof_map, perm=perm)
 
-    def _boundary_dofs(self) -> np.ndarray:
-        m = self.dof_map.dofs_per_edge
-        bd_edges = np.flatnonzero(self.mesh.boundary_flags)
-        return (m * bd_edges[:, None] + np.arange(m)).ravel()
-
     def reconstruct(self, uhat: np.ndarray) -> Solution:
-        n = self.n_scalar
+        """Recover the element coefficients from solved traces."""
+        n = TriangleBasis(self.cfg.p).dim
         Q = np.zeros((self.mesh.n_elements, 2 * n), dtype=complex)
         U = np.zeros((self.mesh.n_elements, n), dtype=complex)
-        for ids, _, ops, loads in self.groups:
-            lam = uhat[self.dof_map.elem_dofs[ids]]
-            x = lam @ ops.recon_lam.T
-            if loads is not None:
-                x = x + loads @ ops.inv_load.T
-            Q[ids] = x[:, : 2 * n]
-            U[ids] = x[:, 2 * n :]
+        for cls in self.classes:
+            lam = uhat[self.dof_map.elem_dofs[cls.ids]]
+            x = lam @ cls.ops.recon_lam.T + cls.f_moments @ cls.ops.inv_load.T
+            Q[cls.ids] = x[:, : 2 * n]
+            U[cls.ids] = x[:, 2 * n :]
         solution = Solution(Q=Q, U=U, uhat=np.asarray(uhat, dtype=complex), p=self.cfg.p)
         solution.validate(self.mesh)
         return solution
 
 
-def _class_volume_loads(
-    mesh: Mesh, cfg: ProblemConfig, ids: np.ndarray, geom: ElementGeometry, f: SourceFn
-) -> np.ndarray:
-    """Source moments of the elements `ids` of one congruence class with
-    representative geometry `geom`, shape (len(ids), N)."""
-    degree = cfg.data_quad_degree
-    if degree is None:
-        degree = data_quadrature_degree(cfg.p, cfg.kappa, geom.h)
-    rule = quadrature_rule("triangle", degree)
-    phi = TriangleBasis(cfg.p).eval(rule.points)
-    v0 = mesh.vertices[mesh.triangles[ids, 0]]
-    phys = v0[:, None, :] + rule.points @ geom.jacobian.T
-    values = np.asarray(f(phys.reshape(-1, 2)), dtype=complex).reshape(len(ids), -1)
-    return math.sqrt(geom.det) * ((values * rule.weights) @ phi)
-
-
-def volume_loads(mesh: Mesh, cfg: ProblemConfig, f: SourceFn) -> np.ndarray:
-    """Source moments (f, w) of every element, shape (F, N); no condensation."""
-    out = np.zeros((mesh.n_elements, TriangleBasis(cfg.p).dim), dtype=complex)
+def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Discretization:
+    """Condense each congruence class once, evaluate f once per class and
+    g once per boundary quadrature degree."""
+    basis = TriangleBasis(cfg.p)
+    classes = []
     for ids, rep in _group_elements(mesh):
-        out[ids] = _class_volume_loads(mesh, cfg, ids, mesh_entities(mesh, rep), f)
-    return out
+        geom = mesh_entities(mesh, rep)
+        ops = _CondensedOperators(assemble_local_blocks(geom, cfg))
+        rule = quadrature_rule("triangle", cfg.data_degree(geom.h))
+        phi = basis.eval(rule.points)
+        phys = _data_points(mesh, ids, geom, rule).reshape(-1, 2)
+        values = np.asarray(f(phys), dtype=complex).reshape(len(ids), -1)
+        classes.append(ElementClass(
+            ids=ids, geom=geom, ops=ops, rule=rule, phi=phi,
+            f_moments=math.sqrt(geom.det) * ((values * rule.weights) @ phi),
+            f_sq=geom.det * float((np.abs(values) ** 2 @ rule.weights).sum()),
+        ))
+        logger.debug(
+            "element class of %d (rep %d): local condition number %.3e",
+            len(ids), rep, ops.cond,
+        )
+    disc = Discretization(
+        mesh=mesh,
+        cfg=cfg,
+        dof_map=build_dof_map(mesh, cfg.p),
+        classes=tuple(classes),
+        g=g,
+        g_moments=boundary_loads(mesh, cfg, g),
+        max_local_cond=max(cls.ops.cond for cls in classes),
+    )
+    logger.debug(
+        "discretization: kappa=%g p=%d tau=%g, %d element classes, "
+        "max local condition number %.3e",
+        cfg.kappa, cfg.p, cfg.tau, len(classes), disc.max_local_cond,
+    )
+    return disc
 
 
 def boundary_loads(mesh: Mesh, cfg: ProblemConfig, g: BoundaryFn) -> np.ndarray:
@@ -287,13 +319,7 @@ def boundary_loads(mesh: Mesh, cfg: ProblemConfig, g: BoundaryFn) -> np.ndarray:
     m = cfg.p + 1
     basis = EdgeBasis(cfg.p)
     out = np.zeros((mesh.n_edges, m), dtype=complex)
-
-    def degree(length: float) -> int:
-        if cfg.data_quad_degree is not None:
-            return cfg.data_quad_degree
-        return data_quadrature_degree(cfg.p, cfg.kappa, length)
-
-    for edges, rule, lengths, pts, normals in _boundary_batches(mesh, degree):
+    for edges, rule, lengths, pts, normals in _boundary_batches(mesh, cfg.data_degree):
         values = np.asarray(g(pts, normals), dtype=complex).reshape(len(edges), -1)
         psi = basis.eval(rule.points)
         out[edges] = np.sqrt(lengths)[:, None] * ((values * rule.weights) @ psi)
@@ -327,13 +353,6 @@ def _boundary_batches(mesh: Mesh, degree: Callable[[float], int]):
         yield edges[sel], rule, lengths[sel], pts.reshape(-1, 2), nrm
 
 
-def assemble_skeleton(
-    mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn
-) -> SkeletonSystem:
-    """Assemble the condensed global system a_h(uhat, mu) = b_h(mu)."""
-    return _AssemblyContext(mesh, cfg, f).build_system(g)
-
-
 def solve_skeleton(system: SkeletonSystem) -> np.ndarray:
     """Solve the skeleton system by sparse LU of P A P^T in the system's
     nested-dissection order; enforces the residual contract."""
@@ -360,30 +379,23 @@ def skeleton_residual(system: SkeletonSystem, uhat: np.ndarray) -> float:
     return err / rhs_norm
 
 
-def reconstruct_interior(mesh: Mesh, cfg: ProblemConfig, uhat: np.ndarray, f: SourceFn) -> Solution:
-    """Recover element coefficients from solved traces and the source."""
-    return _AssemblyContext(mesh, cfg, f).reconstruct(uhat)
-
-
-def solve_helmholtz(
-    mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn
-) -> tuple[Solution, SolveInfo]:
-    """Full condensed pipeline: assemble, solve traces, reconstruct."""
+def solve_helmholtz(disc: Discretization) -> tuple[Solution, SolveInfo]:
+    """Condensed pipeline on a built discretization: assemble, solve the
+    traces, reconstruct."""
     start = time.perf_counter()
-    ctx = _AssemblyContext(mesh, cfg, f)
-    system = ctx.build_system(g)
+    system = disc.assemble()
     uhat = solve_skeleton(system)
-    solution = ctx.reconstruct(uhat)
+    solution = disc.reconstruct(uhat)
     info = SolveInfo(
         seconds=time.perf_counter() - start,
         n_skeleton_dofs=system.dof_map.n_dofs,
         residual=skeleton_residual(system, uhat),
-        max_local_cond=ctx.max_local_cond,
+        max_local_cond=disc.max_local_cond,
     )
     logger.info(
         "solve kappa=%g p=%d h=%g: %d skeleton dofs, residual %.2e, "
         "max local condition number %.3e, %.2f s",
-        cfg.kappa, cfg.p, mesh.h_global, info.n_skeleton_dofs, info.residual,
+        disc.cfg.kappa, disc.cfg.p, disc.mesh.h_global, info.n_skeleton_dofs, info.residual,
         info.max_local_cond, info.seconds,
     )
     return solution, info
@@ -485,27 +497,24 @@ def monolithic_solve(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn)
     return Solution(Q=interior[:, : 2 * n], U=interior[:, 2 * n :], uhat=x[n_interior:], p=cfg.p)
 
 
-def sample_solution(
-    mesh: Mesh, cfg: ProblemConfig, solution: Solution
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sample_solution(disc: Discretization, solution: Solution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate (u_h, q_h) at the per-element data quadrature points.
 
     Returns (points, u values, q values) with shapes (K, 2), (K,), (K, 2),
     ordered by ascending element index.
     """
-    n = TriangleBasis(cfg.p).dim
+    n = TriangleBasis(disc.cfg.p).dim
     pts_out, u_out, q_out, owners = [], [], [], []
-    for ids, geom, rule, phi, _ in _error_batches(mesh, cfg):
-        scale = 1.0 / math.sqrt(geom.det)
-        v0 = mesh.vertices[mesh.triangles[ids, 0]]
-        phys = v0[:, None, :] + rule.points @ geom.jacobian.T
+    for cls in disc.classes:
+        ids, phi = cls.ids, cls.phi
+        scale = 1.0 / math.sqrt(cls.geom.det)
         uh = scale * (solution.U[ids] @ phi.T)
         q1 = scale * (solution.Q[ids, :n] @ phi.T)
         q2 = scale * (solution.Q[ids, n:] @ phi.T)
-        pts_out.append(phys.reshape(-1, 2))
+        pts_out.append(cls.points(disc.mesh).reshape(-1, 2))
         u_out.append(uh.ravel())
         q_out.append(np.stack([q1.ravel(), q2.ravel()], axis=1))
-        owners.append(np.repeat(ids, rule.n_points))
+        owners.append(np.repeat(ids, cls.rule.n_points))
     perm = np.argsort(np.concatenate(owners), kind="stable")
     return (
         np.concatenate(pts_out)[perm],
@@ -514,23 +523,10 @@ def sample_solution(
     )
 
 
-def _error_batches(mesh: Mesh, cfg: ProblemConfig):
-    """Per congruence class: (element ids, geometry, data rule, basis values
-    at the rule points, rule degree); used by sampling and error integration."""
-    for ids, rep in _group_elements(mesh):
-        geom = mesh_entities(mesh, rep)
-        degree = cfg.data_quad_degree
-        if degree is None:
-            degree = data_quadrature_degree(cfg.p, cfg.kappa, geom.h)
-        rule = quadrature_rule("triangle", degree)
-        phi = TriangleBasis(cfg.p).eval(rule.points)
-        yield ids, geom, rule, phi, degree
-
-
-def write_solution_csv(path: str, mesh: Mesh, cfg: ProblemConfig, solution: Solution,
+def write_solution_csv(path: str, disc: Discretization, solution: Solution,
                        header_lines: list[str] | None = None) -> None:
     """Dump (u_h, q_h) at element quadrature points as CSV for plotting."""
-    pts, u, q = sample_solution(mesh, cfg, solution)
+    pts, u, q = sample_solution(disc, solution)
     with open(path, "w", encoding="utf-8") as fh:
         for line in header_lines or []:
             fh.write(f"# {line}\n")

@@ -19,7 +19,7 @@ from helmhdg.diagnostics import (
 from helmhdg.hdg_local import ProblemConfig, assemble_local_blocks, local_solve
 from helmhdg.mesh import ElementGeometry, build_structured_mesh, mesh_entities
 from helmhdg.polybasis import TriangleBasis
-from helmhdg.skeleton import monolithic_solve, solve_helmholtz
+from helmhdg.skeleton import discretize, monolithic_solve, solve_helmholtz
 from helmhdg.verify import (
     STABILITY_CONSTANT,
     TRACE_CONSTANT,
@@ -79,7 +79,7 @@ def test_criterion_2_oracle_equivalence():
                 mesh = build_structured_mesh(n)
                 cfg = ProblemConfig.for_mesh(kappa, p, mesh)
                 _, data = benchmark_problem(kappa)
-                condensed, _ = solve_helmholtz(mesh, cfg, data.f, data.g)
+                condensed, _ = solve_helmholtz(discretize(mesh, cfg, data.f, data.g))
                 mono = monolithic_solve(mesh, cfg, data.f, data.g)
                 scale = max(condensed.coefficient_norm(), mono.coefficient_norm())
                 dev = max(
@@ -211,7 +211,7 @@ def test_criterion_10_zero_data_uniqueness():
             for n in MATRIX_SIZES:
                 mesh = build_structured_mesh(n)
                 cfg = ProblemConfig.for_mesh(kappa, p, mesh)
-                solution, _ = solve_helmholtz(mesh, cfg, zf, zg)
+                solution, _ = solve_helmholtz(discretize(mesh, cfg, zf, zg))
                 worst = max(worst, solution.coefficient_norm())
                 assert solution.coefficient_norm() <= 1e-12
     _report(f"[PASS] criterion 10 (zero-data uniqueness): max coefficient {worst:.3e} <= 1e-12 "

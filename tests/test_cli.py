@@ -72,6 +72,14 @@ def test_solve_outputs(tmp_path, capsys):
     assert any(line.startswith("# kappa = 5") for line in lines)
 
 
+def test_energy_identity_failure_exits_1(tmp_path, capsys):
+    # At kappa = 0.01, tau = p/(kappa h) is large and the imaginary part
+    # of the energy identity misses its 1e-9 contract (about 7e-9).
+    code = main(["solve", "--kappa", "0.01", "--p", "1", "--n", "16", "--out", str(tmp_path)])
+    assert code == 1
+    assert "energy identity" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert main(["converge", "--kappa", "-5", "--p", "1", "--n", "4", "--out", str(tmp_path)]) == 2
     assert main(["converge", "--kappa", "5", "--p", "1", "--n", "nope", "--out", str(tmp_path)]) == 2

@@ -10,8 +10,8 @@ from helmhdg.diagnostics import (
     ErrorReport,
     compute_errors,
     convergence_rates,
+    data_norms,
     energy_balance,
-    energy_identity_residual,
     run_benchmark_case,
     stability_ratio,
     write_convergence_csv,
@@ -19,7 +19,7 @@ from helmhdg.diagnostics import (
 from helmhdg.hdg_local import ProblemConfig
 from helmhdg.mesh import build_structured_mesh, mesh_entities
 from helmhdg.polybasis import TriangleBasis
-from helmhdg.skeleton import Solution, build_dof_map, solve_helmholtz
+from helmhdg.skeleton import Solution, discretize, solve_helmholtz
 
 
 def _zero_solution(mesh, p):
@@ -30,6 +30,12 @@ def _zero_solution(mesh, p):
         uhat=np.zeros((p + 1) * mesh.n_edges, dtype=complex),
         p=p,
     )
+
+
+def _benchmark_discretization(kappa, p, n):
+    mesh = build_structured_mesh(n)
+    _, data = benchmark_problem(kappa)
+    return mesh, discretize(mesh, ProblemConfig.for_mesh(kappa, p, mesh), data.f, data.g)
 
 
 def _norm_u_by_radial_quadrature(kappa):
@@ -55,10 +61,9 @@ def _norm_u_by_radial_quadrature(kappa):
 
 def test_zero_field_error_matches_adaptive_quadrature():
     kappa, p, n = 10.0, 1, 16
-    mesh = build_structured_mesh(n)
-    cfg = ProblemConfig.for_mesh(kappa, p, mesh)
+    mesh, disc = _benchmark_discretization(kappa, p, n)
     exact = ExactSolution(kappa)
-    report = compute_errors(_zero_solution(mesh, p), exact, mesh, cfg)
+    report = compute_errors(_zero_solution(mesh, p), exact, disc)
     reference = _norm_u_by_radial_quadrature(kappa)
     assert report.e_u == pytest.approx(reference, rel=1e-8)
 
@@ -68,15 +73,14 @@ def test_projection_injection_beats_solver():
     # projection must report a smaller e_u than the solver at same (n, p).
     kappa, p, n = 20.0, 1, 8
     case = run_benchmark_case(kappa, p, n)
-    mesh = build_structured_mesh(n)
-    cfg = ProblemConfig.for_mesh(kappa, p, mesh)
+    mesh = case.disc.mesh
     exact = ExactSolution(kappa)
     injected = _zero_solution(mesh, p)
     for elem in range(mesh.n_elements):
         geom = mesh_entities(mesh, elem)
         degree = 2 * p + 12
         injected.U[elem] = l2_project("element", exact.u, p, geom, quad_degree=degree)
-    proj_report = compute_errors(injected, exact, mesh, cfg)
+    proj_report = compute_errors(injected, exact, case.disc)
     assert proj_report.e_u < case.report.e_u
 
 
@@ -85,15 +89,14 @@ def test_trace_error_nonnegative_and_refines():
     exact = ExactSolution(kappa)
     errors = []
     for n in (8, 16):
-        mesh = build_structured_mesh(n)
-        cfg = ProblemConfig.for_mesh(kappa, p, mesh)
+        mesh, disc = _benchmark_discretization(kappa, p, n)
         sol = _zero_solution(mesh, p)
         for edge in range(mesh.n_edges):
             ends = mesh.vertices[mesh.edges[edge]]
             sol.uhat[(p + 1) * edge : (p + 1) * (edge + 1)] = l2_project(
                 "edge", exact.u, p, ends, quad_degree=2 * p + 12
             )
-        errors.append(compute_errors(sol, exact, mesh, cfg).e_trace)
+        errors.append(compute_errors(sol, exact, disc).e_trace)
     assert errors[0] > 0.0
     assert errors[1] < errors[0]
 
@@ -160,22 +163,18 @@ def test_energy_identity_zero_data():
     cfg = ProblemConfig.for_mesh(10.0, 1, mesh)
     zf = lambda pts: np.zeros(len(pts), complex)  # noqa: E731
     zg = lambda pts, nrm: np.zeros(len(pts), complex)  # noqa: E731
-    solution = _zero_solution(mesh, 1)
-    re, im = energy_identity_residual(solution, zf, zg, mesh, cfg)
-    assert (re, im) == (0.0, 0.0)
+    balance = energy_balance(_zero_solution(mesh, 1), discretize(mesh, cfg, zf, zg))
+    assert (balance.residual_re, balance.residual_im) == (0.0, 0.0)
 
 
 def test_energy_identity_detects_corruption():
-    kappa, p, n = 20.0, 1, 16
-    mesh = build_structured_mesh(n)
-    cfg = ProblemConfig.for_mesh(kappa, p, mesh)
-    _, data = benchmark_problem(kappa)
-    solution, _ = solve_helmholtz(mesh, cfg, data.f, data.g)
-    re0, im0 = energy_identity_residual(solution, data.f, data.g, mesh, cfg)
-    assert max(re0, im0) <= 1e-9
+    _, disc = _benchmark_discretization(20.0, 1, 16)
+    solution, _ = solve_helmholtz(disc)
+    before = energy_balance(solution, disc)
+    assert max(before.residual_re, before.residual_im) <= 1e-9
     solution.uhat[0] += 1e-3
-    re1, im1 = energy_identity_residual(solution, data.f, data.g, mesh, cfg)
-    assert max(re1, im1) > 1e-6
+    after = energy_balance(solution, disc)
+    assert max(after.residual_re, after.residual_im) > 1e-6
 
 
 @pytest.mark.parametrize("p,n", [(6, 4), (10, 2)])
@@ -192,12 +191,7 @@ def test_trace_inequality_bound_holds_on_solve():
     # Computable variant of the a priori trace bound, checked by the
     # pipeline on every solve; re-verify the quantities here.
     case = run_benchmark_case(20.0, 2, 8)
-    mesh = build_structured_mesh(8)
-    cfg = ProblemConfig.for_mesh(20.0, 2, mesh)
-    _, data = benchmark_problem(20.0)
-    from helmhdg.diagnostics import data_norms
-
-    f_norm, g_norm = data_norms(mesh, cfg, data.f, data.g)
+    f_norm, g_norm = data_norms(case.disc)
     assert case.balance.trace_jump_sq <= f_norm * case.balance.norm_u + g_norm**2
 
 
@@ -244,3 +238,39 @@ def test_boundary_data_is_evaluated_in_batches(monkeypatch):
     monkeypatch.setattr(DataFunctions, "g", counting_g)
     run_benchmark_case(20.0, 2, 8)
     assert 0 < len(calls) <= 6
+
+
+def test_data_is_evaluated_once(monkeypatch):
+    # The solve and its diagnostics share one discretization: f runs once
+    # and each representative geometry is built once per element class,
+    # and g runs twice (moments, and its norm on the global-size rule).
+    import sys
+
+    from helmhdg import mesh as mesh_module
+    from helmhdg.analytic import DataFunctions
+    from helmhdg.skeleton import _group_elements
+
+    calls = {"f": 0, "g": 0, "mesh_entities": 0}
+    f, g, entities = DataFunctions.f, DataFunctions.g, mesh_module.mesh_entities
+
+    def counting_f(self, points):
+        calls["f"] += 1
+        return f(self, points)
+
+    def counting_g(self, points, normals):
+        calls["g"] += 1
+        return g(self, points, normals)
+
+    def counting_entities(mesh, elem):
+        calls["mesh_entities"] += 1
+        return entities(mesh, elem)
+
+    monkeypatch.setattr(DataFunctions, "f", counting_f)
+    monkeypatch.setattr(DataFunctions, "g", counting_g)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("helmhdg") and getattr(module, "mesh_entities", None) is entities:
+            monkeypatch.setattr(module, "mesh_entities", counting_entities)
+    n_classes = len(_group_elements(build_structured_mesh(8)))
+    assert n_classes == 2
+    run_benchmark_case(20.0, 2, 8)
+    assert calls == {"f": n_classes, "g": 2, "mesh_entities": n_classes}

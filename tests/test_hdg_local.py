@@ -24,15 +24,12 @@ def _config(kappa=20.0, p=2, n=4):
 
 
 def test_config_validation():
-    mesh = build_structured_mesh(4)
     with pytest.raises(ValueError):
         ProblemConfig(kappa=-1.0, p=1, tau=1.0)
     with pytest.raises(ValueError):
         ProblemConfig(kappa=1.0, p=0, tau=1.0)
     with pytest.raises(ValueError):
         ProblemConfig(kappa=1.0, p=1, tau=0.0)
-    with pytest.raises(ValueError):
-        ProblemConfig.for_mesh(20.0, 1, mesh, tau_rule="const")
 
 
 @pytest.mark.parametrize("kappa, tau", [

@@ -15,12 +15,10 @@ from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule
 from helmhdg.skeleton import (
     Solution,
     MONOLITHIC_GUARD,
-    _AssemblyContext,
-    assemble_skeleton,
     boundary_loads,
     build_dof_map,
+    discretize,
     monolithic_solve,
-    reconstruct_interior,
     sample_solution,
     solve_helmholtz,
     solve_skeleton,
@@ -43,7 +41,8 @@ def test_dof_map_partitions_and_round_trips():
         dm = build_dof_map(mesh, p)
         m = p + 1
         assert dm.n_dofs == m * mesh.n_edges
-        assert np.array_equal(dm.edge_offsets, m * np.arange(mesh.n_edges))
+        first = dm.elem_dofs.reshape(mesh.n_elements, 3, m)[:, :, 0]
+        assert np.array_equal(first, m * mesh.elem_edges)
         rng = np.random.default_rng(p)
         values = rng.standard_normal(dm.n_dofs) + 1j * rng.standard_normal(dm.n_dofs)
         for elem in range(mesh.n_elements):
@@ -70,11 +69,12 @@ def test_monolithic_unknown_count_n1_p1():
 def test_zero_data_zero_solution():
     mesh = build_structured_mesh(4)
     cfg = ProblemConfig.for_mesh(20.0, 2, mesh)
-    system = assemble_skeleton(mesh, cfg, zero_f, zero_g)
+    disc = discretize(mesh, cfg, zero_f, zero_g)
+    system = disc.assemble()
     assert np.abs(system.rhs).max() == 0.0
     uhat = solve_skeleton(system)
     assert np.abs(uhat).max() == 0.0
-    solution = reconstruct_interior(mesh, cfg, uhat, zero_f)
+    solution = disc.reconstruct(uhat)
     assert solution.coefficient_norm() == 0.0
 
 
@@ -82,7 +82,7 @@ def test_sparsity_couples_only_edge_neighbors():
     mesh = build_structured_mesh(3)
     cfg = ProblemConfig.for_mesh(10.0, 1, mesh)
     _, data = benchmark_problem(10.0)
-    system = assemble_skeleton(mesh, cfg, data.f, data.g)
+    system = discretize(mesh, cfg, data.f, data.g).assemble()
     m = cfg.p + 1
     neighbors = {e: {e} for e in range(mesh.n_edges)}
     for elem in range(mesh.n_elements):
@@ -96,15 +96,15 @@ def test_sparsity_couples_only_edge_neighbors():
 def test_boundary_edges_carry_extra_mass():
     mesh = build_structured_mesh(2)
     cfg = ProblemConfig.for_mesh(10.0, 1, mesh)
-    ctx = _AssemblyContext(mesh, cfg, zero_f)
-    full = ctx.build_system(None).matrix.toarray()
+    disc = discretize(mesh, cfg, zero_f, zero_g)
+    full = disc.assemble().matrix.toarray()
     # rebuild only the condensed-flux part
     flux_only = np.zeros_like(full)
-    dm = ctx.dof_map
-    for ids, _, ops, _ in ctx.groups:
-        for elem in ids:
+    dm = disc.dof_map
+    for cls in disc.classes:
+        for elem in cls.ids:
             idx = dm.elem_dofs[elem]
-            flux_only[np.ix_(idx, idx)] += -ops.K
+            flux_only[np.ix_(idx, idx)] += -cls.ops.K
     extra = full - flux_only
     m = cfg.p + 1
     expected = np.zeros_like(full)
@@ -124,7 +124,7 @@ def test_skeleton_matrix_is_schur_complement_of_monolithic():
     block = 3 * n
     n_interior = mesh.n_elements * block
 
-    condensed = assemble_skeleton(mesh, cfg, data.f, data.g).matrix.toarray()
+    condensed = discretize(mesh, cfg, data.f, data.g).assemble().matrix.toarray()
 
     # assemble the dense coupled system (same row convention)
     dm = build_dof_map(mesh, 1)
@@ -160,7 +160,7 @@ def test_solve_residual_contract():
     mesh = build_structured_mesh(8)
     cfg = ProblemConfig.for_mesh(20.0, 2, mesh)
     _, data = benchmark_problem(20.0)
-    system = assemble_skeleton(mesh, cfg, data.f, data.g)
+    system = discretize(mesh, cfg, data.f, data.g).assemble()
     uhat = solve_skeleton(system)
     assert skeleton_residual(system, uhat) <= 1e-10
 
@@ -171,7 +171,7 @@ def test_deterministic_bitwise_repeat():
         mesh = build_structured_mesh(8)
         cfg = ProblemConfig.for_mesh(20.0, 1, mesh)
         _, data = benchmark_problem(20.0)
-        solution, _ = solve_helmholtz(mesh, cfg, data.f, data.g)
+        solution, _ = solve_helmholtz(discretize(mesh, cfg, data.f, data.g))
         results.append(solution)
     assert np.array_equal(results[0].uhat, results[1].uhat)
     assert np.array_equal(results[0].Q, results[1].Q)
@@ -182,7 +182,7 @@ def test_reconstruction_satisfies_local_equations():
     mesh = build_structured_mesh(4)
     cfg = ProblemConfig.for_mesh(20.0, 2, mesh)
     _, data = benchmark_problem(20.0)
-    solution, _ = solve_helmholtz(mesh, cfg, data.f, data.g)
+    solution, _ = solve_helmholtz(discretize(mesh, cfg, data.f, data.g))
     from helmhdg.hdg_local import volume_load
 
     dm = build_dof_map(mesh, cfg.p)
@@ -201,7 +201,7 @@ def test_flux_continuity_across_interior_edges():
     mesh = build_structured_mesh(4)
     cfg = ProblemConfig.for_mesh(20.0, 2, mesh)
     _, data = benchmark_problem(20.0)
-    solution, _ = solve_helmholtz(mesh, cfg, data.f, data.g)
+    solution, _ = solve_helmholtz(discretize(mesh, cfg, data.f, data.g))
     dm = build_dof_map(mesh, cfg.p)
     m = cfg.p + 1
 
@@ -222,15 +222,15 @@ def test_flux_continuity_across_interior_edges():
 
 
 def test_standalone_functions_match_pipeline():
-    # assemble_skeleton / solve_skeleton / reconstruct_interior compose to
-    # the same result as the one-call pipeline.
+    # assemble / solve_skeleton / reconstruct on a fresh discretization
+    # compose to the same result as the one-call pipeline.
     mesh = build_structured_mesh(4)
     cfg = ProblemConfig.for_mesh(20.0, 2, mesh)
     _, data = benchmark_problem(20.0)
-    pipeline, _ = solve_helmholtz(mesh, cfg, data.f, data.g)
-    system = assemble_skeleton(mesh, cfg, data.f, data.g)
-    uhat = solve_skeleton(system)
-    standalone = reconstruct_interior(mesh, cfg, uhat, data.f)
+    pipeline, _ = solve_helmholtz(discretize(mesh, cfg, data.f, data.g))
+    disc = discretize(mesh, cfg, data.f, data.g)
+    uhat = solve_skeleton(disc.assemble())
+    standalone = disc.reconstruct(uhat)
     assert np.array_equal(standalone.uhat, pipeline.uhat)
     assert np.array_equal(standalone.Q, pipeline.Q)
     assert np.array_equal(standalone.U, pipeline.U)
@@ -240,7 +240,7 @@ def test_solution_validate_rejects_bad_shapes():
     mesh = build_structured_mesh(2)
     cfg = ProblemConfig.for_mesh(5.0, 1, mesh)
     _, data = benchmark_problem(5.0)
-    solution, _ = solve_helmholtz(mesh, cfg, data.f, data.g)
+    solution, _ = solve_helmholtz(discretize(mesh, cfg, data.f, data.g))
     solution.validate(mesh)
     clipped = Solution(Q=solution.Q[:, :2], U=solution.U, uhat=solution.uhat, p=1)
     with pytest.raises(ValueError):
@@ -255,7 +255,7 @@ def test_condensed_matches_monolithic():
     mesh = build_structured_mesh(2)
     cfg = ProblemConfig.for_mesh(5.0, 1, mesh)
     _, data = benchmark_problem(5.0)
-    condensed, _ = solve_helmholtz(mesh, cfg, data.f, data.g)
+    condensed, _ = solve_helmholtz(discretize(mesh, cfg, data.f, data.g))
     mono = monolithic_solve(mesh, cfg, data.f, data.g)
     scale = max(condensed.coefficient_norm(), mono.coefficient_norm())
     assert np.abs(condensed.Q - mono.Q).max() <= 1e-8 * scale
@@ -268,7 +268,7 @@ def test_pipeline_on_perturbed_mesh():
     # interior vertex (every element becomes its own congruence class)
     # and re-check oracle equivalence and the energy identity.
     from helmhdg.mesh import _finish_mesh
-    from helmhdg.diagnostics import energy_identity_residual
+    from helmhdg.diagnostics import energy_balance
     from helmhdg.skeleton import _group_elements
 
     base = build_structured_mesh(2)
@@ -280,14 +280,15 @@ def test_pipeline_on_perturbed_mesh():
 
     cfg = ProblemConfig(kappa=7.3, p=2, tau=2 / (7.3 * mesh.h_global))
     _, data = benchmark_problem(7.3)
-    condensed, _ = solve_helmholtz(mesh, cfg, data.f, data.g)
+    disc = discretize(mesh, cfg, data.f, data.g)
+    condensed, _ = solve_helmholtz(disc)
     mono = monolithic_solve(mesh, cfg, data.f, data.g)
     scale = max(condensed.coefficient_norm(), mono.coefficient_norm())
     assert np.abs(condensed.U - mono.U).max() <= 1e-8 * scale
     assert np.abs(condensed.Q - mono.Q).max() <= 1e-8 * scale
 
-    re, im = energy_identity_residual(condensed, data.f, data.g, mesh, cfg)
-    assert max(re, im) <= 1e-9
+    balance = energy_balance(condensed, disc)
+    assert max(balance.residual_re, balance.residual_im) <= 1e-9
 
 
 def test_monolithic_zero_data_and_guard():
@@ -307,13 +308,14 @@ def test_solution_csv_dump(tmp_path):
     mesh = build_structured_mesh(2)
     cfg = ProblemConfig.for_mesh(5.0, 1, mesh)
     _, data = benchmark_problem(5.0)
-    solution, _ = solve_helmholtz(mesh, cfg, data.f, data.g)
+    disc = discretize(mesh, cfg, data.f, data.g)
+    solution, _ = solve_helmholtz(disc)
     path = tmp_path / "solution.csv"
-    write_solution_csv(str(path), mesh, cfg, solution, header_lines=["demo"])
+    write_solution_csv(str(path), disc, solution, header_lines=["demo"])
     lines = path.read_text().splitlines()
     assert lines[0] == "# demo"
     assert lines[1] == "x,y,re_u,im_u,re_q1,im_q1,re_q2,im_q2"
-    pts, u, q = sample_solution(mesh, cfg, solution)
+    pts, u, q = sample_solution(disc, solution)
     assert len(lines) == 2 + pts.shape[0]
     first = [float(tok) for tok in lines[2].split(",")]
     assert first[0] == pytest.approx(pts[0, 0])
@@ -377,7 +379,7 @@ def test_batched_boundary_data_matches_per_edge_loop(kappa, p, n, quad_degree, u
     ref_loads, ref_g_norm = _per_edge_boundary_reference(mesh, cfg, data.g)
     loads = boundary_loads(mesh, cfg, data.g)
     assert np.abs(loads - ref_loads).max() <= 1e-13 * np.abs(ref_loads).max()
-    _, g_norm = data_norms(mesh, cfg, data.f, data.g)
+    _, g_norm = data_norms(discretize(mesh, cfg, data.f, data.g))
     assert abs(g_norm - ref_g_norm) <= 1e-13 * ref_g_norm
 
 
@@ -396,7 +398,7 @@ def test_skeleton_lu_fill_guard(monkeypatch):
     mesh = build_structured_mesh(32)
     cfg = ProblemConfig.for_mesh(40.0, 2, mesh)
     _, data = benchmark_problem(40.0)
-    solve_helmholtz(mesh, cfg, data.f, data.g)
+    solve_helmholtz(discretize(mesh, cfg, data.f, data.g))
     ((matrix, nnz),) = factored
     assert nnz <= 0.6 * splu(matrix, permc_spec="COLAMD").nnz
 
@@ -447,7 +449,7 @@ def test_nested_dissection_factor_is_smaller_than_minimum_degree(monkeypatch):
     mesh = build_structured_mesh(63)
     cfg = ProblemConfig.for_mesh(40.0, 2, mesh)
     _, data = benchmark_problem(40.0)
-    system = assemble_skeleton(mesh, cfg, data.f, data.g)
+    system = discretize(mesh, cfg, data.f, data.g).assemble()
     monkeypatch.setattr(spla, "splu", recording_splu)
     solve_skeleton(system)
     (nnz,) = factored
