@@ -1,11 +1,10 @@
 """The benchmark's analytic ingredients: Bessel functions and exact fields.
 
 The exact solution u(r) = cos(kappa r)/kappa - c J0(kappa r) needs J0
-and J1 at arguments up to kappa * diam(domain).  The in-house evaluator
-uses an extended-precision power series below x = 12 and Miller's
-downward recurrence above; here we sanity-check it against well-known
-values and verify the exact solution solves the PDE by finite
-differences.
+and J1 at arguments up to kappa * diam(domain).  `bessel_j` wraps
+scipy.special's j0 and j1 with argument checks; here we sanity-check it
+against well-known values and verify the exact solution solves the PDE
+by finite differences.
 """
 
 import numpy as np

@@ -11,11 +11,8 @@ with source ft(r) = sin(kappa r)/r and gt the Robin trace of u.  The
 first-order solver consumes the rescaled data f = -i ft / kappa and
 g = -i gt / kappa and approximates the flux q = i grad(u) / kappa.
 
-Bessel functions J0 and J1 are evaluated in-house so results are
-bit-reproducible and free of special-function dependencies: an extended
-precision power series below the crossover at x = 12, and Miller's
-downward recurrence (with exact power-of-two rescaling) above it.  Both
-branches overlap on [8, 16] and are cross-validated there.
+J0 and J1 come from scipy.special (Cephes), which is deterministic for a
+fixed install and within 1e-12 of mpmath on [0, 1e4].
 """
 
 from __future__ import annotations
@@ -25,72 +22,16 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy import special
 
 from .mesh import DOMAIN_BOUNDS, ElementGeometry
 from .polybasis import EdgeBasis, TriangleBasis, quadrature_rule
 
-#: Crossover between the power-series and downward-recurrence branches.
-BESSEL_SERIES_CUTOFF = 12.0
 BESSEL_MAX_ARGUMENT = 1e4
-
-_N_SERIES_TERMS = 55
-# Series coefficients of J0 (in q = (x/2)^2) and of J1/(x/2), kept in
-# extended precision because partial sums near the crossover exceed the
-# final value by ~1e5.
-_J0_COEF = np.zeros(_N_SERIES_TERMS + 1, dtype=np.longdouble)
-_J1_COEF = np.zeros(_N_SERIES_TERMS + 1, dtype=np.longdouble)
-_J0_COEF[0] = 1.0
-_J1_COEF[0] = 1.0
-for _m in range(1, _N_SERIES_TERMS + 1):
-    _J0_COEF[_m] = -_J0_COEF[_m - 1] / np.longdouble(_m * _m)
-    _J1_COEF[_m] = -_J1_COEF[_m - 1] / np.longdouble(_m * (_m + 1))
-
-_RESCALE_LIMIT = 2.0**512
-_RESCALE = 2.0**-512
-
-
-def _j0j1_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    z = x.astype(np.longdouble)
-    q = 0.25 * z * z
-    s0 = np.full_like(q, _J0_COEF[_N_SERIES_TERMS])
-    s1 = np.full_like(q, _J1_COEF[_N_SERIES_TERMS])
-    for m in range(_N_SERIES_TERMS - 1, -1, -1):
-        s0 = s0 * q + _J0_COEF[m]
-        s1 = s1 * q + _J1_COEF[m]
-    return s0.astype(float), (0.5 * z * s1).astype(float)
-
-
-def _j0j1_miller(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J0 and J1 by downward recurrence, normalized by J0 + 2*sum J_{2m} = 1."""
-    xmax = float(x.max())
-    start = int(math.ceil(xmax + 15.0 * xmax ** (1.0 / 3.0) + 30.0))
-    b_hi = np.zeros_like(x)  # b_{k+1}
-    b_lo = np.full_like(x, 1e-30)  # b_k
-    norm = np.zeros_like(x)
-    inv_x = 1.0 / x
-    for k in range(start, 0, -1):
-        if k % 2 == 0:
-            norm += 2.0 * b_lo
-        b_hi, b_lo = b_lo, (2.0 * k) * inv_x * b_lo - b_hi
-        big = np.abs(b_lo) > _RESCALE_LIMIT
-        if np.any(big):
-            b_lo[big] *= _RESCALE
-            b_hi[big] *= _RESCALE
-            norm[big] *= _RESCALE
-    norm += b_lo
-    return b_lo / norm, b_hi / norm
 
 
 def _j0j1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    j0 = np.empty_like(x)
-    j1 = np.empty_like(x)
-    small = x < BESSEL_SERIES_CUTOFF
-    if np.any(small):
-        j0[small], j1[small] = _j0j1_series(x[small])
-    if np.any(~small):
-        j0[~small], j1[~small] = _j0j1_miller(x[~small])
-    return j0, j1
+    return special.j0(x), special.j1(x)
 
 
 def bessel_j(order: int, x) -> np.ndarray | float:

@@ -13,8 +13,6 @@ from helmhdg.analytic import (
     exact_solution,
     l2_project,
     source_and_boundary_data,
-    _j0j1_miller,
-    _j0j1_series,
 )
 from helmhdg.mesh import ElementGeometry
 from helmhdg.polybasis import quadrature_rule, TriangleBasis
@@ -64,14 +62,6 @@ def test_bessel_against_mpmath():
     for order in (0, 1):
         ref = np.array([float(mpmath.besselj(order, mpmath.mpf(float(v)))) for v in x])
         assert np.abs(bessel_j(order, x) - ref).max() <= 1e-12
-
-
-def test_bessel_branches_cross_validate():
-    x = np.linspace(8.0, 16.0, 257)
-    s0, s1 = _j0j1_series(x)
-    m0, m1 = _j0j1_miller(x)
-    assert np.abs(s0 - m0).max() <= 1e-12
-    assert np.abs(s1 - m1).max() <= 1e-12
 
 
 def test_bessel_rejects_bad_arguments():
