@@ -163,15 +163,15 @@ def compute_errors(
     e_u_sq = 0.0
     e_q_sq = 0.0
     for cls in disc.classes:
-        ids, phi, det = cls.ids, cls.phi, cls.geom.det
-        scale = 1.0 / math.sqrt(det)
+        ids, geom, rule, phi = cls.ids, cls.geom, cls.rule, cls.phi
+        scale = 1.0 / math.sqrt(geom.det)
         ue, grad = exact.u_and_grad(cls.points(mesh).reshape(-1, 2))
         du = scale * (solution.U[ids] @ phi.T) - ue.reshape(len(ids), -1)
         qe = (1j * grad / exact.kappa).reshape(len(ids), -1, 2)
         dq1 = scale * (solution.Q[ids, :n] @ phi.T) - qe[:, :, 0]
         dq2 = scale * (solution.Q[ids, n:] @ phi.T) - qe[:, :, 1]
-        e_u_sq += det * float((np.abs(du) ** 2 @ cls.rule.weights).sum())
-        e_q_sq += det * float(((np.abs(dq1) ** 2 + np.abs(dq2) ** 2) @ cls.rule.weights).sum())
+        e_u_sq += geom.det * float((np.abs(du) ** 2 @ rule.weights).sum())
+        e_q_sq += geom.det * float(((np.abs(dq1) ** 2 + np.abs(dq2) ** 2) @ rule.weights).sum())
 
     rule = quadrature_rule("edge", cfg.data_degree(mesh.h_global))
     e_t_sq = 0.0

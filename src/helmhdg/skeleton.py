@@ -119,7 +119,6 @@ class SkeletonSystem:
 
     permuted: sp.csc_matrix  # P A P^T
     rhs: np.ndarray
-    dof_map: DofMap
     perm: np.ndarray  # (n_dofs,) factorization order of the dofs
 
     @property
@@ -259,7 +258,7 @@ class Discretization:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n_dofs, n_dofs),
         ).tocsc()
-        return SkeletonSystem(permuted=permuted, rhs=rhs, dof_map=self.dof_map, perm=perm)
+        return SkeletonSystem(permuted=permuted, rhs=rhs, perm=perm)
 
     def reconstruct(self, uhat: np.ndarray) -> Solution:
         """Recover the element coefficients from solved traces."""
@@ -388,7 +387,7 @@ def solve_helmholtz(disc: Discretization) -> tuple[Solution, SolveInfo]:
     solution = disc.reconstruct(uhat)
     info = SolveInfo(
         seconds=time.perf_counter() - start,
-        n_skeleton_dofs=system.dof_map.n_dofs,
+        n_skeleton_dofs=disc.dof_map.n_dofs,
         residual=skeleton_residual(system, uhat),
         max_local_cond=disc.max_local_cond,
     )
