@@ -16,9 +16,7 @@ from .analytic import (
     ExactSolution,
     benchmark_problem,
     bessel_j,
-    exact_solution,
     l2_project,
-    source_and_boundary_data,
 )
 from .diagnostics import (
     ConvergenceTable,
@@ -28,11 +26,10 @@ from .diagnostics import (
     run_benchmark_case,
 )
 from .hdg_local import (
-    CondensedElement,
+    CondensedOperators,
     LocalBlocks,
     ProblemConfig,
     assemble_local_blocks,
-    condense_element,
     local_solve,
 )
 from .mesh import ElementGeometry, Mesh, build_structured_mesh, mesh_entities, write_mesh
@@ -40,9 +37,7 @@ from .polybasis import (
     EdgeBasis,
     QuadratureRule,
     TriangleBasis,
-    edge_basis_eval,
     quadrature_rule,
-    triangle_basis_eval,
 )
 from .skeleton import (
     Discretization,
@@ -62,19 +57,16 @@ __all__ = [
     "ExactSolution",
     "benchmark_problem",
     "bessel_j",
-    "exact_solution",
     "l2_project",
-    "source_and_boundary_data",
     "ConvergenceTable",
     "ErrorReport",
     "compute_errors",
     "convergence_rates",
     "run_benchmark_case",
-    "CondensedElement",
+    "CondensedOperators",
     "LocalBlocks",
     "ProblemConfig",
     "assemble_local_blocks",
-    "condense_element",
     "local_solve",
     "ElementGeometry",
     "Mesh",
@@ -84,9 +76,7 @@ __all__ = [
     "EdgeBasis",
     "QuadratureRule",
     "TriangleBasis",
-    "edge_basis_eval",
     "quadrature_rule",
-    "triangle_basis_eval",
     "Discretization",
     "DofMap",
     "SkeletonSystem",

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .mesh import DOMAIN_BOUNDS, ElementGeometry
+from .mesh import ElementGeometry
 from .polybasis import EdgeBasis, TriangleBasis, quadrature_rule
 
 BESSEL_MAX_ARGUMENT = 1e4
@@ -91,13 +91,6 @@ class ExactSolution:
         return 1j * self.grad_u(points) / self.kappa
 
 
-def exact_solution(kappa: float, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Convenience evaluator returning (u, grad u, q) at the given points."""
-    sol = ExactSolution(kappa)
-    u, grad = sol.u_and_grad(points)
-    return u, grad, 1j * grad / sol.kappa
-
-
 @dataclass
 class DataFunctions:
     """Source and boundary data of the benchmark, raw and rescaled.
@@ -138,34 +131,6 @@ class DataFunctions:
 def benchmark_problem(kappa: float) -> tuple[ExactSolution, DataFunctions]:
     """Exact solution and matching data functions of the study problem."""
     return ExactSolution(kappa), DataFunctions(kappa)
-
-
-def _on_boundary(point: np.ndarray) -> bool:
-    xmin, ymin, xmax, ymax = DOMAIN_BOUNDS
-    x, y = float(point[0]), float(point[1])
-    inside = xmin - 1e-12 <= x <= xmax + 1e-12 and ymin - 1e-12 <= y <= ymax + 1e-12
-    on_edge = (
-        min(abs(x - xmin), abs(x - xmax)) <= 1e-12 or min(abs(y - ymin), abs(y - ymax)) <= 1e-12
-    )
-    return inside and on_edge
-
-
-def source_and_boundary_data(
-    kappa: float, point: np.ndarray, normal: np.ndarray | None = None
-) -> tuple[complex, complex]:
-    """Benchmark data at one point: (f_tilde, f), or (g_tilde, g) on the boundary.
-
-    Passing a normal requests the boundary data and requires the point to
-    lie on the domain boundary.
-    """
-    data = DataFunctions(kappa)
-    pt = np.asarray(point, dtype=float).reshape(1, 2)
-    if normal is None:
-        return complex(data.f_tilde(pt)[0]), complex(data.f(pt)[0])
-    if not _on_boundary(pt[0]):
-        raise ValueError(f"boundary data requested at interior point {pt[0]}")
-    nrm = np.asarray(normal, dtype=float).reshape(1, 2)
-    return complex(data.g_tilde(pt, nrm)[0]), complex(data.g(pt, nrm)[0])
 
 
 def data_quadrature_degree(p: int, kappa: float, h: float) -> int:

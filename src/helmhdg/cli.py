@@ -25,7 +25,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
-from .analytic import data_quadrature_degree
 from .diagnostics import (
     ConvergenceTable,
     ErrorReport,
@@ -33,10 +32,11 @@ from .diagnostics import (
     run_benchmark_case,
     write_convergence_csv,
 )
+from .hdg_local import ProblemConfig
 from .mesh import write_mesh
 from .polybasis import MAX_ORDER
 from .skeleton import write_solution_csv
-from .verify import run_verify
+from .verify import CHECKS, run_verify
 
 #: Refuse convergence/solve runs whose skeleton exceeds this many unknowns.
 DEFAULT_MAX_DOFS = 800_000
@@ -79,6 +79,8 @@ class RunConfig:
         for line in (self.fixed_kappa_h, self.fixed_kappa3h2):
             if line is not None and not (math.isfinite(line) and line > 0):
                 raise UsageError("fixed-line constants must be finite and positive")
+        if self.only is not None and self.only not in CHECKS:
+            raise UsageError(f"unknown check {self.only!r}; available: {', '.join(CHECKS)}")
 
 
 class UsageError(Exception):
@@ -125,11 +127,9 @@ def _config_lines(cfg: RunConfig, kappa: float, p: int, sizes: list[int]) -> lis
     taus, degrees = [], []
     for n in sizes:
         h = math.sqrt(2.0) / n
-        taus.append(format_float(p / (kappa * h)))
-        deg = cfg.data_quad_degree
-        if deg is None:
-            deg = data_quadrature_degree(p, kappa, h)
-        degrees.append(str(deg))
+        problem = ProblemConfig(kappa, p, p / (kappa * h), cfg.data_quad_degree)
+        taus.append(format_float(problem.tau))
+        degrees.append(str(problem.data_degree(h)))
     return [
         f"helmhdg version {__version__}",
         f"command = {cfg.command}",
@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--fixed-kappa3h2", type=float, default=None,
                              help="pollution mode: choose n so kappa^3*h^2/p^2 equals this")
         if name == "solve":
-            cmd.add_argument("--dump-mesh", action="store_true", help="also write the mesh file")
+            cmd.add_argument("--dump-mesh", action="store_true", default=None,
+                             help="also write the mesh file")
         if name == "verify":
             cmd.add_argument("--only", default=None, help="run a single named check")
     return parser
@@ -290,12 +291,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         ("max_dofs", "max_dofs"),
         ("fixed_kappa_h", "fixed_kappa_h"),
         ("fixed_kappa3h2", "fixed_kappa3h2"),
+        ("dump_mesh", "dump_mesh"),
         ("only", "only"),
     ):
         value = getattr(args, flag, None)
         if value is not None:
             setattr(cfg, attr, value)
-    cfg.dump_mesh = bool(getattr(args, "dump_mesh", False))
     cfg.validate()
     return cfg
 
@@ -305,10 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         if cfg.command == "verify":
-            try:
-                return run_verify(only=cfg.only)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+            return run_verify(only=cfg.only)
         if cfg.command == "converge":
             return cmd_converge(cfg)
         return cmd_solve(cfg)

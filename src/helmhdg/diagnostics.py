@@ -30,7 +30,7 @@ import numpy as np
 
 from .analytic import ExactSolution, benchmark_problem
 from .hdg_local import ProblemConfig
-from .mesh import Mesh, build_structured_mesh
+from .mesh import build_structured_mesh
 from .polybasis import EdgeBasis, TriangleBasis, quadrature_rule, reference_face_points
 from .skeleton import (
     Discretization,
@@ -127,14 +127,6 @@ def convergence_rates(table: ConvergenceTable) -> RateSummary:
     )
 
 
-def _face_points(mesh: Mesh, face: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Physical points (F, nq, 2) and lengths (F,) of one local face slot."""
-    a = mesh.vertices[mesh.triangles[:, face]]
-    b = mesh.vertices[mesh.triangles[:, (face + 1) % 3]]
-    pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-    return pts, np.linalg.norm(b - a, axis=1)
-
-
 def _uhat_on_faces(disc: Discretization, uhat: np.ndarray, face: int, t: np.ndarray) -> np.ndarray:
     """Trace unknown evaluated on one local face slot of every element, (F, nq)."""
     mesh, p = disc.mesh, disc.cfg.p
@@ -144,10 +136,7 @@ def _uhat_on_faces(disc: Discretization, uhat: np.ndarray, face: int, t: np.ndar
     plus = coeff @ basis.eval(t).T
     minus = coeff @ basis.eval(1.0 - t).T
     flags = mesh.elem_edge_orient[:, face]
-    lengths = np.linalg.norm(
-        mesh.vertices[mesh.triangles[:, (face + 1) % 3]] - mesh.vertices[mesh.triangles[:, face]],
-        axis=1,
-    )
+    lengths = mesh.face_lengths[:, face]
     return np.where((flags == 1)[:, None], plus, minus) / np.sqrt(lengths)[:, None]
 
 
@@ -176,9 +165,13 @@ def compute_errors(
     rule = quadrature_rule("edge", cfg.data_degree(mesh.h_global))
     e_t_sq = 0.0
     for face in range(3):
-        pts, lengths = _face_points(mesh, face, rule.points)
+        a = mesh.vertices[mesh.triangles[:, face]]
+        b = mesh.vertices[mesh.triangles[:, (face + 1) % 3]]
+        pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
         diff = exact.u(pts.reshape(-1, 2)).reshape(mesh.n_elements, -1)
         diff -= _uhat_on_faces(disc, solution.uhat, face, rule.points)
+        # A contiguous copy: a strided operand changes the rounding of the dot.
+        lengths = np.ascontiguousarray(mesh.face_lengths[:, face])
         e_t_sq += float(lengths @ (np.abs(diff) ** 2 @ rule.weights))
 
     e_u = math.sqrt(e_u_sq)

@@ -278,26 +278,15 @@ def flux_functional(blocks: LocalBlocks, Q, U, lam) -> np.ndarray:
     return blocks.C.T @ Q + blocks.R.T @ U - blocks.tau * lam
 
 
-@dataclass(frozen=True)
-class CondensedElement:
-    """Schur complement of one element onto its face trace unknowns.
+class CondensedOperators:
+    """Schur complement of one element onto its face trace unknowns,
+    independent of the source and so shared by congruent elements.
 
-    For any traces lam, solving the local equations and taking face
-    moments of the numerical flux gives K @ lam - F (with F collecting
-    the source contribution).  recon_lam and recon_f map traces and
-    source moments back to the interior (Q, U) coefficients.
+    For traces lam and source moments f, solving the local equations and
+    taking face moments of the numerical flux gives K @ lam - F with
+    F = load_to_flux @ f; the interior (Q, U) coefficients are
+    recon_lam @ lam + inv_load @ f.
     """
-
-    K: np.ndarray  # (3(p+1), 3(p+1)) complex
-    F: np.ndarray  # (3(p+1),) complex
-    recon_lam: np.ndarray  # (3N, 3(p+1)) complex
-    recon_f: np.ndarray  # (3N,) complex
-    cond: float  # condition number of the local system
-
-
-class _CondensedOperators:
-    """Source-independent condensation operators, reusable across elements
-    that share geometry (only the source moments differ)."""
 
     def __init__(self, blocks: LocalBlocks):
         L = blocks.system_matrix()
@@ -308,27 +297,9 @@ class _CondensedOperators:
         load_rhs = np.zeros((n2 + n, n), dtype=complex)
         load_rhs[n2:] = np.eye(n)
         lu = sla.lu_factor(L)
-        self.blocks = blocks
-        self.recon_lam = sla.lu_solve(lu, lam_rhs)
+        self.recon_lam = sla.lu_solve(lu, lam_rhs)  # (3N, 3(p+1)): traces -> (Q, U)
         self.inv_load = sla.lu_solve(lu, load_rhs)  # (3N, N): source moments -> (Q, U)
         W = np.concatenate([blocks.C.T, blocks.R.T], axis=1)
         self.K = W @ self.recon_lam - blocks.tau * np.eye(blocks.n_trace)
         self.load_to_flux = -(W @ self.inv_load)  # (3(p+1), N): source moments -> F
-        self.cond = float(np.linalg.cond(L))
-
-    def condensed(self, f_load: np.ndarray) -> CondensedElement:
-        f_load = np.asarray(f_load, dtype=complex).reshape(self.blocks.n_scalar)
-        return CondensedElement(
-            K=self.K,
-            F=self.load_to_flux @ f_load,
-            recon_lam=self.recon_lam,
-            recon_f=self.inv_load @ f_load,
-            cond=self.cond,
-        )
-
-
-def condense_element(blocks: LocalBlocks, f_load: np.ndarray | None = None) -> CondensedElement:
-    """Statically condense one element onto its face trace unknowns."""
-    if f_load is None:
-        f_load = np.zeros(blocks.n_scalar, dtype=complex)
-    return _CondensedOperators(blocks).condensed(f_load)
+        self.cond = float(np.linalg.cond(L))  # condition number of the local system

@@ -9,7 +9,15 @@ therefore bit-identical convergence tables.
 Edges are oriented globally from the lower vertex index to the higher
 one.  Skeleton degrees of freedom live on edges in this global
 parametrization; each element records, per face, the global edge id and
-whether its local face direction agrees with the global one.  Meshes are
+whether its local face direction agrees with the global one.
+
+The element geometry is derived once, when the mesh is built, by one
+batched helper (`_element_geometry`) and stored on the mesh: per element
+the Jacobian of its affine reference map and its determinant, and per
+local face the length and the outward unit normal.  Every consumer (the
+mesh checks, the element classes, the boundary data, the error norms and
+the projection check) reads these arrays; `ElementGeometry` derives the
+same quantities for one element with the same helper.  Meshes are
 immutable after construction and safe for concurrent reads.
 """
 
@@ -40,11 +48,14 @@ class Mesh:
         Per edge, up to two (element, local face) incidences; unused slots
         hold -1.
     boundary_flags : (E,) bool array
-    h_global : float, max element diameter
-    h_per_element : (F,) float array
+    h_global : float, max element diameter (the longest face)
     elem_edges : (F, 3) int array, global edge id of each local face
     elem_edge_orient : (F, 3) int array, +1 if the local face direction
         (vertex f -> vertex f+1) matches the global edge direction, else -1
+    jacobians : (F, 2, 2) float array, columns v1 - v0 and v2 - v0
+    dets : (F,) float array, det J = 2 * area
+    face_lengths : (F, 3) float array, length of local face f
+    normals : (F, 3, 2) float array, outward unit normal of local face f
     n : subdivisions per side for structured meshes, None otherwise
     """
 
@@ -54,9 +65,12 @@ class Mesh:
     edge_to_elements: np.ndarray
     boundary_flags: np.ndarray
     h_global: float
-    h_per_element: np.ndarray
     elem_edges: np.ndarray
     elem_edge_orient: np.ndarray
+    jacobians: np.ndarray
+    dets: np.ndarray
+    face_lengths: np.ndarray
+    normals: np.ndarray
     n: int | None = None
 
     @property
@@ -79,38 +93,38 @@ class Mesh:
         n_incident = np.sum(self.edge_to_elements[:, :, 0] >= 0, axis=1)
         if not np.all(np.where(self.boundary_flags, n_incident == 1, n_incident == 2)):
             raise ValueError("edge incidence counts inconsistent with boundary flags")
-        areas = _signed_areas(self.vertices, self.triangles)
-        if np.any(areas <= 0):
+        if np.any(self.dets <= 0):
             raise ValueError("negatively oriented or degenerate triangle")
         xmin, ymin, xmax, ymax = DOMAIN_BOUNDS
         domain_area = (xmax - xmin) * (ymax - ymin)
-        if abs(areas.sum() - domain_area) > 1e-12 * domain_area:
-            raise ValueError(f"element areas sum to {areas.sum()!r}, expected {domain_area!r}")
+        area = 0.5 * self.dets.sum()
+        if abs(area - domain_area) > 1e-12 * domain_area:
+            raise ValueError(f"element areas sum to {area!r}, expected {domain_area!r}")
 
         corners = self.vertices[self.triangles]  # (F, 3, 2)
         tangents = np.roll(corners, -1, axis=1) - corners
-        lengths = np.linalg.norm(tangents, axis=2)
-        normals = np.stack([tangents[:, :, 1], -tangents[:, :, 0]], axis=2) / lengths[..., None]
-        if np.max(np.abs(np.linalg.norm(normals, axis=2) - 1.0)) > 1e-12:
+        if np.max(np.abs(np.linalg.norm(self.normals, axis=2) - 1.0)) > 1e-12:
             raise ValueError("non-unit face normal")
-        if np.max(np.abs(np.sum(normals * tangents, axis=2)) / lengths) > 1e-12:
+        if np.max(np.abs(np.sum(self.normals * tangents, axis=2)) / self.face_lengths) > 1e-12:
             raise ValueError("normal not orthogonal to face tangent")
         midpoints = corners + 0.5 * tangents
-        outward = np.sum(normals * (midpoints - corners.mean(axis=1, keepdims=True)), axis=2)
+        outward = np.sum(self.normals * (midpoints - corners.mean(axis=1, keepdims=True)), axis=2)
         if np.any(outward <= 0):
             raise ValueError("face normal points toward the centroid")
 
 
-def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """z-component of the cross product of stacked 2-d vectors."""
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
-def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
-    return 0.5 * _cross2(p1 - p0, p2 - p0)
+def _element_geometry(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Geometry of triangles given by their corners (F, 3, 2): Jacobians
+    (F, 2, 2) with columns v1 - v0 and v2 - v0, their determinants (F,),
+    face lengths (F, 3) and outward unit normals (F, 3, 2), where local
+    face f runs from corner f to corner f + 1.  A zero-length face gets a
+    non-finite normal and a zero determinant, which callers reject."""
+    jac = np.stack([corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]], axis=2)
+    tangents = np.roll(corners, -1, axis=1) - corners
+    lengths = np.linalg.norm(tangents, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normals = np.stack([tangents[..., 1], -tangents[..., 0]], axis=2) / lengths[..., None]
+    return jac, np.linalg.det(jac), lengths, normals
 
 
 def build_structured_mesh(n: int) -> Mesh:
@@ -176,21 +190,10 @@ def _finish_mesh(vertices: np.ndarray, triangles: np.ndarray, n: int | None) -> 
     if np.any(counts > 2):
         raise ValueError("non-manifold mesh: an edge touches more than two elements")
 
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
-    side = np.stack(
-        [
-            np.linalg.norm(p1 - p0, axis=1),
-            np.linalg.norm(p2 - p1, axis=1),
-            np.linalg.norm(p0 - p2, axis=1),
-        ],
-        axis=1,
-    )
-    h_per_element = side.max(axis=1)
+    jacobians, dets, face_lengths, normals = _element_geometry(vertices[triangles])
     # For structured meshes the mesh size is known in closed form; using it
     # makes h_global(2n) exactly half of h_global(n) in floating point.
-    h_global = np.sqrt(2.0) / n if n is not None else float(h_per_element.max())
+    h_global = np.sqrt(2.0) / n if n is not None else float(face_lengths.max())
 
     mesh = Mesh(
         vertices=vertices,
@@ -199,9 +202,12 @@ def _finish_mesh(vertices: np.ndarray, triangles: np.ndarray, n: int | None) -> 
         edge_to_elements=edge_to_elements,
         boundary_flags=boundary_flags,
         h_global=h_global,
-        h_per_element=h_per_element,
         elem_edges=elem_edges,
         elem_edge_orient=elem_edge_orient,
+        jacobians=jacobians,
+        dets=dets,
+        face_lengths=face_lengths,
+        normals=normals,
         n=n,
     )
     mesh.validate()
@@ -235,13 +241,10 @@ class ElementGeometry:
         edge_orient: np.ndarray | None = None,
     ) -> "ElementGeometry":
         verts = np.asarray(verts, dtype=float).reshape(3, 2)
-        jac = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
-        det = float(np.linalg.det(jac))
+        jac, det, lengths, normals = (a[0] for a in _element_geometry(verts[None]))
+        det = float(det)
         if det <= 1e-14:
             raise ValueError(f"degenerate or negatively oriented element (det J = {det!r})")
-        tangents = np.roll(verts, -1, axis=0) - verts
-        lengths = np.linalg.norm(tangents, axis=1)
-        normals = np.column_stack([tangents[:, 1], -tangents[:, 0]]) / lengths[:, None]
         return cls(
             vertices=verts,
             area=0.5 * det,

@@ -158,16 +158,6 @@ class EdgeBasis:
         return leg.T * self._scale
 
 
-def triangle_basis_eval(p: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and gradients of the order-p triangle basis at reference points."""
-    return TriangleBasis(p).eval_with_grad(points)
-
-
-def edge_basis_eval(p: int, points: np.ndarray) -> np.ndarray:
-    """Values of the order-p edge basis at points of [0, 1]."""
-    return EdgeBasis(p).eval(points)
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Quadrature nodes and weights with a guaranteed polynomial exactness degree."""

@@ -60,7 +60,7 @@ import scipy.sparse.linalg as spla
 from .hdg_local import (
     LocalBlocks,
     ProblemConfig,
-    _CondensedOperators,
+    CondensedOperators,
     assemble_local_blocks,
     volume_load,
 )
@@ -92,21 +92,12 @@ class DofMap:
     n_dofs: int
     dofs_per_edge: int
     elem_dofs: np.ndarray  # (F, 3(p+1)) gather indices, face-major
-    elem_orient: np.ndarray  # (F, 3) orientation flags of the gathered edges
-
-    def gather(self, values: np.ndarray, elem: int) -> np.ndarray:
-        return values[self.elem_dofs[elem]]
 
 
 def build_dof_map(mesh: Mesh, p: int) -> DofMap:
     m = p + 1
     elem_dofs = (m * mesh.elem_edges[:, :, None] + np.arange(m)).reshape(mesh.n_elements, 3 * m)
-    return DofMap(
-        n_dofs=m * mesh.n_edges,
-        dofs_per_edge=m,
-        elem_dofs=elem_dofs,
-        elem_orient=mesh.elem_edge_orient,
-    )
+    return DofMap(n_dofs=m * mesh.n_edges, dofs_per_edge=m, elem_dofs=elem_dofs)
 
 
 @dataclass(frozen=True)
@@ -176,10 +167,7 @@ def _group_elements(mesh: Mesh) -> list[tuple[np.ndarray, int]]:
     """Partition elements into congruence classes sharing all condensation
     operators: equal Jacobian (up to rounding noise of translated
     vertices) and equal face-orientation pattern."""
-    v = mesh.vertices
-    t = mesh.triangles
-    jac = np.stack([v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]], axis=2)  # (F, 2, 2)
-    keys = np.round(jac / mesh.h_global, 12).reshape(mesh.n_elements, 4)
+    keys = np.round(mesh.jacobians / mesh.h_global, 12).reshape(mesh.n_elements, 4)
     # Bit patterns, so that 0.0 and -0.0 stay distinct keys.
     rows = np.column_stack([keys.view(np.int64), mesh.elem_edge_orient])
     order = np.lexsort(rows.T)  # stable: each class's members in ascending order
@@ -197,7 +185,7 @@ class ElementClass:
 
     ids: np.ndarray  # (nE,) member element ids, ascending
     geom: ElementGeometry  # representative geometry
-    ops: _CondensedOperators
+    ops: CondensedOperators
     rule: QuadratureRule  # data rule of the representative's size
     phi: np.ndarray  # (nq, N) basis values at the rule points
     f_moments: np.ndarray  # (nE, N) source moments (f, w)
@@ -282,7 +270,7 @@ def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Di
     classes = []
     for ids, rep in _group_elements(mesh):
         geom = mesh_entities(mesh, rep)
-        ops = _CondensedOperators(assemble_local_blocks(geom, cfg))
+        ops = CondensedOperators(assemble_local_blocks(geom, cfg))
         rule = quadrature_rule("triangle", cfg.data_degree(geom.h))
         phi = basis.eval(rule.points)
         phys = _data_points(mesh, ids, geom, rule).reshape(-1, 2)
@@ -330,18 +318,15 @@ def _boundary_batches(mesh: Mesh, degree: Callable[[float], int]):
 
     Per group yields (edge ids, edge rule, lengths (nE,), points (nE*nq, 2),
     outward normals (nE*nq, 2)); points run along the global edge direction,
-    edge-major, and the normal is that of the owning element's face.
+    edge-major, and the length and normal are those of the owning element's
+    face.
     """
     edges = np.flatnonzero(mesh.boundary_flags)
     a = mesh.vertices[mesh.edges[edges, 0]]
     b = mesh.vertices[mesh.edges[edges, 1]]
-    lengths = np.linalg.norm(b - a, axis=1)
     elem, face = mesh.edge_to_elements[edges, 0].T
-    tangent = (
-        mesh.vertices[mesh.triangles[elem, (face + 1) % 3]]
-        - mesh.vertices[mesh.triangles[elem, face]]
-    )
-    normals = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / lengths[:, None]
+    lengths = mesh.face_lengths[elem, face]
+    normals = mesh.normals[elem, face]
     degrees = np.array([degree(float(length)) for length in lengths], dtype=np.int64)
     for deg in np.unique(degrees):
         sel = degrees == deg

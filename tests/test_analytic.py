@@ -10,9 +10,7 @@ from helmhdg.analytic import (
     bessel_j,
     benchmark_problem,
     data_quadrature_degree,
-    exact_solution,
     l2_project,
-    source_and_boundary_data,
 )
 from helmhdg.mesh import ElementGeometry
 from helmhdg.polybasis import quadrature_rule, TriangleBasis
@@ -127,6 +125,7 @@ def test_robin_residual_on_boundary():
             - data.g_tilde(pts, nrm)
         )
         assert np.abs(resid).max() <= 1e-13
+        assert data.g(pts, nrm) == pytest.approx(-1j * data.g_tilde(pts, nrm) / kappa)
 
 
 def test_exact_solution_check_catches_wrong_robin_data(monkeypatch):
@@ -147,9 +146,6 @@ def test_flux_definition():
     sol = ExactSolution(7.0)
     pts = np.array([[0.2, -0.1], [0.31, 0.4]])
     assert np.abs(1j * 7.0 * sol.q(pts) + sol.grad_u(pts)).max() <= 1e-15
-    u, grad, q = exact_solution(7.0, pts)
-    assert np.allclose(q, 1j * grad / 7.0)
-    assert np.allclose(u, sol.u(pts))
 
 
 @pytest.mark.parametrize("kappa", [5.0, 20.0])
@@ -169,17 +165,6 @@ def test_source_series_branch_matches_direct_formula():
     series = 1.0 - z * z / 6.0 * (1.0 - z * z / 20.0)
     direct = np.sin(z) / z
     assert np.abs(series - direct).max() <= 1e-15
-
-
-def test_source_and_boundary_data_dispatch():
-    kappa = 12.0
-    ft, f = source_and_boundary_data(kappa, [0.0, 0.0])
-    assert ft == pytest.approx(kappa)
-    assert f == pytest.approx(-1j)
-    gt, g = source_and_boundary_data(kappa, [0.5, 0.1], normal=[1.0, 0.0])
-    assert g == pytest.approx(-1j * gt / kappa)
-    with pytest.raises(ValueError):
-        source_and_boundary_data(kappa, [0.1, 0.1], normal=[1.0, 0.0])
 
 
 def test_data_quadrature_degree_rule():

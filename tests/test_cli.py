@@ -165,6 +165,16 @@ def test_config_file_with_flag_override(tmp_path):
     assert data_rows[1].split(",")[2] == "4"
 
 
+def test_dump_mesh_from_config_file(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text('{"dump_mesh": true}')
+    out = tmp_path / "out"
+    code = main(["solve", "--kappa", "5", "--p", "1", "--n", "2", "--config", str(cfg_path),
+                 "--out", str(out)])
+    assert code == 0
+    assert (out / "mesh_n2.txt").is_file()
+
+
 def test_verify_only_energy_identity(capsys):
     assert main(["verify", "--only", "energy-identity"]) == 0
     out = capsys.readouterr().out
@@ -181,6 +191,19 @@ def test_verify_only_oracle(capsys):
 
 def test_verify_unknown_check_is_usage_error():
     assert main(["verify", "--only", "does-not-exist"]) == 2
+
+
+def test_value_error_inside_a_check_is_contract_failure(monkeypatch, capsys):
+    # Only an unknown check name is a usage error; a check that raises
+    # (say, a non-finite error norm) broke a numerical contract.
+    from helmhdg import verify
+
+    def broken():
+        raise ValueError("e_u must be finite and nonnegative, got nan")
+
+    monkeypatch.setitem(verify.CHECKS, "oracle", broken)
+    assert main(["verify", "--only", "oracle"]) == 1
+    assert "contract failure" in capsys.readouterr().err
 
 
 def test_full_verify_suite_passes_quickly(capsys):

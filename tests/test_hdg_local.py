@@ -5,9 +5,9 @@ import pytest
 
 from helmhdg.analytic import l2_project
 from helmhdg.hdg_local import (
+    CondensedOperators,
     ProblemConfig,
     assemble_local_blocks,
-    condense_element,
     flux_functional,
     local_residual,
     local_solve,
@@ -159,21 +159,24 @@ def test_constant_trace_residual_and_interior():
 def test_condensed_shapes(p):
     mesh, cfg = _config(p=p)
     blocks = assemble_local_blocks(mesh_entities(mesh, 0), cfg)
-    ce = condense_element(blocks)
+    ops = CondensedOperators(blocks)
     size = 3 * (p + 1)
-    assert ce.K.shape == (size, size)
-    assert ce.F.shape == (size,)
-    assert ce.recon_lam.shape == (3 * blocks.n_scalar, size)
+    assert ops.K.shape == (size, size)
+    assert ops.load_to_flux.shape == (size, blocks.n_scalar)
+    assert ops.recon_lam.shape == (3 * blocks.n_scalar, size)
+    assert ops.inv_load.shape == (3 * blocks.n_scalar, blocks.n_scalar)
     if p == 1:
-        assert ce.K.shape == (6, 6)
+        assert ops.K.shape == (6, 6)
 
 
 def test_condensed_zero_inputs():
     mesh, cfg = _config()
     blocks = assemble_local_blocks(mesh_entities(mesh, 2), cfg)
-    ce = condense_element(blocks)
-    assert np.abs(ce.recon_lam @ np.zeros(blocks.n_trace) + ce.recon_f).max() <= 1e-14
-    assert np.abs(ce.F).max() <= 1e-14
+    ops = CondensedOperators(blocks)
+    zero_load = np.zeros(blocks.n_scalar, dtype=complex)
+    recon_f = ops.inv_load @ zero_load
+    assert np.abs(ops.recon_lam @ np.zeros(blocks.n_trace) + recon_f).max() <= 1e-14
+    assert np.abs(ops.load_to_flux @ zero_load).max() <= 1e-14
 
 
 def test_condensation_matches_direct_flux():
@@ -181,12 +184,13 @@ def test_condensation_matches_direct_flux():
     blocks = assemble_local_blocks(mesh_entities(mesh, 4), cfg)
     rng = np.random.default_rng(31)
     load = rng.standard_normal(blocks.n_scalar) + 1j * rng.standard_normal(blocks.n_scalar)
-    ce = condense_element(blocks, load)
+    ops = CondensedOperators(blocks)
+    F = ops.load_to_flux @ load
     for _ in range(10):
         lam = rng.standard_normal(blocks.n_trace) + 1j * rng.standard_normal(blocks.n_trace)
         Q, U = local_solve(blocks, lam, load)
         direct = flux_functional(blocks, Q, U, lam)
-        condensed = ce.K @ lam - ce.F
+        condensed = ops.K @ lam - F
         assert np.abs(direct - condensed).max() <= 1e-10 * np.abs(direct).max()
 
 
@@ -195,12 +199,12 @@ def test_condensation_is_schur_complement():
     # [[L, P], [W, -tau I]]; eliminating (Q, U) must reproduce K.
     mesh, cfg = _config(kappa=20.0, p=1)
     blocks = assemble_local_blocks(mesh_entities(mesh, 3), cfg)
-    ce = condense_element(blocks)
+    ops = CondensedOperators(blocks)
     L = blocks.system_matrix()
     P = np.concatenate([blocks.C, -blocks.R], axis=0).astype(complex)
     W = np.concatenate([blocks.C.T, blocks.R.T], axis=1).astype(complex)
     schur = -blocks.tau * np.eye(blocks.n_trace) - W @ np.linalg.solve(L, P)
-    assert np.abs(schur - ce.K).max() <= 1e-12 * np.abs(ce.K).max()
+    assert np.abs(schur - ops.K).max() <= 1e-12 * np.abs(ops.K).max()
 
 
 def test_condensation_exact_on_every_element_n2():
@@ -210,11 +214,12 @@ def test_condensation_exact_on_every_element_n2():
     for elem in range(mesh.n_elements):
         blocks = assemble_local_blocks(mesh_entities(mesh, elem), cfg)
         load = rng.standard_normal(blocks.n_scalar) + 1j * rng.standard_normal(blocks.n_scalar)
-        ce = condense_element(blocks, load)
+        ops = CondensedOperators(blocks)
         lam = rng.standard_normal(blocks.n_trace) + 1j * rng.standard_normal(blocks.n_trace)
         Q, U = local_solve(blocks, lam, load)
         direct = flux_functional(blocks, Q, U, lam)
-        assert np.abs(direct - (ce.K @ lam - ce.F)).max() <= 1e-10 * np.abs(direct).max()
+        condensed = ops.K @ lam - ops.load_to_flux @ load
+        assert np.abs(direct - condensed).max() <= 1e-10 * np.abs(direct).max()
 
 
 @pytest.mark.parametrize("kappa", [1.0, 20.0, 100.0])

@@ -88,11 +88,14 @@ def test_out_of_range_element_rejected():
         mesh_entities(mesh, -1)
 
 
+@pytest.mark.filterwarnings("error")
 def test_degenerate_element_rejected():
     with pytest.raises(ValueError):
         ElementGeometry.from_vertices([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ValueError):  # negatively oriented
         ElementGeometry.from_vertices([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError):  # repeated vertex: a zero-length face, no warning
+        ElementGeometry.from_vertices([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -170,6 +173,25 @@ def test_nested_dissection_is_a_repeatable_permutation(make):
     order = nested_dissection_edges(mesh)
     assert np.array_equal(np.sort(order), np.arange(mesh.n_edges))
     assert np.array_equal(order, nested_dissection_edges(make()))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_structured_mesh(1),
+    lambda: build_structured_mesh(8),
+    _perturbed_mesh,
+    _fan_strip_mesh,
+], ids=["n1", "n8", "perturbed", "fan-strip"])
+def test_stored_geometry_matches_element_geometry(make):
+    # The batched arrays on the mesh and the one-element path must agree
+    # bit for bit: the solve reads the former, the oracle the latter.
+    mesh = make()
+    for elem in range(mesh.n_elements):
+        geom = mesh_entities(mesh, elem)
+        assert np.array_equal(mesh.jacobians[elem], geom.jacobian)
+        assert np.array_equal(mesh.dets[elem], geom.det)
+        assert np.array_equal(mesh.face_lengths[elem], geom.face_lengths)
+        assert np.array_equal(mesh.normals[elem], geom.normals)
+    assert mesh.h_global == (math.sqrt(2.0) / mesh.n if mesh.n else mesh.face_lengths.max())
 
 
 def test_nested_dissection_ends_with_the_middle_grid_line():

@@ -7,10 +7,8 @@ from helmhdg.mesh import ElementGeometry
 from helmhdg.polybasis import (
     EdgeBasis,
     TriangleBasis,
-    edge_basis_eval,
     quadrature_rule,
     reference_face_points,
-    triangle_basis_eval,
 )
 
 # Brute-force sup of ||v||_dT sqrt(h)/(p ||v||_T) over the coefficient
@@ -27,7 +25,7 @@ def _interior_points(rng, count, margin=0.01):
 
 @pytest.mark.parametrize("p,dim", [(1, 3), (2, 6), (3, 10)])
 def test_triangle_dimension(p, dim):
-    vals, grads = triangle_basis_eval(p, np.array([[0.25, 0.25]]))
+    vals, grads = TriangleBasis(p).eval_with_grad(np.array([[0.25, 0.25]]))
     assert vals.shape == (1, dim)
     assert grads.shape == (1, dim, 2)
 
@@ -78,7 +76,7 @@ def test_gradients_match_finite_differences(p):
 
 @pytest.mark.parametrize("p,dim", [(1, 2), (2, 3), (3, 4)])
 def test_edge_dimension(p, dim):
-    assert edge_basis_eval(p, np.array([0.5])).shape == (1, dim)
+    assert EdgeBasis(p).eval(np.array([0.5])).shape == (1, dim)
 
 
 @pytest.mark.parametrize("p", [1, 4, 10])

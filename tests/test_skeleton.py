@@ -43,13 +43,6 @@ def test_dof_map_partitions_and_round_trips():
         assert dm.n_dofs == m * mesh.n_edges
         first = dm.elem_dofs.reshape(mesh.n_elements, 3, m)[:, :, 0]
         assert np.array_equal(first, m * mesh.elem_edges)
-        rng = np.random.default_rng(p)
-        values = rng.standard_normal(dm.n_dofs) + 1j * rng.standard_normal(dm.n_dofs)
-        for elem in range(mesh.n_elements):
-            gathered = dm.gather(values, elem)
-            scattered = np.zeros_like(values)
-            scattered[dm.elem_dofs[elem]] = gathered
-            assert np.array_equal(scattered[dm.elem_dofs[elem]], gathered)
         # every dof is owned by exactly one edge slot
         assert set(dm.elem_dofs.ravel()) <= set(range(dm.n_dofs))
 
@@ -190,7 +183,7 @@ def test_reconstruction_satisfies_local_equations():
         blocks = assemble_local_blocks(mesh_entities(mesh, elem), cfg)
         load = volume_load(mesh_entities(mesh, elem), cfg, data.f)
         resid = local_residual(
-            blocks, solution.Q[elem], solution.U[elem], dm.gather(solution.uhat, elem), load
+            blocks, solution.Q[elem], solution.U[elem], solution.uhat[dm.elem_dofs[elem]], load
         )
         assert resid <= 1e-9
 
@@ -208,7 +201,7 @@ def test_flux_continuity_across_interior_edges():
     fluxes = []
     for elem in range(mesh.n_elements):
         blocks = assemble_local_blocks(mesh_entities(mesh, elem), cfg)
-        lam = dm.gather(solution.uhat, elem)
+        lam = solution.uhat[dm.elem_dofs[elem]]
         fluxes.append(flux_functional(blocks, solution.Q[elem], solution.U[elem], lam))
     scale = max(np.abs(np.concatenate(fluxes)).max(), 1e-300)
 
