@@ -42,6 +42,7 @@ from .polybasis import (
 from .skeleton import (
     Discretization,
     DofMap,
+    SkeletonSolution,
     SkeletonSystem,
     Solution,
     build_dof_map,
@@ -79,6 +80,7 @@ __all__ = [
     "quadrature_rule",
     "Discretization",
     "DofMap",
+    "SkeletonSolution",
     "SkeletonSystem",
     "Solution",
     "build_dof_map",

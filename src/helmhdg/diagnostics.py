@@ -237,7 +237,7 @@ def energy_balance(solution: Solution, disc: Discretization) -> EnergyBalance:
                 (np.abs(uh - lam) ** 2 @ face_rule.weights).sum()
             )
 
-    bd_dofs = (m * np.flatnonzero(mesh.boundary_flags)[:, None] + np.arange(m)).ravel()
+    bd_dofs = disc.dof_map.edge_dofs(np.flatnonzero(mesh.boundary_flags)).ravel()
     uhat_bd_sq = float(np.sum(np.abs(solution.uhat[bd_dofs]) ** 2))
 
     rhs = complex(

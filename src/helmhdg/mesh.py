@@ -96,6 +96,14 @@ class Mesh:
         if np.any(self.dets <= 0):
             raise ValueError("negatively oriented or degenerate triangle")
         xmin, ymin, xmax, ymax = DOMAIN_BOUNDS
+        inside = (self.vertices >= [xmin - 1e-12, ymin - 1e-12]) & (
+            self.vertices <= [xmax + 1e-12, ymax + 1e-12])
+        if not np.all(inside):
+            vertex = int(np.flatnonzero(~inside.all(axis=1))[0])
+            raise ValueError(
+                f"vertex {vertex} at {tuple(self.vertices[vertex].tolist())} lies outside "
+                f"the domain {DOMAIN_BOUNDS}"
+            )
         domain_area = (xmax - xmin) * (ymax - ymin)
         area = 0.5 * self.dets.sum()
         if abs(area - domain_area) > 1e-12 * domain_area:

@@ -36,8 +36,23 @@ in symmetric mode, preferring diagonal pivots (threshold 0.1): the
 skeleton matrix is structurally symmetric, so diagonal pivots keep the
 elimination tree and fill of the symmetric ordering.  On the pollution
 meshes this stores 15 % fewer factor entries than minimum degree on
-A + A^T, with the same residual contract.  The assembly writes P A P^T
-directly, so the factorization holds no second copy of the matrix.
+A + A^T.  The assembly writes P A P^T directly, in complex128.
+
+The factor is computed in complex64, which halves its bytes, from a
+temporary complex64 copy of P A P^T that is released once SuperLU has
+factored it.  The complex128 accuracy is recovered by iterative
+refinement (Higham, *Accuracy and Stability of Numerical Algorithms*,
+ch. 12): starting from x = 0, each step takes the residual
+r = P b - P A P^T x in complex128, solves with the complex64 factor for
+r / ||r|| (scaled so that complex64 cannot underflow) and adds the
+correction times ||r|| to x.  Refinement stops when the relative residual
+is at most `REFINE_TOL`, when a step fails to halve it (a step that does
+not lower it is discarded), or after `MAX_REFINE_STEPS` solves.  If the
+residual then still exceeds the `RESIDUAL_TOL` contract, which happens
+when A is too ill-conditioned for complex64, P A P^T is factored once
+more in complex128 and refined the same way; if that misses the contract
+too, the solve fails and names the residual.  The residual of the last
+step is the one `SolveInfo` reports, so no extra product is spent on it.
 
 A monolithic solver assembles the uncondensed coupled equations directly
 and serves as an independent oracle for the condensed pipeline; it keeps
@@ -51,6 +66,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -81,6 +97,12 @@ MONOLITHIC_GUARD = 200_000
 #: Relative residual contract of the direct solvers.
 RESIDUAL_TOL = 1e-10
 
+#: Relative residual at which iterative refinement of the skeleton stops.
+REFINE_TOL = 1e-12
+
+#: Most solves with one skeleton factor during refinement.
+MAX_REFINE_STEPS = 10
+
 SourceFn = Callable[[np.ndarray], np.ndarray]
 BoundaryFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -89,15 +111,27 @@ BoundaryFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class DofMap:
     """Indexing of skeleton unknowns: p + 1 consecutive dofs per edge."""
 
-    n_dofs: int
     dofs_per_edge: int
-    elem_dofs: np.ndarray  # (F, 3(p+1)) gather indices, face-major
+    n_edges: int
+    elem_edges: np.ndarray  # (F, 3) global edge id of each local face
+
+    @property
+    def n_dofs(self) -> int:
+        return self.dofs_per_edge * self.n_edges
+
+    def edge_dofs(self, edges: np.ndarray) -> np.ndarray:
+        """Dofs of each given edge, shape edges.shape + (p + 1,)."""
+        m = self.dofs_per_edge
+        return m * np.asarray(edges)[..., None] + np.arange(m)
+
+    @cached_property
+    def elem_dofs(self) -> np.ndarray:
+        """(F, 3(p+1)) gather indices of each element, face-major."""
+        return self.edge_dofs(self.elem_edges).reshape(len(self.elem_edges), -1)
 
 
 def build_dof_map(mesh: Mesh, p: int) -> DofMap:
-    m = p + 1
-    elem_dofs = (m * mesh.elem_edges[:, :, None] + np.arange(m)).reshape(mesh.n_elements, 3 * m)
-    return DofMap(n_dofs=m * mesh.n_edges, dofs_per_edge=m, elem_dofs=elem_dofs)
+    return DofMap(dofs_per_edge=p + 1, n_edges=mesh.n_edges, elem_edges=mesh.elem_edges)
 
 
 @dataclass(frozen=True)
@@ -161,6 +195,9 @@ class SolveInfo:
     n_skeleton_dofs: int
     residual: float
     max_local_cond: float
+    refine_steps: int
+    refactored: bool
+    lu_nnz: int
 
 
 def _group_elements(mesh: Mesh) -> list[tuple[np.ndarray, int]]:
@@ -219,10 +256,9 @@ class Discretization:
     def assemble(self) -> SkeletonSystem:
         """The condensed global system a_h(uhat, mu) = b_h(mu), stored as
         P A P^T in the nested-dissection order."""
-        m = self.dof_map.dofs_per_edge
-        width = 3 * m
+        width = 3 * self.dof_map.dofs_per_edge
         n_dofs = self.dof_map.n_dofs
-        perm = (m * nested_dissection_edges(self.mesh)[:, None] + np.arange(m)).ravel()
+        perm = self.dof_map.edge_dofs(nested_dissection_edges(self.mesh)).ravel()
         position = np.argsort(perm)  # row of each dof in P A P^T
         rows, cols, vals = [], [], []
         rhs = np.zeros(n_dofs, dtype=complex)
@@ -236,7 +272,7 @@ class Discretization:
             np.add.at(rhs, gidx.ravel(), -f_flux.ravel())
 
         bd_edges = np.flatnonzero(self.mesh.boundary_flags)
-        bd_dofs = position[(m * bd_edges[:, None] + np.arange(m)).ravel()]
+        bd_dofs = position[self.dof_map.edge_dofs(bd_edges).ravel()]
         rows.append(bd_dofs)
         cols.append(bd_dofs)
         vals.append(np.ones(bd_dofs.size, dtype=complex))
@@ -337,27 +373,72 @@ def _boundary_batches(mesh: Mesh, degree: Callable[[float], int]):
         yield edges[sel], rule, lengths[sel], pts.reshape(-1, 2), nrm
 
 
-def solve_skeleton(system: SkeletonSystem) -> np.ndarray:
-    """Solve the skeleton system by sparse LU of P A P^T in the system's
-    nested-dissection order; enforces the residual contract."""
+@dataclass(frozen=True)
+class SkeletonSolution:
+    """Traces from `solve_skeleton` and how they were reached."""
+
+    uhat: np.ndarray  # (n_dofs,) complex128, global dof numbering
+    residual: float  # relative residual ||A uhat - rhs|| / ||rhs||
+    refine_steps: int  # solves with the factor that produced uhat
+    refactored: bool  # complex64 refinement missed the contract
+    lu_nnz: int  # stored entries of that factor
+
+
+def solve_skeleton(system: SkeletonSystem) -> SkeletonSolution:
+    """Solve the skeleton system by a complex64 LU of P A P^T in the
+    system's nested-dissection order and complex128 iterative refinement;
+    refactors once in complex128 if the residual contract is missed."""
+    rhs = system.rhs[system.perm]
+    for dtype in (np.complex64, np.complex128):
+        x, resid, steps, lu_nnz = _factor_and_refine(system.permuted, rhs, dtype)
+        if resid <= RESIDUAL_TOL:
+            break
+        logger.info("%s refinement stopped at residual %.2e after %d steps",
+                    np.dtype(dtype).name, resid, steps)
+    else:
+        raise RuntimeError(f"skeleton solve residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
+    uhat = np.empty(rhs.shape, dtype=complex)
+    uhat[system.perm] = x
+    return SkeletonSolution(
+        uhat=uhat, residual=resid, refine_steps=steps,
+        refactored=dtype is np.complex128, lu_nnz=lu_nnz,
+    )
+
+
+def _factor_and_refine(
+    matrix: sp.csc_matrix, rhs: np.ndarray, dtype: type
+) -> tuple[np.ndarray, float, int, int]:
+    """Factor `matrix` in `dtype` and refine x from 0 against `matrix` in
+    complex128.  Returns x, its relative residual, the number of solves
+    and the stored entries of the factor; the factor and the cast copy of
+    the matrix are released on return."""
     lu = spla.splu(
-        system.permuted, permc_spec="NATURAL", diag_pivot_thresh=0.1,
+        matrix.astype(dtype, copy=False), permc_spec="NATURAL", diag_pivot_thresh=0.1,
         options=dict(SymmetricMode=True),
     )
-    uhat = np.empty(system.rhs.shape, dtype=complex)
-    uhat[system.perm] = lu.solve(system.rhs[system.perm])
-    resid = skeleton_residual(system, uhat)
-    if resid > RESIDUAL_TOL:
-        raise RuntimeError(f"skeleton solve residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    return uhat
+    rhs_norm = float(np.linalg.norm(rhs))
+    x = np.zeros_like(rhs)
+    r, resid, steps = rhs, (1.0 if rhs_norm > 0.0 else 0.0), 0
+    while resid > REFINE_TOL and steps < MAX_REFINE_STEPS:
+        scale = float(np.linalg.norm(r))
+        trial = x + scale * lu.solve((r / scale).astype(dtype, copy=False))
+        trial_r = rhs - matrix @ trial
+        trial_resid = float(np.linalg.norm(trial_r)) / rhs_norm
+        steps += 1
+        halved = trial_resid <= 0.5 * resid
+        if trial_resid < resid:
+            x, r, resid = trial, trial_r, trial_resid
+        if not halved:
+            break
+    return x, resid, steps, lu.nnz
 
 
 def skeleton_residual(system: SkeletonSystem, uhat: np.ndarray) -> float:
     """Relative residual ||A uhat - rhs|| / ||rhs|| of a candidate trace
     solution, evaluated as ||P A P^T (P uhat) - P rhs||."""
-    perm = system.perm
-    rhs_norm = float(np.linalg.norm(system.rhs))
-    err = float(np.linalg.norm(system.permuted @ uhat[perm] - system.rhs[perm]))
+    rhs = system.rhs[system.perm]
+    rhs_norm = float(np.linalg.norm(rhs))
+    err = float(np.linalg.norm(system.permuted @ uhat[system.perm] - rhs))
     if rhs_norm == 0.0:
         return 0.0 if err == 0.0 else float("inf")
     return err / rhs_norm
@@ -368,18 +449,22 @@ def solve_helmholtz(disc: Discretization) -> tuple[Solution, SolveInfo]:
     traces, reconstruct."""
     start = time.perf_counter()
     system = disc.assemble()
-    uhat = solve_skeleton(system)
-    solution = disc.reconstruct(uhat)
+    traces = solve_skeleton(system)
+    solution = disc.reconstruct(traces.uhat)
     info = SolveInfo(
         seconds=time.perf_counter() - start,
         n_skeleton_dofs=disc.dof_map.n_dofs,
-        residual=skeleton_residual(system, uhat),
+        residual=traces.residual,
         max_local_cond=disc.max_local_cond,
+        refine_steps=traces.refine_steps,
+        refactored=traces.refactored,
+        lu_nnz=traces.lu_nnz,
     )
     logger.info(
-        "solve kappa=%g p=%d h=%g: %d skeleton dofs, residual %.2e, "
-        "max local condition number %.3e, %.2f s",
-        disc.cfg.kappa, disc.cfg.p, disc.mesh.h_global, info.n_skeleton_dofs, info.residual,
+        "solve kappa=%g p=%d h=%g: %d skeleton dofs, %d LU entries, residual %.2e "
+        "after %d refinement steps%s, max local condition number %.3e, %.2f s",
+        disc.cfg.kappa, disc.cfg.p, disc.mesh.h_global, info.n_skeleton_dofs, info.lu_nnz,
+        info.residual, info.refine_steps, " (refactored in complex128)" if info.refactored else "",
         info.max_local_cond, info.seconds,
     )
     return solution, info
@@ -457,7 +542,9 @@ def monolithic_solve(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn)
         add(ilam, iu, -blocks.R.T)
         add(ilam, ilam, blocks.tau * np.eye(3 * (cfg.p + 1)))
 
-    # ... plus the boundary mass <uhat, mu> on the impedance boundary.
+    # ... plus the boundary mass <uhat, mu> on the impedance boundary,
+    # with the dof layout written out here so the oracle shares no
+    # indexing with the condensed assembly.
     m = cfg.p + 1
     bd_edges = np.flatnonzero(mesh.boundary_flags)
     bd_dofs = n_interior + (m * bd_edges[:, None] + np.arange(m)).ravel()

@@ -151,14 +151,31 @@ def _perturbed_mesh():
 
 
 def _fan_strip_mesh():
-    # A 4 x 0.25 strip (unit area): 8 triangles fan from the left side to
-    # the lower-right corner, one spans the right side.  Eight of nine
-    # centroids share x = -2/3, whose nearest vertex coordinate is x = -2,
-    # so the vertex cut leaves the left side empty.
-    left = np.column_stack([np.full(9, -2.0), np.linspace(-0.125, 0.125, 9)])
-    vertices = np.vstack([left, [[2.0, -0.125], [2.0, 0.125]]])
-    triangles = np.array([[i, 9, i + 1] for i in range(8)] + [[8, 9, 10]])
+    # Eight slivers fan from the left side to M = (-0.45, 0); six triangles
+    # fan around P = (0.4, 0) over the rest of the square.  The centroids
+    # spread more in x than in y, and the median centroid x (-0.483, a
+    # sliver's) is nearer the vertex coordinate x = -0.5 than x = -0.45,
+    # so the root's vertex cut leaves its left side empty and the
+    # median-rank fallback splits it.
+    left = np.column_stack([np.full(9, -0.5), np.linspace(-0.5, 0.5, 9)])
+    vertices = np.vstack([left, [[-0.45, 0.0], [0.4, 0.0], [0.5, -0.5], [0.5, 0.0], [0.5, 0.5]]])
+    m, p, r0, r1, r2 = range(9, 14)
+    triangles = np.array(
+        [[i, m, i + 1] for i in range(8)]
+        + [[p, 0, r0], [p, r0, r1], [p, r1, r2], [p, r2, 8], [p, 8, m], [p, m, 0]]
+    )
     return _finish_mesh(vertices, triangles, n=None)
+
+
+def test_validate_rejects_vertices_outside_the_domain():
+    # A unit-area mesh shifted off the centered unit square passes every
+    # other check.
+    base = build_structured_mesh(2)
+    with pytest.raises(ValueError, match="outside the domain"):
+        _finish_mesh(base.vertices + [0.5, 0.0], base.triangles.copy(), n=None)
+    nudged = base.vertices.copy()
+    nudged[nudged[:, 0] == 0.5, 0] += 5e-13  # within the slack
+    _finish_mesh(nudged, base.triangles.copy(), n=None)
 
 
 @pytest.mark.parametrize("make", [

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -12,9 +14,11 @@ from helmhdg.hdg_local import (
 )
 from helmhdg.mesh import _finish_mesh, build_structured_mesh, mesh_entities
 from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule
+import helmhdg.skeleton as skeleton
 from helmhdg.skeleton import (
     Solution,
     MONOLITHIC_GUARD,
+    RESIDUAL_TOL,
     boundary_loads,
     build_dof_map,
     discretize,
@@ -65,9 +69,10 @@ def test_zero_data_zero_solution():
     disc = discretize(mesh, cfg, zero_f, zero_g)
     system = disc.assemble()
     assert np.abs(system.rhs).max() == 0.0
-    uhat = solve_skeleton(system)
-    assert np.abs(uhat).max() == 0.0
-    solution = disc.reconstruct(uhat)
+    traces = solve_skeleton(system)
+    assert np.abs(traces.uhat).max() == 0.0
+    assert (traces.residual, traces.refine_steps) == (0.0, 0)
+    solution = disc.reconstruct(traces.uhat)
     assert solution.coefficient_norm() == 0.0
 
 
@@ -154,8 +159,10 @@ def test_solve_residual_contract():
     cfg = ProblemConfig.for_mesh(20.0, 2, mesh)
     _, data = benchmark_problem(20.0)
     system = discretize(mesh, cfg, data.f, data.g).assemble()
-    uhat = solve_skeleton(system)
-    assert skeleton_residual(system, uhat) <= 1e-10
+    traces = solve_skeleton(system)
+    assert skeleton_residual(system, traces.uhat) <= 1e-10
+    # The reported residual is the one the refinement measured last.
+    assert traces.residual == skeleton_residual(system, traces.uhat)
 
 
 def test_deterministic_bitwise_repeat():
@@ -222,8 +229,7 @@ def test_standalone_functions_match_pipeline():
     _, data = benchmark_problem(20.0)
     pipeline, _ = solve_helmholtz(discretize(mesh, cfg, data.f, data.g))
     disc = discretize(mesh, cfg, data.f, data.g)
-    uhat = solve_skeleton(disc.assemble())
-    standalone = disc.reconstruct(uhat)
+    standalone = disc.reconstruct(solve_skeleton(disc.assemble()).uhat)
     assert np.array_equal(standalone.uhat, pipeline.uhat)
     assert np.array_equal(standalone.Q, pipeline.Q)
     assert np.array_equal(standalone.U, pipeline.U)
@@ -447,3 +453,54 @@ def test_nested_dissection_factor_is_smaller_than_minimum_degree(monkeypatch):
     solve_skeleton(system)
     (nnz,) = factored
     assert nnz <= 0.9 * splu(system.matrix, permc_spec="MMD_AT_PLUS_A").nnz
+
+
+def _record_factored_matrices(monkeypatch):
+    # Weak references, so that recording keeps no factored matrix alive.
+    matrices = []
+    splu = spla.splu
+
+    def recording_splu(matrix, *args, **kwargs):
+        matrices.append((matrix.dtype, weakref.ref(matrix)))
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    return matrices
+
+
+def _pollution_n22():
+    mesh = build_structured_mesh(22)
+    cfg = ProblemConfig.for_mesh(20.0, 2, mesh)
+    _, data = benchmark_problem(20.0)
+    return discretize(mesh, cfg, data.f, data.g)
+
+
+def test_skeleton_is_factored_in_complex64_and_refined(monkeypatch):
+    matrices = _record_factored_matrices(monkeypatch)
+    _, info = solve_helmholtz(_pollution_n22())
+    ((dtype, matrix),) = matrices
+    assert dtype == np.complex64
+    assert matrix() is None  # the complex64 copy is released after the solve
+    assert not info.refactored
+    assert 1 <= info.refine_steps <= 4
+    assert info.residual <= RESIDUAL_TOL
+    assert info.lu_nnz > 0
+
+
+def test_stalled_refinement_refactors_in_complex128(monkeypatch):
+    # One complex64 solve leaves a residual near 1e-4, far above the
+    # contract, so the solve must fall back to a complex128 factor.
+    monkeypatch.setattr(skeleton, "MAX_REFINE_STEPS", 1)
+    matrices = _record_factored_matrices(monkeypatch)
+    _, info = solve_helmholtz(_pollution_n22())
+    assert [dtype for dtype, _ in matrices] == [np.complex64, np.complex128]
+    assert info.refactored and info.refine_steps == 1
+    assert info.residual <= RESIDUAL_TOL
+
+
+def test_failed_fallback_names_the_residual(monkeypatch):
+    # With no refinement step allowed both factors leave x = 0, whose
+    # relative residual is 1.
+    monkeypatch.setattr(skeleton, "MAX_REFINE_STEPS", 0)
+    with pytest.raises(RuntimeError, match=r"skeleton solve residual 1\.000e\+00 exceeds 1\.0e-10"):
+        solve_helmholtz(_pollution_n22())
