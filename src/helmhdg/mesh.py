@@ -148,18 +148,12 @@ def build_structured_mesh(n: int) -> Mesh:
     xx, yy = np.meshgrid(coords, coords)  # row j = y index, col i = x index
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i: int, j: int) -> int:
-        return j * (n + 1) + i
-
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    k = 0
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            triangles[k] = (a, b, c)
-            triangles[k + 1] = (a, c, d)
-            k += 2
+    # Square (i, j) has lower-left vertex j * (n + 1) + i; squares and
+    # their two triangles run x-fastest.
+    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    a = j * (n + 1) + i
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(2 * n * n, 3)
 
     return _finish_mesh(vertices, triangles, n=n)
 
@@ -172,8 +166,10 @@ def _finish_mesh(vertices: np.ndarray, triangles: np.ndarray, n: int | None) -> 
     lo = np.minimum(face_from, face_to)
     hi = np.maximum(face_from, face_to)
 
-    pairs = np.column_stack([lo.ravel(), hi.ravel()])
-    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    # Sorting the keys lo * V + hi sorts the pairs (lo, hi) lexicographically.
+    n_vertices = vertices.shape[0]
+    keys, inverse = np.unique((lo * n_vertices + hi).ravel(), return_inverse=True)
+    edges = np.column_stack([keys // n_vertices, keys % n_vertices])
     n_edges = edges.shape[0]
     elem_edges = inverse.reshape(f, 3).astype(np.int64)
     elem_edge_orient = np.where(face_from == lo, 1, -1).astype(np.int64)
@@ -238,15 +234,11 @@ class ElementGeometry:
     inv_jt: np.ndarray  # inverse transpose of the Jacobian
     normals: np.ndarray  # (3, 2) outward unit normals per local face
     face_lengths: np.ndarray  # (3,)
-    edge_ids: np.ndarray  # (3,) global edge ids, -1 if standalone
     edge_orient: np.ndarray  # (3,) +1/-1 vs global edge direction
 
     @classmethod
     def from_vertices(
-        cls,
-        verts: np.ndarray,
-        edge_ids: np.ndarray | None = None,
-        edge_orient: np.ndarray | None = None,
+        cls, verts: np.ndarray, edge_orient: np.ndarray | None = None
     ) -> "ElementGeometry":
         verts = np.asarray(verts, dtype=float).reshape(3, 2)
         jac, det, lengths, normals = (a[0] for a in _element_geometry(verts[None]))
@@ -262,7 +254,6 @@ class ElementGeometry:
             inv_jt=np.linalg.inv(jac).T,
             normals=normals,
             face_lengths=lengths,
-            edge_ids=np.full(3, -1, dtype=np.int64) if edge_ids is None else np.asarray(edge_ids),
             edge_orient=np.ones(3, dtype=np.int64) if edge_orient is None else np.asarray(edge_orient),
         )
 
@@ -277,9 +268,7 @@ def mesh_entities(mesh: Mesh, elem: int) -> ElementGeometry:
     if not (0 <= elem < mesh.n_elements):
         raise IndexError(f"element index {elem} out of range [0, {mesh.n_elements})")
     return ElementGeometry.from_vertices(
-        mesh.vertices[mesh.triangles[elem]],
-        edge_ids=mesh.elem_edges[elem],
-        edge_orient=mesh.elem_edge_orient[elem],
+        mesh.vertices[mesh.triangles[elem]], edge_orient=mesh.elem_edge_orient[elem]
     )
 
 

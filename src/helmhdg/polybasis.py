@@ -164,8 +164,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
-    domain: str
 
     @property
     def n_points(self) -> int:
@@ -184,7 +182,7 @@ def quadrature_rule(domain: str, degree: int) -> QuadratureRule:
     npts = max(1, (degree + 2) // 2)
     if domain == "edge":
         a, w = leggauss(npts)
-        return QuadratureRule(0.5 * (a + 1.0), 0.5 * w, degree, "edge")
+        return QuadratureRule(0.5 * (a + 1.0), 0.5 * w)
     if domain == "triangle":
         a, wa = leggauss(npts)
         b, wb = roots_jacobi(npts, 1.0, 0.0)
@@ -192,7 +190,7 @@ def quadrature_rule(domain: str, degree: int) -> QuadratureRule:
         y = np.broadcast_to(0.5 * (1.0 + b), (npts, npts))
         w = 0.125 * np.outer(wa, wb)
         pts = np.column_stack([x.ravel(), y.ravel()])
-        return QuadratureRule(pts, w.ravel(), degree, "triangle")
+        return QuadratureRule(pts, w.ravel())
     raise ValueError(f"unknown quadrature domain {domain!r}")
 
 

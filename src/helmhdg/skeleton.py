@@ -15,14 +15,15 @@ are known, interior coefficients are recovered element by element.
 (mesh, config, data): the dof map, and per congruence class of elements
 (equal Jacobian and face-orientation pattern) the member ids, the
 representative geometry, the condensed operators, the data rule with its
-basis values and the source moments; plus the boundary data moments.
-Uniform meshes contain only a handful of classes, so condensation runs
-once per class and is applied to all members in batch; this is exact for
-translated elements.  `solve_helmholtz`, `sample_solution` and the
-diagnostics read that one `Discretization`, so the data are evaluated
-once and the energy identity pairs the solution with the very loads the
-solve used.  The discretization holds no sparse matrix, factor or
-per-point array, so it adds nothing to the peak memory of the LU.
+basis values, the source moments and ||f||^2; plus the boundary data
+moments and ||g||^2, taken from the same values of g.  Uniform meshes
+contain only a handful of classes, so condensation runs once per class
+and is applied to all members in batch; this is exact for translated
+elements.  `solve_helmholtz`, `sample_solution` and the diagnostics read
+that one `Discretization`, so the data are evaluated once and the energy
+identity pairs the solution with the very loads the solve used.  The
+discretization holds no callable, sparse matrix, factor or per-point
+array, so it adds nothing to the peak memory of the LU.
 Assembly order is deterministic (ascending element index with duplicate
 summation), so repeated runs are bit-identical.
 
@@ -232,6 +233,16 @@ class ElementClass:
         """Physical data-rule points of every member, shape (nE, nq, 2)."""
         return _data_points(mesh, self.ids, self.geom, self.rule)
 
+    def fields(self, solution: Solution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """u_h, q_1 and q_2 at the members' data points, each (nE, nq)."""
+        n = self.phi.shape[1]
+        scale = 1.0 / math.sqrt(self.geom.det)
+        return (
+            scale * (solution.U[self.ids] @ self.phi.T),
+            scale * (solution.Q[self.ids, :n] @ self.phi.T),
+            scale * (solution.Q[self.ids, n:] @ self.phi.T),
+        )
+
 
 def _data_points(
     mesh: Mesh, ids: np.ndarray, geom: ElementGeometry, rule: QuadratureRule
@@ -249,8 +260,8 @@ class Discretization:
     cfg: ProblemConfig
     dof_map: DofMap
     classes: tuple[ElementClass, ...]
-    g: BoundaryFn  # kept for the boundary data norm
     g_moments: np.ndarray  # (n_dofs,) boundary data moments <g, mu>
+    g_sq: float  # ||g||^2 over the boundary
     max_local_cond: float
 
     def assemble(self) -> SkeletonSystem:
@@ -301,7 +312,8 @@ class Discretization:
 
 def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Discretization:
     """Condense each congruence class once, evaluate f once per class and
-    g once per boundary quadrature degree."""
+    g once per boundary quadrature degree; the data norms come from the
+    same values."""
     basis = TriangleBasis(cfg.p)
     classes = []
     for ids, rep in _group_elements(mesh):
@@ -320,13 +332,14 @@ def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Di
             "element class of %d (rep %d): local condition number %.3e",
             len(ids), rep, ops.cond,
         )
+    g_moments, g_sq = boundary_loads(mesh, cfg, g)
     disc = Discretization(
         mesh=mesh,
         cfg=cfg,
         dof_map=build_dof_map(mesh, cfg.p),
         classes=tuple(classes),
-        g=g,
-        g_moments=boundary_loads(mesh, cfg, g),
+        g_moments=g_moments,
+        g_sq=g_sq,
         max_local_cond=max(cls.ops.cond for cls in classes),
     )
     logger.debug(
@@ -337,40 +350,36 @@ def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Di
     return disc
 
 
-def boundary_loads(mesh: Mesh, cfg: ProblemConfig, g: BoundaryFn) -> np.ndarray:
-    """Boundary data moments <g, mu> as a skeleton-sized vector."""
+def boundary_loads(mesh: Mesh, cfg: ProblemConfig, g: BoundaryFn) -> tuple[np.ndarray, float]:
+    """Boundary data moments <g, mu> as a skeleton-sized vector, and
+    ||g||^2 over the boundary from the same values of g.
+
+    Boundary edges are grouped by the data quadrature degree of their
+    length, and g runs once per group at the rule points of its edges
+    (along the global edge direction, edge-major) with the outward normal
+    of the owning element's face; that face's length scales both results.
+    """
     m = cfg.p + 1
     basis = EdgeBasis(cfg.p)
     out = np.zeros((mesh.n_edges, m), dtype=complex)
-    for edges, rule, lengths, pts, normals in _boundary_batches(mesh, cfg.data_degree):
-        values = np.asarray(g(pts, normals), dtype=complex).reshape(len(edges), -1)
-        psi = basis.eval(rule.points)
-        out[edges] = np.sqrt(lengths)[:, None] * ((values * rule.weights) @ psi)
-    return out.ravel()
-
-
-def _boundary_batches(mesh: Mesh, degree: Callable[[float], int]):
-    """Boundary edges grouped by the quadrature degree of their length.
-
-    Per group yields (edge ids, edge rule, lengths (nE,), points (nE*nq, 2),
-    outward normals (nE*nq, 2)); points run along the global edge direction,
-    edge-major, and the length and normal are those of the owning element's
-    face.
-    """
+    g_sq = 0.0
     edges = np.flatnonzero(mesh.boundary_flags)
     a = mesh.vertices[mesh.edges[edges, 0]]
     b = mesh.vertices[mesh.edges[edges, 1]]
     elem, face = mesh.edge_to_elements[edges, 0].T
     lengths = mesh.face_lengths[elem, face]
     normals = mesh.normals[elem, face]
-    degrees = np.array([degree(float(length)) for length in lengths], dtype=np.int64)
+    degrees = np.array([cfg.data_degree(float(length)) for length in lengths], dtype=np.int64)
     for deg in np.unique(degrees):
         sel = degrees == deg
         rule = quadrature_rule("edge", int(deg))
-        t = rule.points[None, :, None]
-        pts = a[sel, None, :] + t * (b[sel] - a[sel])[:, None, :]
+        pts = a[sel, None, :] + rule.points[None, :, None] * (b[sel] - a[sel])[:, None, :]
         nrm = np.repeat(normals[sel], rule.n_points, axis=0)
-        yield edges[sel], rule, lengths[sel], pts.reshape(-1, 2), nrm
+        values = np.asarray(g(pts.reshape(-1, 2), nrm), dtype=complex).reshape(len(pts), -1)
+        out[edges[sel]] = np.sqrt(lengths[sel])[:, None] * (
+            (values * rule.weights) @ basis.eval(rule.points))
+        g_sq += float(lengths[sel] @ (np.abs(values) ** 2 @ rule.weights))
+    return out.ravel(), g_sq
 
 
 @dataclass(frozen=True)
@@ -551,7 +560,7 @@ def monolithic_solve(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn)
     rows.append(bd_dofs)
     cols.append(bd_dofs)
     vals.append(np.ones(bd_dofs.size, dtype=complex))
-    rhs[n_interior:] += boundary_loads(mesh, cfg, g)
+    rhs[n_interior:] += boundary_loads(mesh, cfg, g)[0]
 
     matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -574,18 +583,13 @@ def sample_solution(disc: Discretization, solution: Solution) -> tuple[np.ndarra
     Returns (points, u values, q values) with shapes (K, 2), (K,), (K, 2),
     ordered by ascending element index.
     """
-    n = TriangleBasis(disc.cfg.p).dim
     pts_out, u_out, q_out, owners = [], [], [], []
     for cls in disc.classes:
-        ids, phi = cls.ids, cls.phi
-        scale = 1.0 / math.sqrt(cls.geom.det)
-        uh = scale * (solution.U[ids] @ phi.T)
-        q1 = scale * (solution.Q[ids, :n] @ phi.T)
-        q2 = scale * (solution.Q[ids, n:] @ phi.T)
+        uh, q1, q2 = cls.fields(solution)
         pts_out.append(cls.points(disc.mesh).reshape(-1, 2))
         u_out.append(uh.ravel())
         q_out.append(np.stack([q1.ravel(), q2.ravel()], axis=1))
-        owners.append(np.repeat(ids, cls.rule.n_points))
+        owners.append(np.repeat(cls.ids, cls.rule.n_points))
     perm = np.argsort(np.concatenate(owners), kind="stable")
     return (
         np.concatenate(pts_out)[perm],

@@ -72,12 +72,38 @@ def test_solve_outputs(tmp_path, capsys):
     assert any(line.startswith("# kappa = 5") for line in lines)
 
 
-def test_energy_identity_failure_exits_1(tmp_path, capsys):
-    # At kappa = 0.01, tau = p/(kappa h) is large and the imaginary part
-    # of the energy identity misses its 1e-9 contract (about 7e-9).
-    code = main(["solve", "--kappa", "0.01", "--p", "1", "--n", "16", "--out", str(tmp_path)])
+def test_energy_identity_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # A contract failure inside a valid case exits 1 and names the
+    # contract; a zero tolerance makes the energy identity fail.
+    from helmhdg import diagnostics
+
+    monkeypatch.setattr(diagnostics, "ENERGY_IDENTITY_TOL", 0.0)
+    code = main(["solve", "--kappa", "5", "--p", "1", "--n", "4", "--out", str(tmp_path)])
     assert code == 1
     assert "energy identity" in capsys.readouterr().err
+
+
+def test_solve_guards_every_case_before_the_first(tmp_path, monkeypatch, capsys):
+    # n = 600 exceeds the size guard, so the valid n = 4 must not run first.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before every case was guarded")
+
+    monkeypatch.setattr(cli, "run_benchmark_case", no_solve)
+    out = tmp_path / "out"
+    assert main(["solve", "--kappa", "5", "--p", "1", "--n", "4,600", "--out", str(out)]) == 2
+    assert "max_dofs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_range_guard_accepts_default_size_range():
+    # Within the default size guard, kappa = 1 (the floor) is accepted at
+    # every order up to the largest n, and so are the benchmark cases.
+    config = cli.RunConfig(command="solve")
+    for p in (1, 2, 3):
+        n = max(n for n in range(1, 400) if cli._skeleton_dofs(n, p) <= config.max_dofs)
+        cli._guard(config, cli.MIN_KAPPA, p, n)
+    for kappa, n in ((20.0, 22), (40.0, 63), (60.0, 116)):
+        cli._guard(config, kappa, 2, n)
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -95,7 +121,11 @@ def test_usage_errors_exit_2(tmp_path):
     (["--p", "11"], None),
     (["--n", "8,4"], None),
     ([], '{"kappas": 20}'),
-], ids=["kappa-nan", "kappa-inf", "p-above-max", "n-decreasing", "config-scalar-kappas"])
+    (["--kappa", "0.001"], None),
+    (["--kappa", "0.3", "--n", "128"], None),
+    (["--kappa", "1", "--p", "3", "--n", "8,300", "--max-dofs", "2000000"], None),
+], ids=["kappa-nan", "kappa-inf", "p-above-max", "n-decreasing", "config-scalar-kappas",
+        "kappa-0.001", "kappa-below-floor", "tau-above-cap"])
 def test_bad_input_exits_2_before_any_solve(tmp_path, monkeypatch, flags, config):
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve started before the input was validated")

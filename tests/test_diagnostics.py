@@ -129,9 +129,10 @@ def _synthetic_table(exponent):
 
 
 def test_synthetic_rate_h2():
-    rates = convergence_rates(_synthetic_table(2.0))
+    table = _synthetic_table(2.0)
+    rates = convergence_rates(table)
     assert rates.slope_u == pytest.approx(2.0, abs=1e-12)
-    assert np.allclose(rates.pairwise_u, 2.0, atol=1e-12)
+    assert np.allclose(table.pairwise_rates("u"), 2.0, atol=1e-12)
 
 
 def test_synthetic_rate_h32():
@@ -224,8 +225,7 @@ def test_convergence_csv_format(tmp_path):
 
 
 def test_boundary_data_is_evaluated_in_batches(monkeypatch):
-    # One g call per boundary pass (loads in the solve and in the energy
-    # balance, and the data norm), not one per boundary edge.
+    # One g call per boundary quadrature degree, not one per boundary edge.
     from helmhdg.analytic import DataFunctions
 
     calls = []
@@ -243,7 +243,7 @@ def test_boundary_data_is_evaluated_in_batches(monkeypatch):
 def test_data_is_evaluated_once(monkeypatch):
     # The solve and its diagnostics share one discretization: f runs once
     # and each representative geometry is built once per element class,
-    # and g runs twice (moments, and its norm on the global-size rule).
+    # and g runs once (its moments and its norm share the values).
     import sys
 
     from helmhdg import mesh as mesh_module
@@ -273,4 +273,4 @@ def test_data_is_evaluated_once(monkeypatch):
     n_classes = len(_group_elements(build_structured_mesh(8)))
     assert n_classes == 2
     run_benchmark_case(20.0, 2, 8)
-    assert calls == {"f": n_classes, "g": 2, "mesh_entities": n_classes}
+    assert calls == {"f": n_classes, "g": 1, "mesh_entities": n_classes}

@@ -98,7 +98,6 @@ def test_degenerate_element_rejected():
             inv_jt=REF_GEOM.inv_jt,
             normals=REF_GEOM.normals,
             face_lengths=REF_GEOM.face_lengths,
-            edge_ids=REF_GEOM.edge_ids,
             edge_orient=REF_GEOM.edge_orient,
         )
         assemble_local_blocks(bad, cfg)

@@ -1,5 +1,6 @@
-"""Every name a helmhdg module imports is used in that module, and the
-package's `__all__` lists exactly what `__init__.py` imports.
+"""Every name a helmhdg module imports is used in that module, no module
+imports another's private (underscore-prefixed) names, and the package's
+`__all__` lists exactly what `__init__.py` imports.
 
 No linter runs in CI, so this test is the check for dead imports.
 `__init__.py` is skipped by the unused-import check: it re-exports its
@@ -39,6 +40,33 @@ def test_unused_import_is_detected():
     assert _unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") == [
         "line 1: os", "line 2: tau",
     ]
+
+
+def _private_imports(source: str) -> list[str]:
+    """Underscore-prefixed names (dunders aside) imported from helmhdg
+    modules, by relative or absolute import."""
+    tree = ast.parse(source)
+    return [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "helmhdg")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_module_imports_no_private_name(path):
+    assert _private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_import_is_detected():
+    source = (
+        "from . import __version__\nfrom .skeleton import Solution, _batches\n"
+        "from helmhdg.mesh import _finish_mesh\nfrom numpy import _private\n"
+    )
+    assert _private_imports(source) == ["line 2: _batches", "line 3: _finish_mesh"]
 
 
 def _all_mismatch(source: str) -> set[str]:

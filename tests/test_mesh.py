@@ -229,3 +229,39 @@ def test_nested_dissection_separates_its_subtrees():
     elements = [set(mesh.edge_to_elements[edges, :, 0].ravel()) - {-1}
                 for edges in (order[:half], order[half:-8])]
     assert not elements[0] & elements[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_structured_triangles_match_per_square_loop(n):
+    # Squares x-fastest, each split into (a, b, c) and (a, c, d) with a its
+    # lower-left vertex and b, c, d counterclockwise from it.
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    triangles = []
+    for j in range(n):
+        for i in range(n):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            triangles += [(a, b, c), (a, c, d)]
+    mesh = build_structured_mesh(n)
+    assert mesh.triangles.dtype == np.int64
+    assert np.array_equal(mesh.triangles, np.array(triangles))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_structured_mesh(1),
+    lambda: build_structured_mesh(7),
+    _perturbed_mesh,
+    _fan_strip_mesh,
+], ids=["n1", "n7", "perturbed", "fan-strip"])
+def test_edges_match_row_deduplication(make):
+    # The (lo, hi) rows of the faces, deduplicated row-wise, give the same
+    # sorted edges and face -> edge map as the 1-D keys the builder sorts.
+    mesh = make()
+    face_to = np.roll(mesh.triangles, -1, axis=1)
+    pairs = np.column_stack([
+        np.minimum(mesh.triangles, face_to).ravel(), np.maximum(mesh.triangles, face_to).ravel(),
+    ])
+    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.elem_edges, inverse.reshape(-1, 3))

@@ -323,8 +323,8 @@ def test_solution_csv_dump(tmp_path):
 
 
 def _per_edge_boundary_reference(mesh, cfg, g):
-    """Boundary moments and ||g|| edge by edge, one g call per edge and rule:
-    moments use the rule of the edge's own length, the norm that of h."""
+    """Boundary moments and ||g|| edge by edge, one g call per edge, both
+    on the rule of the edge's own length."""
     m = cfg.p + 1
     basis = EdgeBasis(cfg.p)
     loads = np.zeros(m * mesh.n_edges, dtype=complex)
@@ -341,16 +341,11 @@ def _per_edge_boundary_reference(mesh, cfg, g):
         length = float(np.linalg.norm(b - a))
         elem, face = mesh.edge_to_elements[edge, 0]
         normal = mesh_entities(mesh, int(elem)).normals[int(face)]
-
-        def values(deg):
-            rule = quadrature_rule("edge", deg)
-            pts = a + rule.points[:, None] * (b - a)
-            return rule, np.asarray(g(pts, np.tile(normal, (rule.n_points, 1))), dtype=complex)
-
-        rule, vals = values(degree(length))
+        rule = quadrature_rule("edge", degree(length))
+        pts = a + rule.points[:, None] * (b - a)
+        vals = np.asarray(g(pts, np.tile(normal, (rule.n_points, 1))), dtype=complex)
         psi = basis.eval(rule.points)
         loads[m * edge : m * (edge + 1)] = np.sqrt(length) * (psi.T @ (rule.weights * vals))
-        rule, vals = values(degree(mesh.h_global))
         g_sq += length * float(np.abs(vals) ** 2 @ rule.weights)
     return loads, np.sqrt(g_sq)
 
@@ -376,10 +371,11 @@ def test_batched_boundary_data_matches_per_edge_loop(kappa, p, n, quad_degree, u
     cfg = ProblemConfig.for_mesh(kappa, p, mesh, data_quad_degree=quad_degree)
     _, data = benchmark_problem(kappa)
     ref_loads, ref_g_norm = _per_edge_boundary_reference(mesh, cfg, data.g)
-    loads = boundary_loads(mesh, cfg, data.g)
+    loads, g_sq = boundary_loads(mesh, cfg, data.g)
     assert np.abs(loads - ref_loads).max() <= 1e-13 * np.abs(ref_loads).max()
+    assert abs(np.sqrt(g_sq) - ref_g_norm) <= 1e-13 * ref_g_norm
     _, g_norm = data_norms(discretize(mesh, cfg, data.f, data.g))
-    assert abs(g_norm - ref_g_norm) <= 1e-13 * ref_g_norm
+    assert g_norm == np.sqrt(g_sq)
 
 
 def test_skeleton_lu_fill_guard(monkeypatch):
