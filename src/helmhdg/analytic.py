@@ -134,10 +134,13 @@ def benchmark_problem(kappa: float) -> tuple[ExactSolution, DataFunctions]:
 
 
 def data_quadrature_degree(p: int, kappa: float, h: float) -> int:
-    """Exactness degree for data and error integrals on an element of size h.
+    """Exactness degree for data and error integrals on an entity of size h.
 
     2p + 4 plus one unit per resolved oscillation keeps the quadrature
     error of the oscillatory integrands below the discretization error.
+    This is the only data-rule policy, with no override: the source rule
+    takes the element class size, the boundary rule each edge's length,
+    and the trace error the global mesh size.
     """
     return 2 * p + 4 + int(math.ceil(kappa * h))
 

@@ -25,6 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
+from .analytic import data_quadrature_degree
 from .diagnostics import (
     ConvergenceTable,
     ErrorReport,
@@ -32,7 +33,6 @@ from .diagnostics import (
     run_benchmark_case,
     write_convergence_csv,
 )
-from .hdg_local import ProblemConfig
 from .mesh import write_mesh
 from .polybasis import MAX_ORDER
 from .skeleton import write_solution_csv
@@ -62,7 +62,6 @@ class RunConfig:
     sizes: list[int] = field(default_factory=lambda: [8, 16, 32, 64])
     out_dir: str = "."
     workers: int = 1
-    data_quad_degree: int | None = None
     max_dofs: int = DEFAULT_MAX_DOFS
     fixed_kappa_h: float | None = None
     fixed_kappa3h2: float | None = None
@@ -82,8 +81,6 @@ class RunConfig:
             raise UsageError("mesh subdivisions must be strictly increasing")
         if self.workers < 1 or self.max_dofs < 1:
             raise UsageError("guards and worker counts must be positive")
-        if self.data_quad_degree is not None and self.data_quad_degree < 0:
-            raise UsageError("quadrature degree must be >= 0")
         if self.fixed_kappa_h is not None and self.fixed_kappa3h2 is not None:
             raise UsageError("choose at most one of --fixed-kappa-h / --fixed-kappa3h2")
         for line in (self.fixed_kappa_h, self.fixed_kappa3h2):
@@ -144,26 +141,27 @@ def _guard(cfg: RunConfig, kappa: float, p: int, n: int) -> None:
 
 
 def _config_lines(cfg: RunConfig, kappa: float, p: int, sizes: list[int]) -> list[str]:
-    """Provenance header: everything needed to reproduce the file."""
-    taus, degrees = [], []
-    for n in sizes:
-        problem = ProblemConfig(kappa, p, _tau(kappa, p, n), cfg.data_quad_degree)
-        taus.append(format_float(problem.tau))
-        degrees.append(str(problem.data_degree(math.sqrt(2.0) / n)))
+    """Provenance header: everything needed to reproduce the file.  The
+    data rule degrees are those of the element size h = sqrt(2)/n and of
+    the boundary edge length 1/n."""
+
+    def degrees(scale: float) -> str:
+        return ",".join(str(data_quadrature_degree(p, kappa, scale / n)) for n in sizes)
+
     return [
         f"helmhdg version {__version__}",
         f"command = {cfg.command}",
         f"kappa = {format_float(kappa)}",
         f"p = {p}",
         f"n = {','.join(str(n) for n in sizes)}",
-        f"tau rule = p/(kappa*h); tau = {','.join(taus)}",
-        f"data quadrature degree = {','.join(degrees)}",
+        f"tau rule = p/(kappa*h); tau = {','.join(format_float(_tau(kappa, p, n)) for n in sizes)}",
+        f"data quadrature degree = {degrees(math.sqrt(2.0))}",
+        f"boundary quadrature degree = {degrees(1.0)}",
     ]
 
 
 def _run_case(args: tuple) -> ErrorReport:
-    kappa, p, n, quad_degree = args
-    return run_benchmark_case(kappa, p, n, data_quad_degree=quad_degree).report
+    return run_benchmark_case(*args).report
 
 
 def _sizes_for(cfg: RunConfig, kappa: float, p: int) -> list[int]:
@@ -183,7 +181,7 @@ def cmd_converge(cfg: RunConfig) -> int:
         for kappa in cfg.kappas:
             for n in _sizes_for(cfg, kappa, p):
                 _guard(cfg, kappa, p, n)
-                jobs.append((kappa, p, n, cfg.data_quad_degree))
+                jobs.append((kappa, p, n))
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     if cfg.workers > 1:
@@ -197,7 +195,7 @@ def cmd_converge(cfg: RunConfig) -> int:
             for kappa in cfg.kappas:
                 table = ConvergenceTable()
                 for n in cfg.sizes:
-                    table.add(results[(kappa, p, n, cfg.data_quad_degree)])
+                    table.add(results[(kappa, p, n)])
                 path = os.path.join(cfg.out_dir, f"converge_k{kappa:g}_p{p}.csv")
                 write_convergence_csv(path, table, _config_lines(cfg, kappa, p, cfg.sizes))
                 print(f"wrote {path}")
@@ -211,7 +209,7 @@ def cmd_converge(cfg: RunConfig) -> int:
             lines = [f"fixed line: {mode}"]
             for kappa in cfg.kappas:
                 (n,) = _sizes_for(cfg, kappa, p)
-                table.rows.append(results[(kappa, p, n, cfg.data_quad_degree)])
+                table.rows.append(results[(kappa, p, n)])
                 lines += _config_lines(cfg, kappa, p, [n])
             path = os.path.join(cfg.out_dir, f"pollution_p{p}.csv")
             write_convergence_csv(path, table, lines)
@@ -226,7 +224,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         _guard(cfg, *case)
     os.makedirs(cfg.out_dir, exist_ok=True)
     for kappa, p, n in cases:
-        result = run_benchmark_case(kappa, p, n, data_quad_degree=cfg.data_quad_degree)
+        result = run_benchmark_case(kappa, p, n)
         r = result.report
         print(
             f"kappa={kappa:g} p={p} n={n}: "
@@ -265,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--n", default=None, help="comma-separated mesh subdivisions")
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--workers", type=int, default=None, help="parallel (kappa,p,n) runs")
-        cmd.add_argument("--quad-degree", type=int, default=None, help="override data quadrature degree")
         cmd.add_argument("--max-dofs", type=int, default=None, help="skeleton size guard")
         cmd.add_argument("--config", default=None, help="JSON config file (flags win)")
         if name == "converge":
@@ -307,7 +304,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for flag, attr in (
         ("out", "out_dir"),
         ("workers", "workers"),
-        ("quad_degree", "data_quad_degree"),
         ("max_dofs", "max_dofs"),
         ("fixed_kappa_h", "fixed_kappa_h"),
         ("fixed_kappa3h2", "fixed_kappa3h2"),

@@ -17,9 +17,12 @@ tau ||u_h - uhat||^2 <= ||f|| ||u_h|| + ||g||^2, where ||f||^2 and
 f and g that built the loads; the data are never evaluated again.  The
 standard pipeline enforces both on every solve.
 
-Error norms against the exact solution use the classes' data rules; the
-trace error counts interior edges once per incident element (twice in
-total), matching the broken-boundary norm.
+Error norms against the exact solution use `data_quadrature_degree`,
+which has no override: the volume errors on the classes' data rules,
+the trace error on one edge rule for the global mesh size.  The trace
+error evaluates each edge once, along its global direction, and weights
+interior edges by 2 (once per incident element) and boundary edges by 1,
+matching the broken-boundary norm.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import ExactSolution, benchmark_problem
+from .analytic import ExactSolution, benchmark_problem, data_quadrature_degree
 from .hdg_local import ProblemConfig
 from .mesh import build_structured_mesh
 from .polybasis import EdgeBasis, TriangleBasis, quadrature_rule, reference_face_points
@@ -150,17 +153,17 @@ def compute_errors(
         e_u_sq += det * float((np.abs(du) ** 2 @ weights).sum())
         e_q_sq += det * float(((np.abs(dq1) ** 2 + np.abs(dq2) ** 2) @ weights).sum())
 
-    rule = quadrature_rule("edge", cfg.data_degree(mesh.h_global))
-    e_t_sq = 0.0
-    for face in range(3):
-        a = mesh.vertices[mesh.triangles[:, face]]
-        b = mesh.vertices[mesh.triangles[:, (face + 1) % 3]]
-        pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
-        diff = exact.u(pts.reshape(-1, 2)).reshape(mesh.n_elements, -1)
-        diff -= _uhat_on_faces(disc, solution.uhat, face, rule.points)
-        # A contiguous copy: a strided operand changes the rounding of the dot.
-        lengths = np.ascontiguousarray(mesh.face_lengths[:, face])
-        e_t_sq += float(lengths @ (np.abs(diff) ** 2 @ rule.weights))
+    rule = quadrature_rule("edge", data_quadrature_degree(cfg.p, cfg.kappa, mesh.h_global))
+    a = mesh.vertices[mesh.edges[:, 0]]
+    b = mesh.vertices[mesh.edges[:, 1]]
+    pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
+    elem, face = mesh.edge_to_elements[:, 0].T
+    lengths = mesh.face_lengths[elem, face]
+    uhat = solution.uhat.reshape(mesh.n_edges, cfg.p + 1) @ EdgeBasis(cfg.p).eval(rule.points).T
+    diff = exact.u(pts.reshape(-1, 2)).reshape(mesh.n_edges, -1) - uhat / np.sqrt(lengths)[:, None]
+    # Interior edges count once per incident element.
+    weights = np.where(mesh.boundary_flags, 1.0, 2.0) * lengths
+    e_t_sq = float(weights @ (np.abs(diff) ** 2 @ rule.weights))
 
     e_u = math.sqrt(e_u_sq)
     e_q = math.sqrt(e_q_sq)
@@ -268,9 +271,7 @@ class CaseResult:
     stability: float
 
 
-def run_benchmark_case(
-    kappa: float, p: int, n: int, data_quad_degree: int | None = None
-) -> CaseResult:
+def run_benchmark_case(kappa: float, p: int, n: int) -> CaseResult:
     """Solve the benchmark problem on the structured n x n mesh.
 
     Enforces the discrete energy identity (both parts within
@@ -278,7 +279,7 @@ def run_benchmark_case(
     tau ||u_h - uhat||^2 <= ||f|| ||u_h|| + ||g||^2 after the solve.
     """
     mesh = build_structured_mesh(n)
-    cfg = ProblemConfig.for_mesh(kappa, p, mesh, data_quad_degree=data_quad_degree)
+    cfg = ProblemConfig.for_mesh(kappa, p, mesh)
     exact, data = benchmark_problem(kappa)
     t0 = time.perf_counter()
     disc = discretize(mesh, cfg, data.f, data.g)

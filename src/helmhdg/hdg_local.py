@@ -49,12 +49,16 @@ from .polybasis import (
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Wave number, polynomial order, and stabilization of one run."""
+    """Wave number, polynomial order, and stabilization of one run.
+
+    The data quadrature is not part of the configuration: every data and
+    error integral takes its degree from `data_quadrature_degree` on the
+    size of its own element or edge, with no override.
+    """
 
     kappa: float
     p: int
     tau: float
-    data_quad_degree: int | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.kappa) and self.kappa > 0):
@@ -65,27 +69,13 @@ class ProblemConfig:
             raise ValueError(f"stabilization parameter must be finite and positive, got {self.tau!r}")
 
     @classmethod
-    def for_mesh(
-        cls, kappa: float, p: int, mesh: Mesh, data_quad_degree: int | None = None
-    ) -> "ProblemConfig":
+    def for_mesh(cls, kappa: float, p: int, mesh: Mesh) -> "ProblemConfig":
         """Configuration with tau = p/(kappa h) evaluated on this mesh.
 
         The stabilization uses the global mesh size, so it must be
         recomputed whenever the mesh changes.
         """
-        return cls(
-            kappa=float(kappa),
-            p=int(p),
-            tau=float(p) / (float(kappa) * mesh.h_global),
-            data_quad_degree=data_quad_degree,
-        )
-
-    def data_degree(self, h: float) -> int:
-        """Exactness degree of the data rule on an entity of size h: the
-        override if one is set, else `data_quadrature_degree`."""
-        if self.data_quad_degree is not None:
-            return self.data_quad_degree
-        return data_quadrature_degree(self.p, self.kappa, h)
+        return cls(kappa=float(kappa), p=int(p), tau=float(p) / (float(kappa) * mesh.h_global))
 
 
 @dataclass(frozen=True)
@@ -228,10 +218,7 @@ def volume_load(
     Uses the high-degree data rule, not the 2p operator rule; the source
     of the benchmark oscillates on the scale 1/kappa.
     """
-    degree = cfg.data_quad_degree
-    if degree is None:
-        degree = data_quadrature_degree(cfg.p, cfg.kappa, geom.h)
-    rule = quadrature_rule("triangle", degree)
+    rule = quadrature_rule("triangle", data_quadrature_degree(cfg.p, cfg.kappa, geom.h))
     phi = TriangleBasis(cfg.p).eval(rule.points)
     values = np.asarray(f(geom.map_to_physical(rule.points)), dtype=complex)
     return math.sqrt(geom.det) * (phi.T @ (rule.weights * values))

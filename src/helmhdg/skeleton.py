@@ -74,6 +74,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .analytic import data_quadrature_degree
 from .hdg_local import (
     LocalBlocks,
     ProblemConfig,
@@ -319,7 +320,7 @@ def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Di
     for ids, rep in _group_elements(mesh):
         geom = mesh_entities(mesh, rep)
         ops = CondensedOperators(assemble_local_blocks(geom, cfg))
-        rule = quadrature_rule("triangle", cfg.data_degree(geom.h))
+        rule = quadrature_rule("triangle", data_quadrature_degree(cfg.p, cfg.kappa, geom.h))
         phi = basis.eval(rule.points)
         phys = _data_points(mesh, ids, geom, rule).reshape(-1, 2)
         values = np.asarray(f(phys), dtype=complex).reshape(len(ids), -1)
@@ -369,7 +370,7 @@ def boundary_loads(mesh: Mesh, cfg: ProblemConfig, g: BoundaryFn) -> tuple[np.nd
     elem, face = mesh.edge_to_elements[edges, 0].T
     lengths = mesh.face_lengths[elem, face]
     normals = mesh.normals[elem, face]
-    degrees = np.array([cfg.data_degree(float(length)) for length in lengths], dtype=np.int64)
+    degrees = np.array([data_quadrature_degree(cfg.p, cfg.kappa, h) for h in lengths.tolist()])
     for deg in np.unique(degrees):
         sel = degrees == deg
         rule = quadrature_rule("edge", int(deg))
@@ -606,11 +607,5 @@ def write_solution_csv(path: str, disc: Discretization, solution: Solution,
         for line in header_lines or []:
             fh.write(f"# {line}\n")
         fh.write("x,y,re_u,im_u,re_q1,im_q1,re_q2,im_q2\n")
-        for k in range(pts.shape[0]):
-            row = (
-                pts[k, 0], pts[k, 1],
-                u[k].real, u[k].imag,
-                q[k, 0].real, q[k, 0].imag,
-                q[k, 1].real, q[k, 1].imag,
-            )
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        columns = [pts, u.real, u.imag, q[:, 0].real, q[:, 0].imag, q[:, 1].real, q[:, 1].imag]
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",")

@@ -124,8 +124,11 @@ def test_usage_errors_exit_2(tmp_path):
     (["--kappa", "0.001"], None),
     (["--kappa", "0.3", "--n", "128"], None),
     (["--kappa", "1", "--p", "3", "--n", "8,300", "--max-dofs", "2000000"], None),
+    (["--quad-degree", "12"], None),
+    ([], '{"data_quad_degree": 12}'),
 ], ids=["kappa-nan", "kappa-inf", "p-above-max", "n-decreasing", "config-scalar-kappas",
-        "kappa-0.001", "kappa-below-floor", "tau-above-cap"])
+        "kappa-0.001", "kappa-below-floor", "tau-above-cap", "quad-degree-flag",
+        "config-quad-degree"])
 def test_bad_input_exits_2_before_any_solve(tmp_path, monkeypatch, flags, config):
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve started before the input was validated")
@@ -136,7 +139,11 @@ def test_bad_input_exits_2_before_any_solve(tmp_path, monkeypatch, flags, config
         path = tmp_path / "bad.json"
         path.write_text(config)
         args = ["converge", "--config", str(path), "--out", str(tmp_path)]
-    assert main(args + flags) == 2
+    try:
+        code = main(args + flags)
+    except SystemExit as exc:  # argparse exits 2 on an unknown flag
+        code = exc.code
+    assert code == 2
 
 
 def test_size_guard_refusal_names_guard(tmp_path, capsys):
@@ -172,15 +179,34 @@ def test_parallel_workers_match_serial(tmp_path):
         assert _strip_wall_time(_read(serial / name)) == _strip_wall_time(_read(parallel / name))
 
 
-def test_quad_degree_override_is_echoed(tmp_path):
-    out = tmp_path / "quad"
-    code = main([
-        "converge", "--kappa", "5", "--p", "1", "--n", "4,8",
-        "--quad-degree", "12", "--out", str(out),
-    ])
-    assert code == 0
-    lines = _read(out / "converge_k5_p1.csv").splitlines()
-    assert any(line == "# data quadrature degree = 12,12" for line in lines)
+def test_header_echoes_element_and_boundary_quadrature_degrees(tmp_path, monkeypatch):
+    # At (20, 2, 12) the element size sqrt(2)/12 gets degree 11 and the
+    # boundary edge length 1/12 degree 10; the header must name both, and
+    # the boundary line must be the rule that boundary_loads uses.
+    from helmhdg import skeleton
+    from helmhdg.analytic import benchmark_problem
+    from helmhdg.hdg_local import ProblemConfig
+    from helmhdg.mesh import build_structured_mesh
+
+    out = tmp_path / "solve"
+    assert main(["solve", "--kappa", "20", "--p", "2", "--n", "12", "--out", str(out)]) == 0
+    lines = _read(out / "solution_k20_p2_n12.csv").splitlines()
+    assert "# data quadrature degree = 11" in lines
+    assert "# boundary quadrature degree = 10" in lines
+
+    edge_degrees = []
+    rule = skeleton.quadrature_rule
+
+    def recording_rule(shape, degree):
+        if shape == "edge":
+            edge_degrees.append(degree)
+        return rule(shape, degree)
+
+    monkeypatch.setattr(skeleton, "quadrature_rule", recording_rule)
+    mesh = build_structured_mesh(12)
+    _, data = benchmark_problem(20.0)
+    skeleton.boundary_loads(mesh, ProblemConfig.for_mesh(20.0, 2, mesh), data.g)
+    assert edge_degrees == [10]
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helmhdg.analytic import ExactSolution, benchmark_problem, l2_project
+from helmhdg.analytic import ExactSolution, benchmark_problem, data_quadrature_degree, l2_project
 from helmhdg.diagnostics import (
     ConvergenceTable,
     ErrorReport,
@@ -18,7 +18,7 @@ from helmhdg.diagnostics import (
 )
 from helmhdg.hdg_local import ProblemConfig
 from helmhdg.mesh import build_structured_mesh, mesh_entities
-from helmhdg.polybasis import TriangleBasis
+from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule
 from helmhdg.skeleton import Solution, discretize, solve_helmholtz
 
 
@@ -99,6 +99,58 @@ def test_trace_error_nonnegative_and_refines():
         errors.append(compute_errors(sol, exact, disc).e_trace)
     assert errors[0] > 0.0
     assert errors[1] < errors[0]
+
+
+def _per_face_trace_error(solution, exact, disc):
+    """The trace error local face by local face, each interior edge seen
+    from both of its elements, with uhat flipped to the face direction."""
+    mesh, p = disc.mesh, disc.cfg.p
+    m = p + 1
+    rule = quadrature_rule("edge", data_quadrature_degree(p, disc.cfg.kappa, mesh.h_global))
+    basis = EdgeBasis(p)
+    e_t_sq = 0.0
+    for face in range(3):
+        a = mesh.vertices[mesh.triangles[:, face]]
+        b = mesh.vertices[mesh.triangles[:, (face + 1) % 3]]
+        pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
+        coeff = solution.uhat[disc.dof_map.elem_dofs[:, face * m : (face + 1) * m]]
+        plus = coeff @ basis.eval(rule.points).T
+        minus = coeff @ basis.eval(1.0 - rule.points).T
+        forward = (mesh.elem_edge_orient[:, face] == 1)[:, None]
+        lengths = mesh.face_lengths[:, face]
+        lam = np.where(forward, plus, minus) / np.sqrt(lengths)[:, None]
+        diff = exact.u(pts.reshape(-1, 2)).reshape(mesh.n_elements, -1) - lam
+        e_t_sq += float(lengths @ (np.abs(diff) ** 2 @ rule.weights))
+    return math.sqrt(e_t_sq)
+
+
+@pytest.mark.parametrize("kappa, p, n, uneven", [(20.0, 2, 8, False), (40.0, 2, 4, True)],
+                         ids=["structured-n8", "uneven-boundary"])
+def test_edge_major_trace_error_matches_per_face_loop(kappa, p, n, uneven, uneven_boundary_mesh):
+    mesh = uneven_boundary_mesh(n) if uneven else build_structured_mesh(n)
+    exact, data = benchmark_problem(kappa)
+    disc = discretize(mesh, ProblemConfig.for_mesh(kappa, p, mesh), data.f, data.g)
+    solution, _ = solve_helmholtz(disc)
+    reference = _per_face_trace_error(solution, exact, disc)
+    assert abs(compute_errors(solution, exact, disc).e_trace - reference) <= 1e-13 * reference
+
+
+def test_trace_error_evaluates_each_edge_once(monkeypatch):
+    calls = []
+    u = ExactSolution.u
+
+    def counting_u(self, points):
+        calls.append(len(points))
+        return u(self, points)
+
+    kappa, p, n = 20.0, 2, 8
+    mesh, disc = _benchmark_discretization(kappa, p, n)
+    exact = ExactSolution(kappa)
+    solution, _ = solve_helmholtz(disc)
+    monkeypatch.setattr(ExactSolution, "u", counting_u)
+    compute_errors(solution, exact, disc)
+    rule = quadrature_rule("edge", data_quadrature_degree(p, kappa, mesh.h_global))
+    assert calls == [mesh.n_edges * rule.n_points]
 
 
 def test_scaled_q_error_is_definitional():

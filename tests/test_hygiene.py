@@ -1,6 +1,7 @@
 """Every name a helmhdg module imports is used in that module, no module
-imports another's private (underscore-prefixed) names, and the package's
-`__all__` lists exactly what `__init__.py` imports.
+imports another's private (underscore-prefixed) names, the package's
+`__all__` lists exactly what `__init__.py` imports, and every function
+that the benchmark's span tracer wraps still exists.
 
 No linter runs in CI, so this test is the check for dead imports.
 `__init__.py` is skipped by the unused-import check: it re-exports its
@@ -9,11 +10,13 @@ deleted API cannot stay behind in `__all__` and break `import *`.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "helmhdg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "helmhdg"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
 
 
@@ -96,3 +99,44 @@ def test_all_mismatch_is_detected():
         '__all__ = ["__version__", "kept", "stale"]\n'
     )
     assert _all_mismatch(source) == {"dropped", "stale"}
+
+
+def _absent_targets(source: str) -> set[str]:
+    """Span names of the `TARGETS` entries (span name, module, attribute
+    path, hook) whose module or attribute no longer resolves; read with
+    `ast`, so the tracer is neither imported nor installed."""
+    tree = ast.parse(source)
+    targets = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
+    )
+    absent = set()
+    for entry in targets.elts:
+        name, module, path = (ast.literal_eval(elt) for elt in entry.elts[:3])
+        try:
+            owner = importlib.import_module(module)
+            for part in path.split("."):
+                owner = getattr(owner, part)
+        except (ImportError, AttributeError):
+            absent.add(name)
+    return absent
+
+
+def test_benchmark_span_targets_resolve():
+    # A refactor that renames or deletes a wrapped function silently
+    # detaches its benchmark metrics; only the already-removed
+    # skeleton.volume_loads may be missing.
+    source = (ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8")
+    assert _absent_targets(source) <= {"skeleton.volume_loads"}
+
+
+def test_absent_span_target_is_detected():
+    source = (
+        "TARGETS = [\n"
+        '    ("mesh.build", "helmhdg.mesh", "build_structured_mesh", None),\n'
+        '    ("mesh.gone", "helmhdg.mesh", "Mesh.gone", _hook),\n'
+        '    ("nowhere.f", "helmhdg.nowhere", "f", None),\n'
+        "]\n"
+    )
+    assert _absent_targets(source) == {"mesh.gone", "nowhere.f"}

@@ -322,6 +322,40 @@ def test_solution_csv_dump(tmp_path):
     assert first[6] == pytest.approx(q[0, 1].real)
 
 
+def _fstring_rows(pts, u, q):
+    # The row-by-row rendering that the writer must reproduce byte for byte.
+    return [
+        ",".join(f"{v:.17g}" for v in (x, y, uk.real, uk.imag, q1.real, q1.imag, q2.real, q2.imag))
+        for (x, y), uk, (q1, q2) in zip(pts, u, q)
+    ]
+
+
+@pytest.mark.parametrize("extremes", [False, True], ids=["solve", "extreme-values"])
+def test_solution_csv_matches_fstring_rendering(tmp_path, monkeypatch, extremes):
+    mesh = build_structured_mesh(4)
+    cfg = ProblemConfig.for_mesh(20.0, 2, mesh)
+    _, data = benchmark_problem(20.0)
+    disc = discretize(mesh, cfg, data.f, data.g)
+    solution, _ = solve_helmholtz(disc)
+    values = sample_solution(disc, solution)
+    if extremes:
+        column = np.array([0.0, -0.0, 5e-324, 1e308, -1e308, 1.0 / 3.0])
+        pts = np.column_stack([column, column[::-1]])
+        u, q = np.empty(6, dtype=complex), np.empty((6, 2), dtype=complex)
+        u.real, u.imag = column, column[::-1]
+        q.real, q.imag = pts, -pts
+        values = pts, u, q
+        monkeypatch.setattr(skeleton, "sample_solution", lambda disc, solution: values)
+    path = tmp_path / "solution.csv"
+    write_solution_csv(str(path), disc, solution)
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    expected = ["x,y,re_u,im_u,re_q1,im_q1,re_q2,im_q2"] + _fstring_rows(*values)
+    assert text.endswith("\n") and len(lines) == len(expected)
+    # Indices of differing rows; a plain string comparison's diff is slow to print.
+    assert [k for k, (line, want) in enumerate(zip(lines, expected)) if line != want] == []
+
+
 def _per_edge_boundary_reference(mesh, cfg, g):
     """Boundary moments and ||g|| edge by edge, one g call per edge, both
     on the rule of the edge's own length."""
@@ -329,19 +363,13 @@ def _per_edge_boundary_reference(mesh, cfg, g):
     basis = EdgeBasis(cfg.p)
     loads = np.zeros(m * mesh.n_edges, dtype=complex)
     g_sq = 0.0
-
-    def degree(h):
-        if cfg.data_quad_degree is not None:
-            return cfg.data_quad_degree
-        return data_quadrature_degree(cfg.p, cfg.kappa, h)
-
     for edge in np.flatnonzero(mesh.boundary_flags):
         lo, hi = mesh.edges[edge]
         a, b = mesh.vertices[lo], mesh.vertices[hi]
         length = float(np.linalg.norm(b - a))
         elem, face = mesh.edge_to_elements[edge, 0]
         normal = mesh_entities(mesh, int(elem)).normals[int(face)]
-        rule = quadrature_rule("edge", degree(length))
+        rule = quadrature_rule("edge", data_quadrature_degree(cfg.p, cfg.kappa, length))
         pts = a + rule.points[:, None] * (b - a)
         vals = np.asarray(g(pts, np.tile(normal, (rule.n_points, 1))), dtype=complex)
         psi = basis.eval(rule.points)
@@ -350,25 +378,14 @@ def _per_edge_boundary_reference(mesh, cfg, g):
     return loads, np.sqrt(g_sq)
 
 
-def _mesh_with_uneven_boundary(n):
-    # Slide a boundary vertex along its side so boundary edge lengths (and
-    # with them the data quadrature degrees) differ.
-    base = build_structured_mesh(n)
-    vertices = base.vertices.copy()
-    vertices[1, 0] += 0.4 / n
-    return _finish_mesh(vertices, base.triangles.copy(), n=None)
-
-
-@pytest.mark.parametrize("kappa, p, n, quad_degree, uneven", [
-    (20.0, 2, 8, None, False),
-    (40.0, 3, 5, None, False),
-    (20.0, 2, 8, 13, False),
-    (40.0, 3, 5, 21, False),
-    (40.0, 2, 4, None, True),
+@pytest.mark.parametrize("kappa, p, n, uneven", [
+    (20.0, 2, 8, False),
+    (40.0, 3, 5, False),
+    (40.0, 2, 4, True),
 ])
-def test_batched_boundary_data_matches_per_edge_loop(kappa, p, n, quad_degree, uneven):
-    mesh = _mesh_with_uneven_boundary(n) if uneven else build_structured_mesh(n)
-    cfg = ProblemConfig.for_mesh(kappa, p, mesh, data_quad_degree=quad_degree)
+def test_batched_boundary_data_matches_per_edge_loop(kappa, p, n, uneven, uneven_boundary_mesh):
+    mesh = uneven_boundary_mesh(n) if uneven else build_structured_mesh(n)
+    cfg = ProblemConfig.for_mesh(kappa, p, mesh)
     _, data = benchmark_problem(kappa)
     ref_loads, ref_g_norm = _per_edge_boundary_reference(mesh, cfg, data.g)
     loads, g_sq = boundary_loads(mesh, cfg, data.g)
