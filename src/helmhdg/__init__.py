@@ -11,81 +11,21 @@ the method at desk scale.
 
 __version__ = "0.1.0"
 
-from .analytic import (
-    DataFunctions,
-    ExactSolution,
-    benchmark_problem,
-    bessel_j,
-    l2_project,
-)
-from .diagnostics import (
-    ConvergenceTable,
-    ErrorReport,
-    compute_errors,
-    convergence_rates,
-    run_benchmark_case,
-)
-from .hdg_local import (
-    CondensedOperators,
-    LocalBlocks,
-    ProblemConfig,
-    assemble_local_blocks,
-    local_solve,
-)
-from .mesh import ElementGeometry, Mesh, build_structured_mesh, mesh_entities, write_mesh
-from .polybasis import (
-    EdgeBasis,
-    QuadratureRule,
-    TriangleBasis,
-    quadrature_rule,
-)
-from .skeleton import (
-    Discretization,
-    DofMap,
-    SkeletonSolution,
-    SkeletonSystem,
-    Solution,
-    build_dof_map,
-    discretize,
-    monolithic_solve,
-    solve_helmholtz,
-    solve_skeleton,
-)
+from .analytic import benchmark_problem, bessel_j
+from .diagnostics import ConvergenceTable, convergence_rates, run_benchmark_case
+from .hdg_local import ProblemConfig
+from .mesh import build_structured_mesh
+from .skeleton import discretize, solve_helmholtz
 
 __all__ = [
     "__version__",
-    "DataFunctions",
-    "ExactSolution",
+    "ProblemConfig",
     "benchmark_problem",
     "bessel_j",
-    "l2_project",
+    "build_structured_mesh",
+    "discretize",
+    "solve_helmholtz",
     "ConvergenceTable",
-    "ErrorReport",
-    "compute_errors",
     "convergence_rates",
     "run_benchmark_case",
-    "CondensedOperators",
-    "LocalBlocks",
-    "ProblemConfig",
-    "assemble_local_blocks",
-    "local_solve",
-    "ElementGeometry",
-    "Mesh",
-    "build_structured_mesh",
-    "mesh_entities",
-    "write_mesh",
-    "EdgeBasis",
-    "QuadratureRule",
-    "TriangleBasis",
-    "quadrature_rule",
-    "Discretization",
-    "DofMap",
-    "SkeletonSolution",
-    "SkeletonSystem",
-    "Solution",
-    "build_dof_map",
-    "discretize",
-    "monolithic_solve",
-    "solve_helmholtz",
-    "solve_skeleton",
 ]

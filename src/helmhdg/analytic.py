@@ -139,8 +139,8 @@ def data_quadrature_degree(p: int, kappa: float, h: float) -> int:
     2p + 4 plus one unit per resolved oscillation keeps the quadrature
     error of the oscillatory integrands below the discretization error.
     This is the only data-rule policy, with no override: the source rule
-    takes the element class size, the boundary rule each edge's length,
-    and the trace error the global mesh size.
+    takes the element class size, and every edge integral (boundary data
+    and trace error) the global mesh size.
     """
     return 2 * p + 4 + int(math.ceil(kappa * h))
 

@@ -142,12 +142,10 @@ def _guard(cfg: RunConfig, kappa: float, p: int, n: int) -> None:
 
 def _config_lines(cfg: RunConfig, kappa: float, p: int, sizes: list[int]) -> list[str]:
     """Provenance header: everything needed to reproduce the file.  The
-    data rule degrees are those of the element size h = sqrt(2)/n and of
-    the boundary edge length 1/n."""
-
-    def degrees(scale: float) -> str:
-        return ",".join(str(data_quadrature_degree(p, kappa, scale / n)) for n in sizes)
-
+    data rule degree is that of the global mesh size h = sqrt(2)/n, the
+    rule of every edge integral and, on the structured mesh, of every
+    element."""
+    degrees = (data_quadrature_degree(p, kappa, math.sqrt(2.0) / n) for n in sizes)
     return [
         f"helmhdg version {__version__}",
         f"command = {cfg.command}",
@@ -155,8 +153,7 @@ def _config_lines(cfg: RunConfig, kappa: float, p: int, sizes: list[int]) -> lis
         f"p = {p}",
         f"n = {','.join(str(n) for n in sizes)}",
         f"tau rule = p/(kappa*h); tau = {','.join(format_float(_tau(kappa, p, n)) for n in sizes)}",
-        f"data quadrature degree = {degrees(math.sqrt(2.0))}",
-        f"boundary quadrature degree = {degrees(1.0)}",
+        f"data quadrature degree = {','.join(map(str, degrees))}",
     ]
 
 

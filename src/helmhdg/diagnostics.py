@@ -19,7 +19,8 @@ standard pipeline enforces both on every solve.
 
 Error norms against the exact solution use `data_quadrature_degree`,
 which has no override: the volume errors on the classes' data rules,
-the trace error on one edge rule for the global mesh size.  The trace
+the trace error on the edge rule of the global mesh size, the one rule
+of every edge integral, boundary data included.  The trace
 error evaluates each edge once, along its global direction, and weights
 interior edges by 2 (once per incident element) and boundary edges by 1,
 matching the broken-boundary norm.
@@ -122,8 +123,7 @@ def convergence_rates(table: ConvergenceTable) -> RateSummary:
 def _uhat_on_faces(disc: Discretization, uhat: np.ndarray, face: int, t: np.ndarray) -> np.ndarray:
     """Trace unknown evaluated on one local face slot of every element, (F, nq)."""
     mesh, p = disc.mesh, disc.cfg.p
-    m = p + 1
-    coeff = uhat[disc.dof_map.elem_dofs[:, face * m : (face + 1) * m]]
+    coeff = uhat.reshape(mesh.n_edges, p + 1)[mesh.elem_edges[:, face]]
     basis = EdgeBasis(p)
     plus = coeff @ basis.eval(t).T
     minus = coeff @ basis.eval(1.0 - t).T
@@ -154,9 +154,7 @@ def compute_errors(
         e_q_sq += det * float(((np.abs(dq1) ** 2 + np.abs(dq2) ** 2) @ weights).sum())
 
     rule = quadrature_rule("edge", data_quadrature_degree(cfg.p, cfg.kappa, mesh.h_global))
-    a = mesh.vertices[mesh.edges[:, 0]]
-    b = mesh.vertices[mesh.edges[:, 1]]
-    pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
+    pts = mesh.edge_points(np.arange(mesh.n_edges), rule.points)
     elem, face = mesh.edge_to_elements[:, 0].T
     lengths = mesh.face_lengths[elem, face]
     uhat = solution.uhat.reshape(mesh.n_edges, cfg.p + 1) @ EdgeBasis(cfg.p).eval(rule.points).T
@@ -172,7 +170,7 @@ def compute_errors(
         p=cfg.p,
         n=mesh.n if mesh.n is not None else -1,
         h=mesh.h_global,
-        dofs=disc.dof_map.n_dofs,
+        dofs=solution.uhat.size,
         e_u=e_u,
         e_q=e_q,
         e_q_scaled=cfg.kappa * e_q,
@@ -218,8 +216,8 @@ def energy_balance(solution: Solution, disc: Discretization) -> EnergyBalance:
         lam = _uhat_on_faces(disc, solution.uhat, face, face_rule.points)
         jump_sq += float(mesh.face_lengths[:, face] @ (np.abs(uh - lam) ** 2 @ face_rule.weights))
 
-    bd_dofs = disc.dof_map.edge_dofs(np.flatnonzero(mesh.boundary_flags)).ravel()
-    uhat_bd_sq = float(np.sum(np.abs(solution.uhat[bd_dofs]) ** 2))
+    uhat_bd = solution.uhat.reshape(mesh.n_edges, cfg.p + 1)[mesh.boundary_flags]
+    uhat_bd_sq = float(np.sum(np.abs(uhat_bd) ** 2))
 
     f_pairing = sum(np.sum(cls.f_moments * np.conj(solution.U[cls.ids])) for cls in disc.classes)
     rhs = complex(f_pairing + np.dot(disc.g_moments, np.conj(solution.uhat)))

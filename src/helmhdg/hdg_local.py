@@ -53,7 +53,7 @@ class ProblemConfig:
 
     The data quadrature is not part of the configuration: every data and
     error integral takes its degree from `data_quadrature_degree` on the
-    size of its own element or edge, with no override.
+    size of its element, or on the global mesh size on edges.
     """
 
     kappa: float
@@ -240,29 +240,6 @@ def local_solve(
         raise RuntimeError("singular local HDG system; assembly is inconsistent") from exc
     n2 = 2 * blocks.n_scalar
     return x[:n2], x[n2:]
-
-
-def local_residual(
-    blocks: LocalBlocks,
-    Q: np.ndarray,
-    U: np.ndarray,
-    lam: np.ndarray,
-    f_load: np.ndarray | None = None,
-) -> float:
-    """Relative residual of the local equations at given coefficients."""
-    L = blocks.system_matrix()
-    x = np.concatenate([np.asarray(Q, dtype=complex), np.asarray(U, dtype=complex)])
-    rhs = blocks.rhs(lam, f_load)
-    scale = max(np.linalg.norm(rhs), np.linalg.norm(L, ord=np.inf) * np.linalg.norm(x), 1e-300)
-    return float(np.linalg.norm(L @ x - rhs) / scale)
-
-
-def flux_functional(blocks: LocalBlocks, Q, U, lam) -> np.ndarray:
-    """Face moments <qhat.n, mu> of the numerical flux, one per trace dof."""
-    Q = np.asarray(Q, dtype=complex)
-    U = np.asarray(U, dtype=complex)
-    lam = np.asarray(lam, dtype=complex)
-    return blocks.C.T @ Q + blocks.R.T @ U - blocks.tau * lam
 
 
 class CondensedOperators:

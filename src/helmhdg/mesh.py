@@ -17,7 +17,9 @@ the Jacobian of its affine reference map and its determinant, and per
 local face the length and the outward unit normal.  Every consumer (the
 mesh checks, the element classes, the boundary data, the error norms and
 the projection check) reads these arrays; `ElementGeometry` derives the
-same quantities for one element with the same helper.  Meshes are
+same quantities for one element with the same helper.  `Mesh.edge_points`
+places edge quadrature points along the global edge direction for the
+boundary data and the trace error alike.  Meshes are
 immutable after construction and safe for concurrent reads.
 """
 
@@ -84,6 +86,13 @@ class Mesh:
     @property
     def n_edges(self) -> int:
         return self.edges.shape[0]
+
+    def edge_points(self, edges: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Physical points at parameters t in [0, 1] along the global
+        direction of each given edge, shape (len(edges), len(t), 2)."""
+        a = self.vertices[self.edges[edges, 0]]
+        b = self.vertices[self.edges[edges, 1]]
+        return a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
 
     def validate(self) -> None:
         """Check mesh invariants; raises ValueError on any violation."""

@@ -11,8 +11,10 @@ impedance condition on boundary edges:
 where K_T, F_T are the per-element condensed matrices.  Once the traces
 are known, interior coefficients are recovered element by element.
 
+The skeleton unknowns are p + 1 consecutive dofs per edge, in edge order,
+so a trace vector reads as an (n_edges, p + 1) array indexed by edge.
 `discretize` builds everything a solve and its diagnostics read, once per
-(mesh, config, data): the dof map, and per congruence class of elements
+(mesh, config, data): per congruence class of elements
 (equal Jacobian and face-orientation pattern) the member ids, the
 representative geometry, the condensed operators, the data rule with its
 basis values, the source moments and ||f||^2; plus the boundary data
@@ -67,7 +69,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -109,31 +110,9 @@ SourceFn = Callable[[np.ndarray], np.ndarray]
 BoundaryFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class DofMap:
-    """Indexing of skeleton unknowns: p + 1 consecutive dofs per edge."""
-
-    dofs_per_edge: int
-    n_edges: int
-    elem_edges: np.ndarray  # (F, 3) global edge id of each local face
-
-    @property
-    def n_dofs(self) -> int:
-        return self.dofs_per_edge * self.n_edges
-
-    def edge_dofs(self, edges: np.ndarray) -> np.ndarray:
-        """Dofs of each given edge, shape edges.shape + (p + 1,)."""
-        m = self.dofs_per_edge
-        return m * np.asarray(edges)[..., None] + np.arange(m)
-
-    @cached_property
-    def elem_dofs(self) -> np.ndarray:
-        """(F, 3(p+1)) gather indices of each element, face-major."""
-        return self.edge_dofs(self.elem_edges).reshape(len(self.elem_edges), -1)
-
-
-def build_dof_map(mesh: Mesh, p: int) -> DofMap:
-    return DofMap(dofs_per_edge=p + 1, n_edges=mesh.n_edges, elem_edges=mesh.elem_edges)
+def _edge_dofs(edges: np.ndarray, m: int) -> np.ndarray:
+    """Skeleton dofs of the given edges, m = p + 1 each: edges.shape + (m,)."""
+    return m * np.asarray(edges)[..., None] + np.arange(m)
 
 
 @dataclass(frozen=True)
@@ -147,12 +126,6 @@ class SkeletonSystem:
     permuted: sp.csc_matrix  # P A P^T
     rhs: np.ndarray
     perm: np.ndarray  # (n_dofs,) factorization order of the dofs
-
-    @property
-    def matrix(self) -> sp.csc_matrix:
-        """A in the global dof numbering (a new matrix on every call)."""
-        position = np.argsort(self.perm)
-        return self.permuted[position][:, position]
 
 
 @dataclass
@@ -259,7 +232,6 @@ class Discretization:
 
     mesh: Mesh
     cfg: ProblemConfig
-    dof_map: DofMap
     classes: tuple[ElementClass, ...]
     g_moments: np.ndarray  # (n_dofs,) boundary data moments <g, mu>
     g_sq: float  # ||g||^2 over the boundary
@@ -268,23 +240,22 @@ class Discretization:
     def assemble(self) -> SkeletonSystem:
         """The condensed global system a_h(uhat, mu) = b_h(mu), stored as
         P A P^T in the nested-dissection order."""
-        width = 3 * self.dof_map.dofs_per_edge
-        n_dofs = self.dof_map.n_dofs
-        perm = self.dof_map.edge_dofs(nested_dissection_edges(self.mesh)).ravel()
+        mesh, m = self.mesh, self.cfg.p + 1
+        n_dofs = m * mesh.n_edges
+        perm = _edge_dofs(nested_dissection_edges(mesh), m).ravel()
         position = np.argsort(perm)  # row of each dof in P A P^T
         rows, cols, vals = [], [], []
         rhs = np.zeros(n_dofs, dtype=complex)
         for cls in self.classes:
-            gidx = self.dof_map.elem_dofs[cls.ids]  # (nE, 3m)
+            gidx = _edge_dofs(mesh.elem_edges[cls.ids], m).reshape(len(cls.ids), 3 * m)
             pidx = position[gidx]
-            rows.append(np.repeat(pidx, width, axis=1).ravel())
-            cols.append(np.tile(pidx, (1, width)).ravel())
-            vals.append(np.broadcast_to(-cls.ops.K, (len(cls.ids), width, width)).ravel())
+            rows.append(np.repeat(pidx, 3 * m, axis=1).ravel())
+            cols.append(np.tile(pidx, (1, 3 * m)).ravel())
+            vals.append(np.broadcast_to(-cls.ops.K, (len(cls.ids), 3 * m, 3 * m)).ravel())
             f_flux = cls.f_moments @ cls.ops.load_to_flux.T  # (nE, 3m)
             np.add.at(rhs, gidx.ravel(), -f_flux.ravel())
 
-        bd_edges = np.flatnonzero(self.mesh.boundary_flags)
-        bd_dofs = position[self.dof_map.edge_dofs(bd_edges).ravel()]
+        bd_dofs = position[_edge_dofs(np.flatnonzero(mesh.boundary_flags), m).ravel()]
         rows.append(bd_dofs)
         cols.append(bd_dofs)
         vals.append(np.ones(bd_dofs.size, dtype=complex))
@@ -301,8 +272,9 @@ class Discretization:
         n = TriangleBasis(self.cfg.p).dim
         Q = np.zeros((self.mesh.n_elements, 2 * n), dtype=complex)
         U = np.zeros((self.mesh.n_elements, n), dtype=complex)
+        traces = uhat.reshape(self.mesh.n_edges, self.cfg.p + 1)
         for cls in self.classes:
-            lam = uhat[self.dof_map.elem_dofs[cls.ids]]
+            lam = traces[self.mesh.elem_edges[cls.ids]].reshape(len(cls.ids), -1)
             x = lam @ cls.ops.recon_lam.T + cls.f_moments @ cls.ops.inv_load.T
             Q[cls.ids] = x[:, : 2 * n]
             U[cls.ids] = x[:, 2 * n :]
@@ -313,8 +285,7 @@ class Discretization:
 
 def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Discretization:
     """Condense each congruence class once, evaluate f once per class and
-    g once per boundary quadrature degree; the data norms come from the
-    same values."""
+    g once; the data norms come from the same values."""
     basis = TriangleBasis(cfg.p)
     classes = []
     for ids, rep in _group_elements(mesh):
@@ -337,7 +308,6 @@ def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Di
     disc = Discretization(
         mesh=mesh,
         cfg=cfg,
-        dof_map=build_dof_map(mesh, cfg.p),
         classes=tuple(classes),
         g_moments=g_moments,
         g_sq=g_sq,
@@ -355,32 +325,22 @@ def boundary_loads(mesh: Mesh, cfg: ProblemConfig, g: BoundaryFn) -> tuple[np.nd
     """Boundary data moments <g, mu> as a skeleton-sized vector, and
     ||g||^2 over the boundary from the same values of g.
 
-    Boundary edges are grouped by the data quadrature degree of their
-    length, and g runs once per group at the rule points of its edges
-    (along the global edge direction, edge-major) with the outward normal
-    of the owning element's face; that face's length scales both results.
+    g runs once, on the edge data rule of the global mesh size (as does the
+    trace error) along every boundary edge's global direction, edge-major,
+    with the outward normal of the owning element's face; that face's
+    length scales both results.
     """
-    m = cfg.p + 1
-    basis = EdgeBasis(cfg.p)
-    out = np.zeros((mesh.n_edges, m), dtype=complex)
-    g_sq = 0.0
+    rule = quadrature_rule("edge", data_quadrature_degree(cfg.p, cfg.kappa, mesh.h_global))
     edges = np.flatnonzero(mesh.boundary_flags)
-    a = mesh.vertices[mesh.edges[edges, 0]]
-    b = mesh.vertices[mesh.edges[edges, 1]]
     elem, face = mesh.edge_to_elements[edges, 0].T
     lengths = mesh.face_lengths[elem, face]
-    normals = mesh.normals[elem, face]
-    degrees = np.array([data_quadrature_degree(cfg.p, cfg.kappa, h) for h in lengths.tolist()])
-    for deg in np.unique(degrees):
-        sel = degrees == deg
-        rule = quadrature_rule("edge", int(deg))
-        pts = a[sel, None, :] + rule.points[None, :, None] * (b[sel] - a[sel])[:, None, :]
-        nrm = np.repeat(normals[sel], rule.n_points, axis=0)
-        values = np.asarray(g(pts.reshape(-1, 2), nrm), dtype=complex).reshape(len(pts), -1)
-        out[edges[sel]] = np.sqrt(lengths[sel])[:, None] * (
-            (values * rule.weights) @ basis.eval(rule.points))
-        g_sq += float(lengths[sel] @ (np.abs(values) ** 2 @ rule.weights))
-    return out.ravel(), g_sq
+    pts = mesh.edge_points(edges, rule.points).reshape(-1, 2)
+    nrm = np.repeat(mesh.normals[elem, face], rule.n_points, axis=0)
+    values = np.asarray(g(pts, nrm), dtype=complex).reshape(len(edges), -1)
+    out = np.zeros((mesh.n_edges, cfg.p + 1), dtype=complex)
+    out[edges] = np.sqrt(lengths)[:, None] * (
+        (values * rule.weights) @ EdgeBasis(cfg.p).eval(rule.points))
+    return out.ravel(), float(lengths @ (np.abs(values) ** 2 @ rule.weights))
 
 
 @dataclass(frozen=True)
@@ -463,7 +423,7 @@ def solve_helmholtz(disc: Discretization) -> tuple[Solution, SolveInfo]:
     solution = disc.reconstruct(traces.uhat)
     info = SolveInfo(
         seconds=time.perf_counter() - start,
-        n_skeleton_dofs=disc.dof_map.n_dofs,
+        n_skeleton_dofs=traces.uhat.size,
         residual=traces.residual,
         max_local_cond=disc.max_local_cond,
         refine_steps=traces.refine_steps,
@@ -513,13 +473,18 @@ def monolithic_solve(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn)
     """
     n = TriangleBasis(cfg.p).dim
     block = 3 * n
-    dof_map = build_dof_map(mesh, cfg.p)
+    m = cfg.p + 1
     n_interior = mesh.n_elements * block
-    total = n_interior + dof_map.n_dofs
+    total = n_interior + m * mesh.n_edges
     if total > MONOLITHIC_GUARD:
         raise ValueError(
             f"monolithic solve refused: {total} unknowns exceed guard {MONOLITHIC_GUARD}"
         )
+
+    # The trace layout is written out here, so that the oracle shares no
+    # indexing with the condensed assembly.
+    def trace_dofs(edges: np.ndarray) -> np.ndarray:
+        return n_interior + (m * edges[:, None] + np.arange(m)).ravel()
 
     rows, cols, vals = [], [], []
     rhs = np.zeros(total, dtype=complex)
@@ -537,7 +502,7 @@ def monolithic_solve(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn)
         o = elem * block
         iq = np.arange(o, o + 2 * n)
         iu = np.arange(o + 2 * n, o + 3 * n)
-        ilam = n_interior + dof_map.elem_dofs[elem]
+        ilam = trace_dofs(mesh.elem_edges[elem])
 
         add(iq, iq, blocks.A)
         add(iq, iu, -blocks.B)
@@ -550,14 +515,10 @@ def monolithic_solve(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn)
         # Skeleton rows: -<qhat.n, mu> per incident element ...
         add(ilam, iq, -blocks.C.T)
         add(ilam, iu, -blocks.R.T)
-        add(ilam, ilam, blocks.tau * np.eye(3 * (cfg.p + 1)))
+        add(ilam, ilam, blocks.tau * np.eye(3 * m))
 
-    # ... plus the boundary mass <uhat, mu> on the impedance boundary,
-    # with the dof layout written out here so the oracle shares no
-    # indexing with the condensed assembly.
-    m = cfg.p + 1
-    bd_edges = np.flatnonzero(mesh.boundary_flags)
-    bd_dofs = n_interior + (m * bd_edges[:, None] + np.arange(m)).ravel()
+    # ... plus the boundary mass <uhat, mu> on the impedance boundary.
+    bd_dofs = trace_dofs(np.flatnonzero(mesh.boundary_flags))
     rows.append(bd_dofs)
     cols.append(bd_dofs)
     vals.append(np.ones(bd_dofs.size, dtype=complex))

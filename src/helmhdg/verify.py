@@ -1,9 +1,8 @@
 """Named self-checks bundling every module's invariants for the CLI.
 
 Each check returns its measured value(s) so the runner can print one
-line per check; any failure flips the process exit code.  The whole
-suite takes about 0.28 s (median of repeated runs) on one core of a 2-core
-Intel Xeon VM.
+line per check; any failure flips the process exit code.  The `verify`
+workload of the benchmark (`perfbench/`) measures how long the suite takes.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ from helmhdg.mesh import _finish_mesh, build_structured_mesh
 @pytest.fixture
 def uneven_boundary_mesh():
     """Builder of an n x n structured mesh with one boundary vertex slid
-    along its side, so boundary edge lengths (and with them the data
-    quadrature degrees) differ."""
+    along its side, so boundary edge lengths differ (the edge data rule,
+    which takes the global mesh size, does not)."""
 
     def build(n):
         base = build_structured_mesh(n)

@@ -179,34 +179,45 @@ def test_parallel_workers_match_serial(tmp_path):
         assert _strip_wall_time(_read(serial / name)) == _strip_wall_time(_read(parallel / name))
 
 
-def test_header_echoes_element_and_boundary_quadrature_degrees(tmp_path, monkeypatch):
-    # At (20, 2, 12) the element size sqrt(2)/12 gets degree 11 and the
-    # boundary edge length 1/12 degree 10; the header must name both, and
-    # the boundary line must be the rule that boundary_loads uses.
+@pytest.mark.parametrize("kappa, p, n", [(20, 2, 10), (20, 2, 20), (10, 2, 5), (40, 2, 20)])
+def test_header_names_the_one_edge_rule(tmp_path, monkeypatch, kappa, p, n):
+    # kappa/n is an integer here, where degrees taken from computed edge
+    # lengths used to split the boundary between two rules.  boundary_loads
+    # must call g once on every boundary edge, on the rule of the header's
+    # only quadrature degree line.
     from helmhdg import skeleton
-    from helmhdg.analytic import benchmark_problem
+    from helmhdg.analytic import DataFunctions
     from helmhdg.hdg_local import ProblemConfig
     from helmhdg.mesh import build_structured_mesh
+    from helmhdg.polybasis import quadrature_rule
 
     out = tmp_path / "solve"
-    assert main(["solve", "--kappa", "20", "--p", "2", "--n", "12", "--out", str(out)]) == 0
-    lines = _read(out / "solution_k20_p2_n12.csv").splitlines()
-    assert "# data quadrature degree = 11" in lines
-    assert "# boundary quadrature degree = 10" in lines
+    args = ["solve", "--kappa", str(kappa), "--p", str(p), "--n", str(n), "--out", str(out)]
+    assert main(args) == 0
+    lines = _read(out / f"solution_k{kappa}_p{p}_n{n}.csv").splitlines()
+    (line,) = [line for line in lines if "quadrature degree" in line]
+    assert line.startswith("# data quadrature degree = ")
+    degree = int(line.rsplit(" ", 1)[1])
 
-    edge_degrees = []
-    rule = skeleton.quadrature_rule
+    edge_degrees, g_points = [], []
+    rule, g = skeleton.quadrature_rule, DataFunctions.g
 
-    def recording_rule(shape, degree):
+    def recording_rule(shape, deg):
         if shape == "edge":
-            edge_degrees.append(degree)
-        return rule(shape, degree)
+            edge_degrees.append(deg)
+        return rule(shape, deg)
+
+    def counting_g(self, points, normals):
+        g_points.append(len(points))
+        return g(self, points, normals)
 
     monkeypatch.setattr(skeleton, "quadrature_rule", recording_rule)
-    mesh = build_structured_mesh(12)
-    _, data = benchmark_problem(20.0)
-    skeleton.boundary_loads(mesh, ProblemConfig.for_mesh(20.0, 2, mesh), data.g)
-    assert edge_degrees == [10]
+    monkeypatch.setattr(DataFunctions, "g", counting_g)
+    mesh = build_structured_mesh(n)
+    data = DataFunctions(float(kappa))
+    skeleton.boundary_loads(mesh, ProblemConfig.for_mesh(kappa, p, mesh), data.g)
+    assert edge_degrees == [degree]
+    assert g_points == [4 * n * quadrature_rule("edge", degree).n_points]
 
 
 def test_config_file_with_flag_override(tmp_path):

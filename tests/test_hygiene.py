@@ -1,7 +1,9 @@
 """Every name a helmhdg module imports is used in that module, no module
 imports another's private (underscore-prefixed) names, the package's
-`__all__` lists exactly what `__init__.py` imports, and every function
-that the benchmark's span tracer wraps still exists.
+`__all__` lists exactly what `__init__.py` imports, every function
+that the benchmark's span tracer wraps still exists, and every public
+function, class and method of the package has a caller in `src/` or
+`demos/`, so code that only tests use lives with the tests.
 
 No linter runs in CI, so this test is the check for dead imports.
 `__init__.py` is skipped by the unused-import check: it re-exports its
@@ -18,6 +20,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "helmhdg"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -101,19 +105,24 @@ def test_all_mismatch_is_detected():
     assert _all_mismatch(source) == {"dropped", "stale"}
 
 
-def _absent_targets(source: str) -> set[str]:
-    """Span names of the `TARGETS` entries (span name, module, attribute
-    path, hook) whose module or attribute no longer resolves; read with
-    `ast`, so the tracer is neither imported nor installed."""
+def _span_targets(source: str) -> list[tuple[str, str, str]]:
+    """(span name, module, attribute path) of each `TARGETS` entry (span
+    name, module, attribute path, hook); read with `ast`, so the tracer is
+    neither imported nor installed."""
     tree = ast.parse(source)
     targets = next(
         node.value
         for node in tree.body
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
     )
+    return [tuple(ast.literal_eval(elt) for elt in entry.elts[:3]) for entry in targets.elts]
+
+
+def _absent_targets(source: str) -> set[str]:
+    """Span names of the `TARGETS` entries whose module or attribute no
+    longer resolves."""
     absent = set()
-    for entry in targets.elts:
-        name, module, path = (ast.literal_eval(elt) for elt in entry.elts[:3])
+    for name, module, path in _span_targets(source):
         try:
             owner = importlib.import_module(module)
             for part in path.split("."):
@@ -127,8 +136,7 @@ def test_benchmark_span_targets_resolve():
     # A refactor that renames or deletes a wrapped function silently
     # detaches its benchmark metrics; only the already-removed
     # skeleton.volume_loads may be missing.
-    source = (ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8")
-    assert _absent_targets(source) <= {"skeleton.volume_loads"}
+    assert _absent_targets(SPANS.read_text(encoding="utf-8")) <= {"skeleton.volume_loads"}
 
 
 def test_absent_span_target_is_detected():
@@ -140,3 +148,61 @@ def test_absent_span_target_is_detected():
         "]\n"
     )
     assert _absent_targets(source) == {"mesh.gone", "nowhere.f"}
+
+
+def _uncalled_definitions(defining: dict[str, str], using: list[str], exempt: set[str]) -> list[str]:
+    """Public module-level functions and classes, and public methods of
+    module-level classes, of the `defining` sources (name -> source) whose
+    name appears in no `using` source as a variable or attribute name and
+    is not in `exempt`."""
+    used = set()
+    for source in using:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    known = used | exempt
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    uncalled = []
+    for label, source in defining.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, kinds):
+                continue
+            members = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)]
+            uncalled += [
+                f"{label}:{defn.lineno} {qualname}"
+                for qualname, defn in members
+                if not defn.name.startswith("_") and defn.name not in known
+            ]
+    return uncalled
+
+
+def test_every_public_definition_has_a_caller():
+    # The span tracer's targets are exempt: the benchmark wraps them, so
+    # they stay until the benchmark drops them.
+    exempt = {path.split(".")[-1] for _, _, path in _span_targets(SPANS.read_text(encoding="utf-8"))}
+    defining = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    using = list(defining.values()) + [path.read_text(encoding="utf-8") for path in DEMOS]
+    assert _uncalled_definitions(defining, using, exempt) == []
+
+
+def test_uncalled_definition_is_detected():
+    defining = {"mod.py": (
+        "def used():\n    pass\n"
+        "def unused():\n    pass\n"
+        "class Kept:\n"
+        "    def method(self):\n        pass\n"
+        "    def _private(self):\n        pass\n"
+        "    def dead(self):\n        pass\n"
+        "class Dead:\n    pass\n"
+        "def _helper():\n    pass\n"
+        "def traced():\n    pass\n"
+    )}
+    using = ["from mod import used\nused()\nobj = Kept()\nobj.method()\n"]
+    assert _uncalled_definitions(defining, using, exempt={"traced"}) == [
+        "mod.py:3 unused", "mod.py:10 Kept.dead", "mod.py:12 Dead",
+    ]

@@ -6,12 +6,7 @@ import scipy.sparse.linalg as spla
 
 from helmhdg.analytic import benchmark_problem, data_quadrature_degree
 from helmhdg.diagnostics import data_norms
-from helmhdg.hdg_local import (
-    ProblemConfig,
-    assemble_local_blocks,
-    flux_functional,
-    local_residual,
-)
+from helmhdg.hdg_local import ProblemConfig, assemble_local_blocks
 from helmhdg.mesh import _finish_mesh, build_structured_mesh, mesh_entities
 from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule
 import helmhdg.skeleton as skeleton
@@ -19,8 +14,8 @@ from helmhdg.skeleton import (
     Solution,
     MONOLITHIC_GUARD,
     RESIDUAL_TOL,
+    _edge_dofs,
     boundary_loads,
-    build_dof_map,
     discretize,
     monolithic_solve,
     sample_solution,
@@ -29,6 +24,7 @@ from helmhdg.skeleton import (
     skeleton_residual,
     write_solution_csv,
 )
+from reference import flux_functional, global_matrix, local_residual
 
 
 def zero_f(pts):
@@ -40,27 +36,32 @@ def zero_g(pts, normals):
 
 
 def test_dof_map_partitions_and_round_trips():
+    # The face-major gather of every element through the dof layout: each
+    # face slot starts at m times its edge, each element's 3m dofs are
+    # distinct, and over all elements every dof is gathered exactly once
+    # per element incident to its edge.
     mesh = build_structured_mesh(3)
+    incident = np.where(mesh.boundary_flags, 1, 2)
     for p in (1, 2, 3):
-        dm = build_dof_map(mesh, p)
         m = p + 1
-        assert dm.n_dofs == m * mesh.n_edges
-        first = dm.elem_dofs.reshape(mesh.n_elements, 3, m)[:, :, 0]
+        gather = _edge_dofs(mesh.elem_edges, m).reshape(mesh.n_elements, 3 * m)
+        first = gather.reshape(mesh.n_elements, 3, m)[:, :, 0]
         assert np.array_equal(first, m * mesh.elem_edges)
-        # every dof is owned by exactly one edge slot
-        assert set(dm.elem_dofs.ravel()) <= set(range(dm.n_dofs))
+        assert all(len(set(row)) == 3 * m for row in gather.tolist())
+        counts = np.bincount(gather.ravel(), minlength=m * mesh.n_edges)
+        assert np.array_equal(counts, np.repeat(incident, m))
 
 
 def test_skeleton_unknown_count_n1_p1():
     mesh = build_structured_mesh(1)
-    assert build_dof_map(mesh, 1).n_dofs == 10
+    cfg = ProblemConfig.for_mesh(5.0, 1, mesh)
+    assert discretize(mesh, cfg, zero_f, zero_g).assemble().rhs.size == 10
 
 
 def test_monolithic_unknown_count_n1_p1():
-    n = TriangleBasis(1).dim
     mesh = build_structured_mesh(1)
-    total = mesh.n_elements * 3 * n + build_dof_map(mesh, 1).n_dofs
-    assert total == 28
+    solution = monolithic_solve(mesh, ProblemConfig.for_mesh(5.0, 1, mesh), zero_f, zero_g)
+    assert solution.Q.size + solution.U.size + solution.uhat.size == 28
 
 
 def test_zero_data_zero_solution():
@@ -86,7 +87,7 @@ def test_sparsity_couples_only_edge_neighbors():
     for elem in range(mesh.n_elements):
         for a in mesh.elem_edges[elem]:
             neighbors[int(a)].update(int(b) for b in mesh.elem_edges[elem])
-    coo = system.matrix.tocoo()
+    coo = global_matrix(system).tocoo()
     for i, j in zip(coo.row, coo.col):
         assert int(j) // m in neighbors[int(i) // m]
 
@@ -95,16 +96,15 @@ def test_boundary_edges_carry_extra_mass():
     mesh = build_structured_mesh(2)
     cfg = ProblemConfig.for_mesh(10.0, 1, mesh)
     disc = discretize(mesh, cfg, zero_f, zero_g)
-    full = disc.assemble().matrix.toarray()
+    full = global_matrix(disc.assemble()).toarray()
     # rebuild only the condensed-flux part
     flux_only = np.zeros_like(full)
-    dm = disc.dof_map
+    m = cfg.p + 1
     for cls in disc.classes:
         for elem in cls.ids:
-            idx = dm.elem_dofs[elem]
+            idx = _edge_dofs(mesh.elem_edges[elem], m).ravel()
             flux_only[np.ix_(idx, idx)] += -cls.ops.K
     extra = full - flux_only
-    m = cfg.p + 1
     expected = np.zeros_like(full)
     for edge in np.flatnonzero(mesh.boundary_flags):
         sl = slice(m * edge, m * (edge + 1))
@@ -122,16 +122,15 @@ def test_skeleton_matrix_is_schur_complement_of_monolithic():
     block = 3 * n
     n_interior = mesh.n_elements * block
 
-    condensed = discretize(mesh, cfg, data.f, data.g).assemble().matrix.toarray()
+    condensed = global_matrix(discretize(mesh, cfg, data.f, data.g).assemble()).toarray()
 
     # assemble the dense coupled system (same row convention)
-    dm = build_dof_map(mesh, 1)
-    total = n_interior + dm.n_dofs
+    total = n_interior + 2 * mesh.n_edges
     full = np.zeros((total, total), dtype=complex)
     for elem in range(mesh.n_elements):
         blocks = assemble_local_blocks(mesh_entities(mesh, elem), cfg)
         o = elem * block
-        lam = n_interior + dm.elem_dofs[elem]
+        lam = n_interior + _edge_dofs(mesh.elem_edges[elem], 2).ravel()
         full[o : o + 2 * n, o : o + 2 * n] = blocks.A
         full[o : o + 2 * n, o + 2 * n : o + block] = -blocks.B
         full[np.ix_(range(o, o + 2 * n), lam)] = blocks.C
@@ -185,13 +184,12 @@ def test_reconstruction_satisfies_local_equations():
     solution, _ = solve_helmholtz(discretize(mesh, cfg, data.f, data.g))
     from helmhdg.hdg_local import volume_load
 
-    dm = build_dof_map(mesh, cfg.p)
+    traces = solution.uhat.reshape(mesh.n_edges, cfg.p + 1)
     for elem in range(mesh.n_elements):
         blocks = assemble_local_blocks(mesh_entities(mesh, elem), cfg)
         load = volume_load(mesh_entities(mesh, elem), cfg, data.f)
-        resid = local_residual(
-            blocks, solution.Q[elem], solution.U[elem], solution.uhat[dm.elem_dofs[elem]], load
-        )
+        lam = traces[mesh.elem_edges[elem]].ravel()
+        resid = local_residual(blocks, solution.Q[elem], solution.U[elem], lam, load)
         assert resid <= 1e-9
 
 
@@ -202,13 +200,13 @@ def test_flux_continuity_across_interior_edges():
     cfg = ProblemConfig.for_mesh(20.0, 2, mesh)
     _, data = benchmark_problem(20.0)
     solution, _ = solve_helmholtz(discretize(mesh, cfg, data.f, data.g))
-    dm = build_dof_map(mesh, cfg.p)
     m = cfg.p + 1
+    traces = solution.uhat.reshape(mesh.n_edges, m)
 
     fluxes = []
     for elem in range(mesh.n_elements):
         blocks = assemble_local_blocks(mesh_entities(mesh, elem), cfg)
-        lam = solution.uhat[dm.elem_dofs[elem]]
+        lam = traces[mesh.elem_edges[elem]].ravel()
         fluxes.append(flux_functional(blocks, solution.Q[elem], solution.U[elem], lam))
     scale = max(np.abs(np.concatenate(fluxes)).max(), 1e-300)
 
@@ -358,7 +356,7 @@ def test_solution_csv_matches_fstring_rendering(tmp_path, monkeypatch, extremes)
 
 def _per_edge_boundary_reference(mesh, cfg, g):
     """Boundary moments and ||g|| edge by edge, one g call per edge, both
-    on the rule of the edge's own length."""
+    on the edge rule of the global mesh size."""
     m = cfg.p + 1
     basis = EdgeBasis(cfg.p)
     loads = np.zeros(m * mesh.n_edges, dtype=complex)
@@ -369,7 +367,7 @@ def _per_edge_boundary_reference(mesh, cfg, g):
         length = float(np.linalg.norm(b - a))
         elem, face = mesh.edge_to_elements[edge, 0]
         normal = mesh_entities(mesh, int(elem)).normals[int(face)]
-        rule = quadrature_rule("edge", data_quadrature_degree(cfg.p, cfg.kappa, length))
+        rule = quadrature_rule("edge", data_quadrature_degree(cfg.p, cfg.kappa, mesh.h_global))
         pts = a + rule.points[:, None] * (b - a)
         vals = np.asarray(g(pts, np.tile(normal, (rule.n_points, 1))), dtype=complex)
         psi = basis.eval(rule.points)
@@ -465,7 +463,7 @@ def test_nested_dissection_factor_is_smaller_than_minimum_degree(monkeypatch):
     monkeypatch.setattr(spla, "splu", recording_splu)
     solve_skeleton(system)
     (nnz,) = factored
-    assert nnz <= 0.9 * splu(system.matrix, permc_spec="MMD_AT_PLUS_A").nnz
+    assert nnz <= 0.9 * splu(global_matrix(system), permc_spec="MMD_AT_PLUS_A").nnz
 
 
 def _record_factored_matrices(monkeypatch):
