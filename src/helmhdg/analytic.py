@@ -140,9 +140,12 @@ def data_quadrature_degree(p: int, kappa: float, h: float) -> int:
     error of the oscillatory integrands below the discretization error.
     This is the only data-rule policy, with no override: the source rule
     takes the element class size, and every edge integral (boundary data
-    and trace error) the global mesh size.
+    and trace error) the global mesh size.  kappa h is rounded to 12
+    significant digits before its ceiling is taken, so a size computed
+    from vertex coordinates and the closed-form sqrt(2)/n of the same
+    mesh give one degree even where kappa h is an integer.
     """
-    return 2 * p + 4 + int(math.ceil(kappa * h))
+    return 2 * p + 4 + int(math.ceil(float(f"{kappa * h:.12g}")))
 
 
 def l2_project(

@@ -23,7 +23,9 @@ the trace error on the edge rule of the global mesh size, the one rule
 of every edge integral, boundary data included.  The trace
 error evaluates each edge once, along its global direction, and weights
 interior edges by 2 (once per incident element) and boundary edges by 1,
-matching the broken-boundary norm.
+matching the broken-boundary norm.  The exact solution is evaluated on
+blocks of `_ERROR_BLOCK` elements or edges, so the error norms add no
+per-point array of the whole mesh to the peak memory.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ from .skeleton import Discretization, Solution, SolveInfo, discretize, solve_hel
 
 #: Contract on both parts of the relative energy-identity residual.
 ENERGY_IDENTITY_TOL = 1e-9
+
+#: Elements, or edges, whose exact solution `compute_errors` evaluates in
+#: one call, which bounds its transient memory.
+_ERROR_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -138,30 +144,37 @@ def compute_errors(
     disc: Discretization,
     seconds: float = float("nan"),
 ) -> ErrorReport:
-    """L2 errors of (u_h, q_h) and the broken trace error of uhat."""
+    """L2 errors of (u_h, q_h) and the broken trace error of uhat, taken
+    over blocks of `_ERROR_BLOCK` elements of a class, or edges."""
     mesh, cfg = disc.mesh, disc.cfg
     e_u_sq = 0.0
     e_q_sq = 0.0
     for cls in disc.classes:
-        ue, grad = exact.u_and_grad(cls.points(mesh).reshape(-1, 2))
-        qe = (1j * grad / exact.kappa).reshape(len(cls.ids), -1, 2)
-        uh, q1, q2 = cls.fields(solution)
-        du = uh - ue.reshape(len(cls.ids), -1)
-        dq1 = q1 - qe[:, :, 0]
-        dq2 = q2 - qe[:, :, 1]
         det, weights = cls.geom.det, cls.rule.weights
-        e_u_sq += det * float((np.abs(du) ** 2 @ weights).sum())
-        e_q_sq += det * float(((np.abs(dq1) ** 2 + np.abs(dq2) ** 2) @ weights).sum())
+        for start in range(0, len(cls.ids), _ERROR_BLOCK):
+            sel = slice(start, start + _ERROR_BLOCK)
+            ue, grad = exact.u_and_grad(cls.points(mesh, sel).reshape(-1, 2))
+            uh, q1, q2 = cls.fields(solution, sel)
+            qe = (1j * grad / exact.kappa).reshape(*uh.shape, 2)
+            du = uh - ue.reshape(uh.shape)
+            dq1 = q1 - qe[:, :, 0]
+            dq2 = q2 - qe[:, :, 1]
+            e_u_sq += det * float((np.abs(du) ** 2 @ weights).sum())
+            e_q_sq += det * float(((np.abs(dq1) ** 2 + np.abs(dq2) ** 2) @ weights).sum())
 
     rule = quadrature_rule("edge", data_quadrature_degree(cfg.p, cfg.kappa, mesh.h_global))
-    pts = mesh.edge_points(np.arange(mesh.n_edges), rule.points)
-    elem, face = mesh.edge_to_elements[:, 0].T
-    lengths = mesh.face_lengths[elem, face]
-    uhat = solution.uhat.reshape(mesh.n_edges, cfg.p + 1) @ EdgeBasis(cfg.p).eval(rule.points).T
-    diff = exact.u(pts.reshape(-1, 2)).reshape(mesh.n_edges, -1) - uhat / np.sqrt(lengths)[:, None]
-    # Interior edges count once per incident element.
-    weights = np.where(mesh.boundary_flags, 1.0, 2.0) * lengths
-    e_t_sq = float(weights @ (np.abs(diff) ** 2 @ rule.weights))
+    basis = EdgeBasis(cfg.p).eval(rule.points).T
+    traces = solution.uhat.reshape(mesh.n_edges, cfg.p + 1)
+    e_t_sq = 0.0
+    for start in range(0, mesh.n_edges, _ERROR_BLOCK):
+        edges = np.arange(start, min(start + _ERROR_BLOCK, mesh.n_edges))
+        elem, face = mesh.edge_to_elements[edges, 0].T
+        lengths = mesh.face_lengths[elem, face]
+        exact_u = exact.u(mesh.edge_points(edges, rule.points).reshape(-1, 2))
+        diff = exact_u.reshape(edges.size, -1) - (traces[edges] @ basis) / np.sqrt(lengths)[:, None]
+        # Interior edges count once per incident element.
+        weights = np.where(mesh.boundary_flags[edges], 1.0, 2.0) * lengths
+        e_t_sq += float(weights @ (np.abs(diff) ** 2 @ rule.weights))
 
     e_u = math.sqrt(e_u_sq)
     e_q = math.sqrt(e_q_sq)

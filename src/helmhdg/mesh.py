@@ -19,8 +19,10 @@ mesh checks, the element classes, the boundary data, the error norms and
 the projection check) reads these arrays; `ElementGeometry` derives the
 same quantities for one element with the same helper.  `Mesh.edge_points`
 places edge quadrature points along the global edge direction for the
-boundary data and the trace error alike.  Meshes are
-immutable after construction and safe for concurrent reads.
+boundary data and the trace error alike.  `dissection_tree` cuts the
+elements recursively into a tree whose translated nodes are grouped into
+congruence classes, which the skeleton solver factors once per class.
+Meshes are immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import numpy as np
 DOMAIN_BOUNDS = (-0.5, -0.5, 0.5, 0.5)
 
 #: Tree nodes of at most this many elements are leaves of the
-#: nested-dissection ordering.
-ND_LEAF_SIZE = 8
+#: dissection tree.
+ND_LEAF_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -281,46 +283,154 @@ def mesh_entities(mesh: Mesh, elem: int) -> ElementGeometry:
     )
 
 
-def nested_dissection_edges(mesh: Mesh) -> np.ndarray:
-    """Edge permutation (E,) from recursive coordinate bisection of the elements.
+@dataclass(frozen=True)
+class DissectionTree:
+    """Nested dissection of the elements, with congruent nodes grouped.
 
-    Each tree node of more than `ND_LEAF_SIZE` elements is cut across the
-    longer extent of its element centroids, at the vertex coordinate nearest
-    the median centroid (at the median rank if that leaves one side empty).
-    Its separator is the set of edges whose two elements fall on opposite
-    sides; edges come out in post-order: left subtree, right subtree,
-    separator.  One step per tree level: each step appends one base-3
-    digit per edge (0 left, 1 right, 2 separator, 0 once placed), and one
-    stable sort over the digits, level 0 first, yields the order.
+    A node is a set of elements; node 0 holds them all, and nodes are
+    numbered level by level.  An edge is eliminated at the lowest node that
+    holds both of its elements, a boundary edge at its element's leaf.  A
+    node's interface is its edges with exactly one element inside it.  Its
+    front lists its eliminated edges, then its interface edges, each in
+    the order of their midpoints relative to the node, so translated nodes
+    list corresponding edges in the same positions.  Nodes of one class
+    are translates with equal element labels, equal boundary pattern and,
+    for internal nodes, children of equal classes at equal offsets, so
+    they share one dense front.  Classes are numbered in ascending height,
+    so children's classes precede their parents'.
     """
-    cent = mesh.vertices[mesh.triangles].mean(axis=1)
-    grid = [np.unique(mesh.vertices[:, axis]) for axis in range(2)]
+
+    children: np.ndarray  # (n_nodes, 2) left and right child, -1 for leaves
+    node_class: np.ndarray  # (n_nodes,) congruence class of each node
+    front_ptr: np.ndarray  # (n_nodes + 1,) node k's front is front_edges[ptr[k]:ptr[k + 1]]
+    front_edges: np.ndarray  # eliminated then interface edges of every node
+    n_elim: np.ndarray  # (n_nodes,) eliminated edges at the head of each front
+    elem_leaf: np.ndarray  # (F,) leaf node of each element
+
+    def front(self, node: int) -> np.ndarray:
+        """Edges of one node's front: eliminated first, then interface."""
+        return self.front_edges[self.front_ptr[node] : self.front_ptr[node + 1]]
+
+
+def dissection_tree(mesh: Mesh, labels: np.ndarray) -> DissectionTree:
+    """Recursive coordinate bisection of the elements, with the nodes
+    grouped into congruence classes; `labels` (F,) are element classes.
+
+    Each node of more than `ND_LEAF_SIZE` elements is cut across the longer
+    extent of its element centroids, at the vertex coordinate nearest the
+    median centroid (at the median rank if that leaves one side empty); the
+    elements below the cut form the left child.  The coordinates are
+    integers on a lattice of 2^-10 of the shortest face, so that rounding
+    noise cannot make translated nodes cut, order or group differently.
+    All steps run per tree level (or per height) on whole arrays.
+    """
+    f = mesh.n_elements
+    quantum = mesh.face_lengths.min() * 2.0**-10
+    q = np.rint((mesh.vertices - mesh.vertices.min(axis=0)) / quantum).astype(np.int64)
+    cent = q[mesh.triangles].sum(axis=1)  # 3 x centroid
+    mid = 3 * q[mesh.edges].sum(axis=1)  # 6 x midpoint
+    # Distinct ranks of the centroids sorted by (x, y) and by (y, x), so
+    # that one integer key sorts elements by node, then coordinate.
+    place = np.empty((2, f), dtype=np.int64)
+    for axis in range(2):
+        place[axis, np.lexsort((cent[:, 1 - axis], cent[:, axis]))] = np.arange(f)
+    levels, splits = _bisect(cent, place, [3 * np.unique(q[:, axis]) for axis in range(2)])
+    n_nodes = 1 + max((first[-1] + 1 for _, first in splits), default=0)
+    children = np.full((n_nodes, 2), -1, dtype=np.int64)
+    height = np.zeros(n_nodes, dtype=np.int64)
+    elem_leaf = np.max(levels, axis=0)
+    ref = np.full((n_nodes, 2), np.iinfo(np.int64).max)  # least centroid per axis
+    np.minimum.at(ref, elem_leaf, cent)
+    for parents, first in splits[::-1]:
+        children[parents] = first[:, None] + [0, 1]
+        height[parents] = 1 + np.maximum(height[first], height[first + 1])
+        ref[parents] = np.minimum(ref[first], ref[first + 1])
+
+    # Fronts: (node, role, edge) with role 0 eliminated, 1 interface.
     e1 = mesh.edge_to_elements[:, 0, 0]
     e2 = np.where(mesh.boundary_flags, e1, mesh.edge_to_elements[:, 1, 0])
-    ids = np.arange(mesh.n_elements)  # elements of nodes that may still split
-    nd = np.zeros(mesh.n_elements, dtype=np.int64)  # their tree nodes
-    open_edges = np.ones(mesh.n_edges, dtype=bool)  # not yet in a separator
-    digits = []
+    nodes, roles, edges = [], [], []
+    for k, level in enumerate(levels):
+        a, b = level[e1], level[e2]
+        below = levels[k + 1] if k + 1 < len(levels) else np.full(f, -1)
+        elim = (a >= 0) & (a == b) & ((below[e1] != below[e2]) | (below[e1] < 0))
+        for sel, node, role in (
+            (elim, a, 0), ((a >= 0) & (a != b), a, 1), ((b >= 0) & (a != b), b, 1),
+        ):
+            hit = np.flatnonzero(sel)
+            nodes.append(node[hit])
+            roles.append(np.full(hit.size, role))
+            edges.append(hit)
+    nodes, roles, edges = (np.concatenate(x) for x in (nodes, roles, edges))
+    by_mid = np.empty(mesh.n_edges, dtype=np.int64)
+    by_mid[np.lexsort((mid[:, 0], mid[:, 1]))] = np.arange(mesh.n_edges)
+    order = np.argsort((2 * nodes + roles) * mesh.n_edges + by_mid[edges])
+    nodes, roles, edges = nodes[order], roles[order], edges[order]
+
+    # Classes, height by height: a leaf's key is its elements' labels,
+    # centroids relative to the node and boundary faces, in centroid order;
+    # an internal node's key its children's classes and their offset.
+    node_class = np.empty(n_nodes, dtype=np.int64)
+    leaves = np.flatnonzero(children[:, 0] < 0)
+    by_leaf = np.argsort(elem_leaf * f + place[1])
+    leaf = elem_leaf[by_leaf]
+    faces = mesh.boundary_flags[mesh.elem_edges[by_leaf]] @ [1, 2, 4]
+    keys = np.full((leaves.size, ND_LEAF_SIZE, 4), -1, dtype=np.int64)
+    keys[np.searchsorted(leaves, leaf), np.arange(f) - np.searchsorted(leaf, leaf)] = (
+        np.column_stack([labels[by_leaf], cent[by_leaf] - ref[leaf], faces]))
+    node_class[leaves] = _group_rows(keys.reshape(leaves.size, -1))
+    for h in range(1, height.max() + 1):
+        n_classes = node_class[height < h].max() + 1
+        at = np.flatnonzero(height == h)
+        left, right = children[at, 0], children[at, 1]
+        keys = np.column_stack([node_class[left], node_class[right], ref[right] - ref[left]])
+        node_class[at] = n_classes + _group_rows(keys)
+    return DissectionTree(
+        children=children, node_class=node_class,
+        front_ptr=np.concatenate([[0], np.cumsum(np.bincount(nodes, minlength=n_nodes))]),
+        front_edges=edges, n_elim=np.bincount(nodes[roles == 0], minlength=n_nodes),
+        elem_leaf=elem_leaf,
+    )
+
+
+def _bisect(
+    cent: np.ndarray, place: np.ndarray, grid: list[np.ndarray]
+) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
+    """The levels of the bisection tree of integer centroids `cent`, with
+    `place` their ranks in (x, y) and (y, x) order and `grid` the vertex
+    lines of each axis in the same units: per level, the node of each
+    element (-1 below its leaf), and per split level, the parents and
+    their left children (right child = left + 1).  Nodes are numbered
+    level by level, in ascending order within a level."""
+    f = cent.shape[0]
+    ids = np.arange(f)  # elements of the level's nodes, node-major
+    nd = np.zeros(f, dtype=np.int64)  # their node, numbered within the level
+    base = 0  # number of the level's first node
+    levels, splits = [], []
     while True:
         count = np.bincount(nd)
+        level = np.full(f, -1, dtype=np.int64)
+        level[ids] = base + nd
+        levels.append(level)
         keep = count[nd] > ND_LEAF_SIZE
         ids, nd = ids[keep], nd[keep]
         if ids.size == 0:
-            break
-        # Splitting nodes in ascending id; `seg` is the node of each
-        # position in the node-major sorted element lists.
+            return levels, splits
+        parents = base + np.flatnonzero(count > ND_LEAF_SIZE)
+        base += count.size
         count = count[count > ND_LEAF_SIZE]
+        splits.append((parents, base + 2 * np.arange(count.size)))
         start = np.cumsum(count) - count
         last = start + count - 1
         seg = np.repeat(np.arange(count.size), count)
         c = cent[ids]
-        by_x, by_y = np.lexsort((c[:, 0], nd)), np.lexsort((c[:, 1], nd))
+        by_x, by_y = (np.argsort(nd * f + place[axis, ids]) for axis in range(2))
         axis = (c[by_y[last], 1] - c[by_y[start], 1] > c[by_x[last], 0] - c[by_x[start], 0])
         axis = axis.astype(np.int64)
         order = np.where(axis[seg] == 1, by_y, by_x)
         coord = c[order, axis[seg]]
         median = coord[start + (count - 1) // 2]
-        cut = np.empty(count.size)
+        cut = np.empty(count.size, dtype=np.int64)
         for a in range(2):
             sel = axis == a
             k = np.clip(np.searchsorted(grid[a], median[sel]), 1, grid[a].size - 1)
@@ -332,15 +442,16 @@ def nested_dissection_edges(mesh: Mesh) -> np.ndarray:
         rank = np.arange(ids.size) - start[seg]
         right[uneven] = rank[uneven] >= (count // 2)[seg][uneven]
         ids, nd = ids[order], 2 * seg + right
-        side = np.full(mesh.n_elements, -1, dtype=np.int64)  # -1: in a leaf
-        side[ids] = right
-        inside = open_edges & (side[e1] >= 0)
-        separator = inside & (side[e1] != side[e2])
-        digits.append(np.where(separator, 2, np.where(inside, side[e1], 0)).astype(np.int8))
-        open_edges &= ~separator
-    if not digits:
-        return np.arange(mesh.n_edges)
-    return np.lexsort(digits[::-1])
+
+
+def _group_rows(rows: np.ndarray) -> np.ndarray:
+    """Class of each row of an integer array: equal rows share one, and
+    classes are numbered 0, 1, ... in lexicographic order of the rows."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    classes = np.empty(len(rows), dtype=np.int64)
+    classes[order] = np.cumsum(np.r_[True, np.any(ranked[1:] != ranked[:-1], axis=1)]) - 1
+    return classes
 
 
 def format_mesh(mesh: Mesh) -> str:

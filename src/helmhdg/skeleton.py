@@ -1,4 +1,4 @@
-"""Global skeleton system: assembly, sparse solve, interior reconstruction.
+"""Global skeleton system: class-wise operator, multifrontal solve, reconstruction.
 
 After static condensation the only globally coupled unknowns are the
 trace coefficients on mesh edges (p + 1 per edge).  The skeleton rows
@@ -25,37 +25,34 @@ elements.  `solve_helmholtz`, `sample_solution` and the diagnostics read
 that one `Discretization`, so the data are evaluated once and the energy
 identity pairs the solution with the very loads the solve used.  The
 discretization holds no callable, sparse matrix, factor or per-point
-array, so it adds nothing to the peak memory of the LU.
-Assembly order is deterministic (ascending element index with duplicate
-summation), so repeated runs are bit-identical.
+array, so it adds nothing to the peak memory of the solve.
+Every sum runs in a fixed order (each edge gathers its one or two
+element faces in element-major order, and each front is assembled once,
+from its class's first member), so repeated runs are bit-identical.
 
-The skeleton LU factors P A P^T, where P numbers the edges in a
-geometric nested-dissection order (`mesh.nested_dissection_edges`):
-recursive coordinate bisection of the elements, each separator (the
-edges between the two halves) numbered after both halves.  On structured
-meshes the separators are grid lines, as in George's nested dissection
-of a regular grid.  SuperLU keeps that order (``permc_spec="NATURAL"``)
-in symmetric mode, preferring diagonal pivots (threshold 0.1): the
-skeleton matrix is structurally symmetric, so diagonal pivots keep the
-elimination tree and fill of the symmetric ordering.  On the pollution
-meshes this stores 15 % fewer factor entries than minimum degree on
-A + A^T.  The assembly writes P A P^T directly, in complex128.
-
-The factor is computed in complex64, which halves its bytes, from a
-temporary complex64 copy of P A P^T that is released once SuperLU has
-factored it.  The complex128 accuracy is recovered by iterative
-refinement (Higham, *Accuracy and Stability of Numerical Algorithms*,
-ch. 12): starting from x = 0, each step takes the residual
-r = P b - P A P^T x in complex128, solves with the complex64 factor for
-r / ||r|| (scaled so that complex64 cannot underflow) and adds the
-correction times ||r|| to x.  Refinement stops when the relative residual
-is at most `REFINE_TOL`, when a step fails to halve it (a step that does
-not lower it is discarded), or after `MAX_REFINE_STEPS` solves.  If the
-residual then still exceeds the `RESIDUAL_TOL` contract, which happens
-when A is too ill-conditioned for complex64, P A P^T is factored once
-more in complex128 and refined the same way; if that misses the contract
-too, the solve fails and names the residual.  The residual of the last
-step is the one `SolveInfo` reports, so no extra product is spent on it.
+The skeleton system is solved by multifrontal nested dissection (George,
+SIAM J. Numer. Anal. 10, 1973; Duff and Reid, ACM TOMS 9, 1983) over the
+tree of `mesh.dissection_tree`: recursive coordinate bisection of the
+elements, whose separators on structured meshes are grid lines.  Each
+tree node eliminates its separator edges from a dense front, a leaf's
+assembled from its elements' -K_T, an internal node's from the extend-add
+of its children's Schur complements, and passes its Schur complement on
+the interface edges to its parent.  As in the hierarchical merge of
+Gillman and Martinsson (SIAM J. Sci. Comput. 36, 2014), translated nodes
+with the same element classes and boundary pattern have bit-identical
+fronts, so each congruence class of nodes is factored once, by a dense
+complex128 LU, and the substitutions run batched over the class's
+members; a mesh with no congruence gets one class per node on the same
+path.  A is never assembled: the rhs and every product A x are taken
+class by class from the element operators.  Starting from x = 0, each
+refinement step adds the factors' solution for the residual of x
+(`skeleton_residual`), until the relative residual is at most
+`REFINE_TOL`, a step fails to halve it (a step that does not lower it is
+discarded), or `MAX_REFINE_STEPS` solves are spent; one solve usually
+suffices.  If the residual then exceeds the `RESIDUAL_TOL` contract (as
+it would if a front's eliminated block were near a subdomain resonance)
+the solve fails and names it.  The factors live only inside
+`solve_skeleton`.
 
 A monolithic solver assembles the uncondensed coupled equations directly
 and serves as an independent oracle for the condensed pipeline; it keeps
@@ -72,6 +69,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -83,7 +81,7 @@ from .hdg_local import (
     assemble_local_blocks,
     volume_load,
 )
-from .mesh import ElementGeometry, Mesh, mesh_entities, nested_dissection_edges
+from .mesh import DissectionTree, ElementGeometry, Mesh, dissection_tree, mesh_entities
 from .polybasis import (
     EdgeBasis,
     QuadratureRule,
@@ -115,17 +113,16 @@ def _edge_dofs(edges: np.ndarray, m: int) -> np.ndarray:
     return m * np.asarray(edges)[..., None] + np.arange(m)
 
 
-@dataclass(frozen=True)
-class SkeletonSystem:
-    """Global complex sparse system A uhat = rhs in the edge trace unknowns.
-
-    A is stored once, as the matrix P A P^T that the LU factors: its row
-    and column i belong to dof perm[i].
-    """
-
-    permuted: sp.csc_matrix  # P A P^T
-    rhs: np.ndarray
-    perm: np.ndarray  # (n_dofs,) factorization order of the dofs
+def _sum_faces(mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    """Per-face values of every element, (F, 3m) face-major, summed into
+    the skeleton dofs of the faces' edges: each edge gathers its one or
+    two incidences."""
+    per_face = values.reshape(mesh.n_elements, 3, -1)
+    (e1, f1), (e2, f2) = mesh.edge_to_elements[:, 0].T, mesh.edge_to_elements[:, 1].T
+    out = per_face[e1, f1]
+    interior = ~mesh.boundary_flags
+    out[interior] += per_face[e2[interior], f2[interior]]
+    return out.ravel()
 
 
 @dataclass
@@ -171,7 +168,7 @@ class SolveInfo:
     residual: float
     max_local_cond: float
     refine_steps: int
-    refactored: bool
+    factor_classes: int
     lu_nnz: int
 
 
@@ -203,18 +200,21 @@ class ElementClass:
     f_moments: np.ndarray  # (nE, N) source moments (f, w)
     f_sq: float  # ||f||^2 over the members
 
-    def points(self, mesh: Mesh) -> np.ndarray:
-        """Physical data-rule points of every member, shape (nE, nq, 2)."""
-        return _data_points(mesh, self.ids, self.geom, self.rule)
+    def points(self, mesh: Mesh, sel: slice = slice(None)) -> np.ndarray:
+        """Physical data-rule points of the members ids[sel], shape (nE, nq, 2)."""
+        return _data_points(mesh, self.ids[sel], self.geom, self.rule)
 
-    def fields(self, solution: Solution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """u_h, q_1 and q_2 at the members' data points, each (nE, nq)."""
-        n = self.phi.shape[1]
+    def fields(
+        self, solution: Solution, sel: slice = slice(None)
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """u_h, q_1 and q_2 at the data points of the members ids[sel],
+        each (nE, nq)."""
+        n, ids = self.phi.shape[1], self.ids[sel]
         scale = 1.0 / math.sqrt(self.geom.det)
         return (
-            scale * (solution.U[self.ids] @ self.phi.T),
-            scale * (solution.Q[self.ids, :n] @ self.phi.T),
-            scale * (solution.Q[self.ids, n:] @ self.phi.T),
+            scale * (solution.U[ids] @ self.phi.T),
+            scale * (solution.Q[ids, :n] @ self.phi.T),
+            scale * (solution.Q[ids, n:] @ self.phi.T),
         )
 
 
@@ -237,35 +237,22 @@ class Discretization:
     g_sq: float  # ||g||^2 over the boundary
     max_local_cond: float
 
-    def assemble(self) -> SkeletonSystem:
-        """The condensed global system a_h(uhat, mu) = b_h(mu), stored as
-        P A P^T in the nested-dissection order."""
-        mesh, m = self.mesh, self.cfg.p + 1
-        n_dofs = m * mesh.n_edges
-        perm = _edge_dofs(nested_dissection_edges(mesh), m).ravel()
-        position = np.argsort(perm)  # row of each dof in P A P^T
-        rows, cols, vals = [], [], []
-        rhs = np.zeros(n_dofs, dtype=complex)
+    def rhs(self) -> np.ndarray:
+        """b = -sum_T scatter(F_T) + g_moments, in the global dof numbering."""
+        flux = np.empty((self.mesh.n_elements, 3 * (self.cfg.p + 1)), dtype=complex)
         for cls in self.classes:
-            gidx = _edge_dofs(mesh.elem_edges[cls.ids], m).reshape(len(cls.ids), 3 * m)
-            pidx = position[gidx]
-            rows.append(np.repeat(pidx, 3 * m, axis=1).ravel())
-            cols.append(np.tile(pidx, (1, 3 * m)).ravel())
-            vals.append(np.broadcast_to(-cls.ops.K, (len(cls.ids), 3 * m, 3 * m)).ravel())
-            f_flux = cls.f_moments @ cls.ops.load_to_flux.T  # (nE, 3m)
-            np.add.at(rhs, gidx.ravel(), -f_flux.ravel())
+            flux[cls.ids] = cls.f_moments @ cls.ops.load_to_flux.T
+        return self.g_moments - _sum_faces(self.mesh, flux)
 
-        bd_dofs = position[_edge_dofs(np.flatnonzero(mesh.boundary_flags), m).ravel()]
-        rows.append(bd_dofs)
-        cols.append(bd_dofs)
-        vals.append(np.ones(bd_dofs.size, dtype=complex))
-        rhs += self.g_moments
-
-        permuted = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_dofs, n_dofs),
-        ).tocsc()
-        return SkeletonSystem(permuted=permuted, rhs=rhs, perm=perm)
+    def apply(self, uhat: np.ndarray) -> np.ndarray:
+        """A uhat = -sum_T scatter(K_T uhat_T) + I_boundary uhat, class by
+        class, with no global matrix."""
+        mesh, m = self.mesh, self.cfg.p + 1
+        traces = uhat.reshape(mesh.n_edges, m)
+        flux = np.empty((mesh.n_elements, 3 * m), dtype=complex)
+        for cls in self.classes:
+            flux[cls.ids] = traces[mesh.elem_edges[cls.ids]].reshape(len(cls.ids), -1) @ cls.ops.K.T
+        return np.where(mesh.boundary_flags[:, None], traces, 0.0).ravel() - _sum_faces(mesh, flux)
 
     def reconstruct(self, uhat: np.ndarray) -> Solution:
         """Recover the element coefficients from solved traces."""
@@ -349,77 +336,141 @@ class SkeletonSolution:
 
     uhat: np.ndarray  # (n_dofs,) complex128, global dof numbering
     residual: float  # relative residual ||A uhat - rhs|| / ||rhs||
-    refine_steps: int  # solves with the factor that produced uhat
-    refactored: bool  # complex64 refinement missed the contract
-    lu_nnz: int  # stored entries of that factor
+    refine_steps: int  # solves with the class factors that produced uhat
+    factor_classes: int  # distinct dense fronts factored
+    lu_nnz: int  # stored entries of those fronts' factors
 
 
-def solve_skeleton(system: SkeletonSystem) -> SkeletonSolution:
-    """Solve the skeleton system by a complex64 LU of P A P^T in the
-    system's nested-dissection order and complex128 iterative refinement;
-    refactors once in complex128 if the residual contract is missed."""
-    rhs = system.rhs[system.perm]
-    for dtype in (np.complex64, np.complex128):
-        x, resid, steps, lu_nnz = _factor_and_refine(system.permuted, rhs, dtype)
-        if resid <= RESIDUAL_TOL:
-            break
-        logger.info("%s refinement stopped at residual %.2e after %d steps",
-                    np.dtype(dtype).name, resid, steps)
-    else:
-        raise RuntimeError(f"skeleton solve residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    uhat = np.empty(rhs.shape, dtype=complex)
-    uhat[system.perm] = x
-    return SkeletonSolution(
-        uhat=uhat, residual=resid, refine_steps=steps,
-        refactored=dtype is np.complex128, lu_nnz=lu_nnz,
-    )
+@dataclass(frozen=True)
+class _Front:
+    """Dense factor shared by one class of congruent tree nodes, with the
+    skeleton dofs that each member eliminates and keeps."""
+
+    elim: np.ndarray  # (members, nI) dofs eliminated at each member
+    iface: np.ndarray  # (members, nB) interface dofs of each member
+    lu: tuple[np.ndarray, np.ndarray]  # LU of F_II
+    w: np.ndarray  # F_II^-1 F_IB
+    f_bi: np.ndarray  # F_BI
+
+    @property
+    def nnz(self) -> int:
+        return self.lu[0].size + self.w.size + self.f_bi.size
 
 
-def _factor_and_refine(
-    matrix: sp.csc_matrix, rhs: np.ndarray, dtype: type
-) -> tuple[np.ndarray, float, int, int]:
-    """Factor `matrix` in `dtype` and refine x from 0 against `matrix` in
-    complex128.  Returns x, its relative residual, the number of solves
-    and the stored entries of the factor; the factor and the cast copy of
-    the matrix are released on return."""
-    lu = spla.splu(
-        matrix.astype(dtype, copy=False), permc_spec="NATURAL", diag_pivot_thresh=0.1,
-        options=dict(SymmetricMode=True),
-    )
-    rhs_norm = float(np.linalg.norm(rhs))
+def _factor(disc: Discretization, tree: DissectionTree, labels: np.ndarray) -> list[_Front]:
+    """Factor each class of congruent tree nodes once, children first.
+
+    A leaf's front is -K of its elements plus the identity on its boundary
+    edges; an internal node's front is the extend-add of its children's
+    Schur complements F_BB - F_BI F_II^-1 F_IB, each of which is freed once
+    its last parent class is built.
+    """
+    mesh, m = disc.mesh, disc.cfg.p + 1
+    minus_k = -np.stack([cls.ops.K for cls in disc.classes])
+    by_class = np.argsort(tree.node_class, kind="stable")
+    members = np.split(by_class, np.cumsum(np.bincount(tree.node_class))[:-1])
+    last_parent = {}  # class -> last class whose front takes its Schur complement
+    for c, nodes in enumerate(members):
+        if tree.children[nodes[0], 0] >= 0:
+            for child in tree.children[nodes[0]]:
+                last_parent[tree.node_class[child]] = c
+    by_leaf = np.argsort(tree.elem_leaf, kind="stable")
+    leaf_ptr = np.searchsorted(tree.elem_leaf[by_leaf], np.arange(tree.n_elim.size + 1))
+    position = np.empty(mesh.n_edges, dtype=np.int64)  # edge -> slot in the current front
+    schur: dict[int, np.ndarray] = {}
+    fronts = []
+    for c, nodes in enumerate(members):
+        rep = nodes[0]
+        edges = tree.front(rep)
+        position[edges] = np.arange(edges.size)
+        front = np.zeros((m * edges.size, m * edges.size), dtype=complex)
+        if tree.children[rep, 0] < 0:
+            elems = by_leaf[leaf_ptr[rep] : leaf_ptr[rep + 1]]
+            dofs = _edge_dofs(position[mesh.elem_edges[elems]], m).reshape(len(elems), -1)
+            np.add.at(front, (dofs[:, :, None], dofs[:, None, :]), minus_k[labels[elems]])
+            boundary = _edge_dofs(position[edges[mesh.boundary_flags[edges]]], m).ravel()
+            front[boundary, boundary] += 1.0
+        else:
+            child_classes = tree.node_class[tree.children[rep]]
+            for child, k in zip(tree.children[rep], child_classes):
+                dofs = _edge_dofs(position[tree.front(child)[tree.n_elim[child] :]], m).ravel()
+                front[np.ix_(dofs, dofs)] += schur[k]
+            for k in set(child_classes.tolist()):
+                if last_parent[k] == c:
+                    del schur[k]
+        n_i = m * tree.n_elim[rep]
+        lu = sla.lu_factor(front[:n_i, :n_i], check_finite=False)
+        w = sla.lu_solve(lu, front[:n_i, n_i:], check_finite=False)
+        f_bi = front[n_i:, :n_i].copy()
+        if c in last_parent:
+            schur[c] = front[n_i:, n_i:] - f_bi @ w
+        dofs = _edge_dofs(tree.front_edges[tree.front_ptr[nodes][:, None] + np.arange(edges.size)], m)
+        dofs = dofs.reshape(len(nodes), -1)
+        fronts.append(_Front(elim=dofs[:, :n_i], iface=dofs[:, n_i:], lu=lu, w=w, f_bi=f_bi))
+    return fronts
+
+
+def _substitute(fronts: list[_Front], b: np.ndarray) -> np.ndarray:
+    """A^-1 b by the class factors: forward elimination children first,
+    then back substitution parents first, batched over each class's
+    members (siblings may share interface dofs, hence the unbuffered
+    subtraction)."""
+    x = b.copy()
+    for f in fronts:
+        y = sla.lu_solve(f.lu, x[f.elim].T, check_finite=False)
+        x[f.elim] = y.T
+        np.subtract.at(x, f.iface, (f.f_bi @ y).T)
+    for f in reversed(fronts):
+        x[f.elim] -= x[f.iface] @ f.w.T
+    return x
+
+
+def solve_skeleton(disc: Discretization) -> SkeletonSolution:
+    """Solve the skeleton system by multifrontal nested dissection over
+    congruence classes of subdomains, with iterative refinement against
+    the class-wise A; the factors are freed on return."""
+    mesh = disc.mesh
+    labels = np.empty(mesh.n_elements, dtype=np.int64)
+    for k, cls in enumerate(disc.classes):
+        labels[cls.ids] = k
+    fronts = _factor(disc, dissection_tree(mesh, labels), labels)
+    rhs = disc.rhs()
     x = np.zeros_like(rhs)
-    r, resid, steps = rhs, (1.0 if rhs_norm > 0.0 else 0.0), 0
+    r, resid, steps = rhs, (1.0 if np.any(rhs) else 0.0), 0
     while resid > REFINE_TOL and steps < MAX_REFINE_STEPS:
-        scale = float(np.linalg.norm(r))
-        trial = x + scale * lu.solve((r / scale).astype(dtype, copy=False))
-        trial_r = rhs - matrix @ trial
-        trial_resid = float(np.linalg.norm(trial_r)) / rhs_norm
+        trial = x + _substitute(fronts, r)
+        trial_r, trial_resid = skeleton_residual(disc, rhs, trial)
         steps += 1
         halved = trial_resid <= 0.5 * resid
         if trial_resid < resid:
             x, r, resid = trial, trial_r, trial_resid
         if not halved:
             break
-    return x, resid, steps, lu.nnz
+    if resid > RESIDUAL_TOL:
+        raise RuntimeError(f"skeleton solve residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
+    return SkeletonSolution(
+        uhat=x, residual=resid, refine_steps=steps, factor_classes=len(fronts),
+        lu_nnz=sum(f.nnz for f in fronts),
+    )
 
 
-def skeleton_residual(system: SkeletonSystem, uhat: np.ndarray) -> float:
-    """Relative residual ||A uhat - rhs|| / ||rhs|| of a candidate trace
-    solution, evaluated as ||P A P^T (P uhat) - P rhs||."""
-    rhs = system.rhs[system.perm]
-    rhs_norm = float(np.linalg.norm(rhs))
-    err = float(np.linalg.norm(system.permuted @ uhat[system.perm] - rhs))
+def skeleton_residual(
+    disc: Discretization, rhs: np.ndarray, uhat: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Residual rhs - A uhat of a candidate trace solution, with A applied
+    class by class, and its norm relative to ||rhs||."""
+    r = rhs - disc.apply(uhat)
+    rhs_norm, err = float(np.linalg.norm(rhs)), float(np.linalg.norm(r))
     if rhs_norm == 0.0:
-        return 0.0 if err == 0.0 else float("inf")
-    return err / rhs_norm
+        return r, (0.0 if err == 0.0 else float("inf"))
+    return r, err / rhs_norm
 
 
 def solve_helmholtz(disc: Discretization) -> tuple[Solution, SolveInfo]:
-    """Condensed pipeline on a built discretization: assemble, solve the
-    traces, reconstruct."""
+    """Condensed pipeline on a built discretization: solve the traces,
+    reconstruct."""
     start = time.perf_counter()
-    system = disc.assemble()
-    traces = solve_skeleton(system)
+    traces = solve_skeleton(disc)
     solution = disc.reconstruct(traces.uhat)
     info = SolveInfo(
         seconds=time.perf_counter() - start,
@@ -427,14 +478,14 @@ def solve_helmholtz(disc: Discretization) -> tuple[Solution, SolveInfo]:
         residual=traces.residual,
         max_local_cond=disc.max_local_cond,
         refine_steps=traces.refine_steps,
-        refactored=traces.refactored,
+        factor_classes=traces.factor_classes,
         lu_nnz=traces.lu_nnz,
     )
     logger.info(
-        "solve kappa=%g p=%d h=%g: %d skeleton dofs, %d LU entries, residual %.2e "
-        "after %d refinement steps%s, max local condition number %.3e, %.2f s",
-        disc.cfg.kappa, disc.cfg.p, disc.mesh.h_global, info.n_skeleton_dofs, info.lu_nnz,
-        info.residual, info.refine_steps, " (refactored in complex128)" if info.refactored else "",
+        "solve kappa=%g p=%d h=%g: %d skeleton dofs, %d factor classes storing %d entries, "
+        "residual %.2e after %d refinement steps, max local condition number %.3e, %.2f s",
+        disc.cfg.kappa, disc.cfg.p, disc.mesh.h_global, info.n_skeleton_dofs,
+        info.factor_classes, info.lu_nnz, info.residual, info.refine_steps,
         info.max_local_cond, info.seconds,
     )
     return solution, info

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from helmhdg.hdg_local import LocalBlocks
-from helmhdg.skeleton import SkeletonSystem
+from helmhdg.skeleton import Discretization, _edge_dofs
 
 
 def local_residual(
@@ -36,8 +36,22 @@ def flux_functional(blocks: LocalBlocks, Q, U, lam) -> np.ndarray:
     return blocks.C.T @ Q + blocks.R.T @ U - blocks.tau * lam
 
 
-def global_matrix(system: SkeletonSystem) -> sp.csc_matrix:
-    """A in the global dof numbering, undoing the factorization order of
-    the stored P A P^T."""
-    position = np.argsort(system.perm)
-    return system.permuted[position][:, position]
+def global_matrix(disc: Discretization) -> sp.csc_matrix:
+    """A = -sum_T scatter(K_T) + I_boundary in the global dof numbering,
+    assembled by COO from the element classes."""
+    mesh, m = disc.mesh, disc.cfg.p + 1
+    rows, cols, vals = [], [], []
+    for cls in disc.classes:
+        gidx = _edge_dofs(mesh.elem_edges[cls.ids], m).reshape(len(cls.ids), 3 * m)
+        rows.append(np.repeat(gidx, 3 * m, axis=1).ravel())
+        cols.append(np.tile(gidx, (1, 3 * m)).ravel())
+        vals.append(np.broadcast_to(-cls.ops.K, (len(cls.ids), 3 * m, 3 * m)).ravel())
+    boundary = _edge_dofs(np.flatnonzero(mesh.boundary_flags), m).ravel()
+    rows.append(boundary)
+    cols.append(boundary)
+    vals.append(np.ones(boundary.size, dtype=complex))
+    n_dofs = m * mesh.n_edges
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_dofs, n_dofs),
+    ).tocsc()

@@ -285,3 +285,25 @@ def test_full_verify_suite_passes_quickly(capsys):
         "local-uniqueness", "oracle", "energy-identity", "exact-solution",
     ):
         assert f"[PASS] {name}" in out
+
+
+@pytest.mark.parametrize("root2_multiple", [5, 10, 20])
+def test_element_classes_take_the_header_degree(root2_multiple):
+    # Where kappa h = kappa sqrt(2) / n is an integer, the diagonal length
+    # computed from the vertices and sqrt(2) / n differ in the last bit;
+    # the element classes must still take the header's degree.
+    import math
+
+    from helmhdg.analytic import data_quadrature_degree
+    from helmhdg.mesh import build_structured_mesh, mesh_entities
+    from helmhdg.skeleton import _group_elements
+
+    kappa, p = root2_multiple * math.sqrt(2.0), 2
+    for n in range(1, 60):
+        (line,) = [line for line in cli._config_lines(cli.RunConfig("solve"), kappa, p, [n])
+                   if line.startswith("data quadrature degree = ")]
+        header = int(line.rsplit(" ", 1)[1])
+        mesh = build_structured_mesh(n)
+        degrees = {data_quadrature_degree(p, kappa, mesh_entities(mesh, rep).h)
+                   for _, rep in _group_elements(mesh)}
+        assert degrees | {data_quadrature_degree(p, kappa, mesh.h_global)} == {header}, n

@@ -135,6 +135,52 @@ def test_edge_major_trace_error_matches_per_face_loop(kappa, p, n, uneven, uneve
     assert abs(compute_errors(solution, exact, disc).e_trace - reference) <= 1e-13 * reference
 
 
+def _unblocked_errors(solution, exact, disc):
+    """e_u, e_q and e_trace with the exact solution evaluated once per
+    element class and once on all edges."""
+    mesh, p = disc.mesh, disc.cfg.p
+    e_u_sq = e_q_sq = 0.0
+    for cls in disc.classes:
+        ue, grad = exact.u_and_grad(cls.points(mesh).reshape(-1, 2))
+        qe = (1j * grad / exact.kappa).reshape(len(cls.ids), -1, 2)
+        uh, q1, q2 = cls.fields(solution)
+        du = uh - ue.reshape(len(cls.ids), -1)
+        dq_sq = np.abs(q1 - qe[:, :, 0]) ** 2 + np.abs(q2 - qe[:, :, 1]) ** 2
+        e_u_sq += cls.geom.det * float((np.abs(du) ** 2 @ cls.rule.weights).sum())
+        e_q_sq += cls.geom.det * float((dq_sq @ cls.rule.weights).sum())
+    rule = quadrature_rule("edge", data_quadrature_degree(p, disc.cfg.kappa, mesh.h_global))
+    pts = mesh.edge_points(np.arange(mesh.n_edges), rule.points)
+    elem, face = mesh.edge_to_elements[:, 0].T
+    lengths = mesh.face_lengths[elem, face]
+    uhat = solution.uhat.reshape(mesh.n_edges, p + 1) @ EdgeBasis(p).eval(rule.points).T
+    diff = exact.u(pts.reshape(-1, 2)).reshape(mesh.n_edges, -1) - uhat / np.sqrt(lengths)[:, None]
+    weights = np.where(mesh.boundary_flags, 1.0, 2.0) * lengths
+    e_t_sq = float(weights @ (np.abs(diff) ** 2 @ rule.weights))
+    return math.sqrt(e_u_sq), math.sqrt(e_q_sq), math.sqrt(e_t_sq)
+
+
+def test_blocked_errors_match_unblocked(monkeypatch):
+    # n = 40 has 1600 elements per class and 4880 edges, so both loops
+    # take several blocks; the norms move by summation order only.
+    kappa, p, n = 20.0, 2, 40
+    mesh, disc = _benchmark_discretization(kappa, p, n)
+    exact = ExactSolution(kappa)
+    solution, _ = solve_helmholtz(disc)
+    calls = []
+    u_and_grad = ExactSolution.u_and_grad  # ExactSolution.u evaluates through it
+    monkeypatch.setattr(ExactSolution, "u_and_grad",
+                        lambda self, pts: calls.append(len(pts)) or u_and_grad(self, pts))
+    report = compute_errors(solution, exact, disc)
+    monkeypatch.undo()
+    volume = quadrature_rule("triangle", data_quadrature_degree(p, kappa, disc.classes[0].geom.h))
+    edge = quadrature_rule("edge", data_quadrature_degree(p, kappa, mesh.h_global))
+    assert calls == ([1024 * volume.n_points, 576 * volume.n_points] * 2
+                     + [1024 * edge.n_points] * 4 + [784 * edge.n_points])
+    reference = _unblocked_errors(solution, exact, disc)
+    for value, ref in zip((report.e_u, report.e_q, report.e_trace), reference):
+        assert abs(value - ref) <= 1e-13 * ref
+
+
 def test_trace_error_evaluates_each_edge_once(monkeypatch):
     calls = []
     u = ExactSolution.u

@@ -8,10 +8,12 @@ from helmhdg.mesh import (
     _finish_mesh,
     build_structured_mesh,
     format_mesh,
+    ND_LEAF_SIZE,
+    dissection_tree,
     mesh_entities,
-    nested_dissection_edges,
     write_mesh,
 )
+from meshes import fan_strip_mesh, jittered_mesh, perturbed_mesh
 
 
 def test_single_square_split():
@@ -142,31 +144,6 @@ def test_mesh_dump_sections(tmp_path):
     assert format_mesh(mesh) == path.read_text()
 
 
-def _perturbed_mesh():
-    base = build_structured_mesh(2)
-    vertices = base.vertices.copy()
-    center = np.argmin(np.abs(vertices).sum(axis=1))
-    vertices[center] += [0.05, -0.03]
-    return _finish_mesh(vertices, base.triangles.copy(), n=None)
-
-
-def _fan_strip_mesh():
-    # Eight slivers fan from the left side to M = (-0.45, 0); six triangles
-    # fan around P = (0.4, 0) over the rest of the square.  The centroids
-    # spread more in x than in y, and the median centroid x (-0.483, a
-    # sliver's) is nearer the vertex coordinate x = -0.5 than x = -0.45,
-    # so the root's vertex cut leaves its left side empty and the
-    # median-rank fallback splits it.
-    left = np.column_stack([np.full(9, -0.5), np.linspace(-0.5, 0.5, 9)])
-    vertices = np.vstack([left, [[-0.45, 0.0], [0.4, 0.0], [0.5, -0.5], [0.5, 0.0], [0.5, 0.5]]])
-    m, p, r0, r1, r2 = range(9, 14)
-    triangles = np.array(
-        [[i, m, i + 1] for i in range(8)]
-        + [[p, 0, r0], [p, r0, r1], [p, r1, r2], [p, r2, 8], [p, 8, m], [p, m, 0]]
-    )
-    return _finish_mesh(vertices, triangles, n=None)
-
-
 def test_validate_rejects_vertices_outside_the_domain():
     # A unit-area mesh shifted off the centered unit square passes every
     # other check.
@@ -178,25 +155,80 @@ def test_validate_rejects_vertices_outside_the_domain():
     _finish_mesh(nudged, base.triangles.copy(), n=None)
 
 
+def _tree(mesh, labels=None):
+    return dissection_tree(mesh, np.zeros(mesh.n_elements, dtype=np.int64) if labels is None else labels)
+
+
+def _eliminated(tree, nodes):
+    return np.concatenate([tree.front(k)[: tree.n_elim[k]] for k in nodes])
+
+
+def _subtree(tree, node):
+    nodes = [node]
+    for k in nodes:
+        nodes += [int(c) for c in tree.children[k] if c >= 0]
+    return nodes
+
+
 @pytest.mark.parametrize("make", [
     lambda: build_structured_mesh(1),
     lambda: build_structured_mesh(2),
     lambda: build_structured_mesh(8),
-    _perturbed_mesh,
-    _fan_strip_mesh,
+    perturbed_mesh,
+    fan_strip_mesh,
 ], ids=["n1", "n2", "n8", "perturbed", "fan-strip"])
 def test_nested_dissection_is_a_repeatable_permutation(make):
+    # Every edge is eliminated at exactly one tree node, and a rebuilt mesh
+    # gives the same tree.
     mesh = make()
-    order = nested_dissection_edges(mesh)
+    tree = _tree(mesh)
+    order = _eliminated(tree, range(tree.n_elim.size))
     assert np.array_equal(np.sort(order), np.arange(mesh.n_edges))
-    assert np.array_equal(order, nested_dissection_edges(make()))
+    again = _tree(make())
+    for name in ("children", "node_class", "front_ptr", "front_edges", "n_elim", "elem_leaf"):
+        assert np.array_equal(getattr(tree, name), getattr(again, name))
+
+
+def _held(mesh, tree, node):
+    """Edges whose every element lies in the node's subtree, and interior
+    edges with exactly one element there."""
+    inside = np.isin(tree.elem_leaf, _subtree(tree, node))
+    incident = mesh.edge_to_elements[:, :, 0]
+    count = np.where(incident >= 0, inside[incident], False).sum(axis=1)
+    return count == np.where(mesh.boundary_flags, 1, 2), (count == 1) & ~mesh.boundary_flags
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_structured_mesh(12), fan_strip_mesh, jittered_mesh,
+], ids=["n12", "fan-strip", "jittered"])
+def test_dissection_tree_fronts_follow_the_elements(make):
+    # A node eliminates the edges it holds and no child holds, and its
+    # interface is its interior edges with one element inside; leaves hold
+    # at most ND_LEAF_SIZE elements.
+    mesh = make()
+    tree = _tree(mesh)
+    assert np.bincount(tree.elem_leaf).max() <= ND_LEAF_SIZE
+    for node in range(tree.n_elim.size):
+        held, interface = _held(mesh, tree, node)
+        for child in tree.children[node]:
+            if child >= 0:
+                held &= ~_held(mesh, tree, child)[0]
+        front = tree.front(node)
+        assert sorted(front[: tree.n_elim[node]]) == np.flatnonzero(held).tolist()
+        assert sorted(front[tree.n_elim[node] :]) == np.flatnonzero(interface).tolist()
+
+
+def test_vertex_cut_that_empties_a_side_falls_back_to_the_median_rank():
+    mesh = fan_strip_mesh()
+    tree = _tree(mesh)
+    assert np.bincount(tree.elem_leaf).tolist() == [0, 19, 19]
 
 
 @pytest.mark.parametrize("make", [
     lambda: build_structured_mesh(1),
     lambda: build_structured_mesh(8),
-    _perturbed_mesh,
-    _fan_strip_mesh,
+    perturbed_mesh,
+    fan_strip_mesh,
 ], ids=["n1", "n8", "perturbed", "fan-strip"])
 def test_stored_geometry_matches_element_geometry(make):
     # The batched arrays on the mesh and the one-element path must agree
@@ -213,22 +245,61 @@ def test_stored_geometry_matches_element_geometry(make):
 
 def test_nested_dissection_ends_with_the_middle_grid_line():
     # The root cut of an 8 x 8 grid is the grid line x = 0; its 8 edges
-    # are the separator of the whole mesh, so they come last.
+    # are the separator of the whole mesh, so the root eliminates them.
     mesh = build_structured_mesh(8)
-    last = mesh.edges[nested_dissection_edges(mesh)[-8:]]
-    assert np.all(mesh.vertices[last][:, :, 0] == 0.0)
+    tree = _tree(mesh)
+    root = mesh.edges[tree.front(0)]
+    assert tree.n_elim[0] == 8 and root.shape[0] == 8
+    assert np.all(mesh.vertices[root][:, :, 0] == 0.0)
 
 
 def test_nested_dissection_separates_its_subtrees():
-    # Post-order: no edge of the left subtree (the first edges, before the
-    # right subtree and the root separator) shares an element with an edge
-    # of the right subtree.
+    # No edge eliminated in the left subtree shares an element with an
+    # edge eliminated in the right subtree.
     mesh = build_structured_mesh(8)
-    order = nested_dissection_edges(mesh)
-    half = (mesh.n_edges - 8) // 2
-    elements = [set(mesh.edge_to_elements[edges, :, 0].ravel()) - {-1}
-                for edges in (order[:half], order[half:-8])]
+    tree = _tree(mesh)
+    elements = [set(mesh.edge_to_elements[_eliminated(tree, _subtree(tree, child)), :, 0].ravel()) - {-1}
+                for child in tree.children[0]]
     assert not elements[0] & elements[1]
+
+
+@pytest.mark.parametrize("n", [20, 33])
+def test_dissection_classes_are_translates(n):
+    # The members of one class list translated edges in the same front
+    # positions, with equal elimination counts and boundary flags, and
+    # their leaves hold translated elements with equal labels.
+    mesh = build_structured_mesh(n)
+    labels = np.arange(mesh.n_elements) % 2  # the two triangles of a square
+    tree = _tree(mesh, labels)
+    assert tree.node_class.max() + 1 < tree.n_elim.size
+    mid = mesh.vertices[mesh.edges].mean(axis=1)
+    cent = mesh.vertices[mesh.triangles].mean(axis=1)
+
+    def leaf_pattern(leaf, shift):
+        elems = np.flatnonzero(tree.elem_leaf == leaf)
+        rel = np.round(cent[elems] - shift, 9)
+        order = np.lexsort(rel.T)
+        return rel[order], labels[elems[order]]
+
+    for c in range(tree.node_class.max() + 1):
+        nodes = np.flatnonzero(tree.node_class == c)
+        fronts = np.array([tree.front(k) for k in nodes])
+        shift = mid[fronts[:, 0]] - mid[fronts[0, 0]]
+        assert np.abs(mid[fronts] - shift[:, None] - mid[fronts[0]]).max() <= 1e-12
+        assert np.all(tree.n_elim[nodes] == tree.n_elim[nodes[0]])
+        assert np.all(mesh.boundary_flags[fronts] == mesh.boundary_flags[fronts[0]])
+        if tree.children[nodes[0], 0] < 0:
+            rel0, labels0 = leaf_pattern(nodes[0], 0.0)
+            for k, s in zip(nodes[1:], shift[1:]):
+                rel, lab = leaf_pattern(k, s)
+                assert np.abs(rel - rel0).max() <= 1e-9 and np.array_equal(lab, labels0)
+
+
+def test_dissection_tree_without_congruence_has_one_class_per_node():
+    mesh = jittered_mesh()
+    tree = _tree(mesh, np.arange(mesh.n_elements))
+    assert tree.n_elim.size > 1
+    assert np.array_equal(np.sort(tree.node_class), np.arange(tree.n_elim.size))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])
@@ -251,8 +322,8 @@ def test_structured_triangles_match_per_square_loop(n):
 @pytest.mark.parametrize("make", [
     lambda: build_structured_mesh(1),
     lambda: build_structured_mesh(7),
-    _perturbed_mesh,
-    _fan_strip_mesh,
+    perturbed_mesh,
+    fan_strip_mesh,
 ], ids=["n1", "n7", "perturbed", "fan-strip"])
 def test_edges_match_row_deduplication(make):
     # The (lo, hi) rows of the faces, deduplicated row-wise, give the same

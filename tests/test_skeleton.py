@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -7,7 +5,7 @@ import scipy.sparse.linalg as spla
 from helmhdg.analytic import benchmark_problem, data_quadrature_degree
 from helmhdg.diagnostics import data_norms
 from helmhdg.hdg_local import ProblemConfig, assemble_local_blocks
-from helmhdg.mesh import _finish_mesh, build_structured_mesh, mesh_entities
+from helmhdg.mesh import _finish_mesh, build_structured_mesh, dissection_tree, mesh_entities
 from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule
 import helmhdg.skeleton as skeleton
 from helmhdg.skeleton import (
@@ -24,6 +22,7 @@ from helmhdg.skeleton import (
     skeleton_residual,
     write_solution_csv,
 )
+from meshes import fan_strip_mesh, jittered_mesh, perturbed_mesh
 from reference import flux_functional, global_matrix, local_residual
 
 
@@ -55,7 +54,7 @@ def test_dof_map_partitions_and_round_trips():
 def test_skeleton_unknown_count_n1_p1():
     mesh = build_structured_mesh(1)
     cfg = ProblemConfig.for_mesh(5.0, 1, mesh)
-    assert discretize(mesh, cfg, zero_f, zero_g).assemble().rhs.size == 10
+    assert discretize(mesh, cfg, zero_f, zero_g).rhs().size == 10
 
 
 def test_monolithic_unknown_count_n1_p1():
@@ -68,35 +67,52 @@ def test_zero_data_zero_solution():
     mesh = build_structured_mesh(4)
     cfg = ProblemConfig.for_mesh(20.0, 2, mesh)
     disc = discretize(mesh, cfg, zero_f, zero_g)
-    system = disc.assemble()
-    assert np.abs(system.rhs).max() == 0.0
-    traces = solve_skeleton(system)
+    assert np.abs(disc.rhs()).max() == 0.0
+    traces = solve_skeleton(disc)
     assert np.abs(traces.uhat).max() == 0.0
     assert (traces.residual, traces.refine_steps) == (0.0, 0)
     solution = disc.reconstruct(traces.uhat)
     assert solution.coefficient_norm() == 0.0
 
 
+def _dense_operator(disc):
+    """The class-wise skeleton operator applied to every unit vector."""
+    n_dofs = (disc.cfg.p + 1) * disc.mesh.n_edges
+    return np.column_stack([disc.apply(e) for e in np.eye(n_dofs, dtype=complex)])
+
+
 def test_sparsity_couples_only_edge_neighbors():
     mesh = build_structured_mesh(3)
     cfg = ProblemConfig.for_mesh(10.0, 1, mesh)
     _, data = benchmark_problem(10.0)
-    system = discretize(mesh, cfg, data.f, data.g).assemble()
+    operator = _dense_operator(discretize(mesh, cfg, data.f, data.g))
     m = cfg.p + 1
     neighbors = {e: {e} for e in range(mesh.n_edges)}
     for elem in range(mesh.n_elements):
         for a in mesh.elem_edges[elem]:
             neighbors[int(a)].update(int(b) for b in mesh.elem_edges[elem])
-    coo = global_matrix(system).tocoo()
-    for i, j in zip(coo.row, coo.col):
+    for i, j in zip(*np.nonzero(operator)):
         assert int(j) // m in neighbors[int(i) // m]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_structured_mesh(9), perturbed_mesh, fan_strip_mesh, jittered_mesh,
+], ids=["n9", "perturbed", "fan-strip", "jittered"])
+def test_class_wise_operator_matches_assembled_matrix(make):
+    mesh = make()
+    cfg = ProblemConfig.for_mesh(12.0, 2, mesh)
+    disc = discretize(mesh, cfg, zero_f, zero_g)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((3 * mesh.n_edges, 2)) @ [1.0, 1j]
+    expected = global_matrix(disc) @ x
+    assert np.linalg.norm(disc.apply(x) - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
 def test_boundary_edges_carry_extra_mass():
     mesh = build_structured_mesh(2)
     cfg = ProblemConfig.for_mesh(10.0, 1, mesh)
     disc = discretize(mesh, cfg, zero_f, zero_g)
-    full = global_matrix(disc.assemble()).toarray()
+    full = _dense_operator(disc)
     # rebuild only the condensed-flux part
     flux_only = np.zeros_like(full)
     m = cfg.p + 1
@@ -122,7 +138,7 @@ def test_skeleton_matrix_is_schur_complement_of_monolithic():
     block = 3 * n
     n_interior = mesh.n_elements * block
 
-    condensed = global_matrix(discretize(mesh, cfg, data.f, data.g).assemble()).toarray()
+    condensed = _dense_operator(discretize(mesh, cfg, data.f, data.g))
 
     # assemble the dense coupled system (same row convention)
     total = n_interior + 2 * mesh.n_edges
@@ -157,11 +173,15 @@ def test_solve_residual_contract():
     mesh = build_structured_mesh(8)
     cfg = ProblemConfig.for_mesh(20.0, 2, mesh)
     _, data = benchmark_problem(20.0)
-    system = discretize(mesh, cfg, data.f, data.g).assemble()
-    traces = solve_skeleton(system)
-    assert skeleton_residual(system, traces.uhat) <= 1e-10
+    disc = discretize(mesh, cfg, data.f, data.g)
+    traces = solve_skeleton(disc)
+    rhs = disc.rhs()
+    assert skeleton_residual(disc, rhs, traces.uhat)[1] <= 1e-10
     # The reported residual is the one the refinement measured last.
-    assert traces.residual == skeleton_residual(system, traces.uhat)
+    assert traces.residual == skeleton_residual(disc, rhs, traces.uhat)[1]
+    # ... and it is the residual on the assembled A.
+    residual = np.linalg.norm(global_matrix(disc) @ traces.uhat - rhs) / np.linalg.norm(rhs)
+    assert residual <= 1e-10
 
 
 def test_deterministic_bitwise_repeat():
@@ -220,14 +240,14 @@ def test_flux_continuity_across_interior_edges():
 
 
 def test_standalone_functions_match_pipeline():
-    # assemble / solve_skeleton / reconstruct on a fresh discretization
+    # solve_skeleton / reconstruct on a fresh discretization
     # compose to the same result as the one-call pipeline.
     mesh = build_structured_mesh(4)
     cfg = ProblemConfig.for_mesh(20.0, 2, mesh)
     _, data = benchmark_problem(20.0)
     pipeline, _ = solve_helmholtz(discretize(mesh, cfg, data.f, data.g))
     disc = discretize(mesh, cfg, data.f, data.g)
-    standalone = disc.reconstruct(solve_skeleton(disc.assemble()).uhat)
+    standalone = disc.reconstruct(solve_skeleton(disc).uhat)
     assert np.array_equal(standalone.uhat, pipeline.uhat)
     assert np.array_equal(standalone.Q, pipeline.Q)
     assert np.array_equal(standalone.U, pipeline.U)
@@ -393,24 +413,31 @@ def test_batched_boundary_data_matches_per_edge_loop(kappa, p, n, uneven, uneven
     assert g_norm == np.sqrt(g_sq)
 
 
-def test_skeleton_lu_fill_guard(monkeypatch):
-    # The fill-reducing ordering must keep the skeleton factor well below
-    # what SuperLU's default COLAMD ordering stores for the same matrix.
+def _record_splu(monkeypatch):
     factored = []
     splu = spla.splu
 
     def recording_splu(matrix, *args, **kwargs):
-        lu = splu(matrix, *args, **kwargs)
-        factored.append((matrix, lu.nnz))
-        return lu
+        factored.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording_splu)
+    return factored
+
+
+def test_skeleton_lu_fill_guard(monkeypatch):
+    # The class factors store well below what SuperLU's default COLAMD
+    # ordering stores for the same matrix, and the condensed path calls
+    # no sparse LU.
     mesh = build_structured_mesh(32)
     cfg = ProblemConfig.for_mesh(40.0, 2, mesh)
     _, data = benchmark_problem(40.0)
-    solve_helmholtz(discretize(mesh, cfg, data.f, data.g))
-    ((matrix, nnz),) = factored
-    assert nnz <= 0.6 * splu(matrix, permc_spec="COLAMD").nnz
+    disc = discretize(mesh, cfg, data.f, data.g)
+    factored = _record_splu(monkeypatch)
+    _, info = solve_helmholtz(disc)
+    assert factored == []
+    monkeypatch.undo()
+    assert info.lu_nnz <= 0.6 * spla.splu(global_matrix(disc), permc_spec="COLAMD").nnz
 
 
 def _grouping_reference(mesh):
@@ -445,73 +472,55 @@ def test_group_elements_matches_per_element_loop(perturbed):
         assert rep == ref_rep and type(rep) is int
 
 
-def test_nested_dissection_factor_is_smaller_than_minimum_degree(monkeypatch):
-    # The nested-dissection order stores at most 0.9 x the factor entries
-    # of SuperLU's minimum degree on A + A^T for the same matrix.
-    factored = []
-    splu = spla.splu
-
-    def recording_splu(matrix, *args, **kwargs):
-        lu = splu(matrix, *args, **kwargs)
-        factored.append(lu.nnz)
-        return lu
-
-    mesh = build_structured_mesh(63)
-    cfg = ProblemConfig.for_mesh(40.0, 2, mesh)
-    _, data = benchmark_problem(40.0)
-    system = discretize(mesh, cfg, data.f, data.g).assemble()
-    monkeypatch.setattr(spla, "splu", recording_splu)
-    solve_skeleton(system)
-    (nnz,) = factored
-    assert nnz <= 0.9 * splu(global_matrix(system), permc_spec="MMD_AT_PLUS_A").nnz
-
-
-def _record_factored_matrices(monkeypatch):
-    # Weak references, so that recording keeps no factored matrix alive.
-    matrices = []
-    splu = spla.splu
-
-    def recording_splu(matrix, *args, **kwargs):
-        matrices.append((matrix.dtype, weakref.ref(matrix)))
-        return splu(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", recording_splu)
-    return matrices
-
-
-def _pollution_n22():
-    mesh = build_structured_mesh(22)
-    cfg = ProblemConfig.for_mesh(20.0, 2, mesh)
-    _, data = benchmark_problem(20.0)
+def _pollution_case(kappa, n):
+    mesh = build_structured_mesh(n)
+    cfg = ProblemConfig.for_mesh(kappa, 2, mesh)
+    _, data = benchmark_problem(kappa)
     return discretize(mesh, cfg, data.f, data.g)
 
 
-def test_skeleton_is_factored_in_complex64_and_refined(monkeypatch):
-    matrices = _record_factored_matrices(monkeypatch)
-    _, info = solve_helmholtz(_pollution_n22())
-    ((dtype, matrix),) = matrices
-    assert dtype == np.complex64
-    assert matrix() is None  # the complex64 copy is released after the solve
-    assert not info.refactored
-    assert 1 <= info.refine_steps <= 4
-    assert info.residual <= RESIDUAL_TOL
-    assert info.lu_nnz > 0
+def test_nested_dissection_factor_is_smaller_than_minimum_degree():
+    # The class factors store at most half the entries of SuperLU's
+    # minimum degree on A + A^T for the same matrix.
+    disc = _pollution_case(40.0, 63)
+    traces = solve_skeleton(disc)
+    assert traces.residual <= RESIDUAL_TOL
+    assert traces.lu_nnz <= 0.5 * spla.splu(global_matrix(disc), permc_spec="MMD_AT_PLUS_A").nnz
 
 
-def test_stalled_refinement_refactors_in_complex128(monkeypatch):
-    # One complex64 solve leaves a residual near 1e-4, far above the
-    # contract, so the solve must fall back to a complex128 factor.
-    monkeypatch.setattr(skeleton, "MAX_REFINE_STEPS", 1)
-    matrices = _record_factored_matrices(monkeypatch)
-    _, info = solve_helmholtz(_pollution_n22())
-    assert [dtype for dtype, _ in matrices] == [np.complex64, np.complex128]
-    assert info.refactored and info.refine_steps == 1
-    assert info.residual <= RESIDUAL_TOL
+def test_congruent_nodes_share_one_front():
+    disc = _pollution_case(40.0, 63)
+    _, info = solve_helmholtz(disc)
+    labels = np.empty(disc.mesh.n_elements, dtype=np.int64)
+    for k, cls in enumerate(disc.classes):
+        labels[cls.ids] = k
+    tree = dissection_tree(disc.mesh, labels)
+    assert info.factor_classes == tree.node_class.max() + 1 < tree.n_elim.size
+    assert info.refine_steps == 1 and info.residual <= skeleton.REFINE_TOL
+
+
+@pytest.mark.parametrize("make", [perturbed_mesh, fan_strip_mesh, jittered_mesh],
+                         ids=["perturbed", "fan-strip", "jittered"])
+def test_multifrontal_matches_sparse_lu_and_oracle_without_congruence(make, monkeypatch):
+    # Meshes with few or no translated elements run the same path, with
+    # about one front per tree node.
+    mesh = make()
+    cfg = ProblemConfig.for_mesh(9.0, 2, mesh)
+    _, data = benchmark_problem(9.0)
+    disc = discretize(mesh, cfg, data.f, data.g)
+    factored = _record_splu(monkeypatch)
+    traces = solve_skeleton(disc)
+    assert factored == []
+    monkeypatch.undo()
+    lu = spla.splu(global_matrix(disc)).solve(disc.rhs())
+    assert np.abs(traces.uhat - lu).max() <= 1e-12 * np.abs(lu).max()
+    mono = monolithic_solve(mesh, cfg, data.f, data.g).uhat
+    assert np.abs(traces.uhat - mono).max() <= 1e-8 * np.abs(mono).max()
 
 
 def test_failed_fallback_names_the_residual(monkeypatch):
-    # With no refinement step allowed both factors leave x = 0, whose
+    # With no refinement step allowed the solve leaves x = 0, whose
     # relative residual is 1.
     monkeypatch.setattr(skeleton, "MAX_REFINE_STEPS", 0)
     with pytest.raises(RuntimeError, match=r"skeleton solve residual 1\.000e\+00 exceeds 1\.0e-10"):
-        solve_helmholtz(_pollution_n22())
+        solve_helmholtz(_pollution_case(20.0, 22))
