@@ -24,7 +24,7 @@ of every edge integral, boundary data included.  The trace
 error evaluates each edge once, along its global direction, and weights
 interior edges by 2 (once per incident element) and boundary edges by 1,
 matching the broken-boundary norm.  The exact solution is evaluated on
-blocks of `_ERROR_BLOCK` elements or edges, so the error norms add no
+`skeleton.blocks` of elements or edges, so the error norms add no
 per-point array of the whole mesh to the peak memory.
 """
 
@@ -40,14 +40,10 @@ from .analytic import ExactSolution, benchmark_problem, data_quadrature_degree
 from .hdg_local import ProblemConfig
 from .mesh import build_structured_mesh
 from .polybasis import EdgeBasis, TriangleBasis, quadrature_rule, reference_face_points
-from .skeleton import Discretization, Solution, SolveInfo, discretize, solve_helmholtz
+from .skeleton import Discretization, Solution, SolveInfo, blocks, discretize, solve_helmholtz
 
 #: Contract on both parts of the relative energy-identity residual.
 ENERGY_IDENTITY_TOL = 1e-9
-
-#: Elements, or edges, whose exact solution `compute_errors` evaluates in
-#: one call, which bounds its transient memory.
-_ERROR_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -145,14 +141,13 @@ def compute_errors(
     seconds: float = float("nan"),
 ) -> ErrorReport:
     """L2 errors of (u_h, q_h) and the broken trace error of uhat, taken
-    over blocks of `_ERROR_BLOCK` elements of a class, or edges."""
+    over `blocks` of the elements of a class, or of the edges."""
     mesh, cfg = disc.mesh, disc.cfg
     e_u_sq = 0.0
     e_q_sq = 0.0
     for cls in disc.classes:
         det, weights = cls.geom.det, cls.rule.weights
-        for start in range(0, len(cls.ids), _ERROR_BLOCK):
-            sel = slice(start, start + _ERROR_BLOCK)
+        for sel in blocks(len(cls.ids)):
             ue, grad = exact.u_and_grad(cls.points(mesh, sel).reshape(-1, 2))
             uh, q1, q2 = cls.fields(solution, sel)
             qe = (1j * grad / exact.kappa).reshape(*uh.shape, 2)
@@ -166,8 +161,8 @@ def compute_errors(
     basis = EdgeBasis(cfg.p).eval(rule.points).T
     traces = solution.uhat.reshape(mesh.n_edges, cfg.p + 1)
     e_t_sq = 0.0
-    for start in range(0, mesh.n_edges, _ERROR_BLOCK):
-        edges = np.arange(start, min(start + _ERROR_BLOCK, mesh.n_edges))
+    for sel in blocks(mesh.n_edges):
+        edges = np.arange(sel.start, sel.stop)
         elem, face = mesh.edge_to_elements[edges, 0].T
         lengths = mesh.face_lengths[elem, face]
         exact_u = exact.u(mesh.edge_points(edges, rule.points).reshape(-1, 2))

@@ -41,18 +41,22 @@ the interface edges to its parent.  As in the hierarchical merge of
 Gillman and Martinsson (SIAM J. Sci. Comput. 36, 2014), translated nodes
 with the same element classes and boundary pattern have bit-identical
 fronts, so each congruence class of nodes is factored once, by a dense
-complex128 LU, and the substitutions run batched over the class's
-members; a mesh with no congruence gets one class per node on the same
-path.  A is never assembled: the rhs and every product A x are taken
-class by class from the element operators.  Starting from x = 0, each
-refinement step adds the factors' solution for the residual of x
+complex128 LU, in one sweep that runs batched over the class's members; a
+mesh with no congruence gets one class per node on the same path.  A is
+never assembled: the rhs and every product A x are taken class by class
+from the element operators.  The solve has one right-hand side, so the
+sweep eliminates the load while it factors (Liu, SIAM Review 34, 1992):
+children first, each class factors F_II, forward-eliminates its members'
+load and passes its Schur complement F_BB - F_BI W up, and then keeps only
+W = F_II^-1 F_IB, freeing the LU, F_BI and the front, so that the back
+substitution, parents first, reads W alone.  Starting from x = 0, each
+refinement step adds one sweep's solution for the residual of x
 (`skeleton_residual`), until the relative residual is at most
 `REFINE_TOL`, a step fails to halve it (a step that does not lower it is
-discarded), or `MAX_REFINE_STEPS` solves are spent; one solve usually
+discarded), or `MAX_REFINE_STEPS` sweeps are spent; one sweep usually
 suffices.  If the residual then exceeds the `RESIDUAL_TOL` contract (as
 it would if a front's eliminated block were near a subdomain resonance)
-the solve fails and names it.  The factors live only inside
-`solve_skeleton`.
+the solve fails and names it.  The W of a sweep live only inside it.
 
 A monolithic solver assembles the uncondensed coupled equations directly
 and serves as an independent oracle for the condensed pipeline; it keeps
@@ -70,6 +74,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.linalg.blas as blas
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -101,11 +106,20 @@ RESIDUAL_TOL = 1e-10
 #: Relative residual at which iterative refinement of the skeleton stops.
 REFINE_TOL = 1e-12
 
-#: Most solves with one skeleton factor during refinement.
+#: Most multifrontal sweeps during refinement.
 MAX_REFINE_STEPS = 10
+
+#: Elements, or edges, whose data one call evaluates, which bounds the
+#: transient memory of the source loads, the error norms and the CSV dump.
+BLOCK = 1024
 
 SourceFn = Callable[[np.ndarray], np.ndarray]
 BoundaryFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def blocks(count: int) -> list[slice]:
+    """Consecutive slices of at most `BLOCK` items covering range(count)."""
+    return [slice(start, min(start + BLOCK, count)) for start in range(0, count, BLOCK)]
 
 
 def _edge_dofs(edges: np.ndarray, m: int) -> np.ndarray:
@@ -167,9 +181,9 @@ class SolveInfo:
     n_skeleton_dofs: int
     residual: float
     max_local_cond: float
-    refine_steps: int
-    factor_classes: int
-    lu_nnz: int
+    refine_steps: int  # multifrontal sweeps
+    factor_classes: int  # distinct dense fronts that each sweep factors
+    lu_nnz: int  # entries of W = F_II^-1 F_IB a sweep keeps, sum of n_I n_B over classes
 
 
 def _group_elements(mesh: Mesh) -> list[tuple[np.ndarray, int]]:
@@ -271,8 +285,9 @@ class Discretization:
 
 
 def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Discretization:
-    """Condense each congruence class once, evaluate f once per class and
-    g once; the data norms come from the same values."""
+    """Condense each congruence class once, evaluate f over `blocks` of
+    each class's members and g once; the data norms come from the same
+    values."""
     basis = TriangleBasis(cfg.p)
     classes = []
     for ids, rep in _group_elements(mesh):
@@ -280,12 +295,16 @@ def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Di
         ops = CondensedOperators(assemble_local_blocks(geom, cfg))
         rule = quadrature_rule("triangle", data_quadrature_degree(cfg.p, cfg.kappa, geom.h))
         phi = basis.eval(rule.points)
-        phys = _data_points(mesh, ids, geom, rule).reshape(-1, 2)
-        values = np.asarray(f(phys), dtype=complex).reshape(len(ids), -1)
+        f_moments = np.empty((len(ids), basis.dim), dtype=complex)
+        f_sq = np.empty(len(ids))
+        for sel in blocks(len(ids)):
+            phys = _data_points(mesh, ids[sel], geom, rule).reshape(-1, 2)
+            values = np.asarray(f(phys), dtype=complex).reshape(-1, rule.n_points)
+            f_moments[sel] = (values * rule.weights) @ phi
+            f_sq[sel] = np.abs(values) ** 2 @ rule.weights
         classes.append(ElementClass(
             ids=ids, geom=geom, ops=ops, rule=rule, phi=phi,
-            f_moments=math.sqrt(geom.det) * ((values * rule.weights) @ phi),
-            f_sq=geom.det * float((np.abs(values) ** 2 @ rule.weights).sum()),
+            f_moments=math.sqrt(geom.det) * f_moments, f_sq=geom.det * float(f_sq.sum()),
         ))
         logger.debug(
             "element class of %d (rep %d): local condition number %.3e",
@@ -336,34 +355,25 @@ class SkeletonSolution:
 
     uhat: np.ndarray  # (n_dofs,) complex128, global dof numbering
     residual: float  # relative residual ||A uhat - rhs|| / ||rhs||
-    refine_steps: int  # solves with the class factors that produced uhat
-    factor_classes: int  # distinct dense fronts factored
-    lu_nnz: int  # stored entries of those fronts' factors
+    refine_steps: int  # multifrontal sweeps that produced uhat
+    factor_classes: int  # distinct dense fronts that each sweep factors
+    lu_nnz: int  # entries of W = F_II^-1 F_IB kept by a sweep, sum of n_I n_B
 
 
-@dataclass(frozen=True)
-class _Front:
-    """Dense factor shared by one class of congruent tree nodes, with the
-    skeleton dofs that each member eliminates and keeps."""
+def _sweep(
+    disc: Discretization, tree: DissectionTree, labels: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """A^-1 b by one multifrontal sweep: returns x and the entries of
+    W = F_II^-1 F_IB kept for the back substitution.
 
-    elim: np.ndarray  # (members, nI) dofs eliminated at each member
-    iface: np.ndarray  # (members, nB) interface dofs of each member
-    lu: tuple[np.ndarray, np.ndarray]  # LU of F_II
-    w: np.ndarray  # F_II^-1 F_IB
-    f_bi: np.ndarray  # F_BI
-
-    @property
-    def nnz(self) -> int:
-        return self.lu[0].size + self.w.size + self.f_bi.size
-
-
-def _factor(disc: Discretization, tree: DissectionTree, labels: np.ndarray) -> list[_Front]:
-    """Factor each class of congruent tree nodes once, children first.
-
-    A leaf's front is -K of its elements plus the identity on its boundary
-    edges; an internal node's front is the extend-add of its children's
-    Schur complements F_BB - F_BI F_II^-1 F_IB, each of which is freed once
-    its last parent class is built.
+    Children first, each class of congruent tree nodes builds its front
+    once (a leaf's from -K of its elements plus the identity on its
+    boundary edges, an internal node's by extend-add of its children's
+    Schur complements F_BB - F_BI W, each freed once its last parent class
+    is built), factors F_II, and eliminates the load of all its members at
+    once; the LU, F_BI and the front are then freed.  The back
+    substitution runs parents first on W alone.  Siblings may share
+    interface dofs, hence the unbuffered subtraction.
     """
     mesh, m = disc.mesh, disc.cfg.p + 1
     minus_k = -np.stack([cls.ops.K for cls in disc.classes])
@@ -378,7 +388,8 @@ def _factor(disc: Discretization, tree: DissectionTree, labels: np.ndarray) -> l
     leaf_ptr = np.searchsorted(tree.elem_leaf[by_leaf], np.arange(tree.n_elim.size + 1))
     position = np.empty(mesh.n_edges, dtype=np.int64)  # edge -> slot in the current front
     schur: dict[int, np.ndarray] = {}
-    fronts = []
+    kept = []  # (eliminated dofs, interface dofs, W) of each class
+    x = b.copy()
     for c, nodes in enumerate(members):
         rep = nodes[0]
         edges = tree.front(rep)
@@ -399,46 +410,38 @@ def _factor(disc: Discretization, tree: DissectionTree, labels: np.ndarray) -> l
                 if last_parent[k] == c:
                     del schur[k]
         n_i = m * tree.n_elim[rep]
+        dofs = _edge_dofs(tree.front_edges[tree.front_ptr[nodes][:, None] + np.arange(edges.size)], m)
+        elim, iface = np.split(dofs.reshape(len(nodes), -1), [n_i], axis=1)
         lu = sla.lu_factor(front[:n_i, :n_i], check_finite=False)
         w = sla.lu_solve(lu, front[:n_i, n_i:], check_finite=False)
-        f_bi = front[n_i:, :n_i].copy()
+        y = sla.lu_solve(lu, x[elim].T, check_finite=False)
+        del lu
+        x[elim] = y.T
+        np.subtract.at(x, iface, (front[n_i:, :n_i] @ y).T)
         if c in last_parent:
-            schur[c] = front[n_i:, n_i:] - f_bi @ w
-        dofs = _edge_dofs(tree.front_edges[tree.front_ptr[nodes][:, None] + np.arange(edges.size)], m)
-        dofs = dofs.reshape(len(nodes), -1)
-        fronts.append(_Front(elim=dofs[:, :n_i], iface=dofs[:, n_i:], lu=lu, w=w, f_bi=f_bi))
-    return fronts
-
-
-def _substitute(fronts: list[_Front], b: np.ndarray) -> np.ndarray:
-    """A^-1 b by the class factors: forward elimination children first,
-    then back substitution parents first, batched over each class's
-    members (siblings may share interface dofs, hence the unbuffered
-    subtraction)."""
-    x = b.copy()
-    for f in fronts:
-        y = sla.lu_solve(f.lu, x[f.elim].T, check_finite=False)
-        x[f.elim] = y.T
-        np.subtract.at(x, f.iface, (f.f_bi @ y).T)
-    for f in reversed(fronts):
-        x[f.elim] -= x[f.iface] @ f.w.T
-    return x
+            schur[c] = blas.zgemm(-1.0, front[n_i:, :n_i], w, 1.0, front[n_i:, n_i:])
+        kept.append((elim, iface, w))
+        del front  # before the next class allocates its own
+    for elim, iface, w in reversed(kept):
+        x[elim] -= x[iface] @ w.T
+    return x, sum(w.size for _, _, w in kept)
 
 
 def solve_skeleton(disc: Discretization) -> SkeletonSolution:
     """Solve the skeleton system by multifrontal nested dissection over
     congruence classes of subdomains, with iterative refinement against
-    the class-wise A; the factors are freed on return."""
+    the class-wise A; each refinement step runs one sweep on the residual."""
     mesh = disc.mesh
     labels = np.empty(mesh.n_elements, dtype=np.int64)
     for k, cls in enumerate(disc.classes):
         labels[cls.ids] = k
-    fronts = _factor(disc, dissection_tree(mesh, labels), labels)
+    tree = dissection_tree(mesh, labels)
     rhs = disc.rhs()
     x = np.zeros_like(rhs)
-    r, resid, steps = rhs, (1.0 if np.any(rhs) else 0.0), 0
+    r, resid, steps, lu_nnz = rhs, (1.0 if np.any(rhs) else 0.0), 0, 0
     while resid > REFINE_TOL and steps < MAX_REFINE_STEPS:
-        trial = x + _substitute(fronts, r)
+        dx, lu_nnz = _sweep(disc, tree, labels, r)
+        trial = x + dx
         trial_r, trial_resid = skeleton_residual(disc, rhs, trial)
         steps += 1
         halved = trial_resid <= 0.5 * resid
@@ -449,8 +452,8 @@ def solve_skeleton(disc: Discretization) -> SkeletonSolution:
     if resid > RESIDUAL_TOL:
         raise RuntimeError(f"skeleton solve residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return SkeletonSolution(
-        uhat=x, residual=resid, refine_steps=steps, factor_classes=len(fronts),
-        lu_nnz=sum(f.nnz for f in fronts),
+        uhat=x, residual=resid, refine_steps=steps,
+        factor_classes=int(tree.node_class.max()) + 1, lu_nnz=lu_nnz,
     )
 
 
@@ -482,8 +485,9 @@ def solve_helmholtz(disc: Discretization) -> tuple[Solution, SolveInfo]:
         lu_nnz=traces.lu_nnz,
     )
     logger.info(
-        "solve kappa=%g p=%d h=%g: %d skeleton dofs, %d factor classes storing %d entries, "
-        "residual %.2e after %d refinement steps, max local condition number %.3e, %.2f s",
+        "solve kappa=%g p=%d h=%g: %d skeleton dofs, %d factor classes keeping %d entries "
+        "of W, residual %.2e after %d refinement sweeps, max local condition number %.3e, "
+        "%.2f s",
         disc.cfg.kappa, disc.cfg.p, disc.mesh.h_global, info.n_skeleton_dofs,
         info.factor_classes, info.lu_nnz, info.residual, info.refine_steps,
         info.max_local_cond, info.seconds,
@@ -590,19 +594,24 @@ def monolithic_solve(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn)
     return Solution(Q=interior[:, : 2 * n], U=interior[:, 2 * n :], uhat=x[n_interior:], p=cfg.p)
 
 
-def sample_solution(disc: Discretization, solution: Solution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate (u_h, q_h) at the per-element data quadrature points.
+def sample_solution(
+    disc: Discretization, solution: Solution, elements: slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate (u_h, q_h) at the data quadrature points of the elements
+    whose ids lie in the range `elements` (all by default).
 
     Returns (points, u values, q values) with shapes (K, 2), (K,), (K, 2),
     ordered by ascending element index.
     """
+    lo, hi, _ = elements.indices(disc.mesh.n_elements)
     pts_out, u_out, q_out, owners = [], [], [], []
     for cls in disc.classes:
-        uh, q1, q2 = cls.fields(solution)
-        pts_out.append(cls.points(disc.mesh).reshape(-1, 2))
+        sel = slice(*np.searchsorted(cls.ids, [lo, hi]))
+        uh, q1, q2 = cls.fields(solution, sel)
+        pts_out.append(cls.points(disc.mesh, sel).reshape(-1, 2))
         u_out.append(uh.ravel())
         q_out.append(np.stack([q1.ravel(), q2.ravel()], axis=1))
-        owners.append(np.repeat(cls.ids, cls.rule.n_points))
+        owners.append(np.repeat(cls.ids[sel], cls.rule.n_points))
     perm = np.argsort(np.concatenate(owners), kind="stable")
     return (
         np.concatenate(pts_out)[perm],
@@ -613,11 +622,13 @@ def sample_solution(disc: Discretization, solution: Solution) -> tuple[np.ndarra
 
 def write_solution_csv(path: str, disc: Discretization, solution: Solution,
                        header_lines: list[str] | None = None) -> None:
-    """Dump (u_h, q_h) at element quadrature points as CSV for plotting."""
-    pts, u, q = sample_solution(disc, solution)
+    """Dump (u_h, q_h) at element quadrature points as CSV for plotting,
+    over `blocks` of ascending element ids."""
     with open(path, "w", encoding="utf-8") as fh:
         for line in header_lines or []:
             fh.write(f"# {line}\n")
         fh.write("x,y,re_u,im_u,re_q1,im_q1,re_q2,im_q2\n")
-        columns = [pts, u.real, u.imag, q[:, 0].real, q[:, 0].imag, q[:, 1].real, q[:, 1].imag]
-        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",")
+        for elements in blocks(disc.mesh.n_elements):
+            pts, u, q = sample_solution(disc, solution, elements)
+            columns = [pts, u.real, u.imag, q[:, 0].real, q[:, 0].imag, q[:, 1].real, q[:, 1].imag]
+            np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -363,7 +365,8 @@ def test_solution_csv_matches_fstring_rendering(tmp_path, monkeypatch, extremes)
         u.real, u.imag = column, column[::-1]
         q.real, q.imag = pts, -pts
         values = pts, u, q
-        monkeypatch.setattr(skeleton, "sample_solution", lambda disc, solution: values)
+        # n = 4 has one block of elements, so the writer asks for its samples once.
+        monkeypatch.setattr(skeleton, "sample_solution", lambda disc, solution, elements: values)
     path = tmp_path / "solution.csv"
     write_solution_csv(str(path), disc, solution)
     text = path.read_text(encoding="utf-8")
@@ -488,15 +491,63 @@ def test_nested_dissection_factor_is_smaller_than_minimum_degree():
     assert traces.lu_nnz <= 0.5 * spla.splu(global_matrix(disc), permc_spec="MMD_AT_PLUS_A").nnz
 
 
-def test_congruent_nodes_share_one_front():
-    disc = _pollution_case(40.0, 63)
-    _, info = solve_helmholtz(disc)
+def _tree(disc):
     labels = np.empty(disc.mesh.n_elements, dtype=np.int64)
     for k, cls in enumerate(disc.classes):
         labels[cls.ids] = k
-    tree = dissection_tree(disc.mesh, labels)
+    return dissection_tree(disc.mesh, labels)
+
+
+def test_congruent_nodes_share_one_front():
+    disc = _pollution_case(40.0, 63)
+    _, info = solve_helmholtz(disc)
+    tree = _tree(disc)
     assert info.factor_classes == tree.node_class.max() + 1 < tree.n_elim.size
     assert info.refine_steps == 1 and info.residual <= skeleton.REFINE_TOL
+
+
+def test_sweep_keeps_only_w():
+    # A sweep keeps W = F_II^-1 F_IB, n_I x n_B per class of tree nodes,
+    # and beside it holds the live Schur complements and one front at a
+    # time, well within 8 largest fronts.
+    disc = _pollution_case(40.0, 63)
+    tree = _tree(disc)
+    m = disc.cfg.p + 1
+    reps = np.unique(tree.node_class, return_index=True)[1]
+    n_i = m * tree.n_elim[reps]
+    n_front = m * np.diff(tree.front_ptr)[reps]
+    w_entries = int((n_i * (n_front - n_i)).sum())
+    tracemalloc.start()
+    try:
+        traces = solve_skeleton(disc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traces.lu_nnz == w_entries
+    item = np.dtype(complex).itemsize
+    assert peak <= item * (w_entries + 8 * int((n_front**2).max()))
+
+
+def test_refinement_reruns_the_sweep(monkeypatch):
+    # With REFINE_TOL = 0 the refinement goes on until a sweep fails to
+    # halve the residual; every sweep factors each class of fronts anew.
+    disc = _pollution_case(40.0, 63)
+    once = solve_skeleton(disc)
+    factored = []
+    lu_factor = skeleton.sla.lu_factor
+
+    def recording_lu_factor(a, *args, **kwargs):
+        factored.append(a.shape)
+        return lu_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(skeleton.sla, "lu_factor", recording_lu_factor)
+    monkeypatch.setattr(skeleton, "REFINE_TOL", 0.0)
+    refined = solve_skeleton(disc)
+    monkeypatch.undo()
+    assert once.refine_steps == 1 and refined.refine_steps >= 2
+    assert refined.residual <= once.residual
+    assert np.abs(refined.uhat - once.uhat).max() <= 1e-12 * np.abs(once.uhat).max()
+    assert len(factored) == refined.refine_steps * refined.factor_classes
 
 
 @pytest.mark.parametrize("make", [perturbed_mesh, fan_strip_mesh, jittered_mesh],
