@@ -95,10 +95,10 @@ class ExactSolution:
 class DataFunctions:
     """Source and boundary data of the benchmark, raw and rescaled.
 
-    ``f_tilde(x) = sin(kappa r)/r`` extends continuously through r = 0
-    with value kappa; near the origin it is evaluated by its power series
-    for uniform accuracy.  ``g_tilde = du/dn + i kappa u`` is the Robin
-    trace of the exact solution.
+    ``f_tilde(x) = sin(kappa r)/r`` is evaluated as ``kappa sinc(kappa
+    r / pi)``, which extends continuously through r = 0 with value kappa.
+    ``g_tilde = du/dn + i kappa u`` is the Robin trace of the exact
+    solution, held in ``exact``.
     """
 
     kappa: float
@@ -108,13 +108,7 @@ class DataFunctions:
         self.exact = ExactSolution(self.kappa)
 
     def f_tilde(self, points: np.ndarray) -> np.ndarray:
-        z = self.kappa * _radius(points)
-        small = z < 1e-3
-        zs = np.where(small, z, 1.0)
-        series = 1.0 - zs * zs / 6.0 * (1.0 - zs * zs / 20.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            direct = np.sin(z) / np.where(small, 1.0, z)
-        return self.kappa * np.where(small, series, direct)
+        return self.kappa * np.sinc(self.kappa * _radius(points) / np.pi)
 
     def f(self, points: np.ndarray) -> np.ndarray:
         return -1j * self.f_tilde(points) / self.kappa
@@ -130,7 +124,8 @@ class DataFunctions:
 
 def benchmark_problem(kappa: float) -> tuple[ExactSolution, DataFunctions]:
     """Exact solution and matching data functions of the study problem."""
-    return ExactSolution(kappa), DataFunctions(kappa)
+    data = DataFunctions(kappa)
+    return data.exact, data
 
 
 def data_quadrature_degree(p: int, kappa: float, h: float) -> int:

@@ -8,7 +8,9 @@ that is orthonormal in the L2 inner product on ``T``.  Edge bases are
 shifted Legendre polynomials, orthonormal on ``[0, 1]``.  Orthonormality
 turns every mass matrix into the identity, so L2 projection reduces to
 inner products against the basis and local element solves stay well
-conditioned.
+conditioned.  The Jacobi and Legendre factors and their derivatives come
+from ``scipy.special`` (its three-term recurrences for integer degree),
+evaluated for every basis member at once.
 
 Edge quadrature is Gauss-Legendre.  Triangle rules collapse the square
 ``[-1, 1]^2`` onto ``T``: a Gauss-Legendre rule in the first coordinate
@@ -19,12 +21,11 @@ therefore available at any exactness degree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
+from scipy.special import eval_jacobi, eval_legendre, roots_jacobi
 
 MAX_ORDER = 10
 
@@ -40,37 +41,18 @@ def _check_order(p: int) -> None:
         raise ValueError(f"polynomial order must be in [1, {MAX_ORDER}], got {p}")
 
 
-def _jacobi_all(alpha: float, beta: float, nmax: int, t: np.ndarray) -> np.ndarray:
-    """Evaluate Jacobi polynomials P_n^(alpha,beta)(t) for n = 0..nmax.
+def _jacobi_with_deriv(
+    n: np.ndarray, alpha: np.ndarray | float, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """P_n^(alpha,0)(t) and its derivative, broadcast over n, alpha and t.
 
-    Returns an array of shape (nmax + 1, len(t)) filled via the standard
-    three-term recurrence.
+    The derivative is (n + alpha + 1)/2 P_(n-1)^(alpha+1,1)(t), zero for
+    n = 0.  Degrees stay integer arrays: scipy evaluates integer degrees
+    by the three-term recurrence, float ones through hyp2f1.
     """
-    t = np.asarray(t, dtype=float)
-    out = np.empty((nmax + 1,) + t.shape)
-    out[0] = 1.0
-    if nmax == 0:
-        return out
-    out[1] = 0.5 * (alpha - beta + (alpha + beta + 2.0) * t)
-    for n in range(1, nmax):
-        c = 2.0 * n + alpha + beta
-        a1 = 2.0 * (n + 1.0) * (n + alpha + beta + 1.0) * c
-        a2 = (c + 1.0) * (alpha * alpha - beta * beta)
-        a3 = c * (c + 1.0) * (c + 2.0)
-        a4 = 2.0 * (n + alpha) * (n + beta) * (c + 2.0)
-        out[n + 1] = ((a2 + a3 * t) * out[n] - a4 * out[n - 1]) / a1
-    return out
-
-
-def _jacobi_deriv_all(alpha: float, beta: float, nmax: int, t: np.ndarray) -> np.ndarray:
-    """First derivatives of P_n^(alpha,beta) for n = 0..nmax, shape (nmax+1, npts)."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros((nmax + 1,) + t.shape)
-    if nmax >= 1:
-        inner = _jacobi_all(alpha + 1.0, beta + 1.0, nmax - 1, t)
-        for n in range(1, nmax + 1):
-            out[n] = 0.5 * (n + alpha + beta + 1.0) * inner[n - 1]
-    return out
+    vals = eval_jacobi(n, alpha, 0.0, t)
+    inner = eval_jacobi(np.maximum(n - 1, 0), alpha + 1.0, 1.0, t)
+    return vals, np.where(n >= 1, 0.5 * (n + alpha + 1.0), 0.0) * inner
 
 
 class TriangleBasis:
@@ -84,7 +66,9 @@ class TriangleBasis:
         _check_order(p)
         self.p = p
         self.dim = (p + 1) * (p + 2) // 2
-        self.index_pairs = [(m, d - m) for d in range(p + 1) for m in range(d + 1)]
+        pairs = np.array([(m, d - m) for d in range(p + 1) for m in range(d + 1)])
+        self._m, self._n = pairs[:, 0], pairs[:, 1]
+        self._norm = np.sqrt(2.0 * (2 * self._m + 1) * (self._m + self._n + 1))
 
     def _collapsed(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -109,34 +93,19 @@ class TriangleBasis:
     def eval_with_grad(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values (npts, dim) and gradients (npts, dim, 2) at reference points."""
         eta1, eta2, g = self._collapsed(points)
-        npts = eta1.shape[0]
-        p = self.p
-
-        leg = _jacobi_all(0.0, 0.0, p, eta1)
-        dleg = _jacobi_deriv_all(0.0, 0.0, p, eta1)
-        jac = [_jacobi_all(2.0 * m + 1.0, 0.0, p - m, eta2) for m in range(p + 1)]
-        djac = [_jacobi_deriv_all(2.0 * m + 1.0, 0.0, p - m, eta2) for m in range(p + 1)]
-
-        gpow = np.empty((p + 1, npts))
-        gpow[0] = 1.0
-        for m in range(1, p + 1):
-            gpow[m] = gpow[m - 1] * g
-
-        vals = np.empty((npts, self.dim))
-        grads = np.empty((npts, self.dim, 2))
-        for k, (m, n) in enumerate(self.index_pairs):
-            nc = math.sqrt(2.0 * (2 * m + 1) * (m + n + 1))
-            pm, pn = leg[m], jac[m][n]
-            vals[:, k] = nc * pm * gpow[m] * pn
-            dy = 2.0 * pm * gpow[m] * djac[m][n]
-            if m >= 1:
-                gm1 = gpow[m - 1]
-                dx = 2.0 * dleg[m] * gm1 * pn
-                dy = dy + ((1.0 + eta1) * dleg[m] - m * pm) * gm1 * pn
-            else:
-                dx = np.zeros(npts)
-            grads[:, k, 0] = nc * dx
-            grads[:, k, 1] = nc * dy
+        m, n = self._m, self._n
+        pm, dpm = _jacobi_with_deriv(m, 0.0, eta1[:, None])
+        pn, dpn = _jacobi_with_deriv(n, 2.0 * m + 1.0, eta2[:, None])
+        # g^(m-1) only multiplies terms that vanish for m = 0, and the
+        # clipped exponent keeps it finite at the apex g = 0.
+        gm1 = g[:, None] ** np.maximum(m - 1, 0)
+        gm = g[:, None] ** m
+        vals = self._norm * pm * gm * pn
+        grads = np.empty(vals.shape + (2,))
+        grads[..., 0] = self._norm * 2.0 * dpm * gm1 * pn
+        grads[..., 1] = self._norm * (
+            2.0 * pm * gm * dpn + ((1.0 + eta1[:, None]) * dpm - m * pm) * gm1 * pn
+        )
         return vals, grads
 
 
@@ -154,8 +123,7 @@ class EdgeBasis:
         t = np.asarray(t, dtype=float).reshape(-1)
         if t.min(initial=0.0) < -_INSIDE_TOL or t.max(initial=0.0) > 1.0 + _INSIDE_TOL:
             raise ValueError("evaluation points must lie in [0, 1]")
-        leg = _jacobi_all(0.0, 0.0, self.p, 2.0 * t - 1.0)
-        return leg.T * self._scale
+        return eval_legendre(np.arange(self.p + 1), 2.0 * t[:, None] - 1.0) * self._scale
 
 
 @dataclass(frozen=True)

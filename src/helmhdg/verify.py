@@ -23,7 +23,7 @@ from .polybasis import (
     quadrature_rule,
     reference_face_points,
 )
-from .skeleton import discretize, monolithic_solve, solve_helmholtz
+from .skeleton import blocks, discretize, monolithic_solve, solve_helmholtz
 
 #: Brute-force sup of ||v||_dT sqrt(h) / (p ||v||_T) over P_p on the
 #: reference element, maximized over the coefficient sphere (worst case
@@ -33,10 +33,6 @@ TRACE_CONSTANT = 4.4261
 #: Regression bound on ||u_h|| over its stability estimate, frozen at
 #: 1.5x the maximum observed on the first green acceptance matrix (0.3503).
 STABILITY_CONSTANT = 0.55
-
-# Elements per block of the projection check; bounds its working memory.
-_PROJECTION_BLOCK = 1024
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -112,9 +108,10 @@ def _check_trace_inequality() -> CheckResult:
 def _projection_errors(n: int, p: int, func: Callable) -> tuple[float, float]:
     """Global element and trace L2 errors of the elementwise L2 projection.
 
-    Elements are processed in blocks of `_PROJECTION_BLOCK`, with one call
-    of `func` on the volume points of a block and one per local face.  The
-    geometry comes from the mesh's stored arrays, so any affine mesh works.
+    Elements are processed in the slices of `skeleton.blocks`, with one
+    call of `func` on the volume points of a block and one per local face.
+    The geometry comes from the mesh's stored arrays, so any affine mesh
+    works.
     """
     mesh = build_structured_mesh(n)
     basis = TriangleBasis(p)
@@ -133,8 +130,7 @@ def _projection_errors(n: int, p: int, func: Callable) -> tuple[float, float]:
 
     vol_sq = 0.0
     trace_sq = 0.0
-    for start in range(0, mesh.n_elements, _PROJECTION_BLOCK):
-        sel = slice(start, start + _PROJECTION_BLOCK)
+    for sel in blocks(mesh.n_elements):
         root_det = np.sqrt(det[sel])[:, None]
         values = np.asarray(func(physical(sel, vol_rule.points))).reshape(root_det.size, -1)
         coeff = root_det * ((values * vol_rule.weights) @ phi)  # (nE, N)
@@ -169,10 +165,10 @@ def _check_local_uniqueness() -> CheckResult:
         for p in (1, 2, 3):
             cfg = ProblemConfig.for_mesh(kappa, p, mesh)
             for elem in range(mesh.n_elements):
-                blocks = assemble_local_blocks(mesh_entities(mesh, elem), cfg)
-                Q, U = local_solve(blocks, np.zeros(blocks.n_trace))
+                local = assemble_local_blocks(mesh_entities(mesh, elem), cfg)
+                Q, U = local_solve(local, np.zeros(local.n_trace))
                 worst = max(worst, float(np.abs(Q).max()), float(np.abs(U).max()))
-                max_cond = max(max_cond, float(np.linalg.cond(blocks.system_matrix())))
+                max_cond = max(max_cond, float(np.linalg.cond(local.system_matrix())))
     return CheckResult(
         "local-uniqueness",
         worst <= 1e-12,

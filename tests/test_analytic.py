@@ -251,7 +251,7 @@ def test_blocked_projection_matches_per_element_loop(n, p):
 
 
 def test_projection_check_calls_func_per_block(monkeypatch):
-    from helmhdg import analytic, mesh, verify
+    from helmhdg import analytic, mesh, skeleton, verify
 
     def forbidden(*args, **kwargs):
         raise AssertionError("per-element call in the projection check")
@@ -267,7 +267,7 @@ def test_projection_check_calls_func_per_block(monkeypatch):
 
     n = 32
     verify._projection_errors(n, 1, func)
-    n_blocks = math.ceil(2 * n * n / verify._PROJECTION_BLOCK)
+    n_blocks = math.ceil(2 * n * n / skeleton.BLOCK)
     assert 0 < len(calls) <= 4 * n_blocks
 
 

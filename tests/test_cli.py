@@ -126,14 +126,24 @@ def test_usage_errors_exit_2(tmp_path):
     (["--kappa", "1", "--p", "3", "--n", "8,300", "--max-dofs", "2000000"], None),
     (["--quad-degree", "12"], None),
     ([], '{"data_quad_degree": 12}'),
+    (["--kappa", ","], None),
+    (["--n", "0"], None),
+    (["--workers", "0"], None),
+    (["--max-dofs", "0"], None),
+    (["--fixed-kappa-h", "0"], None),
+    (["--config", "missing.json"], None),
+    ([], "[20, 40]"),
+    ([], '{"fixed_kappa_h": "wide"}'),
 ], ids=["kappa-nan", "kappa-inf", "p-above-max", "n-decreasing", "config-scalar-kappas",
         "kappa-0.001", "kappa-below-floor", "tau-above-cap", "quad-degree-flag",
-        "config-quad-degree"])
+        "config-quad-degree", "kappa-empty-list", "n-zero", "workers-zero", "max-dofs-zero",
+        "fixed-kappa-h-zero", "config-missing", "config-array", "config-string-for-float"])
 def test_bad_input_exits_2_before_any_solve(tmp_path, monkeypatch, flags, config):
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve started before the input was validated")
 
     monkeypatch.setattr(cli, "run_benchmark_case", no_solve)
+    monkeypatch.chdir(tmp_path)  # a relative --config path names no file
     args = ["converge", "--kappa", "5", "--p", "1", "--n", "4,8", "--out", str(tmp_path)]
     if config is not None:
         path = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ import pytest
 
 from helmhdg.mesh import ElementGeometry
 from helmhdg.polybasis import (
+    REF_VERTICES,
     EdgeBasis,
     TriangleBasis,
     quadrature_rule,
@@ -72,6 +73,33 @@ def test_gradients_match_finite_differences(p):
     fd_y = (basis.eval(pts + [0.0, h]) - basis.eval(pts - [0.0, h])) / (2 * h)
     assert np.abs(grads[:, :, 0] - fd_x).max() <= 1e-6
     assert np.abs(grads[:, :, 1] - fd_y).max() <= 1e-6
+
+
+@pytest.mark.parametrize("p", [1, 3, 6, 10])
+def test_vertex_and_face_values_match_monomial_fit(p):
+    # Oracle: every member is a polynomial of degree <= p, so its monomial
+    # expansion about the centroid, fitted by least squares at interior
+    # points, gives its values and gradients on the closed triangle,
+    # where a central difference would step outside.
+    basis = TriangleBasis(p)
+    exps = [(a, d - a) for d in range(p + 1) for a in range(d + 1)]
+
+    def monomials(pts):
+        x, y = pts[:, 0] - 1.0 / 3.0, pts[:, 1] - 1.0 / 3.0
+        vals = np.column_stack([x**a * y**b for a, b in exps])
+        dx = np.column_stack([a * x ** max(a - 1, 0) * y**b for a, b in exps])
+        dy = np.column_stack([b * x**a * y ** max(b - 1, 0) for a, b in exps])
+        return vals, dx, dy
+
+    fit_pts = _interior_points(np.random.default_rng(7), 4 * basis.dim)
+    coeff = np.linalg.lstsq(monomials(fit_pts)[0], basis.eval(fit_pts), rcond=None)[0]
+    t = np.linspace(0.0, 1.0, 7)
+    pts = np.vstack([REF_VERTICES] + [reference_face_points(f, t) for f in range(3)])
+    vals, grads = basis.eval_with_grad(pts)
+    mono, mono_dx, mono_dy = monomials(pts)
+    assert np.abs(vals - mono @ coeff).max() <= 1e-9 * np.abs(vals).max()
+    for d, mono_d in enumerate((mono_dx, mono_dy)):
+        assert np.abs(grads[:, :, d] - mono_d @ coeff).max() <= 1e-9 * np.abs(grads).max()
 
 
 @pytest.mark.parametrize("p,dim", [(1, 2), (2, 3), (3, 4)])
