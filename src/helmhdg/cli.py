@@ -1,15 +1,17 @@
 """Command-line driver: single solves, convergence studies, verification.
 
-    hdg solve    --kappa 20 --p 2 --n 32 --out results
-    hdg converge --kappa 20 --p 1,2 --n 8,16,32,64 --out results
+    hdg solve    --kappa 20 --p 2 --n 32 --out results [--dump-mesh]
+    hdg converge --kappa 20 --p 1,2 --n 8,16,32,64 --out results [--workers 2]
     hdg converge --kappa 10,20,40 --p 1 --fixed-kappa-h 1.1 --out results
     hdg verify   [--only energy-identity]
 
-Every CSV carries a comment header echoing the resolved configuration,
-floats are printed with 17 significant digits, and repeated invocations
-produce byte-identical outputs apart from the wall-time column.  Exit
-codes: 0 all contracts held, 1 a numerical contract failed, 2 usage or
-guard refusal.
+Each command takes only the flags it reads, and its ``--config`` file
+only the RunConfig fields those flags set; anything else exits 2.
+Every CSV carries a comment header echoing the resolved configuration
+and the BLAS thread setting, floats are printed with 17 significant
+digits, and repeated invocations produce byte-identical outputs apart
+from the wall-time column.  Exit codes: 0 all contracts held, 1 a
+numerical contract failed, 2 usage or guard refusal.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ def _config_lines(cfg: RunConfig, kappa: float, p: int, sizes: list[int]) -> lis
     """Provenance header: everything needed to reproduce the file.  The
     data rule degree is that of the global mesh size h = sqrt(2)/n, the
     rule of every edge integral and, on the structured mesh, of every
-    element."""
+    element.  The last digits depend on the BLAS thread count."""
     degrees = (data_quadrature_degree(p, kappa, math.sqrt(2.0) / n) for n in sizes)
     return [
         f"helmhdg version {__version__}",
@@ -154,6 +156,10 @@ def _config_lines(cfg: RunConfig, kappa: float, p: int, sizes: list[int]) -> lis
         f"n = {','.join(str(n) for n in sizes)}",
         f"tau rule = p/(kappa*h); tau = {','.join(format_float(_tau(kappa, p, n)) for n in sizes)}",
         f"data quadrature degree = {','.join(map(str, degrees))}",
+        "BLAS threads = " + ", ".join(
+            f"{var}={os.environ.get(var, 'unset')}"
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        ),
     ]
 
 
@@ -244,72 +250,60 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each command takes only the flags it reads; a flag's dest is the
+    RunConfig field it sets, and the same fields are its config keys."""
     parser = argparse.ArgumentParser(
         prog="hdg",
         description="HDG solver for the 2-d Helmholtz equation with Robin boundary at high wave number",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "run single solves and dump solutions"),
-        ("converge", "run convergence or pollution studies"),
-        ("verify", "run the verification suite"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--kappa", default=None, help="comma-separated wave numbers")
-        cmd.add_argument("--p", default=None, help="comma-separated polynomial orders")
-        cmd.add_argument("--n", default=None, help="comma-separated mesh subdivisions")
-        cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--workers", type=int, default=None, help="parallel (kappa,p,n) runs")
-        cmd.add_argument("--max-dofs", type=int, default=None, help="skeleton size guard")
-        cmd.add_argument("--config", default=None, help="JSON config file (flags win)")
-        if name == "converge":
-            cmd.add_argument("--fixed-kappa-h", type=float, default=None,
-                             help="pollution mode: choose n so kappa*h/p equals this")
-            cmd.add_argument("--fixed-kappa3h2", type=float, default=None,
-                             help="pollution mode: choose n so kappa^3*h^2/p^2 equals this")
-        if name == "solve":
-            cmd.add_argument("--dump-mesh", action="store_true", default=None,
-                             help="also write the mesh file")
-        if name == "verify":
-            cmd.add_argument("--only", default=None, help="run a single named check")
+    solve = sub.add_parser("solve", help="run single solves and dump solutions")
+    converge = sub.add_parser("converge", help="run convergence or pollution studies")
+    verify = sub.add_parser("verify", help="run the verification suite")
+    for cmd in (solve, converge):
+        cmd.add_argument("--kappa", dest="kappas", help="comma-separated wave numbers")
+        cmd.add_argument("--p", dest="orders", help="comma-separated polynomial orders")
+        cmd.add_argument("--n", dest="sizes", help="comma-separated mesh subdivisions")
+        cmd.add_argument("--out", dest="out_dir", help="output directory")
+        cmd.add_argument("--max-dofs", type=int, help="skeleton size guard")
+    solve.add_argument("--dump-mesh", action="store_true", default=None,
+                       help="also write the mesh file")
+    converge.add_argument("--workers", type=int, help="parallel (kappa,p,n) runs")
+    converge.add_argument("--fixed-kappa-h", type=float,
+                          help="pollution mode: choose n so kappa*h/p equals this")
+    converge.add_argument("--fixed-kappa3h2", type=float,
+                          help="pollution mode: choose n so kappa^3*h^2/p^2 equals this")
+    verify.add_argument("--only", help="run a single named check")
+    for cmd in (solve, converge, verify):
+        cmd.add_argument("--config", help="JSON file of this command's settings (flags win)")
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if getattr(args, "config", None):
+    """The config file's settings, then the flags given: flags win."""
+    flags = dict(vars(args))
+    cfg = RunConfig(command=flags.pop("command"))
+    path = flags.pop("config")
+    hints = typing.get_type_hints(RunConfig)
+    if path:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 settings = json.load(fh)
         except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot read config file {args.config!r}: {exc}") from exc
+            raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
         if not isinstance(settings, dict):
             raise UsageError("config file must hold a JSON object")
-        hints = typing.get_type_hints(RunConfig)
         for key, value in settings.items():
-            if key == "command" or key not in hints:
-                raise UsageError(f"unknown config key {key!r}")
+            if key not in flags:
+                raise UsageError(f"config key {key!r} is not a setting of hdg {cfg.command}")
             if not _has_type(value, hints[key]):
                 raise UsageError(f"config key {key!r} has the wrong type: {value!r}")
             setattr(cfg, key, value)
-    if args.kappa is not None:
-        cfg.kappas = _parse_list(args.kappa, float)
-    if args.p is not None:
-        cfg.orders = _parse_list(args.p, int)
-    if args.n is not None:
-        cfg.sizes = _parse_list(args.n, int)
-    for flag, attr in (
-        ("out", "out_dir"),
-        ("workers", "workers"),
-        ("max_dofs", "max_dofs"),
-        ("fixed_kappa_h", "fixed_kappa_h"),
-        ("fixed_kappa3h2", "fixed_kappa3h2"),
-        ("dump_mesh", "dump_mesh"),
-        ("only", "only"),
-    ):
-        value = getattr(args, flag, None)
+    for key, value in flags.items():
         if value is not None:
-            setattr(cfg, attr, value)
+            if typing.get_origin(hints[key]) is list:
+                value = _parse_list(value, typing.get_args(hints[key])[0])
+            setattr(cfg, key, value)
     cfg.validate()
     return cfg
 

@@ -1,13 +1,6 @@
-import os
+import pytest
 
-# Pin BLAS to one thread before numpy loads: thread hand-offs slow the
-# many mid-size dense calls of the suite.  An explicit setting wins.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-import pytest  # noqa: E402
-
-from helmhdg.mesh import _finish_mesh, build_structured_mesh  # noqa: E402
+from helmhdg.mesh import _finish_mesh, build_structured_mesh
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -72,15 +73,20 @@ def test_solve_outputs(tmp_path, capsys):
     assert any(line.startswith("# kappa = 5") for line in lines)
 
 
-def test_energy_identity_failure_exits_1(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("name, value, contract", [
+    ("ENERGY_IDENTITY_TOL", 0.0, "energy identity"),
+    ("data_norms", lambda disc: (0.0, 0.0), "energy inequality"),
+], ids=["energy-identity", "energy-inequality"])
+def test_energy_identity_failure_exits_1(tmp_path, capsys, monkeypatch, name, value, contract):
     # A contract failure inside a valid case exits 1 and names the
-    # contract; a zero tolerance makes the energy identity fail.
+    # contract; a zero tolerance makes the energy identity fail, zero
+    # data norms the energy inequality.
     from helmhdg import diagnostics
 
-    monkeypatch.setattr(diagnostics, "ENERGY_IDENTITY_TOL", 0.0)
+    monkeypatch.setattr(diagnostics, name, value)
     code = main(["solve", "--kappa", "5", "--p", "1", "--n", "4", "--out", str(tmp_path)])
     assert code == 1
-    assert "energy identity" in capsys.readouterr().err
+    assert contract in capsys.readouterr().err
 
 
 def test_solve_guards_every_case_before_the_first(tmp_path, monkeypatch, capsys):
@@ -154,6 +160,56 @@ def test_bad_input_exits_2_before_any_solve(tmp_path, monkeypatch, flags, config
     except SystemExit as exc:  # argparse exits 2 on an unknown flag
         code = exc.code
     assert code == 2
+
+
+@pytest.mark.parametrize("command, flags, config", [
+    ("verify", ["--kappa", "100"], None),
+    ("verify", ["--p", "2"], None),
+    ("verify", ["--n", "3"], None),
+    ("verify", ["--out", "results"], None),
+    ("verify", ["--workers", "4"], None),
+    ("verify", ["--max-dofs", "5"], None),
+    ("solve", ["--workers", "3"], None),
+    ("solve", [], '{"workers": 8}'),
+    ("solve", [], '{"fixed_kappa_h": 1.1}'),
+    ("converge", [], '{"dump_mesh": true}'),
+    ("converge", [], '{"only": "oracle"}'),
+    ("verify", [], '{"kappas": [20.0]}'),
+], ids=["verify-kappa", "verify-p", "verify-n", "verify-out", "verify-workers",
+        "verify-max-dofs", "solve-workers", "solve-config-workers",
+        "solve-config-fixed-kappa-h", "converge-config-dump-mesh", "converge-config-only",
+        "verify-config-kappas"])
+def test_unread_setting_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command, flags,
+                                                config):
+    # A command refuses every flag and config key that it does not read.
+    def no_work(*args, **kwargs):
+        raise AssertionError("a solve or check started despite an unread setting")
+
+    monkeypatch.setattr(cli, "run_benchmark_case", no_work)
+    monkeypatch.setattr(cli, "run_verify", no_work)
+    args = [command] + flags
+    if command != "verify":
+        args += ["--kappa", "5", "--p", "1", "--n", "2", "--out", str(tmp_path)]
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(config)
+        args += ["--config", str(path)]
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse exits 2 on an unknown flag
+        code = exc.code
+    assert code == 2
+    if config is not None:
+        (key,) = json.loads(config)
+        assert f"config key {key!r} is not a setting of hdg {command}" in capsys.readouterr().err
+
+
+def test_header_echoes_blas_threads(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    lines = cli._config_lines(cli.RunConfig("solve"), 5.0, 1, [4])
+    (line,) = [line for line in lines if line.startswith("BLAS threads = ")]
+    assert "OPENBLAS_NUM_THREADS=3" in line and "MKL_NUM_THREADS=unset" in line
 
 
 def test_size_guard_refusal_names_guard(tmp_path, capsys):
@@ -281,6 +337,21 @@ def test_value_error_inside_a_check_is_contract_failure(monkeypatch, capsys):
     monkeypatch.setitem(verify.CHECKS, "oracle", broken)
     assert main(["verify", "--only", "oracle"]) == 1
     assert "contract failure" in capsys.readouterr().err
+
+
+def test_failed_check_exits_1_and_names_it(monkeypatch, capsys):
+    # A check that runs but misses its bound fails the suite with exit 1,
+    # and the summary quotes the first failure.
+    from helmhdg import verify
+
+    monkeypatch.setattr(verify, "CHECKS", {
+        name: lambda name=name: verify.CheckResult(name, name != "oracle", f"{name} measured")
+        for name in verify.CHECKS
+    })
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] oracle: oracle measured" in out
+    assert "1 of 8 checks failed; first: oracle measured" in out
 
 
 def test_full_verify_suite_passes_quickly(capsys):

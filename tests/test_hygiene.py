@@ -3,7 +3,9 @@ imports another's private (underscore-prefixed) names, the package's
 `__all__` lists exactly what `__init__.py` imports, every function
 that the benchmark's span tracer wraps still exists, and every public
 function, class and method of the package has a caller in `src/` or
-`demos/`, so code that only tests use lives with the tests.
+`demos/`, so code that only tests use lives with the tests.  The `hdg`
+parser and `RunConfig` name the same settings: every flag of a command
+sets a field, and every field is set by some command's flag.
 
 No linter runs in CI, so this test is the check for dead imports.
 `__init__.py` is skipped by the unused-import check: it re-exports its
@@ -11,11 +13,15 @@ imports through `__all__`, which the second check keeps in step, so a
 deleted API cannot stay behind in `__all__` and break `import *`.
 """
 
+import argparse
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
+
+from helmhdg.cli import RunConfig, build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "helmhdg"
@@ -206,3 +212,28 @@ def test_uncalled_definition_is_detected():
     assert _uncalled_definitions(defining, using, exempt={"traced"}) == [
         "mod.py:3 unused", "mod.py:10 Kept.dead", "mod.py:12 Dead",
     ]
+
+
+def _setting_mismatch(parser: argparse.ArgumentParser, fields: set[str]) -> set[str]:
+    """Flag dests of the subcommands that name no field, and fields but
+    `command` that no subcommand's flag sets; `help` and `config` are
+    not settings."""
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {action.dest for cmd in commands.values() for action in cmd._actions}
+    return (dests - {"help", "config"}) ^ (fields - {"command"})
+
+
+def test_parser_and_config_name_the_same_settings():
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    assert _setting_mismatch(build_parser(), fields) == set()
+
+
+def test_setting_mismatch_is_detected():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command")
+    run = sub.add_parser("run")
+    run.add_argument("--kappa", dest="kappas")
+    run.add_argument("--n")
+    run.add_argument("--config")
+    sub.add_parser("check").add_argument("--only")
+    assert _setting_mismatch(parser, {"command", "kappas", "only", "sizes"}) == {"n", "sizes"}

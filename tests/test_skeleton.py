@@ -186,6 +186,17 @@ def test_solve_residual_contract():
     assert residual <= 1e-10
 
 
+def test_residual_relative_to_zero_rhs():
+    # With no load the relative residual is 0 for the zero trace and
+    # infinite for any trace that A does not map to zero.
+    mesh = build_structured_mesh(2)
+    disc = discretize(mesh, ProblemConfig.for_mesh(5.0, 1, mesh), zero_f, zero_g)
+    rhs = disc.rhs()
+    assert not rhs.any()
+    assert skeleton_residual(disc, rhs, np.zeros_like(rhs))[1] == 0.0
+    assert skeleton_residual(disc, rhs, np.ones_like(rhs))[1] == np.inf
+
+
 def test_deterministic_bitwise_repeat():
     results = []
     for _ in range(2):
