@@ -11,12 +11,20 @@ the method at desk scale.
 """
 
 import os
+import sys
 
 # Pin BLAS to one thread before numpy loads: thread hand-offs slow the
 # many mid-size dense calls of the solve, and the last digits of the
-# outputs depend on the thread count.  An explicit setting wins.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+# outputs depend on the thread count.  An explicit setting wins.  A pin
+# set after numpy loaded may not reach numpy's BLAS, so the variables
+# set then are recorded for the CSV header to mark.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+PINNED_AFTER_NUMPY: tuple[str, ...] = ()
+for _var in BLAS_THREAD_VARS:
+    if _var not in os.environ:
+        os.environ[_var] = "1"
+        if "numpy" in sys.modules:
+            PINNED_AFTER_NUMPY += (_var,)
 
 __version__ = "0.1.0"
 

@@ -26,7 +26,7 @@ import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from . import __version__
+from . import BLAS_THREAD_VARS, PINNED_AFTER_NUMPY, __version__
 from .analytic import data_quadrature_degree
 from .diagnostics import (
     ConvergenceTable,
@@ -146,7 +146,9 @@ def _config_lines(cfg: RunConfig, kappa: float, p: int, sizes: list[int]) -> lis
     """Provenance header: everything needed to reproduce the file.  The
     data rule degree is that of the global mesh size h = sqrt(2)/n, the
     rule of every edge integral and, on the structured mesh, of every
-    element.  The last digits depend on the BLAS thread count."""
+    element.  The last digits depend on the BLAS thread count; a thread
+    variable that helmhdg set after numpy loaded is marked, since numpy's
+    BLAS may not have read it."""
     degrees = (data_quadrature_degree(p, kappa, math.sqrt(2.0) / n) for n in sizes)
     return [
         f"helmhdg version {__version__}",
@@ -158,7 +160,8 @@ def _config_lines(cfg: RunConfig, kappa: float, p: int, sizes: list[int]) -> lis
         f"data quadrature degree = {','.join(map(str, degrees))}",
         "BLAS threads = " + ", ".join(
             f"{var}={os.environ.get(var, 'unset')}"
-            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+            + (" (set after numpy loaded)" if var in PINNED_AFTER_NUMPY else "")
+            for var in BLAS_THREAD_VARS
         ),
     ]
 

@@ -417,7 +417,7 @@ def _sweep(
         y = sla.lu_solve(lu, x[elim].T, check_finite=False)
         del lu
         x[elim] = y.T
-        np.subtract.at(x, iface, (front[n_i:, :n_i] @ y).T)
+        np.subtract.at(x, iface.ravel(), (front[n_i:, :n_i] @ y).T.ravel())
         if c in last_parent:
             schur[c] = blas.zgemm(-1.0, front[n_i:, :n_i], w, 1.0, front[n_i:, n_i:])
         kept.append((elim, iface, w))

@@ -1,9 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from helmhdg import cli
+from helmhdg import BLAS_THREAD_VARS, cli
 from helmhdg.cli import main
 
 
@@ -210,6 +212,30 @@ def test_header_echoes_blas_threads(monkeypatch):
     lines = cli._config_lines(cli.RunConfig("solve"), 5.0, 1, [4])
     (line,) = [line for line in lines if line.startswith("BLAS threads = ")]
     assert "OPENBLAS_NUM_THREADS=3" in line and "MKL_NUM_THREADS=unset" in line
+
+
+@pytest.mark.parametrize("numpy_first", [True, False], ids=["numpy-first", "helmhdg-first"])
+def test_header_marks_pins_set_after_numpy(numpy_first):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")])
+    )
+    script = (
+        ("import numpy\n" if numpy_first else "")
+        + "from helmhdg import cli\n"
+        + "print(cli._config_lines(cli.RunConfig('solve'), 5.0, 1, [4])[-1])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = proc.stdout.strip()
+    assert line.startswith("BLAS threads = ")
+    for var in BLAS_THREAD_VARS:
+        mark = f"{var}=1 (set after numpy loaded)"
+        assert (mark in line) == numpy_first, line
+        assert f"{var}=1" in line
 
 
 def test_size_guard_refusal_names_guard(tmp_path, capsys):
