@@ -96,6 +96,11 @@ class UsageError(Exception):
     pass
 
 
+#: Field annotations of RunConfig, resolved once: with postponed
+#: annotations, resolving evaluates every annotation string.
+_HINTS = typing.get_type_hints(RunConfig)
+
+
 def _has_type(value, hint) -> bool:
     """Whether a JSON value matches a RunConfig field annotation; ints
     count as floats, bools as neither."""
@@ -282,12 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once at import; parsing leaves the parser unchanged.
+_PARSER = build_parser()
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """The config file's settings, then the flags given: flags win."""
     flags = dict(vars(args))
     cfg = RunConfig(command=flags.pop("command"))
     path = flags.pop("config")
-    hints = typing.get_type_hints(RunConfig)
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -299,20 +307,20 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         for key, value in settings.items():
             if key not in flags:
                 raise UsageError(f"config key {key!r} is not a setting of hdg {cfg.command}")
-            if not _has_type(value, hints[key]):
+            if not _has_type(value, _HINTS[key]):
                 raise UsageError(f"config key {key!r} has the wrong type: {value!r}")
             setattr(cfg, key, value)
     for key, value in flags.items():
         if value is not None:
-            if typing.get_origin(hints[key]) is list:
-                value = _parse_list(value, typing.get_args(hints[key])[0])
+            if typing.get_origin(_HINTS[key]) is list:
+                value = _parse_list(value, typing.get_args(_HINTS[key])[0])
             setattr(cfg, key, value)
     cfg.validate()
     return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = resolve_config(args)
         if cfg.command == "verify":

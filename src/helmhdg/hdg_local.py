@@ -130,14 +130,16 @@ class LocalBlocks:
 class _ReferenceTables:
     """Geometry-independent operator tables of the order-p element, all
     read-only: the 2p triangle rule weights with basis values and
-    gradients at its points, the scalar mass M, and per local face the
-    moments phi_f^T W psi for both edge orientations (index 0 for +1,
-    1 for -1) and the face mass phi_f^T W phi_f."""
+    gradients at its points, the scalar mass M and the vector mass
+    kron(I_2, M), and per local face the moments phi_f^T W psi for both
+    edge orientations (index 0 for +1, 1 for -1) and the face mass
+    phi_f^T W phi_f."""
 
     weights: np.ndarray  # (nq,)
     phi: np.ndarray  # (nq, N)
     grad: np.ndarray  # (nq, N, 2)
     M: np.ndarray  # (N, N)
+    vector_mass: np.ndarray  # (2N, 2N)
     face_trace: np.ndarray  # (3, 2, N, p+1)
     face_mass: np.ndarray  # (3, N, N)
 
@@ -163,6 +165,7 @@ def _reference_tables(p: int) -> _ReferenceTables:
         phi=phi,
         grad=grad,
         M=M,
+        vector_mass=np.kron(np.eye(2), M),
         face_trace=np.array(face_trace),
         face_mass=np.array(face_mass),
     )
@@ -190,7 +193,7 @@ def assemble_local_blocks(geom: ElementGeometry, cfg: ProblemConfig) -> LocalBlo
     # basis functions cancel against the volume Jacobian.
     gphys = np.einsum("qad,cd->qac", ref.grad, geom.inv_jt)
     B = np.einsum("q,qac,qj->caj", ref.weights, gphys, ref.phi).reshape(2 * n, n)
-    A = 1j * cfg.kappa * np.kron(np.eye(2), ref.M)
+    A = 1j * cfg.kappa * ref.vector_mass
 
     C = np.zeros((2 * n, 3 * m))
     S = np.zeros((n, n))

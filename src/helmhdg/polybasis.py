@@ -16,11 +16,14 @@ Edge quadrature is Gauss-Legendre.  Triangle rules collapse the square
 ``[-1, 1]^2`` onto ``T``: a Gauss-Legendre rule in the first coordinate
 tensorized with a Gauss-Jacobi(1, 0) rule in the second, whose weight
 function absorbs the collapsed-coordinate Jacobian exactly.  The rules are
-therefore available at any exactness degree.
+therefore available at any exactness degree.  Each (domain, degree) rule is
+built once per process and shared: its point and weight arrays are
+read-only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,28 +141,34 @@ class QuadratureRule:
         return self.weights.shape[0]
 
 
+@functools.lru_cache(maxsize=None)
 def quadrature_rule(domain: str, degree: int) -> QuadratureRule:
     """Quadrature rule on the reference triangle or edge, exact to `degree`.
 
     Edge rules are Gauss-Legendre on [0, 1] with ceil((degree + 1) / 2)
     points.  Triangle rules are collapsed-coordinate tensor rules
     (Gauss-Legendre x Gauss-Jacobi(1, 0)); all weights are positive.
+    Every caller of one (domain, degree) gets the same rule, so its arrays
+    are read-only.
     """
     if degree < 0:
         raise ValueError("quadrature degree must be >= 0")
     npts = max(1, (degree + 2) // 2)
     if domain == "edge":
         a, w = leggauss(npts)
-        return QuadratureRule(0.5 * (a + 1.0), 0.5 * w)
-    if domain == "triangle":
+        pts, weights = 0.5 * (a + 1.0), 0.5 * w
+    elif domain == "triangle":
         a, wa = leggauss(npts)
         b, wb = roots_jacobi(npts, 1.0, 0.0)
         x = 0.25 * np.outer(1.0 + a, 1.0 - b)
         y = np.broadcast_to(0.5 * (1.0 + b), (npts, npts))
-        w = 0.125 * np.outer(wa, wb)
         pts = np.column_stack([x.ravel(), y.ravel()])
-        return QuadratureRule(pts, w.ravel())
-    raise ValueError(f"unknown quadrature domain {domain!r}")
+        weights = (0.125 * np.outer(wa, wb)).ravel()
+    else:
+        raise ValueError(f"unknown quadrature domain {domain!r}")
+    pts.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadratureRule(pts, weights)
 
 
 def reference_face_points(face: int, t: np.ndarray) -> np.ndarray:

@@ -1,16 +1,20 @@
 """Named self-checks bundling every module's invariants for the CLI.
 
 Each check returns its measured value(s) so the runner can print one
-line per check; any failure flips the process exit code.  No timing or
-other varying value enters a line, so the output repeats byte for byte.
-Per-element work runs on arrays (one stacked `np.linalg.cond` per
-(kappa, p) for local uniqueness).  The `verify` workload of the
-benchmark (`perfbench/`) measures how long the suite takes.
+line per check; any failure flips the process exit code, and a check
+that raises fails with the exception on its line while the others still
+run.  No timing or other varying value enters a line, so the output
+repeats byte for byte.  Per-element work runs on arrays (one stacked
+`np.linalg.cond` per (kappa, p) for local uniqueness), and quadrature
+rules and reference tables are built once per process.  The runner calls
+every check through `CHECKS`, whose entries the `verify` workload of the
+benchmark (`perfbench/`) wraps to time the suite check by check.
 """
 
 from __future__ import annotations
 
 import math
+import traceback
 from dataclasses import dataclass
 from typing import Callable
 
@@ -132,9 +136,12 @@ def _projection_errors(n: int, p: int, func: Callable) -> tuple[float, float]:
     jac, det, lengths = mesh.jacobians, mesh.dets, mesh.face_lengths
 
     def physical(sel: slice, ref: np.ndarray) -> np.ndarray:
-        J = jac[sel, None]  # (nE, 1, 2, 2), columns v1 - v0 and v2 - v0
-        pts = v0[sel, None, :] + (ref[:, 0, None] * J[..., 0] + ref[:, 1, None] * J[..., 1])
-        return pts.reshape(-1, 2)
+        # One contiguous (nE, nq) array per coordinate, faster than
+        # broadcasting over a trailing axis of length 2; J's columns are
+        # v1 - v0 and v2 - v0.
+        r0, r1, J = ref[:, 0], ref[:, 1], jac[sel]
+        xy = [v0[sel, c, None] + (r0 * J[:, c, 0, None] + r1 * J[:, c, 1, None]) for c in (0, 1)]
+        return np.stack(xy, axis=-1).reshape(-1, 2)
 
     vol_sq = 0.0
     trace_sq = 0.0
@@ -272,13 +279,21 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {
 
 
 def run_verify(only: str | None = None, log: Callable[[str], None] = print) -> int:
-    """Run the named checks (all by default); returns a process exit code."""
+    """Run the named checks (all by default); returns a process exit code.
+
+    A check that raises fails with the exception on its line, and its
+    traceback goes to stderr; the checks after it still run.
+    """
     if only is not None and only not in CHECKS:
         raise ValueError(f"unknown check {only!r}; available: {', '.join(CHECKS)}")
     names = [only] if only else list(CHECKS)
     failed: list[CheckResult] = []
     for name in names:
-        result = CHECKS[name]()
+        try:
+            result = CHECKS[name]()
+        except Exception as exc:  # one broken check must not hide the others
+            traceback.print_exc()
+            result = CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
         log(f"[{'PASS' if result.passed else 'FAIL'}] {result.name}: {result.measured}")
         if not result.passed:
             failed.append(result)

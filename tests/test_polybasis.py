@@ -174,6 +174,15 @@ def test_quadrature_exactness_sweep(degree):
         assert abs(float(erule.weights @ erule.points**a) - 1.0 / (a + 1)) <= 1e-14
 
 
+@pytest.mark.parametrize("domain", ["edge", "triangle"])
+def test_quadrature_rule_is_built_once_and_read_only(domain):
+    rule = quadrature_rule(domain, 7)
+    assert quadrature_rule(domain, 7) is rule
+    for array in (rule.points, rule.weights):
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+
+
 def test_quadrature_rejects_bad_arguments():
     with pytest.raises(ValueError):
         quadrature_rule("triangle", -1)
