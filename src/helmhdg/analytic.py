@@ -67,20 +67,24 @@ class ExactSolution:
         assert abs(den) > 0.0, "J0(kappa) + i J1(kappa) vanished"
         self.coef = complex(math.cos(self.kappa), math.sin(self.kappa)) / (self.kappa * den)
 
+    def _u_radial(self, kr: np.ndarray) -> np.ndarray:
+        """u at the points where kappa r = kr."""
+        return np.cos(kr) / self.kappa - self.coef * special.j0(kr)
+
     def u_and_grad(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """u, shape (npts,), and grad u, shape (npts, 2), from one Bessel
         evaluation; the gradient is zero at the origin by symmetry."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         r = _radius(pts)
-        j0, j1 = _j0j1(self.kappa * r)
-        u = np.cos(self.kappa * r) / self.kappa - self.coef * j0
-        du_dr = -np.sin(self.kappa * r) + self.coef * self.kappa * j1
+        kr = self.kappa * r
+        du_dr = -np.sin(kr) + self.coef * self.kappa * special.j1(kr)
         safe = np.where(r > 0.0, r, 1.0)
         direction = np.where(r[:, None] > 0.0, pts / safe[:, None], 0.0)
-        return u, du_dr[:, None] * direction
+        return self._u_radial(kr), du_dr[:, None] * direction
 
     def u(self, points: np.ndarray) -> np.ndarray:
-        return self.u_and_grad(points)[0]
+        """u, shape (npts,), without the gradient's Bessel and sine terms."""
+        return self._u_radial(self.kappa * _radius(points))
 
     def grad_u(self, points: np.ndarray) -> np.ndarray:
         """Gradient of u, shape (npts, 2)."""

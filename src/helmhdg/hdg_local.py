@@ -127,7 +127,7 @@ class LocalBlocks:
 
 
 @dataclass(frozen=True)
-class _ReferenceTables:
+class ReferenceTables:
     """Geometry-independent operator tables of the order-p element, all
     read-only: the 2p triangle rule weights with basis values and
     gradients at its points, the scalar mass M and the vector mass
@@ -145,7 +145,9 @@ class _ReferenceTables:
 
 
 @functools.lru_cache(maxsize=None)
-def _reference_tables(p: int) -> _ReferenceTables:
+def reference_tables(p: int) -> ReferenceTables:
+    """The order-p tables, built once per process and shared by the local
+    assembly and the monolithic oracle's flux coupling."""
     basis = TriangleBasis(p)
     rule = quadrature_rule("triangle", 2 * p)
     phi, grad = basis.eval_with_grad(rule.points)
@@ -160,7 +162,7 @@ def _reference_tables(p: int) -> _ReferenceTables:
         phi_f = basis.eval(reference_face_points(face, face_rule.points))
         face_trace.append([phi_f.T @ (w[:, None] * psi_o) for psi_o in psi])
         face_mass.append(phi_f.T @ (w[:, None] * phi_f))
-    tables = _ReferenceTables(
+    tables = ReferenceTables(
         weights=rule.weights,
         phi=phi,
         grad=grad,
@@ -185,7 +187,7 @@ def assemble_local_blocks(geom: ElementGeometry, cfg: ProblemConfig) -> LocalBlo
     if geom.area <= 1e-14:
         raise ValueError(f"degenerate element (area = {geom.area!r})")
     p = cfg.p
-    ref = _reference_tables(p)
+    ref = reference_tables(p)
     n = ref.M.shape[0]
     m = p + 1
 

@@ -84,6 +84,7 @@ from .hdg_local import (
     ProblemConfig,
     CondensedOperators,
     assemble_local_blocks,
+    reference_tables,
     volume_load,
 )
 from .mesh import DissectionTree, ElementGeometry, Mesh, dissection_tree, mesh_entities
@@ -92,7 +93,6 @@ from .polybasis import (
     QuadratureRule,
     TriangleBasis,
     quadrature_rule,
-    reference_face_points,
 )
 
 logger = logging.getLogger(__name__)
@@ -500,21 +500,18 @@ def _grad_trace_block(geom: ElementGeometry, blocks: LocalBlocks) -> np.ndarray:
     <r.n, w>_dT - (r, grad w)_T, without integrating by parts.
 
     Equals B^T for exact quadrature; assembled independently so the
-    monolithic oracle does not share the condensed path's shortcut.
+    monolithic oracle does not share the condensed path's shortcut.  The
+    basis values, gradients and face masses are read from the order-p
+    tables of `reference_tables`, so no basis is evaluated per element.
     """
-    p, n = blocks.p, blocks.n_scalar
-    basis = TriangleBasis(p)
-    rule = quadrature_rule("triangle", 2 * p)
-    phi, grad = basis.eval_with_grad(rule.points)
-    gphys = np.einsum("qad,cd->qac", grad, geom.inv_jt)
-    grad_part = np.einsum("q,qa,qic->ica", rule.weights, phi, gphys).reshape(n, 2 * n)
+    n = blocks.n_scalar
+    ref = reference_tables(blocks.p)
+    gphys = np.einsum("qad,cd->qac", ref.grad, geom.inv_jt)
+    grad_part = np.einsum("q,qa,qic->ica", ref.weights, ref.phi, gphys).reshape(n, 2 * n)
 
-    face_rule = quadrature_rule("edge", 2 * p)
     trace_part = np.zeros((n, 2 * n))
     for face in range(3):
-        phi_f = basis.eval(reference_face_points(face, face_rule.points))
-        w = face_rule.weights
-        mass = (geom.face_lengths[face] / geom.det) * (phi_f.T @ (w[:, None] * phi_f))
+        mass = (geom.face_lengths[face] / geom.det) * ref.face_mass[face]
         for c in range(2):
             trace_part[:, c * n : (c + 1) * n] += geom.normals[face, c] * mass
     return trace_part - grad_part
@@ -545,9 +542,8 @@ def monolithic_solve(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn)
     rhs = np.zeros(total, dtype=complex)
 
     def add(r: np.ndarray, c: np.ndarray, block_vals: np.ndarray) -> None:
-        rr, cc = np.meshgrid(r, c, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
+        rows.append(np.repeat(r, c.size))
+        cols.append(np.tile(c, r.size))
         vals.append(np.asarray(block_vals, dtype=complex).ravel())
 
     for elem in range(mesh.n_elements):

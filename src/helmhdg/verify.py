@@ -4,11 +4,14 @@ Each check returns its measured value(s) so the runner can print one
 line per check; any failure flips the process exit code, and a check
 that raises fails with the exception on its line while the others still
 run.  No timing or other varying value enters a line, so the output
-repeats byte for byte.  Per-element work runs on arrays (one stacked
-`np.linalg.cond` per (kappa, p) for local uniqueness), and quadrature
-rules and reference tables are built once per process.  The runner calls
-every check through `CHECKS`, whose entries the `verify` workload of the
-benchmark (`perfbench/`) wraps to time the suite check by check.
+repeats byte for byte.  Per-element work runs on arrays: local
+uniqueness assembles one element per distinct geometry (grouped by the
+exact bits of its arrays) and takes one stacked `np.linalg.cond` per
+(kappa, p) over the distinct geometries, the trace inequality evaluates
+the face bases once per order, and quadrature rules and reference tables
+are built once per process.  The runner calls every check through
+`CHECKS`, whose entries the `verify` workload of the benchmark
+(`perfbench/`) wraps to time the suite check by check.
 """
 
 from __future__ import annotations
@@ -86,15 +89,17 @@ def _check_quadrature() -> CheckResult:
     return CheckResult("quadrature-exactness", worst <= 1e-13, f"max relative defect {worst:.3e}")
 
 
-def _trace_ratio(geom: ElementGeometry, p: int, coeffs: np.ndarray) -> np.ndarray:
-    """||v||_dT sqrt(h) / (p ||v||_T) for polynomials given by coefficient rows."""
-    rule = quadrature_rule("edge", 2 * p)
-    basis = TriangleBasis(p)
+def _trace_ratio(
+    geom: ElementGeometry, p: int, coeffs: np.ndarray, face_phi: list[np.ndarray], weights: np.ndarray
+) -> np.ndarray:
+    """||v||_dT sqrt(h) / (p ||v||_T) for polynomials given by coefficient
+    rows, with `face_phi` the reference basis values at the edge rule
+    points (weights `weights`) mapped onto each local face."""
     boundary_sq = np.zeros(coeffs.shape[0])
     for face in range(3):
-        phi = basis.eval(reference_face_points(face, rule.points)) / math.sqrt(geom.det)
+        phi = face_phi[face] / math.sqrt(geom.det)
         vals = coeffs @ phi.T
-        boundary_sq += geom.face_lengths[face] * (np.abs(vals) ** 2 @ rule.weights)
+        boundary_sq += geom.face_lengths[face] * (np.abs(vals) ** 2 @ weights)
     volume = np.linalg.norm(coeffs, axis=1)  # orthonormal basis
     return np.sqrt(boundary_sq) * math.sqrt(geom.h) / (p * volume)
 
@@ -103,12 +108,15 @@ def _check_trace_inequality() -> CheckResult:
     rng = np.random.default_rng(2024)
     worst = 0.0
     for p in (1, 2, 3):
-        dim = TriangleBasis(p).dim
+        basis = TriangleBasis(p)
+        rule = quadrature_rule("edge", 2 * p)
+        face_phi = [basis.eval(reference_face_points(face, rule.points)) for face in range(3)]
         for h in (0.25, 0.125, 0.0625):
             s = h / math.sqrt(2.0)
             geom = ElementGeometry.from_vertices([[0.0, 0.0], [s, 0.0], [s, s]])
-            coeffs = rng.standard_normal((200, dim))
-            worst = max(worst, float(_trace_ratio(geom, p, coeffs).max()))
+            coeffs = rng.standard_normal((200, basis.dim))
+            ratio = _trace_ratio(geom, p, coeffs, face_phi, rule.weights)
+            worst = max(worst, float(ratio.max()))
     return CheckResult(
         "trace-inequality",
         worst <= TRACE_CONSTANT,
@@ -174,16 +182,31 @@ def _check_projection_rates() -> CheckResult:
 
 def _local_condition_numbers() -> np.ndarray:
     """2-norm condition numbers of the local systems of every element of
-    the 4 x 4 mesh, shape (kappa, p, element), with one stacked
-    `np.linalg.cond` call per (kappa, p)."""
+    the 4 x 4 mesh, shape (kappa, p, element): one stacked
+    `np.linalg.cond` per (kappa, p) over the distinct geometries.
+
+    Elements are grouped by the exact bits of every geometry array that
+    `assemble_local_blocks` reads (Jacobian, face lengths, normals and edge
+    orientations, with 0.0 and -0.0 apart), so a group's members have
+    equal local systems on any mesh; one member per group is assembled,
+    and its condition number is broadcast to the others.
+    """
     mesh = build_structured_mesh(4)
-    geoms = [mesh_entities(mesh, elem) for elem in range(mesh.n_elements)]
-    conds = np.empty((3, 3, mesh.n_elements))
+    f = mesh.n_elements
+    keys = np.column_stack([
+        mesh.jacobians.reshape(f, -1).view(np.int64),
+        mesh.face_lengths.view(np.int64),
+        mesh.normals.reshape(f, -1).view(np.int64),
+        mesh.elem_edge_orient,
+    ])
+    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    geoms = [mesh_entities(mesh, int(elem)) for elem in first]
+    conds = np.empty((3, 3, f))
     for i, kappa in enumerate((1.0, 20.0, 100.0)):
         for j, p in enumerate((1, 2, 3)):
             cfg = ProblemConfig.for_mesh(kappa, p, mesh)
             stack = np.stack([assemble_local_blocks(geom, cfg).system_matrix() for geom in geoms])
-            conds[i, j] = np.linalg.cond(stack)
+            conds[i, j] = np.linalg.cond(stack)[group.reshape(-1)]
     return conds
 
 

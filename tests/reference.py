@@ -2,14 +2,17 @@
 
 Each one restates a quantity that the package computes another way, so a
 test can compare the two: the residual of the local equations, the face
-moments of the numerical flux taken directly from (Q, U, lam), and the
-skeleton matrix A in the global dof numbering.
+moments of the numerical flux taken directly from (Q, U, lam), the
+skeleton matrix A in the global dof numbering, and the oracle's flux
+coupling with the basis evaluated per element.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from helmhdg.hdg_local import LocalBlocks
+from helmhdg.mesh import ElementGeometry
+from helmhdg.polybasis import TriangleBasis, quadrature_rule, reference_face_points
 from helmhdg.skeleton import Discretization, _edge_dofs
 
 
@@ -55,3 +58,25 @@ def global_matrix(disc: Discretization) -> sp.csc_matrix:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_dofs, n_dofs),
     ).tocsc()
+
+
+def grad_trace_block(geom: ElementGeometry, blocks: LocalBlocks) -> np.ndarray:
+    """<r.n, w>_dT - (r, grad w)_T of one element, with the basis evaluated
+    on each call instead of read from `reference_tables`, as a reference
+    for the monolithic oracle's flux coupling."""
+    p, n = blocks.p, blocks.n_scalar
+    basis = TriangleBasis(p)
+    rule = quadrature_rule("triangle", 2 * p)
+    phi, grad = basis.eval_with_grad(rule.points)
+    gphys = np.einsum("qad,cd->qac", grad, geom.inv_jt)
+    grad_part = np.einsum("q,qa,qic->ica", rule.weights, phi, gphys).reshape(n, 2 * n)
+
+    face_rule = quadrature_rule("edge", 2 * p)
+    trace_part = np.zeros((n, 2 * n))
+    for face in range(3):
+        phi_f = basis.eval(reference_face_points(face, face_rule.points))
+        w = face_rule.weights
+        mass = (geom.face_lengths[face] / geom.det) * (phi_f.T @ (w[:, None] * phi_f))
+        for c in range(2):
+            trace_part[:, c * n : (c + 1) * n] += geom.normals[face, c] * mass
+    return trace_part - grad_part

@@ -142,6 +142,15 @@ def test_exact_solution_check_catches_wrong_robin_data(monkeypatch):
     assert not result.passed, result.measured
 
 
+def test_u_alone_equals_the_value_of_u_and_grad():
+    # u skips the gradient's terms but shares its formula, bit for bit,
+    # also at the origin and on the boundary.
+    sol = ExactSolution(60.0)
+    rng = np.random.default_rng(5)
+    pts = np.vstack([[[0.0, 0.0], [0.5, -0.5]], rng.uniform(-0.5, 0.5, (500, 2))])
+    assert sol.u(pts).tobytes() == sol.u_and_grad(pts)[0].tobytes()
+
+
 def test_flux_definition():
     sol = ExactSolution(7.0)
     pts = np.array([[0.2, -0.1], [0.31, 0.4]])

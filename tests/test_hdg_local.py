@@ -308,12 +308,12 @@ def test_cached_tables_reproduce_uncached_blocks_exactly(p):
 
 
 def test_cached_tables_are_read_only():
-    from helmhdg.hdg_local import _reference_tables
+    from helmhdg.hdg_local import reference_tables
 
     blocks = assemble_local_blocks(REF_GEOM, ProblemConfig(kappa=5.0, p=2, tau=1.0))
     with pytest.raises(ValueError):
         blocks.M[0, 0] = 2.0
-    tables = _reference_tables(2)
+    tables = reference_tables(2)
     for name, array in vars(tables).items():
         with pytest.raises(ValueError):
             array[...] = 0.0

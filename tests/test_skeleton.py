@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 
 from helmhdg.analytic import benchmark_problem, data_quadrature_degree
 from helmhdg.diagnostics import data_norms
-from helmhdg.hdg_local import ProblemConfig, assemble_local_blocks
+from helmhdg.hdg_local import ProblemConfig, assemble_local_blocks, reference_tables
 from helmhdg.mesh import _finish_mesh, build_structured_mesh, dissection_tree, mesh_entities
 from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule
 import helmhdg.skeleton as skeleton
@@ -25,7 +25,7 @@ from helmhdg.skeleton import (
     write_solution_csv,
 )
 from meshes import fan_strip_mesh, jittered_mesh, perturbed_mesh
-from reference import flux_functional, global_matrix, local_residual
+from reference import flux_functional, global_matrix, grad_trace_block, local_residual
 
 
 def zero_f(pts):
@@ -319,6 +319,55 @@ def test_pipeline_on_perturbed_mesh():
 
     balance = energy_balance(condensed, disc)
     assert max(balance.residual_re, balance.residual_im) <= 1e-9
+
+
+@pytest.mark.parametrize("make", [lambda: build_structured_mesh(2), perturbed_mesh],
+                         ids=["structured", "perturbed"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_oracle_equals_the_per_element_flux_coupling(make, p, monkeypatch):
+    # Reading the cached order-p tables changes no bit of the flux
+    # coupling, nor of the oracle's solution.
+    mesh = make()
+    cfg = ProblemConfig.for_mesh(5.0, p, mesh)
+    for elem in range(mesh.n_elements):
+        geom = mesh_entities(mesh, elem)
+        local = assemble_local_blocks(geom, cfg)
+        assert skeleton._grad_trace_block(geom, local).tobytes() == (
+            grad_trace_block(geom, local).tobytes())
+    _, data = benchmark_problem(5.0)
+    got = monolithic_solve(mesh, cfg, data.f, data.g)
+    monkeypatch.setattr(skeleton, "_grad_trace_block", grad_trace_block)
+    want = monolithic_solve(mesh, cfg, data.f, data.g)
+    for name in ("Q", "U", "uhat"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def _counted(fn, calls):
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_oracle_evaluates_no_basis_per_element(monkeypatch):
+    # `volume_load` evaluates the basis at its data rule once per element;
+    # every other basis evaluation of the oracle is independent of n.  The
+    # order-1 tables are built first, so neither count includes them.
+    _, data = benchmark_problem(5.0)
+    reference_tables(1)
+    outside_loads = []
+    for n in (2, 4):
+        evals, loads = [], []
+        # TriangleBasis.eval evaluates through eval_with_grad.
+        for owner, name in ((TriangleBasis, "eval_with_grad"), (EdgeBasis, "eval")):
+            monkeypatch.setattr(owner, name, _counted(getattr(owner, name), evals))
+        monkeypatch.setattr(skeleton, "volume_load", _counted(skeleton.volume_load, loads))
+        mesh = build_structured_mesh(n)
+        monolithic_solve(mesh, ProblemConfig.for_mesh(5.0, 1, mesh), data.f, data.g)
+        monkeypatch.undo()
+        assert len(loads) == mesh.n_elements
+        outside_loads.append(len(evals) - len(loads))
+    assert outside_loads[0] == outside_loads[1]
 
 
 def test_monolithic_zero_data_and_guard():

@@ -1,6 +1,7 @@
 """The array forms of the `local-uniqueness` and `projection-rates`
-checks: equal values to the element-by-element computation, failure on
-broken local systems, bounded call counts, and repeatable output.  A
+checks: equal values to the element-by-element computation (also on a
+mesh where no two elements share a geometry), failure on broken local
+systems, exact or bounded call counts, and repeatable output.  A
 check that raises fails alone.  The benchmark's tracer wraps the entries
 of `CHECKS` by the names in `perfbench/workloads.py` and counts the dofs
 of the skeleton solves listed there, so both must match what a pass runs.
@@ -19,6 +20,7 @@ from helmhdg.hdg_local import ProblemConfig, assemble_local_blocks
 from helmhdg.mesh import build_structured_mesh, mesh_entities
 from helmhdg.polybasis import quadrature_rule, reference_face_points
 from helmhdg.skeleton import blocks
+from meshes import jittered_mesh
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -86,11 +88,36 @@ def test_local_uniqueness_fails_on_nan_condition_number(monkeypatch):
 
 
 def test_local_uniqueness_builds_each_geometry_once_and_stacks_cond(monkeypatch):
+    # The 4 x 4 mesh has 2 distinct geometries, so 2 x 9 local systems.
     entities = _counting(monkeypatch, verify, "mesh_entities")
+    assembled = _counting(monkeypatch, verify, "assemble_local_blocks")
     conds = _counting(monkeypatch, np.linalg, "cond")
     assert verify._check_local_uniqueness().passed
-    assert len(entities) <= 32
-    assert len(conds) <= 9
+    assert (len(entities), len(assembled), len(conds)) == (2, 18, 9)
+
+
+def test_condition_numbers_on_a_mesh_without_repeated_geometry(monkeypatch):
+    # On the jittered mesh every element is its own group, so each one is
+    # assembled and the result equals the element-by-element loop.
+    mesh = jittered_mesh(4)
+    monkeypatch.setattr(verify, "build_structured_mesh", lambda n: mesh)
+    expected = np.array([
+        [
+            [
+                np.linalg.cond(assemble_local_blocks(
+                    mesh_entities(mesh, elem), ProblemConfig.for_mesh(kappa, p, mesh)
+                ).system_matrix())
+                for elem in range(mesh.n_elements)
+            ]
+            for p in (1, 2, 3)
+        ]
+        for kappa in (1.0, 20.0, 100.0)
+    ])
+    entities = _counting(monkeypatch, verify, "mesh_entities")
+    got = verify._local_condition_numbers()
+    assert len(entities) == mesh.n_elements
+    assert got.shape == (3, 3, mesh.n_elements)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_projection_errors_make_no_einsum_call(monkeypatch):
@@ -128,7 +155,7 @@ def test_projection_points_equal_the_broadcast_map(n):
 
 def test_a_pass_builds_each_quadrature_rule_once(monkeypatch):
     quadrature_rule.cache_clear()
-    hdg_local._reference_tables.cache_clear()
+    hdg_local.reference_tables.cache_clear()
     built = _counting(monkeypatch, polybasis, "leggauss")
     assert verify.run_verify(log=lambda line: None) == 0
     assert 0 < len(built) <= 24
