@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
 from .analytic import data_quadrature_degree
 from .mesh import ElementGeometry, Mesh
@@ -240,8 +239,8 @@ def local_solve(
     """
     L = blocks.system_matrix()
     try:
-        x = sla.solve(L, blocks.rhs(lam, f_load))
-    except sla.LinAlgError as exc:  # pragma: no cover - cannot occur for valid blocks
+        x = np.linalg.solve(L, blocks.rhs(lam, f_load))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - cannot occur for valid blocks
         raise RuntimeError("singular local HDG system; assembly is inconsistent") from exc
     n2 = 2 * blocks.n_scalar
     return x[:n2], x[n2:]
@@ -260,14 +259,13 @@ class CondensedOperators:
     def __init__(self, blocks: LocalBlocks):
         L = blocks.system_matrix()
         n, n2 = blocks.n_scalar, 2 * blocks.n_scalar
-        lam_rhs = np.zeros((n2 + n, blocks.n_trace), dtype=complex)
-        lam_rhs[:n2] = -blocks.C
-        lam_rhs[n2:] = blocks.R
-        load_rhs = np.zeros((n2 + n, n), dtype=complex)
-        load_rhs[n2:] = np.eye(n)
-        lu = sla.lu_factor(L)
-        self.recon_lam = sla.lu_solve(lu, lam_rhs)  # (3N, 3(p+1)): traces -> (Q, U)
-        self.inv_load = sla.lu_solve(lu, load_rhs)  # (3N, N): source moments -> (Q, U)
+        m = blocks.n_trace
+        rhs = np.zeros((n2 + n, m + n), dtype=complex)
+        rhs[:n2, :m] = -blocks.C
+        rhs[n2:, :m] = blocks.R
+        rhs[n2:, m:] = np.eye(n)
+        # recon_lam (3N, 3(p+1)): traces -> (Q, U); inv_load (3N, N): source moments -> (Q, U)
+        self.recon_lam, self.inv_load = np.split(np.linalg.solve(L, rhs), [m], axis=1)
         W = np.concatenate([blocks.C.T, blocks.R.T], axis=1)
         self.K = W @ self.recon_lam - blocks.tau * np.eye(blocks.n_trace)
         self.load_to_flux = -(W @ self.inv_load)  # (3(p+1), N): source moments -> F

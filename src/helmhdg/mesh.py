@@ -291,9 +291,12 @@ class DissectionTree:
     numbered level by level.  An edge is eliminated at the lowest node that
     holds both of its elements, a boundary edge at its element's leaf.  A
     node's interface is its edges with exactly one element inside it.  Its
-    front lists its eliminated edges, then its interface edges, each in
-    the order of their midpoints relative to the node, so translated nodes
-    list corresponding edges in the same positions.  Nodes of one class
+    front lists its eliminated edges, then its interface edges, each side
+    by side: by direction, then by the line the edge lies on, then along
+    that line.  This order is invariant under translation, so translated
+    nodes list corresponding edges in the same positions, and on grid
+    lines it puts every child's interface on a few contiguous runs of its
+    parent's front (at most 4 on structured meshes).  Nodes of one class
     are translates with equal element labels, equal boundary pattern and,
     for internal nodes, children of equal classes at equal offsets, so
     they share one dense front.  Classes are numbered in ascending height,
@@ -328,7 +331,6 @@ def dissection_tree(mesh: Mesh, labels: np.ndarray) -> DissectionTree:
     quantum = mesh.face_lengths.min() * 2.0**-10
     q = np.rint((mesh.vertices - mesh.vertices.min(axis=0)) / quantum).astype(np.int64)
     cent = q[mesh.triangles].sum(axis=1)  # 3 x centroid
-    mid = 3 * q[mesh.edges].sum(axis=1)  # 6 x midpoint
     # Distinct ranks of the centroids sorted by (x, y) and by (y, x), so
     # that one integer key sorts elements by node, then coordinate.
     place = np.empty((2, f), dtype=np.int64)
@@ -362,9 +364,17 @@ def dissection_tree(mesh: Mesh, labels: np.ndarray) -> DissectionTree:
             roles.append(np.full(hit.size, role))
             edges.append(hit)
     nodes, roles, edges = (np.concatenate(x) for x in (nodes, roles, edges))
-    by_mid = np.empty(mesh.n_edges, dtype=np.int64)
-    by_mid[np.lexsort((mid[:, 0], mid[:, 1]))] = np.arange(mesh.n_edges)
-    order = np.argsort((2 * nodes + roles) * mesh.n_edges + by_mid[edges])
+    # Side-major edge order: by direction (reduced, pointing right or up),
+    # then by the line the edge lies on, then by its place along the line.
+    d = q[mesh.edges[:, 1]] - q[mesh.edges[:, 0]]
+    d //= np.gcd(d[:, 0], d[:, 1])[:, None]
+    d[(d[:, 0] < 0) | ((d[:, 0] == 0) & (d[:, 1] < 0))] *= -1
+    mid = q[mesh.edges].sum(axis=1)  # 2 x midpoint
+    line = d[:, 0] * mid[:, 1] - d[:, 1] * mid[:, 0]
+    along = d[:, 0] * mid[:, 0] + d[:, 1] * mid[:, 1]
+    rank = np.empty(mesh.n_edges, dtype=np.int64)
+    rank[np.lexsort((along, line, d[:, 1], d[:, 0]))] = np.arange(mesh.n_edges)
+    order = np.argsort((2 * nodes + roles) * mesh.n_edges + rank[edges])
     nodes, roles, edges = nodes[order], roles[order], edges[order]
 
     # Classes, height by height: a leaf's key is its elements' labels,

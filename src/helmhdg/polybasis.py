@@ -10,12 +10,15 @@ turns every mass matrix into the identity, so L2 projection reduces to
 inner products against the basis and local element solves stay well
 conditioned.  The Jacobi and Legendre factors and their derivatives come
 from ``scipy.special`` (its three-term recurrences for integer degree),
-evaluated for every basis member at once.
+evaluated for every basis member at once; `TriangleBasis.eval` computes
+the values without the derivatives.
 
 Edge quadrature is Gauss-Legendre.  Triangle rules collapse the square
 ``[-1, 1]^2`` onto ``T``: a Gauss-Legendre rule in the first coordinate
 tensorized with a Gauss-Jacobi(1, 0) rule in the second, whose weight
-function absorbs the collapsed-coordinate Jacobian exactly.  The rules are
+function absorbs the collapsed-coordinate Jacobian exactly.  The
+Gauss-Jacobi nodes are eigenvalues of a symmetric tridiagonal matrix,
+found by NumPy's LAPACK, so no rule loads ``scipy.linalg``.  The rules are
 therefore available at any exactness degree.  Each (domain, degree) rule is
 built once per process and shared: its point and weight arrays are
 read-only.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import eval_jacobi, eval_legendre, roots_jacobi
+from scipy.special import eval_jacobi, eval_legendre
 
 MAX_ORDER = 10
 
@@ -90,8 +93,13 @@ class TriangleBasis:
         return eta1, eta2, g
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        """Basis values at reference points, shape (npts, dim)."""
-        return self.eval_with_grad(points)[0]
+        """Basis values at reference points, shape (npts, dim); the same
+        floating-point operations as the values of `eval_with_grad`."""
+        eta1, eta2, g = self._collapsed(points)
+        m, n = self._m, self._n
+        pm = eval_jacobi(m, 0.0, 0.0, eta1[:, None])
+        pn = eval_jacobi(n, 2.0 * m + 1.0, 0.0, eta2[:, None])
+        return self._norm * pm * g[:, None] ** m * pn
 
     def eval_with_grad(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values (npts, dim) and gradients (npts, dim, 2) at reference points."""
@@ -141,6 +149,37 @@ class QuadratureRule:
         return self.weights.shape[0]
 
 
+def _gauss_jacobi_10(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule for the weight 1 - x on
+    [-1, 1], exact for degree 2n - 1.
+
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix of P^(1,0) (Golub and Welsch, Math. Comp. 23, 1969), polished
+    by one Newton step; the weights are 1 / (P_(n-1) P_n') scaled to sum
+    to 2.  Matrix, step and weights are those of scipy.special.roots_jacobi,
+    whose first call would import scipy.linalg.
+    """
+    k = np.arange(n, dtype=float)
+    jacobi = np.diag(-1.0 / ((2.0 * k + 1.0) * (2.0 * k + 3.0)))
+    k = k[1:]  # SciPy's form of sqrt(k(k+1))/(2k+1): it rounds as roots_jacobi does
+    jacobi[np.arange(1, n), np.arange(n - 1)] = (
+        2.0 / (2.0 * k + 1.0) * np.sqrt((k + 1.0) * k / (2.0 * k + 2.0))
+        * np.where(k == 1, 1.0, np.sqrt(k * (k + 1.0) / (2.0 * k)))
+    )
+    x = np.linalg.eigvalsh(jacobi)
+    dy = 0.5 * (n + 2) * eval_jacobi(n - 1, 2.0, 1.0, x)
+    x -= eval_jacobi(n, 1.0, 0.0, x) / dy
+    fm = eval_jacobi(n - 1, 1.0, 0.0, x)
+
+    def centred(v: np.ndarray) -> np.ndarray:
+        # Both factors span many decades at large n; scale each to about 1.
+        log = np.log(np.abs(v))
+        return v / np.exp((log.max() + log.min()) / 2.0)
+
+    w = 1.0 / (centred(fm) * centred(dy))
+    return x, w * (2.0 / w.sum())
+
+
 @functools.lru_cache(maxsize=None)
 def quadrature_rule(domain: str, degree: int) -> QuadratureRule:
     """Quadrature rule on the reference triangle or edge, exact to `degree`.
@@ -159,7 +198,7 @@ def quadrature_rule(domain: str, degree: int) -> QuadratureRule:
         pts, weights = 0.5 * (a + 1.0), 0.5 * w
     elif domain == "triangle":
         a, wa = leggauss(npts)
-        b, wb = roots_jacobi(npts, 1.0, 0.0)
+        b, wb = _gauss_jacobi_10(npts)
         x = 0.25 * np.outer(1.0 + a, 1.0 - b)
         y = np.broadcast_to(0.5 * (1.0 + b), (npts, npts))
         pts = np.column_stack([x.ravel(), y.ravel()])

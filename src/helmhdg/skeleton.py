@@ -37,19 +37,23 @@ elements, whose separators on structured meshes are grid lines.  Each
 tree node eliminates its separator edges from a dense front, a leaf's
 assembled from its elements' -K_T, an internal node's from the extend-add
 of its children's Schur complements, and passes its Schur complement on
-the interface edges to its parent.  As in the hierarchical merge of
-Gillman and Martinsson (SIAM J. Sci. Comput. 36, 2014), translated nodes
-with the same element classes and boundary pattern have bit-identical
-fronts, so each congruence class of nodes is factored once, by a dense
-complex128 LU, in one sweep that runs batched over the class's members; a
-mesh with no congruence gets one class per node on the same path.  A is
-never assembled: the rhs and every product A x are taken class by class
-from the element operators.  The solve has one right-hand side, so the
-sweep eliminates the load while it factors (Liu, SIAM Review 34, 1992):
-children first, each class factors F_II, forward-eliminates its members'
-load and passes its Schur complement F_BB - F_BI W up, and then keeps only
-W = F_II^-1 F_IB, freeing the LU, F_BI and the front, so that the back
-substitution, parents first, reads W alone.  Starting from x = 0, each
+the interface edges to its parent.  Fronts list their edges side by side
+(`mesh.dissection_tree`), so on grid lines a child's interface is a few
+contiguous runs of its parent's front and the extend-add adds slices, with
+no gathered copy.  As in the hierarchical merge of Gillman and Martinsson
+(SIAM J. Sci. Comput. 36, 2014), translated nodes with the same element
+classes and boundary pattern have bit-identical fronts, so each
+congruence class of nodes is factored once, by one dense complex128 LU
+solve of NumPy's LAPACK, in one sweep that runs batched over the class's
+members; a mesh with no congruence gets one class per node on the same
+path.  A is never assembled: the rhs and every product A x are taken
+class by class from the element operators.  The solve has one right-hand
+side, so the sweep eliminates the load while it factors (Liu, SIAM Review
+34, 1992): children first, each class solves F_II for W = F_II^-1 F_IB
+and its members' eliminated load at once, forms F_BB - F_BI W in the
+buffer of the product F_BI W and passes it up, and then keeps only W,
+freeing the front, so that the back substitution, parents first, reads W
+alone.  Starting from x = 0, each
 refinement step adds one sweep's solution for the residual of x
 (`skeleton_residual`), until the relative residual is at most
 `REFINE_TOL`, a step fails to halve it (a step that does not lower it is
@@ -61,7 +65,9 @@ the solve fails and names it.  The W of a sweep live only inside it.
 A monolithic solver assembles the uncondensed coupled equations directly
 and serves as an independent oracle for the condensed pipeline; it keeps
 SuperLU's default COLAMD ordering and pivoting so that it shares no
-solver choice with the condensed path.
+solver choice with the condensed path.  It alone imports SciPy's sparse
+stack (and with it ``scipy.linalg``), so a process that only runs the
+condensed solve loads neither.
 """
 
 from __future__ import annotations
@@ -73,10 +79,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.linalg.blas as blas
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .analytic import data_quadrature_degree
 from .hdg_local import (
@@ -360,6 +362,21 @@ class SkeletonSolution:
     lu_nnz: int  # entries of W = F_II^-1 F_IB kept by a sweep, sum of n_I n_B
 
 
+def _extend_add(front: np.ndarray, schur: np.ndarray, slots: np.ndarray, m: int) -> None:
+    """front[dofs, dofs] += schur, where dofs are the skeleton dofs of the
+    front slots of a child's interface edges: one slice addition per pair
+    of contiguous runs of slots (at most 4 runs on structured meshes), so
+    no gathered copy of the front is made."""
+    cut = np.flatnonzero(np.diff(slots) != 1) + 1
+    runs = [
+        (slice(m * a, m * b), slice(m * slots[a], m * (slots[a] + b - a)))
+        for a, b in zip(np.r_[0, cut], np.r_[cut, slots.size])
+    ]
+    for rows, to_rows in runs:
+        for cols, to_cols in runs:
+            front[to_rows, to_cols] += schur[rows, cols]
+
+
 def _sweep(
     disc: Discretization, tree: DissectionTree, labels: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, int]:
@@ -367,13 +384,15 @@ def _sweep(
     W = F_II^-1 F_IB kept for the back substitution.
 
     Children first, each class of congruent tree nodes builds its front
-    once (a leaf's from -K of its elements plus the identity on its
-    boundary edges, an internal node's by extend-add of its children's
-    Schur complements F_BB - F_BI W, each freed once its last parent class
-    is built), factors F_II, and eliminates the load of all its members at
-    once; the LU, F_BI and the front are then freed.  The back
-    substitution runs parents first on W alone.  Siblings may share
-    interface dofs, hence the unbuffered subtraction.
+    once, with its members' loads in the columns after it (a leaf's from -K
+    of its elements plus the identity on its boundary edges, an internal
+    node's by extend-add of its children's Schur complements F_BB - F_BI W,
+    each freed once its last parent class is built).  One dense solve
+    gives W and the eliminated loads, and one product F_BI [W | y], whose
+    buffer then takes F_BB - F_BI W and the load update of the interface;
+    the front is then freed.  The back substitution runs parents first on
+    W alone.  Siblings may share interface dofs, hence the unbuffered
+    addition.  A singular front fails the solve and names its class.
     """
     mesh, m = disc.mesh, disc.cfg.p + 1
     minus_k = -np.stack([cls.ops.K for cls in disc.classes])
@@ -394,7 +413,12 @@ def _sweep(
         rep = nodes[0]
         edges = tree.front(rep)
         position[edges] = np.arange(edges.size)
-        front = np.zeros((m * edges.size, m * edges.size), dtype=complex)
+        n_f, n_i = m * edges.size, m * tree.n_elim[rep]
+        n_b = n_f - n_i
+        dofs = _edge_dofs(tree.front_edges[tree.front_ptr[nodes][:, None] + np.arange(edges.size)], m)
+        elim, iface = np.split(dofs.reshape(len(nodes), -1), [n_i], axis=1)
+        front = np.zeros((n_f, n_f + len(nodes)), dtype=complex)
+        front[:n_i, n_f:] = x[elim].T
         if tree.children[rep, 0] < 0:
             elems = by_leaf[leaf_ptr[rep] : leaf_ptr[rep + 1]]
             dofs = _edge_dofs(position[mesh.elem_edges[elems]], m).reshape(len(elems), -1)
@@ -404,24 +428,25 @@ def _sweep(
         else:
             child_classes = tree.node_class[tree.children[rep]]
             for child, k in zip(tree.children[rep], child_classes):
-                dofs = _edge_dofs(position[tree.front(child)[tree.n_elim[child] :]], m).ravel()
-                front[np.ix_(dofs, dofs)] += schur[k]
+                _extend_add(front, schur[k], position[tree.front(child)[tree.n_elim[child] :]], m)
             for k in set(child_classes.tolist()):
                 if last_parent[k] == c:
                     del schur[k]
-        n_i = m * tree.n_elim[rep]
-        dofs = _edge_dofs(tree.front_edges[tree.front_ptr[nodes][:, None] + np.arange(edges.size)], m)
-        elim, iface = np.split(dofs.reshape(len(nodes), -1), [n_i], axis=1)
-        lu = sla.lu_factor(front[:n_i, :n_i], check_finite=False)
-        w = sla.lu_solve(lu, front[:n_i, n_i:], check_finite=False)
-        y = sla.lu_solve(lu, x[elim].T, check_finite=False)
-        del lu
-        x[elim] = y.T
-        np.subtract.at(x, iface.ravel(), (front[n_i:, :n_i] @ y).T.ravel())
+        try:
+            solved = np.linalg.solve(front[:n_i, :n_i], front[:n_i, n_i:])  # [W | y]
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(
+                f"front of node class {c} is singular ({n_i} of {n_f} dofs eliminated), "
+                f"so the skeleton solve cannot meet its residual contract {RESIDUAL_TOL:.1e}"
+            ) from exc
+        x[elim] = solved[:, n_b:].T
+        update = front[n_i:, :n_i] @ solved
+        np.subtract(front[n_i:, n_i:], update, out=update)  # [F_BB - F_BI W | -F_BI y]
+        np.add.at(x, iface.ravel(), update[:, n_b:].T.ravel())
         if c in last_parent:
-            schur[c] = blas.zgemm(-1.0, front[n_i:, :n_i], w, 1.0, front[n_i:, n_i:])
-        kept.append((elim, iface, w))
-        del front  # before the next class allocates its own
+            schur[c] = update[:, :n_b]
+        kept.append((elim, iface, solved[:, :n_b]))
+        del front, update  # before the next class allocates its own
     for elim, iface, w in reversed(kept):
         x[elim] -= x[iface] @ w.T
     return x, sum(w.size for _, _, w in kept)
@@ -523,6 +548,9 @@ def monolithic_solve(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn)
     Independent oracle for the condensed pipeline on desk-scale meshes;
     refuses problems beyond the size guard.
     """
+    import scipy.sparse as sp  # only the oracle loads SciPy's sparse stack
+    import scipy.sparse.linalg as spla
+
     n = TriangleBasis(cfg.p).dim
     block = 3 * n
     m = cfg.p + 1

@@ -5,7 +5,8 @@ that the benchmark's span tracer wraps still exists, and every public
 function, class and method of the package has a caller in `src/` or
 `demos/`, so code that only tests use lives with the tests.  The `hdg`
 parser and `RunConfig` name the same settings: every flag of a command
-sets a field, and every field is set by some command's flag.
+sets a field, and every field is set by some command's flag.  Only the
+monolithic oracle imports SciPy's linalg and sparse stacks.
 
 No linter runs in CI, so this test is the check for dead imports.
 `__init__.py` is skipped by the unused-import check: it re-exports its
@@ -212,6 +213,51 @@ def test_uncalled_definition_is_detected():
     assert _uncalled_definitions(defining, using, exempt={"traced"}) == [
         "mod.py:3 unused", "mod.py:10 Kept.dead", "mod.py:12 Dead",
     ]
+
+
+#: SciPy subpackages that cost about 10 MB of resident memory to import;
+#: only the oracle, `skeleton.monolithic_solve`, may load them.
+HEAVY_SCIPY = ("scipy.linalg", "scipy.sparse")
+
+
+def _heavy_imports(source: str) -> list[str]:
+    """Imports of a `HEAVY_SCIPY` package or its submodules outside the
+    body of a function named `monolithic_solve`."""
+    tree = ast.parse(source)
+    allowed = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "monolithic_solve"
+        for inner in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == pkg or name.startswith(pkg + ".") for name in names for pkg in HEAVY_SCIPY):
+            found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_only_the_oracle_imports_scipy_linalg_or_sparse(path):
+    assert _heavy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_heavy_import_is_detected():
+    source = (
+        "import scipy.special\nimport scipy.linalg as sla\nfrom scipy import sparse\n"
+        "def monolithic_solve():\n    import scipy.sparse.linalg as spla\n"
+        "def helper():\n    from scipy.sparse.linalg import splu\n"
+        "from scipy.linalg.blas import zgemm\n"
+    )
+    assert _heavy_imports(source) == ["line 2", "line 3", "line 7", "line 8"]
 
 
 def _setting_mismatch(parser: argparse.ArgumentParser, fields: set[str]) -> set[str]:

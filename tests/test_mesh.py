@@ -295,6 +295,23 @@ def test_dissection_classes_are_translates(n):
                 assert np.abs(rel - rel0).max() <= 1e-9 and np.array_equal(lab, labels0)
 
 
+@pytest.mark.parametrize("n", [8, 22, 63, 116])
+def test_child_interfaces_are_few_runs_of_the_parent_front(n):
+    # Fronts list edges side by side, so every child's interface lands on
+    # at most 4 contiguous runs of its parent's front: the extend-add adds
+    # it by slices.
+    mesh = build_structured_mesh(n)
+    tree = _tree(mesh)
+    slot = np.empty(mesh.n_edges, dtype=np.int64)
+    runs = []
+    for node in np.flatnonzero(tree.children[:, 0] >= 0):
+        slot[tree.front(node)] = np.arange(tree.front(node).size)
+        for child in tree.children[node]:
+            slots = slot[tree.front(child)[tree.n_elim[child] :]]
+            runs.append(1 + np.count_nonzero(np.diff(slots) != 1))
+    assert max(runs) <= 4
+
+
 def test_dissection_tree_without_congruence_has_one_class_per_node():
     mesh = jittered_mesh()
     tree = _tree(mesh, np.arange(mesh.n_elements))

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from helmhdg.mesh import ElementGeometry
 from helmhdg.polybasis import (
     REF_VERTICES,
     EdgeBasis,
     TriangleBasis,
+    _gauss_jacobi_10,
     quadrature_rule,
     reference_face_points,
 )
@@ -231,3 +233,26 @@ def test_trace_inequality_on_scaled_elements(p, h):
     rng = np.random.default_rng(1000 * p + int(1.0 / h))
     coeffs = rng.standard_normal((200, TriangleBasis(p).dim))
     assert _trace_ratios(geom, p, coeffs).max() <= TRACE_CONSTANT
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 10])
+def test_values_equal_the_values_of_eval_with_grad(p):
+    # eval skips the derivatives but rounds the values the same way.
+    pts = np.vstack([_interior_points(np.random.default_rng(p), 256), REF_VERTICES])
+    basis = TriangleBasis(p)
+    assert basis.eval(pts).tobytes() == basis.eval_with_grad(pts)[0].tobytes()
+
+
+def test_gauss_jacobi_matches_scipy_and_integrates_moments():
+    # Nodes and weights agree with scipy.special.roots_jacobi, and both
+    # rules integrate (1 - x) x^j over [-1, 1] for j <= 2n - 1.
+    for n in range(1, 41):
+        x, w = _gauss_jacobi_10(n)
+        ref_x, ref_w = roots_jacobi(n, 1.0, 0.0)
+        assert np.abs(x - ref_x).max() <= 1e-15
+        assert (np.abs(w - ref_w) / ref_w).max() <= 1e-12
+        j = np.arange(2 * n)
+        exact = np.where(j % 2 == 0, 2.0 / (j + 1), -2.0 / (j + 2))
+        for nodes, weights in ((x, w), (ref_x, ref_w)):
+            moments = weights @ nodes[:, None] ** j
+            assert (np.abs(moments - exact) / np.abs(exact)).max() <= 1e-12

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,7 @@ from helmhdg.skeleton import (
     MONOLITHIC_GUARD,
     RESIDUAL_TOL,
     _edge_dofs,
+    _extend_add,
     boundary_loads,
     discretize,
     monolithic_solve,
@@ -358,8 +362,9 @@ def test_oracle_evaluates_no_basis_per_element(monkeypatch):
     outside_loads = []
     for n in (2, 4):
         evals, loads = [], []
-        # TriangleBasis.eval evaluates through eval_with_grad.
-        for owner, name in ((TriangleBasis, "eval_with_grad"), (EdgeBasis, "eval")):
+        for owner, name in (
+            (TriangleBasis, "eval"), (TriangleBasis, "eval_with_grad"), (EdgeBasis, "eval"),
+        ):
             monkeypatch.setattr(owner, name, _counted(getattr(owner, name), evals))
         monkeypatch.setattr(skeleton, "volume_load", _counted(skeleton.volume_load, loads))
         mesh = build_structured_mesh(n)
@@ -566,6 +571,17 @@ def test_congruent_nodes_share_one_front():
     assert info.refine_steps == 1 and info.residual <= skeleton.REFINE_TOL
 
 
+def test_pollution_cases_keep_their_classes_and_w():
+    # The side-major front order is translation-invariant, so the node
+    # classes and the entries of W stay those of the midpoint order.
+    for (kappa, n), classes, w_entries in zip(
+        [(20.0, 22), (40.0, 63), (60.0, 116)], [51, 59, 118], [87_966, 288_333, 1_029_033],
+    ):
+        traces = solve_skeleton(_pollution_case(kappa, n))
+        assert (traces.factor_classes, traces.lu_nnz) == (classes, w_entries)
+        assert traces.refine_steps == 1
+
+
 def test_sweep_keeps_only_w():
     # A sweep keeps W = F_II^-1 F_IB, n_I x n_B per class of tree nodes,
     # and beside it holds the live Schur complements and one front at a
@@ -594,13 +610,13 @@ def test_refinement_reruns_the_sweep(monkeypatch):
     disc = _pollution_case(40.0, 63)
     once = solve_skeleton(disc)
     factored = []
-    lu_factor = skeleton.sla.lu_factor
+    solve = np.linalg.solve
 
-    def recording_lu_factor(a, *args, **kwargs):
+    def recording_solve(a, *args, **kwargs):
         factored.append(a.shape)
-        return lu_factor(a, *args, **kwargs)
+        return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(skeleton.sla, "lu_factor", recording_lu_factor)
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
     monkeypatch.setattr(skeleton, "REFINE_TOL", 0.0)
     refined = solve_skeleton(disc)
     monkeypatch.undo()
@@ -635,3 +651,59 @@ def test_failed_fallback_names_the_residual(monkeypatch):
     monkeypatch.setattr(skeleton, "MAX_REFINE_STEPS", 0)
     with pytest.raises(RuntimeError, match=r"skeleton solve residual 1\.000e\+00 exceeds 1\.0e-10"):
         solve_helmholtz(_pollution_case(20.0, 22))
+
+
+def test_singular_front_names_its_class(monkeypatch):
+    # With every K zero, the first leaf front eliminates its interior
+    # edges from a zero block.
+    disc = _pollution_case(20.0, 22)
+    for cls in disc.classes:
+        monkeypatch.setattr(cls.ops, "K", np.zeros_like(cls.ops.K))
+    with pytest.raises(RuntimeError, match=(
+        r"front of node class 0 is singular \(\d+ of \d+ dofs eliminated\), so the "
+        r"skeleton solve cannot meet its residual contract 1\.0e-10"
+    )) as failure:
+        solve_skeleton(disc)
+    assert isinstance(failure.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("slots", [
+    [0, 1, 2, 3], [5, 6, 0, 1, 9], [7, 3, 11, 0, 5, 1, 9, 12, 2, 4],
+], ids=["one-run", "three-runs", "ten-runs"])
+def test_extend_add_by_slices_equals_gather_and_scatter(slots):
+    # The slice additions add each entry of the Schur complement once, so
+    # they equal the np.ix_ gather and scatter bit for bit.
+    m, rng = 3, np.random.default_rng(len(slots))
+    slots = np.array(slots)
+
+    def complex_normal(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    front = complex_normal((m * 13, m * 13 + 2))  # 13 edge slots and 2 load columns
+    schur = complex_normal((m * slots.size,) * 2)
+    want = front.copy()
+    dofs = _edge_dofs(slots, m).ravel()
+    want[np.ix_(dofs, dofs)] += schur
+    _extend_add(front, schur, slots, m)
+    assert front.tobytes() == want.tobytes()
+
+
+def test_condensed_solve_loads_no_scipy_linalg_or_sparse():
+    # Only the monolithic oracle loads SciPy's linalg and sparse stacks,
+    # which cost about 10 MB of resident memory in every process.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")])
+    )
+    script = (
+        "import sys\n"
+        "from helmhdg.diagnostics import run_benchmark_case\n"
+        "run_benchmark_case(20, 2, 8)\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
