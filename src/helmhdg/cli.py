@@ -77,6 +77,10 @@ class RunConfig:
             raise UsageError("wave numbers must be finite and positive")
         if not all(1 <= p <= MAX_ORDER for p in self.orders):
             raise UsageError(f"polynomial orders must be in [1, {MAX_ORDER}]")
+        for name, values in (("wave number", self.kappas), ("polynomial order", self.orders)):
+            for k, value in enumerate(values):
+                if value in values[:k]:
+                    raise UsageError(f"{name} {value:g} is repeated")
         if any(n < 1 for n in self.sizes):
             raise UsageError("mesh subdivisions must be >= 1")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):

@@ -17,11 +17,15 @@ the Jacobian of its affine reference map and its determinant, and per
 local face the length and the outward unit normal.  Every consumer (the
 mesh checks, the element classes, the boundary data, the error norms and
 the projection check) reads these arrays; `ElementGeometry` derives the
-same quantities for one element with the same helper.  `Mesh.edge_points`
-places edge quadrature points along the global edge direction for the
-boundary data and the trace error alike.  `dissection_tree` cuts the
-elements recursively into a tree whose translated nodes are grouped into
-congruence classes, which the skeleton solver factors once per class.
+same quantities for one element with the same helper.  The mesh alone
+decides which elements share a local system: `Mesh.elem_class` numbers
+the congruence classes of elements (equal Jacobian up to rounding noise
+of translated vertices, and equal face orientations), which the
+condensation, the dissection tree and the local-uniqueness check read.
+`Mesh.edge_points` places edge quadrature points along the global edge
+direction for the boundary data and the trace error alike.  `dissection_tree` cuts the elements recursively into a tree
+whose translated nodes are grouped into congruence classes, which the
+skeleton solver factors once per class.
 Meshes are immutable after construction and safe for concurrent reads.
 """
 
@@ -60,6 +64,9 @@ class Mesh:
     dets : (F,) float array, det J = 2 * area
     face_lengths : (F, 3) float array, length of local face f
     normals : (F, 3, 2) float array, outward unit normal of local face f
+    elem_class : (F,) int array, congruence class of each element: equal
+        J / h_global rounded to 12 decimals and equal `elem_edge_orient`;
+        classes are numbered in ascending order of their first element
     n : subdivisions per side for structured meshes, None otherwise
     """
 
@@ -75,6 +82,7 @@ class Mesh:
     dets: np.ndarray
     face_lengths: np.ndarray
     normals: np.ndarray
+    elem_class: np.ndarray
     n: int | None = None
 
     @property
@@ -209,6 +217,13 @@ def _finish_mesh(vertices: np.ndarray, triangles: np.ndarray, n: int | None) -> 
     # For structured meshes the mesh size is known in closed form; using it
     # makes h_global(2n) exactly half of h_global(n) in floating point.
     h_global = np.sqrt(2.0) / n if n is not None else float(face_lengths.max())
+    # Congruence classes: J / h to 12 decimals as bit patterns (so 0.0 and
+    # -0.0 stay apart) and the face orientations, renumbered in ascending
+    # order of each class's first element.
+    keys = np.round(jacobians / h_global, 12).reshape(f, 4).view(np.int64)
+    by_key = _group_rows(np.column_stack([keys, elem_edge_orient]))
+    first_elem = np.unique(by_key, return_index=True)[1]
+    elem_class = np.unique(first_elem[by_key], return_inverse=True)[1]
 
     mesh = Mesh(
         vertices=vertices,
@@ -223,6 +238,7 @@ def _finish_mesh(vertices: np.ndarray, triangles: np.ndarray, n: int | None) -> 
         dets=dets,
         face_lengths=face_lengths,
         normals=normals,
+        elem_class=elem_class,
         n=n,
     )
     mesh.validate()
@@ -297,9 +313,9 @@ class DissectionTree:
     nodes list corresponding edges in the same positions, and on grid
     lines it puts every child's interface on a few contiguous runs of its
     parent's front (at most 4 on structured meshes).  Nodes of one class
-    are translates with equal element labels, equal boundary pattern and,
-    for internal nodes, children of equal classes at equal offsets, so
-    they share one dense front.  Classes are numbered in ascending height,
+    are translates with equal element classes (`Mesh.elem_class`), equal
+    boundary pattern and, for internal nodes, children of equal classes at
+    equal offsets, so they share one dense front.  Classes are numbered in ascending height,
     so children's classes precede their parents'.
     """
 
@@ -315,9 +331,10 @@ class DissectionTree:
         return self.front_edges[self.front_ptr[node] : self.front_ptr[node + 1]]
 
 
-def dissection_tree(mesh: Mesh, labels: np.ndarray) -> DissectionTree:
+def dissection_tree(mesh: Mesh) -> DissectionTree:
     """Recursive coordinate bisection of the elements, with the nodes
-    grouped into congruence classes; `labels` (F,) are element classes.
+    grouped into congruence classes; leaves compare their elements by
+    `Mesh.elem_class`.
 
     Each node of more than `ND_LEAF_SIZE` elements is cut across the longer
     extent of its element centroids, at the vertex coordinate nearest the
@@ -377,7 +394,7 @@ def dissection_tree(mesh: Mesh, labels: np.ndarray) -> DissectionTree:
     order = np.argsort((2 * nodes + roles) * mesh.n_edges + rank[edges])
     nodes, roles, edges = nodes[order], roles[order], edges[order]
 
-    # Classes, height by height: a leaf's key is its elements' labels,
+    # Classes, height by height: a leaf's key is its elements' classes,
     # centroids relative to the node and boundary faces, in centroid order;
     # an internal node's key its children's classes and their offset.
     node_class = np.empty(n_nodes, dtype=np.int64)
@@ -387,7 +404,7 @@ def dissection_tree(mesh: Mesh, labels: np.ndarray) -> DissectionTree:
     faces = mesh.boundary_flags[mesh.elem_edges[by_leaf]] @ [1, 2, 4]
     keys = np.full((leaves.size, ND_LEAF_SIZE, 4), -1, dtype=np.int64)
     keys[np.searchsorted(leaves, leaf), np.arange(f) - np.searchsorted(leaf, leaf)] = (
-        np.column_stack([labels[by_leaf], cent[by_leaf] - ref[leaf], faces]))
+        np.column_stack([mesh.elem_class[by_leaf], cent[by_leaf] - ref[leaf], faces]))
     node_class[leaves] = _group_rows(keys.reshape(leaves.size, -1))
     for h in range(1, height.max() + 1):
         n_classes = node_class[height < h].max() + 1

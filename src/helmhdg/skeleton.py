@@ -14,14 +14,13 @@ are known, interior coefficients are recovered element by element.
 The skeleton unknowns are p + 1 consecutive dofs per edge, in edge order,
 so a trace vector reads as an (n_edges, p + 1) array indexed by edge.
 `discretize` builds everything a solve and its diagnostics read, once per
-(mesh, config, data): per congruence class of elements
-(equal Jacobian and face-orientation pattern) the member ids, the
-representative geometry, the condensed operators, the data rule with its
-basis values, the source moments and ||f||^2; plus the boundary data
-moments and ||g||^2, taken from the same values of g.  Uniform meshes
-contain only a handful of classes, so condensation runs once per class
-and is applied to all members in batch; this is exact for translated
-elements.  `solve_helmholtz`, `sample_solution` and the diagnostics read
+(mesh, config, data): per congruence class of elements (`Mesh.elem_class`)
+the member ids, the representative geometry, the condensed operators, the
+data rule with its basis values, the source moments and ||f||^2; plus the
+boundary data moments and ||g||^2, taken from the same values of g.
+Uniform meshes contain only a handful of classes, so condensation runs
+once per class and is applied to all members in batch; this is exact for
+translated elements.  `solve_helmholtz`, `sample_solution` and the diagnostics read
 that one `Discretization`, so the data are evaluated once and the energy
 identity pairs the solution with the very loads the solve used.  The
 discretization holds no callable, sparse matrix, factor or per-point
@@ -188,19 +187,11 @@ class SolveInfo:
     lu_nnz: int  # entries of W = F_II^-1 F_IB a sweep keeps, sum of n_I n_B over classes
 
 
-def _group_elements(mesh: Mesh) -> list[tuple[np.ndarray, int]]:
-    """Partition elements into congruence classes sharing all condensation
-    operators: equal Jacobian (up to rounding noise of translated
-    vertices) and equal face-orientation pattern."""
-    keys = np.round(mesh.jacobians / mesh.h_global, 12).reshape(mesh.n_elements, 4)
-    # Bit patterns, so that 0.0 and -0.0 stay distinct keys.
-    rows = np.column_stack([keys.view(np.int64), mesh.elem_edge_orient])
-    order = np.lexsort(rows.T)  # stable: each class's members in ascending order
-    ranked = rows[order]
-    start = np.flatnonzero(np.r_[True, np.any(ranked[1:] != ranked[:-1], axis=1)])
-    members = np.split(order, start[1:])
-    reps = order[start]
-    return [(members[k], int(reps[k])) for k in np.argsort(reps)]
+def _members(classes: np.ndarray) -> list[np.ndarray]:
+    """Ids of each class's members in ascending order, for classes
+    numbered 0, 1, ...: the first member is the class's representative."""
+    by_class = np.argsort(classes, kind="stable")
+    return np.split(by_class, np.cumsum(np.bincount(classes))[:-1])
 
 
 @dataclass(frozen=True)
@@ -248,7 +239,7 @@ class Discretization:
 
     mesh: Mesh
     cfg: ProblemConfig
-    classes: tuple[ElementClass, ...]
+    classes: tuple[ElementClass, ...]  # classes[k] holds the elements of Mesh.elem_class k
     g_moments: np.ndarray  # (n_dofs,) boundary data moments <g, mu>
     g_sq: float  # ||g||^2 over the boundary
     max_local_cond: float
@@ -292,8 +283,8 @@ def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Di
     values."""
     basis = TriangleBasis(cfg.p)
     classes = []
-    for ids, rep in _group_elements(mesh):
-        geom = mesh_entities(mesh, rep)
+    for ids in _members(mesh.elem_class):
+        geom = mesh_entities(mesh, ids[0])
         ops = CondensedOperators(assemble_local_blocks(geom, cfg))
         rule = quadrature_rule("triangle", data_quadrature_degree(cfg.p, cfg.kappa, geom.h))
         phi = basis.eval(rule.points)
@@ -310,7 +301,7 @@ def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Di
         ))
         logger.debug(
             "element class of %d (rep %d): local condition number %.3e",
-            len(ids), rep, ops.cond,
+            len(ids), ids[0], ops.cond,
         )
     g_moments, g_sq = boundary_loads(mesh, cfg, g)
     disc = Discretization(
@@ -377,9 +368,7 @@ def _extend_add(front: np.ndarray, schur: np.ndarray, slots: np.ndarray, m: int)
             front[to_rows, to_cols] += schur[rows, cols]
 
 
-def _sweep(
-    disc: Discretization, tree: DissectionTree, labels: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, int]:
+def _sweep(disc: Discretization, tree: DissectionTree, b: np.ndarray) -> tuple[np.ndarray, int]:
     """A^-1 b by one multifrontal sweep: returns x and the entries of
     W = F_II^-1 F_IB kept for the back substitution.
 
@@ -396,8 +385,7 @@ def _sweep(
     """
     mesh, m = disc.mesh, disc.cfg.p + 1
     minus_k = -np.stack([cls.ops.K for cls in disc.classes])
-    by_class = np.argsort(tree.node_class, kind="stable")
-    members = np.split(by_class, np.cumsum(np.bincount(tree.node_class))[:-1])
+    members = _members(tree.node_class)
     last_parent = {}  # class -> last class whose front takes its Schur complement
     for c, nodes in enumerate(members):
         if tree.children[nodes[0], 0] >= 0:
@@ -422,7 +410,7 @@ def _sweep(
         if tree.children[rep, 0] < 0:
             elems = by_leaf[leaf_ptr[rep] : leaf_ptr[rep + 1]]
             dofs = _edge_dofs(position[mesh.elem_edges[elems]], m).reshape(len(elems), -1)
-            np.add.at(front, (dofs[:, :, None], dofs[:, None, :]), minus_k[labels[elems]])
+            np.add.at(front, (dofs[:, :, None], dofs[:, None, :]), minus_k[mesh.elem_class[elems]])
             boundary = _edge_dofs(position[edges[mesh.boundary_flags[edges]]], m).ravel()
             front[boundary, boundary] += 1.0
         else:
@@ -456,16 +444,12 @@ def solve_skeleton(disc: Discretization) -> SkeletonSolution:
     """Solve the skeleton system by multifrontal nested dissection over
     congruence classes of subdomains, with iterative refinement against
     the class-wise A; each refinement step runs one sweep on the residual."""
-    mesh = disc.mesh
-    labels = np.empty(mesh.n_elements, dtype=np.int64)
-    for k, cls in enumerate(disc.classes):
-        labels[cls.ids] = k
-    tree = dissection_tree(mesh, labels)
+    tree = dissection_tree(disc.mesh)
     rhs = disc.rhs()
     x = np.zeros_like(rhs)
     r, resid, steps, lu_nnz = rhs, (1.0 if np.any(rhs) else 0.0), 0, 0
     while resid > REFINE_TOL and steps < MAX_REFINE_STEPS:
-        dx, lu_nnz = _sweep(disc, tree, labels, r)
+        dx, lu_nnz = _sweep(disc, tree, r)
         trial = x + dx
         trial_r, trial_resid = skeleton_residual(disc, rhs, trial)
         steps += 1

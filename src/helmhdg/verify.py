@@ -5,13 +5,13 @@ line per check; any failure flips the process exit code, and a check
 that raises fails with the exception on its line while the others still
 run.  No timing or other varying value enters a line, so the output
 repeats byte for byte.  Per-element work runs on arrays: local
-uniqueness assembles one element per distinct geometry (grouped by the
-exact bits of its arrays) and takes one stacked `np.linalg.cond` per
-(kappa, p) over the distinct geometries, the trace inequality evaluates
-the face bases once per order, and quadrature rules and reference tables
-are built once per process.  The runner calls every check through
-`CHECKS`, whose entries the `verify` workload of the benchmark
-(`perfbench/`) wraps to time the suite check by check.
+uniqueness assembles one element per congruence class of the mesh
+(`Mesh.elem_class`, the classes the solver condenses once each) and takes
+one stacked `np.linalg.cond` per (kappa, p) over the classes, the trace
+inequality evaluates the face bases once per order, and quadrature rules
+and reference tables are built once per process.  The runner calls every
+check through `CHECKS`, whose entries the `verify` workload of the
+benchmark (`perfbench/`) wraps to time the suite check by check.
 """
 
 from __future__ import annotations
@@ -183,30 +183,22 @@ def _check_projection_rates() -> CheckResult:
 def _local_condition_numbers() -> np.ndarray:
     """2-norm condition numbers of the local systems of every element of
     the 4 x 4 mesh, shape (kappa, p, element): one stacked
-    `np.linalg.cond` per (kappa, p) over the distinct geometries.
+    `np.linalg.cond` per (kappa, p) over the element classes.
 
-    Elements are grouped by the exact bits of every geometry array that
-    `assemble_local_blocks` reads (Jacobian, face lengths, normals and edge
-    orientations, with 0.0 and -0.0 apart), so a group's members have
-    equal local systems on any mesh; one member per group is assembled,
-    and its condition number is broadcast to the others.
+    The first member of each class of `Mesh.elem_class` is assembled, as
+    the solver condenses it, and its condition number is broadcast to the
+    other members, so the check bounds exactly the local systems that the
+    solver solves.
     """
     mesh = build_structured_mesh(4)
-    f = mesh.n_elements
-    keys = np.column_stack([
-        mesh.jacobians.reshape(f, -1).view(np.int64),
-        mesh.face_lengths.view(np.int64),
-        mesh.normals.reshape(f, -1).view(np.int64),
-        mesh.elem_edge_orient,
-    ])
-    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    geoms = [mesh_entities(mesh, int(elem)) for elem in first]
-    conds = np.empty((3, 3, f))
+    first = np.unique(mesh.elem_class, return_index=True)[1]
+    geoms = [mesh_entities(mesh, elem) for elem in first]
+    conds = np.empty((3, 3, mesh.n_elements))
     for i, kappa in enumerate((1.0, 20.0, 100.0)):
         for j, p in enumerate((1, 2, 3)):
             cfg = ProblemConfig.for_mesh(kappa, p, mesh)
             stack = np.stack([assemble_local_blocks(geom, cfg).system_matrix() for geom in geoms])
-            conds[i, j] = np.linalg.cond(stack)[group.reshape(-1)]
+            conds[i, j] = np.linalg.cond(stack)[mesh.elem_class]
     return conds
 
 

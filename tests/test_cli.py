@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from helmhdg import BLAS_THREAD_VARS, cli
@@ -142,10 +143,13 @@ def test_usage_errors_exit_2(tmp_path):
     (["--config", "missing.json"], None),
     ([], "[20, 40]"),
     ([], '{"fixed_kappa_h": "wide"}'),
+    (["--kappa", "20,20", "--p", "1,1"], None),
+    (["--kappa", "20,20", "--fixed-kappa-h", "1.1"], None),
 ], ids=["kappa-nan", "kappa-inf", "p-above-max", "n-decreasing", "config-scalar-kappas",
         "kappa-0.001", "kappa-below-floor", "tau-above-cap", "quad-degree-flag",
         "config-quad-degree", "kappa-empty-list", "n-zero", "workers-zero", "max-dofs-zero",
-        "fixed-kappa-h-zero", "config-missing", "config-array", "config-string-for-float"])
+        "fixed-kappa-h-zero", "config-missing", "config-array", "config-string-for-float",
+        "kappa-and-p-repeated", "kappa-repeated-on-fixed-line"])
 def test_bad_input_exits_2_before_any_solve(tmp_path, monkeypatch, flags, config):
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve started before the input was validated")
@@ -162,6 +166,13 @@ def test_bad_input_exits_2_before_any_solve(tmp_path, monkeypatch, flags, config
     except SystemExit as exc:  # argparse exits 2 on an unknown flag
         code = exc.code
     assert code == 2
+
+
+def test_repeated_kappa_or_order_is_named():
+    with pytest.raises(cli.UsageError, match="wave number 20 is repeated"):
+        cli.RunConfig("converge", kappas=[20.0, 40.0, 20.0]).validate()
+    with pytest.raises(cli.UsageError, match="polynomial order 2 is repeated"):
+        cli.RunConfig("converge", orders=[2, 1, 2]).validate()
 
 
 @pytest.mark.parametrize("command, flags, config", [
@@ -432,7 +443,6 @@ def test_element_classes_take_the_header_degree(root2_multiple):
 
     from helmhdg.analytic import data_quadrature_degree
     from helmhdg.mesh import build_structured_mesh, mesh_entities
-    from helmhdg.skeleton import _group_elements
 
     kappa, p = root2_multiple * math.sqrt(2.0), 2
     for n in range(1, 60):
@@ -440,6 +450,6 @@ def test_element_classes_take_the_header_degree(root2_multiple):
                    if line.startswith("data quadrature degree = ")]
         header = int(line.rsplit(" ", 1)[1])
         mesh = build_structured_mesh(n)
-        degrees = {data_quadrature_degree(p, kappa, mesh_entities(mesh, rep).h)
-                   for _, rep in _group_elements(mesh)}
+        reps = np.unique(mesh.elem_class, return_index=True)[1]
+        degrees = {data_quadrature_degree(p, kappa, mesh_entities(mesh, rep).h) for rep in reps}
         assert degrees | {data_quadrature_degree(p, kappa, mesh.h_global)} == {header}, n

@@ -347,7 +347,6 @@ def test_data_is_evaluated_once(monkeypatch):
 
     from helmhdg import mesh as mesh_module
     from helmhdg.analytic import DataFunctions
-    from helmhdg.skeleton import _group_elements
 
     calls = {"f": 0, "g": 0, "mesh_entities": 0}
     f, g, entities = DataFunctions.f, DataFunctions.g, mesh_module.mesh_entities
@@ -369,7 +368,19 @@ def test_data_is_evaluated_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("helmhdg") and getattr(module, "mesh_entities", None) is entities:
             monkeypatch.setattr(module, "mesh_entities", counting_entities)
-    n_classes = len(_group_elements(build_structured_mesh(8)))
+    n_classes = build_structured_mesh(8).elem_class.max() + 1
     assert n_classes == 2
     run_benchmark_case(20.0, 2, 8)
     assert calls == {"f": n_classes, "g": 1, "mesh_entities": n_classes}
+
+
+@pytest.mark.parametrize("kappa, n, expected", [
+    (20.0, 22, (1.3020709569430908e-4, 2.557847899638756e-4, 1.782511972113704e-3)),
+    (40.0, 63, (2.460778582832672e-5, 6.211623888193508e-5, 5.763367971498196e-4)),
+], ids=["kappa20-n22", "kappa40-n63"])
+def test_pollution_errors_are_pinned(kappa, n, expected):
+    # Two p = 2 cases of the pollution study against committed values, so
+    # a change of tau or of the data rule is caught by what it does to the
+    # errors.  Rounding moves recorded so far stay below 1e-11 relative.
+    report = run_benchmark_case(kappa, 2, n).report
+    assert (report.e_u, report.e_q, report.e_trace) == pytest.approx(expected, rel=1e-9, abs=0.0)

@@ -155,10 +155,6 @@ def test_validate_rejects_vertices_outside_the_domain():
     _finish_mesh(nudged, base.triangles.copy(), n=None)
 
 
-def _tree(mesh, labels=None):
-    return dissection_tree(mesh, np.zeros(mesh.n_elements, dtype=np.int64) if labels is None else labels)
-
-
 def _eliminated(tree, nodes):
     return np.concatenate([tree.front(k)[: tree.n_elim[k]] for k in nodes])
 
@@ -181,10 +177,10 @@ def test_nested_dissection_is_a_repeatable_permutation(make):
     # Every edge is eliminated at exactly one tree node, and a rebuilt mesh
     # gives the same tree.
     mesh = make()
-    tree = _tree(mesh)
+    tree = dissection_tree(mesh)
     order = _eliminated(tree, range(tree.n_elim.size))
     assert np.array_equal(np.sort(order), np.arange(mesh.n_edges))
-    again = _tree(make())
+    again = dissection_tree(make())
     for name in ("children", "node_class", "front_ptr", "front_edges", "n_elim", "elem_leaf"):
         assert np.array_equal(getattr(tree, name), getattr(again, name))
 
@@ -206,7 +202,7 @@ def test_dissection_tree_fronts_follow_the_elements(make):
     # interface is its interior edges with one element inside; leaves hold
     # at most ND_LEAF_SIZE elements.
     mesh = make()
-    tree = _tree(mesh)
+    tree = dissection_tree(mesh)
     assert np.bincount(tree.elem_leaf).max() <= ND_LEAF_SIZE
     for node in range(tree.n_elim.size):
         held, interface = _held(mesh, tree, node)
@@ -220,7 +216,7 @@ def test_dissection_tree_fronts_follow_the_elements(make):
 
 def test_vertex_cut_that_empties_a_side_falls_back_to_the_median_rank():
     mesh = fan_strip_mesh()
-    tree = _tree(mesh)
+    tree = dissection_tree(mesh)
     assert np.bincount(tree.elem_leaf).tolist() == [0, 19, 19]
 
 
@@ -243,11 +239,38 @@ def test_stored_geometry_matches_element_geometry(make):
     assert mesh.h_global == (math.sqrt(2.0) / mesh.n if mesh.n else mesh.face_lengths.max())
 
 
+def _grouping_reference(mesh):
+    # Per-element dict loop: classes in first-appearance order, each keyed
+    # by the bytes of its rounded Jacobian and orientation pattern.
+    v, t = mesh.vertices, mesh.triangles
+    jac = np.stack([v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]], axis=2)
+    keys = np.round(jac / mesh.h_global, 12).reshape(mesh.n_elements, 4)
+    groups = {}
+    for elem in range(mesh.n_elements):
+        key = keys[elem].tobytes() + mesh.elem_edge_orient[elem].tobytes()
+        groups.setdefault(key, []).append(elem)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("make, n_classes", [
+    (lambda: build_structured_mesh(8), 2), (perturbed_mesh, 8), (jittered_mesh, 128),
+], ids=["structured-n8", "perturbed", "jittered"])
+def test_elem_class_matches_per_element_loop(make, n_classes):
+    # Class k holds the elements of the k-th key to appear, in ascending
+    # order; on the jittered mesh every element is its own class.
+    mesh = make()
+    reference = _grouping_reference(mesh)
+    assert mesh.elem_class.shape == (mesh.n_elements,)
+    assert mesh.elem_class.max() + 1 == len(reference) == n_classes
+    for k, ids in enumerate(reference):
+        assert np.flatnonzero(mesh.elem_class == k).tolist() == ids
+
+
 def test_nested_dissection_ends_with_the_middle_grid_line():
     # The root cut of an 8 x 8 grid is the grid line x = 0; its 8 edges
     # are the separator of the whole mesh, so the root eliminates them.
     mesh = build_structured_mesh(8)
-    tree = _tree(mesh)
+    tree = dissection_tree(mesh)
     root = mesh.edges[tree.front(0)]
     assert tree.n_elim[0] == 8 and root.shape[0] == 8
     assert np.all(mesh.vertices[root][:, :, 0] == 0.0)
@@ -257,7 +280,7 @@ def test_nested_dissection_separates_its_subtrees():
     # No edge eliminated in the left subtree shares an element with an
     # edge eliminated in the right subtree.
     mesh = build_structured_mesh(8)
-    tree = _tree(mesh)
+    tree = dissection_tree(mesh)
     elements = [set(mesh.edge_to_elements[_eliminated(tree, _subtree(tree, child)), :, 0].ravel()) - {-1}
                 for child in tree.children[0]]
     assert not elements[0] & elements[1]
@@ -269,8 +292,9 @@ def test_dissection_classes_are_translates(n):
     # positions, with equal elimination counts and boundary flags, and
     # their leaves hold translated elements with equal labels.
     mesh = build_structured_mesh(n)
-    labels = np.arange(mesh.n_elements) % 2  # the two triangles of a square
-    tree = _tree(mesh, labels)
+    labels = mesh.elem_class
+    assert np.array_equal(labels, np.arange(mesh.n_elements) % 2)  # the two triangles of a square
+    tree = dissection_tree(mesh)
     assert tree.node_class.max() + 1 < tree.n_elim.size
     mid = mesh.vertices[mesh.edges].mean(axis=1)
     cent = mesh.vertices[mesh.triangles].mean(axis=1)
@@ -301,7 +325,7 @@ def test_child_interfaces_are_few_runs_of_the_parent_front(n):
     # at most 4 contiguous runs of its parent's front: the extend-add adds
     # it by slices.
     mesh = build_structured_mesh(n)
-    tree = _tree(mesh)
+    tree = dissection_tree(mesh)
     slot = np.empty(mesh.n_edges, dtype=np.int64)
     runs = []
     for node in np.flatnonzero(tree.children[:, 0] >= 0):
@@ -314,7 +338,8 @@ def test_child_interfaces_are_few_runs_of_the_parent_front(n):
 
 def test_dissection_tree_without_congruence_has_one_class_per_node():
     mesh = jittered_mesh()
-    tree = _tree(mesh, np.arange(mesh.n_elements))
+    assert np.array_equal(mesh.elem_class, np.arange(mesh.n_elements))
+    tree = dissection_tree(mesh)
     assert tree.n_elim.size > 1
     assert np.array_equal(np.sort(tree.node_class), np.arange(tree.n_elim.size))
 

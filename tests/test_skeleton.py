@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from helmhdg.analytic import benchmark_problem, data_quadrature_degree
 from helmhdg.diagnostics import data_norms
 from helmhdg.hdg_local import ProblemConfig, assemble_local_blocks, reference_tables
-from helmhdg.mesh import _finish_mesh, build_structured_mesh, dissection_tree, mesh_entities
+from helmhdg.mesh import build_structured_mesh, dissection_tree, mesh_entities
 from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule
 import helmhdg.skeleton as skeleton
 from helmhdg.skeleton import (
@@ -303,14 +303,13 @@ def test_pipeline_on_perturbed_mesh():
     # and re-check oracle equivalence and the energy identity.
     from helmhdg.mesh import _finish_mesh
     from helmhdg.diagnostics import energy_balance
-    from helmhdg.skeleton import _group_elements
 
     base = build_structured_mesh(2)
     vertices = base.vertices.copy()
     center = np.argmin(np.abs(vertices).sum(axis=1))
     vertices[center] += [0.05, -0.03]
     mesh = _finish_mesh(vertices, base.triangles.copy(), n=None)
-    assert len(_group_elements(mesh)) > 2
+    assert mesh.elem_class.max() + 1 > 2
 
     cfg = ProblemConfig(kappa=7.3, p=2, tau=2 / (7.3 * mesh.h_global))
     _, data = benchmark_problem(7.3)
@@ -508,43 +507,30 @@ def test_skeleton_lu_fill_guard(monkeypatch):
     assert info.lu_nnz <= 0.6 * spla.splu(global_matrix(disc), permc_spec="COLAMD").nnz
 
 
-def _grouping_reference(mesh):
-    # Per-element dict loop: classes in first-appearance order, each keyed
-    # by the bytes of its rounded Jacobian and orientation pattern.
-    v, t = mesh.vertices, mesh.triangles
-    jac = np.stack([v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]], axis=2)
-    keys = np.round(jac / mesh.h_global, 12).reshape(mesh.n_elements, 4)
-    groups = {}
-    for elem in range(mesh.n_elements):
-        key = keys[elem].tobytes() + mesh.elem_edge_orient[elem].tobytes()
-        groups.setdefault(key, []).append(elem)
-    return [(ids, ids[0]) for ids in groups.values()]
-
-
-@pytest.mark.parametrize("perturbed", [False, True], ids=["structured-n8", "perturbed"])
-def test_group_elements_matches_per_element_loop(perturbed):
-    from helmhdg.skeleton import _group_elements
-
-    mesh = build_structured_mesh(8)
-    if perturbed:
-        base = build_structured_mesh(2)
-        vertices = base.vertices.copy()
-        center = np.argmin(np.abs(vertices).sum(axis=1))
-        vertices[center] += [0.05, -0.03]
-        mesh = _finish_mesh(vertices, base.triangles.copy(), n=None)
-    groups = _group_elements(mesh)
-    reference = _grouping_reference(mesh)
-    assert len(groups) == len(reference)
-    for (ids, rep), (ref_ids, ref_rep) in zip(groups, reference):
-        assert ids.tolist() == ref_ids
-        assert rep == ref_rep and type(rep) is int
-
-
 def _pollution_case(kappa, n):
     mesh = build_structured_mesh(n)
     cfg = ProblemConfig.for_mesh(kappa, 2, mesh)
     _, data = benchmark_problem(kappa)
     return discretize(mesh, cfg, data.f, data.g)
+
+
+@pytest.mark.parametrize("kappa, p, make", [
+    (20.0, 2, lambda: build_structured_mesh(22)),
+    (40.0, 2, lambda: build_structured_mesh(63)),
+    (1.0, 3, lambda: build_structured_mesh(16)),
+    (80.0, 1, lambda: build_structured_mesh(16)),
+    (20.0, 10, lambda: build_structured_mesh(4)),
+    (20.0, 3, jittered_mesh),
+], ids=["k20-p2-n22", "k40-p2-n63", "k1-p3-n16", "k80-p1-n16", "k20-p10-n4", "k20-p3-jittered"])
+def test_condensed_operators_are_complex_symmetric(kappa, p, make):
+    # K = K^T (transpose, not adjoint) for every class, and so A = A^T:
+    # `Discretization.apply` may take K or K^T.  Measured worst 1.8e-15.
+    mesh = make()
+    disc = discretize(mesh, ProblemConfig.for_mesh(kappa, p, mesh), zero_f, zero_g)
+    for cls in disc.classes:
+        assert np.abs(cls.ops.K - cls.ops.K.T).max() <= 1e-13 * np.abs(cls.ops.K).max()
+    matrix = global_matrix(disc)
+    assert abs(matrix - matrix.T).max() <= 1e-13 * abs(matrix).max()
 
 
 def test_nested_dissection_factor_is_smaller_than_minimum_degree():
@@ -556,17 +542,10 @@ def test_nested_dissection_factor_is_smaller_than_minimum_degree():
     assert traces.lu_nnz <= 0.5 * spla.splu(global_matrix(disc), permc_spec="MMD_AT_PLUS_A").nnz
 
 
-def _tree(disc):
-    labels = np.empty(disc.mesh.n_elements, dtype=np.int64)
-    for k, cls in enumerate(disc.classes):
-        labels[cls.ids] = k
-    return dissection_tree(disc.mesh, labels)
-
-
 def test_congruent_nodes_share_one_front():
     disc = _pollution_case(40.0, 63)
     _, info = solve_helmholtz(disc)
-    tree = _tree(disc)
+    tree = dissection_tree(disc.mesh)
     assert info.factor_classes == tree.node_class.max() + 1 < tree.n_elim.size
     assert info.refine_steps == 1 and info.residual <= skeleton.REFINE_TOL
 
@@ -587,7 +566,7 @@ def test_sweep_keeps_only_w():
     # and beside it holds the live Schur complements and one front at a
     # time, well within 8 largest fronts.
     disc = _pollution_case(40.0, 63)
-    tree = _tree(disc)
+    tree = dissection_tree(disc.mesh)
     m = disc.cfg.p + 1
     reps = np.unique(tree.node_class, return_index=True)[1]
     n_i = m * tree.n_elim[reps]
