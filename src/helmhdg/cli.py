@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import BLAS_THREAD_VARS, PINNED_AFTER_NUMPY, __version__
-from .analytic import data_quadrature_degree
+from .analytic import BESSEL_MAX_ARGUMENT, data_quadrature_degree
 from .diagnostics import (
     ConvergenceTable,
     ErrorReport,
@@ -35,6 +35,7 @@ from .diagnostics import (
     run_benchmark_case,
     write_convergence_csv,
 )
+from .hdg_local import stabilization
 from .mesh import write_mesh
 from .polybasis import MAX_ORDER
 from .skeleton import write_solution_csv
@@ -73,8 +74,11 @@ class RunConfig:
     def validate(self) -> None:
         if not self.kappas or not self.orders or not self.sizes:
             raise UsageError("kappa, p, and n lists must be non-empty")
-        if not all(math.isfinite(k) and k > 0 for k in self.kappas):
-            raise UsageError("wave numbers must be finite and positive")
+        if not all(0 < k <= BESSEL_MAX_ARGUMENT for k in self.kappas):  # false for NaN
+            raise UsageError(
+                f"wave numbers must lie in (0, {BESSEL_MAX_ARGUMENT:g}], where the exact "
+                "solution's J0(kappa) and J1(kappa) are validated"
+            )
         if not all(1 <= p <= MAX_ORDER for p in self.orders):
             raise UsageError(f"polynomial orders must be in [1, {MAX_ORDER}]")
         for name, values in (("wave number", self.kappas), ("polynomial order", self.orders)):
@@ -131,13 +135,8 @@ def _skeleton_dofs(n: int, p: int) -> int:
     return (p + 1) * (3 * n * n + 2 * n)
 
 
-def _tau(kappa: float, p: int, n: int) -> float:
-    """The stabilization p/(kappa h) on the structured mesh, h = sqrt(2)/n."""
-    return p / (kappa * (math.sqrt(2.0) / n))
-
-
 def _guard(cfg: RunConfig, kappa: float, p: int, n: int) -> None:
-    tau = _tau(kappa, p, n)
+    tau = stabilization(kappa, p, math.sqrt(2.0) / n)
     if kappa < MIN_KAPPA or tau > MAX_TAU:
         raise UsageError(
             f"refusing kappa={kappa:g} p={p} n={n}: outside the validated range "
@@ -158,6 +157,7 @@ def _config_lines(cfg: RunConfig, kappa: float, p: int, sizes: list[int]) -> lis
     element.  The last digits depend on the BLAS thread count; a thread
     variable that helmhdg set after numpy loaded is marked, since numpy's
     BLAS may not have read it."""
+    taus = (stabilization(kappa, p, math.sqrt(2.0) / n) for n in sizes)
     degrees = (data_quadrature_degree(p, kappa, math.sqrt(2.0) / n) for n in sizes)
     return [
         f"helmhdg version {__version__}",
@@ -165,7 +165,7 @@ def _config_lines(cfg: RunConfig, kappa: float, p: int, sizes: list[int]) -> lis
         f"kappa = {format_float(kappa)}",
         f"p = {p}",
         f"n = {','.join(str(n) for n in sizes)}",
-        f"tau rule = p/(kappa*h); tau = {','.join(format_float(_tau(kappa, p, n)) for n in sizes)}",
+        f"tau rule = p/(kappa*h); tau = {','.join(map(format_float, taus))}",
         f"data quadrature degree = {','.join(map(str, degrees))}",
         "BLAS threads = " + ", ".join(
             f"{var}={os.environ.get(var, 'unset')}"

@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import ExactSolution, benchmark_problem, data_quadrature_degree
-from .hdg_local import ProblemConfig
+from .hdg_local import ProblemConfig, reference_tables
 from .mesh import build_structured_mesh
-from .polybasis import EdgeBasis, TriangleBasis, quadrature_rule, reference_face_points
+from .polybasis import EdgeBasis, quadrature_rule
 from .skeleton import Discretization, Solution, SolveInfo, blocks, discretize, solve_helmholtz
 
 #: Contract on both parts of the relative energy-identity residual.
@@ -122,13 +122,14 @@ def convergence_rates(table: ConvergenceTable) -> RateSummary:
     )
 
 
-def _uhat_on_faces(disc: Discretization, uhat: np.ndarray, face: int, t: np.ndarray) -> np.ndarray:
-    """Trace unknown evaluated on one local face slot of every element, (F, nq)."""
+def _uhat_on_faces(disc: Discretization, uhat: np.ndarray, face: int) -> np.ndarray:
+    """Trace unknown on one local face slot of every element, (F, nf), at
+    the assembly's face rule points, in its edge basis of each orientation."""
     mesh, p = disc.mesh, disc.cfg.p
     coeff = uhat.reshape(mesh.n_edges, p + 1)[mesh.elem_edges[:, face]]
-    basis = EdgeBasis(p)
-    plus = coeff @ basis.eval(t).T
-    minus = coeff @ basis.eval(1.0 - t).T
+    edge_phi = reference_tables(p).edge_phi
+    plus = coeff @ edge_phi[0].T
+    minus = coeff @ edge_phi[1].T
     flags = mesh.elem_edge_orient[:, face]
     lengths = mesh.face_lengths[:, face]
     return np.where((flags == 1)[:, None], plus, minus) / np.sqrt(lengths)[:, None]
@@ -206,23 +207,22 @@ def energy_balance(solution: Solution, disc: Discretization) -> EnergyBalance:
 
     Volume norms come from coefficient sums (the bases are orthonormal),
     the jump term from u_h and uhat on each local face of all elements
-    at once, on the 2p assembly rule, and the right-hand side pairs the
-    solution with the load vectors held by the discretization the solve
-    used, so the identity holds to solver precision.
+    at once, on the assembly's own face tables (`reference_tables`), and
+    the right-hand side pairs the solution with the load vectors held by
+    the discretization the solve used, so the identity holds to solver
+    precision.
     """
     mesh, cfg = disc.mesh, disc.cfg
     norm_u_sq = float(np.sum(np.abs(solution.U) ** 2))
     norm_q_sq = float(np.sum(np.abs(solution.Q) ** 2))
 
-    face_rule = quadrature_rule("edge", 2 * cfg.p)
-    basis = TriangleBasis(cfg.p)
+    ref = reference_tables(cfg.p)
     inv_sqrt_det = 1.0 / np.sqrt(mesh.dets)[:, None]
     jump_sq = 0.0
     for face in range(3):
-        phi_f = basis.eval(reference_face_points(face, face_rule.points))
-        uh = inv_sqrt_det * (solution.U @ phi_f.T)
-        lam = _uhat_on_faces(disc, solution.uhat, face, face_rule.points)
-        jump_sq += float(mesh.face_lengths[:, face] @ (np.abs(uh - lam) ** 2 @ face_rule.weights))
+        uh = inv_sqrt_det * (solution.U @ ref.face_phi[face].T)
+        lam = _uhat_on_faces(disc, solution.uhat, face)
+        jump_sq += float(mesh.face_lengths[:, face] @ (np.abs(uh - lam) ** 2 @ ref.face_weights))
 
     uhat_bd = solution.uhat.reshape(mesh.n_edges, cfg.p + 1)[mesh.boundary_flags]
     uhat_bd_sq = float(np.sum(np.abs(uhat_bd) ** 2))

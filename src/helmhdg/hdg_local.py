@@ -46,6 +46,11 @@ from .polybasis import (
 )
 
 
+def stabilization(kappa: float, p: int, h: float) -> float:
+    """The stabilization tau = p/(kappa h) on a mesh of size h."""
+    return float(p) / (float(kappa) * h)
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     """Wave number, polynomial order, and stabilization of one run.
@@ -74,7 +79,7 @@ class ProblemConfig:
         The stabilization uses the global mesh size, so it must be
         recomputed whenever the mesh changes.
         """
-        return cls(kappa=float(kappa), p=int(p), tau=float(p) / (float(kappa) * mesh.h_global))
+        return cls(kappa=float(kappa), p=int(p), tau=stabilization(kappa, p, mesh.h_global))
 
 
 @dataclass(frozen=True)
@@ -127,18 +132,23 @@ class LocalBlocks:
 
 @dataclass(frozen=True)
 class ReferenceTables:
-    """Geometry-independent operator tables of the order-p element, all
-    read-only: the 2p triangle rule weights with basis values and
-    gradients at its points, the scalar mass M and the vector mass
-    kron(I_2, M), and per local face the moments phi_f^T W psi for both
-    edge orientations (index 0 for +1, 1 for -1) and the face mass
-    phi_f^T W phi_f."""
+    """Geometry-independent tables of the order-p element, all read-only:
+    the 2p triangle rule weights with basis values and gradients at its
+    points, the scalar mass M and the vector mass kron(I_2, M); the 2p
+    edge rule weights with the element basis on each local face and the
+    edge basis per orientation (index 0 for +1 at t, 1 for -1 at 1 - t);
+    and per local face the moments phi_f^T W psi and the face mass
+    phi_f^T W phi_f.  The assembly, the energy identity and `hdg verify`
+    read these, so all share one face rule and orientation convention."""
 
     weights: np.ndarray  # (nq,)
     phi: np.ndarray  # (nq, N)
     grad: np.ndarray  # (nq, N, 2)
     M: np.ndarray  # (N, N)
     vector_mass: np.ndarray  # (2N, 2N)
+    face_weights: np.ndarray  # (nf,)
+    face_phi: np.ndarray  # (3, nf, N)
+    edge_phi: np.ndarray  # (2, nf, p+1)
     face_trace: np.ndarray  # (3, 2, N, p+1)
     face_mass: np.ndarray  # (3, N, N)
 
@@ -146,7 +156,8 @@ class ReferenceTables:
 @functools.lru_cache(maxsize=None)
 def reference_tables(p: int) -> ReferenceTables:
     """The order-p tables, built once per process and shared by the local
-    assembly and the monolithic oracle's flux coupling."""
+    assembly, the monolithic oracle's flux coupling, the energy identity
+    and the basis checks of `hdg verify`."""
     basis = TriangleBasis(p)
     rule = quadrature_rule("triangle", 2 * p)
     phi, grad = basis.eval_with_grad(rule.points)
@@ -154,21 +165,21 @@ def reference_tables(p: int) -> ReferenceTables:
 
     edge_basis = EdgeBasis(p)
     face_rule = quadrature_rule("edge", 2 * p)
-    w = face_rule.weights
-    psi = [edge_basis.eval(face_rule.points), edge_basis.eval(1.0 - face_rule.points)]
-    face_trace, face_mass = [], []
-    for face in range(3):
-        phi_f = basis.eval(reference_face_points(face, face_rule.points))
-        face_trace.append([phi_f.T @ (w[:, None] * psi_o) for psi_o in psi])
-        face_mass.append(phi_f.T @ (w[:, None] * phi_f))
+    w, t = face_rule.weights, face_rule.points
+    face_phi = np.array([basis.eval(reference_face_points(face, t)) for face in range(3)])
+    edge_phi = np.array([edge_basis.eval(t), edge_basis.eval(1.0 - t)])
+    face_trace = [[phi_f.T @ (w[:, None] * psi) for psi in edge_phi] for phi_f in face_phi]
     tables = ReferenceTables(
         weights=rule.weights,
         phi=phi,
         grad=grad,
         M=M,
         vector_mass=np.kron(np.eye(2), M),
+        face_weights=w,
+        face_phi=face_phi,
+        edge_phi=edge_phi,
         face_trace=np.array(face_trace),
-        face_mass=np.array(face_mass),
+        face_mass=np.array([phi_f.T @ (w[:, None] * phi_f) for phi_f in face_phi]),
     )
     for array in vars(tables).values():
         array.flags.writeable = False

@@ -7,11 +7,14 @@ run.  No timing or other varying value enters a line, so the output
 repeats byte for byte.  Per-element work runs on arrays: local
 uniqueness assembles one element per congruence class of the mesh
 (`Mesh.elem_class`, the classes the solver condenses once each) and takes
-one stacked `np.linalg.cond` per (kappa, p) over the classes, the trace
-inequality evaluates the face bases once per order, and quadrature rules
-and reference tables are built once per process.  The runner calls every
-check through `CHECKS`, whose entries the `verify` workload of the
-benchmark (`perfbench/`) wraps to time the suite check by check.
+one stacked `np.linalg.cond` per (kappa, p) over the classes, and
+quadrature rules and reference tables are built once per process.  The
+orthonormality and trace-inequality checks read the solver's own
+`hdg_local.reference_tables` (the mass M, the 2p face rule and the basis
+values on it), so they check the tables the assembly uses, not a
+re-evaluation of the bases.  The runner calls every check through
+`CHECKS`, whose entries the `verify` workload of the benchmark
+(`perfbench/`) wraps to time the suite check by check.
 """
 
 from __future__ import annotations
@@ -25,14 +28,9 @@ import numpy as np
 
 from .analytic import DataFunctions, ExactSolution, benchmark_problem
 from .diagnostics import ENERGY_IDENTITY_TOL, run_benchmark_case
-from .hdg_local import ProblemConfig, assemble_local_blocks
+from .hdg_local import ProblemConfig, assemble_local_blocks, reference_tables
 from .mesh import ElementGeometry, build_structured_mesh, mesh_entities
-from .polybasis import (
-    EdgeBasis,
-    TriangleBasis,
-    quadrature_rule,
-    reference_face_points,
-)
+from .polybasis import TriangleBasis, quadrature_rule, reference_face_points
 from .skeleton import blocks, discretize, monolithic_solve, solve_helmholtz
 
 #: Brute-force sup of ||v||_dT sqrt(h) / (p ||v||_T) over P_p on the
@@ -56,18 +54,15 @@ class CheckResult:
 
 
 def _check_orthonormality() -> CheckResult:
+    """Gram deviations of the bases as the assembly integrates them: the
+    mass M of `reference_tables` and the edge Gram on its face rule."""
     worst = 0.0
     for p in (1, 2, 3, 6, 10):
-        basis = TriangleBasis(p)
-        rule = quadrature_rule("triangle", 2 * p)
-        vals = basis.eval(rule.points)
-        gram = vals.T @ (rule.weights[:, None] * vals)
-        worst = max(worst, float(np.abs(gram - np.eye(basis.dim)).max()))
-        edge = EdgeBasis(p)
-        erule = quadrature_rule("edge", 2 * p)
-        evals = edge.eval(erule.points)
-        egram = evals.T @ (erule.weights[:, None] * evals)
-        worst = max(worst, float(np.abs(egram - np.eye(edge.dim)).max()))
+        ref = reference_tables(p)
+        worst = max(worst, float(np.abs(ref.M - np.eye(ref.M.shape[0])).max()))
+        psi = ref.edge_phi[0]
+        egram = psi.T @ (ref.face_weights[:, None] * psi)
+        worst = max(worst, float(np.abs(egram - np.eye(p + 1)).max()))
     return CheckResult("orthonormality", worst <= 1e-12, f"max Gram deviation {worst:.3e}")
 
 
@@ -90,7 +85,7 @@ def _check_quadrature() -> CheckResult:
 
 
 def _trace_ratio(
-    geom: ElementGeometry, p: int, coeffs: np.ndarray, face_phi: list[np.ndarray], weights: np.ndarray
+    geom: ElementGeometry, p: int, coeffs: np.ndarray, face_phi: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """||v||_dT sqrt(h) / (p ||v||_T) for polynomials given by coefficient
     rows, with `face_phi` the reference basis values at the edge rule
@@ -108,14 +103,12 @@ def _check_trace_inequality() -> CheckResult:
     rng = np.random.default_rng(2024)
     worst = 0.0
     for p in (1, 2, 3):
-        basis = TriangleBasis(p)
-        rule = quadrature_rule("edge", 2 * p)
-        face_phi = [basis.eval(reference_face_points(face, rule.points)) for face in range(3)]
+        ref = reference_tables(p)
         for h in (0.25, 0.125, 0.0625):
             s = h / math.sqrt(2.0)
             geom = ElementGeometry.from_vertices([[0.0, 0.0], [s, 0.0], [s, s]])
-            coeffs = rng.standard_normal((200, basis.dim))
-            ratio = _trace_ratio(geom, p, coeffs, face_phi, rule.weights)
+            coeffs = rng.standard_normal((200, ref.M.shape[0]))
+            ratio = _trace_ratio(geom, p, coeffs, ref.face_phi, ref.face_weights)
             worst = max(worst, float(ratio.max()))
     return CheckResult(
         "trace-inequality",

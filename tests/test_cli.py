@@ -145,11 +145,15 @@ def test_usage_errors_exit_2(tmp_path):
     ([], '{"fixed_kappa_h": "wide"}'),
     (["--kappa", "20,20", "--p", "1,1"], None),
     (["--kappa", "20,20", "--fixed-kappa-h", "1.1"], None),
+    (["--kappa", "1e300"], None),
+    (["--kappa", "20000"], None),
+    (["--kappa", "1e300", "--fixed-kappa3h2", "8"], None),
 ], ids=["kappa-nan", "kappa-inf", "p-above-max", "n-decreasing", "config-scalar-kappas",
         "kappa-0.001", "kappa-below-floor", "tau-above-cap", "quad-degree-flag",
         "config-quad-degree", "kappa-empty-list", "n-zero", "workers-zero", "max-dofs-zero",
         "fixed-kappa-h-zero", "config-missing", "config-array", "config-string-for-float",
-        "kappa-and-p-repeated", "kappa-repeated-on-fixed-line"])
+        "kappa-and-p-repeated", "kappa-repeated-on-fixed-line", "kappa-1e300",
+        "kappa-above-bessel-range", "kappa-1e300-on-fixed-line"])
 def test_bad_input_exits_2_before_any_solve(tmp_path, monkeypatch, flags, config):
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve started before the input was validated")
@@ -432,6 +436,19 @@ def test_full_verify_suite_passes_quickly(capsys):
         "local-uniqueness", "oracle", "energy-identity", "exact-solution",
     ):
         assert f"[PASS] {name}" in out
+
+
+@pytest.mark.parametrize("kappa, p, n", [(30, 2, 12), (7.3, 3, 11)])
+def test_header_tau_is_the_solve_tau(tmp_path, kappa, p, n):
+    from helmhdg.diagnostics import format_float, run_benchmark_case
+
+    out = tmp_path / "solve"
+    assert main(["solve", "--kappa", str(kappa), "--p", str(p), "--n", str(n),
+                 "--out", str(out)]) == 0
+    lines = _read(out / f"solution_k{kappa:g}_p{p}_n{n}.csv").splitlines()
+    (line,) = [line for line in lines if line.startswith("# tau rule = ")]
+    tau = run_benchmark_case(kappa, p, n).disc.cfg.tau
+    assert line.endswith(f"; tau = {format_float(tau)}")
 
 
 @pytest.mark.parametrize("root2_multiple", [5, 10, 20])

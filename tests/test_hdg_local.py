@@ -319,6 +319,33 @@ def test_cached_tables_are_read_only():
             array[...] = 0.0
 
 
+@pytest.mark.parametrize("p", [1, 3, 10])
+def test_face_products_are_formed_from_the_face_tables(p):
+    # The face rule, the element basis on each face and the edge basis per
+    # orientation (0: +1 at t, 1: -1 at 1 - t) are kept, and face_trace and
+    # face_mass are their products bit for bit, so every reader of the
+    # tables integrates on the assembly's rule and orientation convention.
+    from helmhdg.hdg_local import reference_tables
+    from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule, reference_face_points
+
+    ref = reference_tables(p)
+    rule = quadrature_rule("edge", 2 * p)
+    assert ref.face_weights.tobytes() == rule.weights.tobytes()
+    basis, edge = TriangleBasis(p), EdgeBasis(p)
+    for face in range(3):
+        want = basis.eval(reference_face_points(face, rule.points))
+        assert ref.face_phi[face].tobytes() == want.tobytes()
+    assert ref.edge_phi[0].tobytes() == edge.eval(rule.points).tobytes()
+    assert ref.edge_phi[1].tobytes() == edge.eval(1.0 - rule.points).tobytes()
+    w = ref.face_weights[:, None]
+    for face, phi_f in enumerate(ref.face_phi):
+        assert ref.face_mass[face].tobytes() == (phi_f.T @ (w * phi_f)).tobytes()
+        for orient, psi in enumerate(ref.edge_phi):
+            assert ref.face_trace[face, orient].tobytes() == (phi_f.T @ (w * psi)).tobytes()
+    for array in (ref.face_weights, ref.face_phi, ref.edge_phi):
+        assert not array.flags.writeable
+
+
 def test_sesquilinearity_convention():
     # The assembled system realizes a form that is linear in the trial
     # coefficients and conjugate-linear in the test coefficients.

@@ -605,6 +605,23 @@ def test_refinement_reruns_the_sweep(monkeypatch):
     assert len(factored) == refined.refine_steps * refined.factor_classes
 
 
+def test_subdomain_resonance_needs_the_second_sweep():
+    # kappa = 51.816 is near a Dirichlet eigenvalue of a 4-member internal
+    # front class of the n = 64 tree, where one sweep misses the residual
+    # contract (4.2e-10 with BLAS on one thread, 3.3e-10 on two) and the
+    # refinement's second sweep meets it with room to spare.
+    kappa, p, n = 51.816, 2, 64
+    mesh = build_structured_mesh(n)
+    _, data = benchmark_problem(kappa)
+    disc = discretize(mesh, ProblemConfig.for_mesh(kappa, p, mesh), data.f, data.g)
+    rhs = disc.rhs()
+    once, _ = skeleton._sweep(disc, dissection_tree(mesh), rhs)
+    assert skeleton_residual(disc, rhs, once)[1] > RESIDUAL_TOL
+    traces = solve_skeleton(disc)
+    assert traces.refine_steps == 2
+    assert traces.residual <= skeleton.REFINE_TOL
+
+
 @pytest.mark.parametrize("make", [perturbed_mesh, fan_strip_mesh, jittered_mesh],
                          ids=["perturbed", "fan-strip", "jittered"])
 def test_multifrontal_matches_sparse_lu_and_oracle_without_congruence(make, monkeypatch):
