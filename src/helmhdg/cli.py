@@ -11,7 +11,8 @@ Every CSV carries a comment header echoing the resolved configuration
 and the BLAS thread setting, floats are printed with 17 significant
 digits, and repeated invocations produce byte-identical outputs apart
 from the wall-time column.  Exit codes: 0 all contracts held, 1 a
-numerical contract failed, 2 usage or guard refusal.
+numerical contract failed, 2 usage or guard refusal, 141 the reader of
+stdout closed it (as in ``hdg verify | head -1``).
 """
 
 from __future__ import annotations
@@ -328,10 +329,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         if cfg.command == "verify":
-            return run_verify(only=cfg.only)
-        if cfg.command == "converge":
-            return cmd_converge(cfg)
-        return cmd_solve(cfg)
+            code = run_verify(only=cfg.only)
+        elif cfg.command == "converge":
+            code = cmd_converge(cfg)
+        else:
+            code = cmd_solve(cfg)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Python flushes stdout again at exit, so
+        # point it at devnull, and exit as a process killed by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

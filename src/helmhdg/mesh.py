@@ -265,10 +265,16 @@ class ElementGeometry:
 
     @classmethod
     def from_vertices(
-        cls, verts: np.ndarray, edge_orient: np.ndarray | None = None
+        cls, verts: np.ndarray, edge_orient: np.ndarray | None = None,
+        derived: tuple[np.ndarray, ...] | None = None,
     ) -> "ElementGeometry":
+        """The triangle with these corners; `derived` holds its (J, det J,
+        face lengths, normals) as stored on a mesh, else they are derived
+        from the corners by the mesh's own `_element_geometry`."""
         verts = np.asarray(verts, dtype=float).reshape(3, 2)
-        jac, det, lengths, normals = (a[0] for a in _element_geometry(verts[None]))
+        if derived is None:
+            derived = tuple(a[0] for a in _element_geometry(verts[None]))
+        jac, det, lengths, normals = derived
         det = float(det)
         if det <= 1e-14:
             raise ValueError(f"degenerate or negatively oriented element (det J = {det!r})")
@@ -291,11 +297,13 @@ class ElementGeometry:
 
 
 def mesh_entities(mesh: Mesh, elem: int) -> ElementGeometry:
-    """Geometry and connectivity of one element of the mesh."""
+    """Geometry and connectivity of one element, read from the mesh's arrays."""
     if not (0 <= elem < mesh.n_elements):
         raise IndexError(f"element index {elem} out of range [0, {mesh.n_elements})")
     return ElementGeometry.from_vertices(
-        mesh.vertices[mesh.triangles[elem]], edge_orient=mesh.elem_edge_orient[elem]
+        mesh.vertices[mesh.triangles[elem]], edge_orient=mesh.elem_edge_orient[elem],
+        derived=(mesh.jacobians[elem], mesh.dets[elem], mesh.face_lengths[elem],
+                 mesh.normals[elem]),
     )
 
 

@@ -178,10 +178,14 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolveInfo:
+    """What one skeleton solve measured, built by `solve_skeleton`.
+    `seconds` spans the right-hand side, the tree, the sweeps and the
+    residuals; the reconstruction of the element coefficients is not in it."""
+
     seconds: float
     n_skeleton_dofs: int
-    residual: float
-    max_local_cond: float
+    residual: float  # relative residual ||A uhat - rhs|| / ||rhs||
+    max_local_cond: float  # largest condition number of the element classes' local systems
     refine_steps: int  # multifrontal sweeps
     factor_classes: int  # distinct dense fronts that each sweep factors
     lu_nnz: int  # entries of W = F_II^-1 F_IB a sweep keeps, sum of n_I n_B over classes
@@ -242,7 +246,6 @@ class Discretization:
     classes: tuple[ElementClass, ...]  # classes[k] holds the elements of Mesh.elem_class k
     g_moments: np.ndarray  # (n_dofs,) boundary data moments <g, mu>
     g_sq: float  # ||g||^2 over the boundary
-    max_local_cond: float
 
     def rhs(self) -> np.ndarray:
         """b = -sum_T scatter(F_T) + g_moments, in the global dof numbering."""
@@ -304,20 +307,14 @@ def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Di
             len(ids), ids[0], ops.cond,
         )
     g_moments, g_sq = boundary_loads(mesh, cfg, g)
-    disc = Discretization(
-        mesh=mesh,
-        cfg=cfg,
-        classes=tuple(classes),
-        g_moments=g_moments,
-        g_sq=g_sq,
-        max_local_cond=max(cls.ops.cond for cls in classes),
-    )
     logger.debug(
         "discretization: kappa=%g p=%d tau=%g, %d element classes, "
         "max local condition number %.3e",
-        cfg.kappa, cfg.p, cfg.tau, len(classes), disc.max_local_cond,
+        cfg.kappa, cfg.p, cfg.tau, len(classes), max(cls.ops.cond for cls in classes),
     )
-    return disc
+    return Discretization(
+        mesh=mesh, cfg=cfg, classes=tuple(classes), g_moments=g_moments, g_sq=g_sq
+    )
 
 
 def boundary_loads(mesh: Mesh, cfg: ProblemConfig, g: BoundaryFn) -> tuple[np.ndarray, float]:
@@ -340,17 +337,6 @@ def boundary_loads(mesh: Mesh, cfg: ProblemConfig, g: BoundaryFn) -> tuple[np.nd
     out[edges] = np.sqrt(lengths)[:, None] * (
         (values * rule.weights) @ EdgeBasis(cfg.p).eval(rule.points))
     return out.ravel(), float(lengths @ (np.abs(values) ** 2 @ rule.weights))
-
-
-@dataclass(frozen=True)
-class SkeletonSolution:
-    """Traces from `solve_skeleton` and how they were reached."""
-
-    uhat: np.ndarray  # (n_dofs,) complex128, global dof numbering
-    residual: float  # relative residual ||A uhat - rhs|| / ||rhs||
-    refine_steps: int  # multifrontal sweeps that produced uhat
-    factor_classes: int  # distinct dense fronts that each sweep factors
-    lu_nnz: int  # entries of W = F_II^-1 F_IB kept by a sweep, sum of n_I n_B
 
 
 def _extend_add(front: np.ndarray, schur: np.ndarray, slots: np.ndarray, m: int) -> None:
@@ -440,10 +426,12 @@ def _sweep(disc: Discretization, tree: DissectionTree, b: np.ndarray) -> tuple[n
     return x, sum(w.size for _, _, w in kept)
 
 
-def solve_skeleton(disc: Discretization) -> SkeletonSolution:
+def solve_skeleton(disc: Discretization) -> tuple[np.ndarray, SolveInfo]:
     """Solve the skeleton system by multifrontal nested dissection over
     congruence classes of subdomains, with iterative refinement against
-    the class-wise A; each refinement step runs one sweep on the residual."""
+    the class-wise A; each refinement step runs one sweep on the residual.
+    Returns the traces and what the solve measured."""
+    start = time.perf_counter()
     tree = dissection_tree(disc.mesh)
     rhs = disc.rhs()
     x = np.zeros_like(rhs)
@@ -460,10 +448,24 @@ def solve_skeleton(disc: Discretization) -> SkeletonSolution:
             break
     if resid > RESIDUAL_TOL:
         raise RuntimeError(f"skeleton solve residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    return SkeletonSolution(
-        uhat=x, residual=resid, refine_steps=steps,
-        factor_classes=int(tree.node_class.max()) + 1, lu_nnz=lu_nnz,
+    info = SolveInfo(
+        seconds=time.perf_counter() - start,
+        n_skeleton_dofs=x.size,
+        residual=resid,
+        max_local_cond=max(cls.ops.cond for cls in disc.classes),
+        refine_steps=steps,
+        factor_classes=int(tree.node_class.max()) + 1,
+        lu_nnz=lu_nnz,
     )
+    logger.info(
+        "solve kappa=%g p=%d h=%g: %d skeleton dofs, %d factor classes keeping %d entries "
+        "of W, residual %.2e after %d refinement sweeps, max local condition number %.3e, "
+        "%.2f s",
+        disc.cfg.kappa, disc.cfg.p, disc.mesh.h_global, info.n_skeleton_dofs,
+        info.factor_classes, info.lu_nnz, info.residual, info.refine_steps,
+        info.max_local_cond, info.seconds,
+    )
+    return x, info
 
 
 def skeleton_residual(
@@ -481,27 +483,8 @@ def skeleton_residual(
 def solve_helmholtz(disc: Discretization) -> tuple[Solution, SolveInfo]:
     """Condensed pipeline on a built discretization: solve the traces,
     reconstruct."""
-    start = time.perf_counter()
-    traces = solve_skeleton(disc)
-    solution = disc.reconstruct(traces.uhat)
-    info = SolveInfo(
-        seconds=time.perf_counter() - start,
-        n_skeleton_dofs=traces.uhat.size,
-        residual=traces.residual,
-        max_local_cond=disc.max_local_cond,
-        refine_steps=traces.refine_steps,
-        factor_classes=traces.factor_classes,
-        lu_nnz=traces.lu_nnz,
-    )
-    logger.info(
-        "solve kappa=%g p=%d h=%g: %d skeleton dofs, %d factor classes keeping %d entries "
-        "of W, residual %.2e after %d refinement sweeps, max local condition number %.3e, "
-        "%.2f s",
-        disc.cfg.kappa, disc.cfg.p, disc.mesh.h_global, info.n_skeleton_dofs,
-        info.factor_classes, info.lu_nnz, info.residual, info.refine_steps,
-        info.max_local_cond, info.seconds,
-    )
-    return solution, info
+    uhat, info = solve_skeleton(disc)
+    return disc.reconstruct(uhat), info
 
 
 def _grad_trace_block(geom: ElementGeometry, blocks: LocalBlocks) -> np.ndarray:

@@ -4,7 +4,9 @@ Each one restates a quantity that the package computes another way, so a
 test can compare the two: the residual of the local equations, the face
 moments of the numerical flux taken directly from (Q, U, lam), the
 skeleton matrix A in the global dof numbering, and the oracle's flux
-coupling with the basis evaluated per element.
+coupling with the basis evaluated per element.  It also holds the
+committed error norms of two pollution cases, which the pinned-norm test
+and the mutants that only those norms catch compare against.
 """
 
 import numpy as np
@@ -14,6 +16,15 @@ from helmhdg.hdg_local import LocalBlocks
 from helmhdg.mesh import ElementGeometry
 from helmhdg.polybasis import TriangleBasis, quadrature_rule, reference_face_points
 from helmhdg.skeleton import Discretization, _edge_dofs
+
+#: (e_u, e_q, e_trace) of `run_benchmark_case(kappa, 2, n)` by (kappa, n),
+#: committed values that rounding moves stay within POLLUTION_ERRORS_REL of
+#: (below 1e-11 relative so far).
+POLLUTION_ERRORS = {
+    (20.0, 22): (1.3020709569430908e-4, 2.557847899638756e-4, 1.782511972113704e-3),
+    (40.0, 63): (2.460778582832672e-5, 6.211623888193508e-5, 5.763367971498196e-4),
+}
+POLLUTION_ERRORS_REL = 1e-9
 
 
 def local_residual(

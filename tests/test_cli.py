@@ -253,6 +253,31 @@ def test_header_marks_pins_set_after_numpy(numpy_first):
         assert f"{var}=1" in line
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_without_traceback(unbuffered):
+    # The reader closes the pipe before the first line is written, as
+    # `hdg verify | head -0` does.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")])
+    )
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "helmhdg.cli", "verify", "--only", "orthonormality"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141, err
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 def test_size_guard_refusal_names_guard(tmp_path, capsys):
     code = main([
         "converge", "--kappa", "5", "--p", "1", "--n", "4",

@@ -20,6 +20,7 @@ from helmhdg.hdg_local import ProblemConfig
 from helmhdg.mesh import build_structured_mesh, mesh_entities
 from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule
 from helmhdg.skeleton import Solution, discretize, solve_helmholtz
+from reference import POLLUTION_ERRORS, POLLUTION_ERRORS_REL
 
 
 def _zero_solution(mesh, p):
@@ -374,13 +375,12 @@ def test_data_is_evaluated_once(monkeypatch):
     assert calls == {"f": n_classes, "g": 1, "mesh_entities": n_classes}
 
 
-@pytest.mark.parametrize("kappa, n, expected", [
-    (20.0, 22, (1.3020709569430908e-4, 2.557847899638756e-4, 1.782511972113704e-3)),
-    (40.0, 63, (2.460778582832672e-5, 6.211623888193508e-5, 5.763367971498196e-4)),
-], ids=["kappa20-n22", "kappa40-n63"])
-def test_pollution_errors_are_pinned(kappa, n, expected):
+@pytest.mark.parametrize("kappa, n", list(POLLUTION_ERRORS), ids=["kappa20-n22", "kappa40-n63"])
+def test_pollution_errors_are_pinned(kappa, n):
     # Two p = 2 cases of the pollution study against committed values, so
     # a change of tau or of the data rule is caught by what it does to the
     # errors.  Rounding moves recorded so far stay below 1e-11 relative.
     report = run_benchmark_case(kappa, 2, n).report
-    assert (report.e_u, report.e_q, report.e_trace) == pytest.approx(expected, rel=1e-9, abs=0.0)
+    assert (report.e_u, report.e_q, report.e_trace) == pytest.approx(
+        POLLUTION_ERRORS[kappa, n], rel=POLLUTION_ERRORS_REL, abs=0.0
+    )

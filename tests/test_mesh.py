@@ -227,15 +227,21 @@ def test_vertex_cut_that_empties_a_side_falls_back_to_the_median_rank():
     fan_strip_mesh,
 ], ids=["n1", "n8", "perturbed", "fan-strip"])
 def test_stored_geometry_matches_element_geometry(make):
-    # The batched arrays on the mesh and the one-element path must agree
-    # bit for bit: the solve reads the former, the oracle the latter.
+    # `mesh_entities` reads the batched arrays stored on the mesh; the
+    # standalone path derives one element's geometry from its corners.
+    # They must agree bit for bit, in every field.
     mesh = make()
     for elem in range(mesh.n_elements):
         geom = mesh_entities(mesh, elem)
+        alone = ElementGeometry.from_vertices(
+            mesh.vertices[mesh.triangles[elem]], edge_orient=mesh.elem_edge_orient[elem]
+        )
         assert np.array_equal(mesh.jacobians[elem], geom.jacobian)
         assert np.array_equal(mesh.dets[elem], geom.det)
         assert np.array_equal(mesh.face_lengths[elem], geom.face_lengths)
         assert np.array_equal(mesh.normals[elem], geom.normals)
+        for name, value in vars(alone).items():
+            assert np.array_equal(getattr(geom, name), value), name
     assert mesh.h_global == (math.sqrt(2.0) / mesh.n if mesh.n else mesh.face_lengths.max())
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import os
 import subprocess
 import sys
@@ -74,10 +76,10 @@ def test_zero_data_zero_solution():
     cfg = ProblemConfig.for_mesh(20.0, 2, mesh)
     disc = discretize(mesh, cfg, zero_f, zero_g)
     assert np.abs(disc.rhs()).max() == 0.0
-    traces = solve_skeleton(disc)
-    assert np.abs(traces.uhat).max() == 0.0
-    assert (traces.residual, traces.refine_steps) == (0.0, 0)
-    solution = disc.reconstruct(traces.uhat)
+    uhat, info = solve_skeleton(disc)
+    assert np.abs(uhat).max() == 0.0
+    assert (info.residual, info.refine_steps) == (0.0, 0)
+    solution = disc.reconstruct(uhat)
     assert solution.coefficient_norm() == 0.0
 
 
@@ -180,13 +182,13 @@ def test_solve_residual_contract():
     cfg = ProblemConfig.for_mesh(20.0, 2, mesh)
     _, data = benchmark_problem(20.0)
     disc = discretize(mesh, cfg, data.f, data.g)
-    traces = solve_skeleton(disc)
+    uhat, info = solve_skeleton(disc)
     rhs = disc.rhs()
-    assert skeleton_residual(disc, rhs, traces.uhat)[1] <= 1e-10
+    assert skeleton_residual(disc, rhs, uhat)[1] <= 1e-10
     # The reported residual is the one the refinement measured last.
-    assert traces.residual == skeleton_residual(disc, rhs, traces.uhat)[1]
+    assert info.residual == skeleton_residual(disc, rhs, uhat)[1]
     # ... and it is the residual on the assembled A.
-    residual = np.linalg.norm(global_matrix(disc) @ traces.uhat - rhs) / np.linalg.norm(rhs)
+    residual = np.linalg.norm(global_matrix(disc) @ uhat - rhs) / np.linalg.norm(rhs)
     assert residual <= 1e-10
 
 
@@ -264,10 +266,30 @@ def test_standalone_functions_match_pipeline():
     _, data = benchmark_problem(20.0)
     pipeline, _ = solve_helmholtz(discretize(mesh, cfg, data.f, data.g))
     disc = discretize(mesh, cfg, data.f, data.g)
-    standalone = disc.reconstruct(solve_skeleton(disc).uhat)
+    standalone = disc.reconstruct(solve_skeleton(disc)[0])
     assert np.array_equal(standalone.uhat, pipeline.uhat)
     assert np.array_equal(standalone.Q, pipeline.Q)
     assert np.array_equal(standalone.U, pipeline.U)
+
+
+def test_solve_skeleton_builds_and_logs_the_solve_info(caplog):
+    # One record per solve: `solve_skeleton` fills every field of the
+    # `SolveInfo` that `solve_helmholtz` returns, and logs it once.
+    mesh = build_structured_mesh(4)
+    cfg = ProblemConfig.for_mesh(20.0, 2, mesh)
+    _, data = benchmark_problem(20.0)
+    disc = discretize(mesh, cfg, data.f, data.g)
+    with caplog.at_level(logging.INFO, logger=skeleton.__name__):
+        uhat, info = solve_skeleton(disc)
+    assert info.n_skeleton_dofs == uhat.size == disc.rhs().size
+    assert info.max_local_cond == max(cls.ops.cond for cls in disc.classes)
+    assert info.seconds > 0.0
+    (record,) = [r for r in caplog.records if r.name == skeleton.__name__]
+    assert record.levelno == logging.INFO
+    assert f"{info.n_skeleton_dofs} skeleton dofs" in record.getMessage()
+    solution, again = solve_helmholtz(disc)
+    assert dataclasses.replace(again, seconds=info.seconds) == info
+    assert np.array_equal(solution.uhat, uhat)
 
 
 def test_solution_validate_rejects_bad_shapes():
@@ -537,9 +559,9 @@ def test_nested_dissection_factor_is_smaller_than_minimum_degree():
     # The class factors store at most half the entries of SuperLU's
     # minimum degree on A + A^T for the same matrix.
     disc = _pollution_case(40.0, 63)
-    traces = solve_skeleton(disc)
-    assert traces.residual <= RESIDUAL_TOL
-    assert traces.lu_nnz <= 0.5 * spla.splu(global_matrix(disc), permc_spec="MMD_AT_PLUS_A").nnz
+    _, info = solve_skeleton(disc)
+    assert info.residual <= RESIDUAL_TOL
+    assert info.lu_nnz <= 0.5 * spla.splu(global_matrix(disc), permc_spec="MMD_AT_PLUS_A").nnz
 
 
 def test_congruent_nodes_share_one_front():
@@ -556,9 +578,9 @@ def test_pollution_cases_keep_their_classes_and_w():
     for (kappa, n), classes, w_entries in zip(
         [(20.0, 22), (40.0, 63), (60.0, 116)], [51, 59, 118], [87_966, 288_333, 1_029_033],
     ):
-        traces = solve_skeleton(_pollution_case(kappa, n))
-        assert (traces.factor_classes, traces.lu_nnz) == (classes, w_entries)
-        assert traces.refine_steps == 1
+        _, info = solve_skeleton(_pollution_case(kappa, n))
+        assert (info.factor_classes, info.lu_nnz) == (classes, w_entries)
+        assert info.refine_steps == 1
 
 
 def test_sweep_keeps_only_w():
@@ -574,11 +596,11 @@ def test_sweep_keeps_only_w():
     w_entries = int((n_i * (n_front - n_i)).sum())
     tracemalloc.start()
     try:
-        traces = solve_skeleton(disc)
+        _, info = solve_skeleton(disc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert traces.lu_nnz == w_entries
+    assert info.lu_nnz == w_entries
     item = np.dtype(complex).itemsize
     assert peak <= item * (w_entries + 8 * int((n_front**2).max()))
 
@@ -587,7 +609,7 @@ def test_refinement_reruns_the_sweep(monkeypatch):
     # With REFINE_TOL = 0 the refinement goes on until a sweep fails to
     # halve the residual; every sweep factors each class of fronts anew.
     disc = _pollution_case(40.0, 63)
-    once = solve_skeleton(disc)
+    once, once_info = solve_skeleton(disc)
     factored = []
     solve = np.linalg.solve
 
@@ -597,12 +619,12 @@ def test_refinement_reruns_the_sweep(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
     monkeypatch.setattr(skeleton, "REFINE_TOL", 0.0)
-    refined = solve_skeleton(disc)
+    refined, refined_info = solve_skeleton(disc)
     monkeypatch.undo()
-    assert once.refine_steps == 1 and refined.refine_steps >= 2
-    assert refined.residual <= once.residual
-    assert np.abs(refined.uhat - once.uhat).max() <= 1e-12 * np.abs(once.uhat).max()
-    assert len(factored) == refined.refine_steps * refined.factor_classes
+    assert once_info.refine_steps == 1 and refined_info.refine_steps >= 2
+    assert refined_info.residual <= once_info.residual
+    assert np.abs(refined - once).max() <= 1e-12 * np.abs(once).max()
+    assert len(factored) == refined_info.refine_steps * refined_info.factor_classes
 
 
 def test_subdomain_resonance_needs_the_second_sweep():
@@ -617,9 +639,9 @@ def test_subdomain_resonance_needs_the_second_sweep():
     rhs = disc.rhs()
     once, _ = skeleton._sweep(disc, dissection_tree(mesh), rhs)
     assert skeleton_residual(disc, rhs, once)[1] > RESIDUAL_TOL
-    traces = solve_skeleton(disc)
-    assert traces.refine_steps == 2
-    assert traces.residual <= skeleton.REFINE_TOL
+    _, info = solve_skeleton(disc)
+    assert info.refine_steps == 2
+    assert info.residual <= skeleton.REFINE_TOL
 
 
 @pytest.mark.parametrize("make", [perturbed_mesh, fan_strip_mesh, jittered_mesh],
@@ -632,13 +654,13 @@ def test_multifrontal_matches_sparse_lu_and_oracle_without_congruence(make, monk
     _, data = benchmark_problem(9.0)
     disc = discretize(mesh, cfg, data.f, data.g)
     factored = _record_splu(monkeypatch)
-    traces = solve_skeleton(disc)
+    uhat, _ = solve_skeleton(disc)
     assert factored == []
     monkeypatch.undo()
     lu = spla.splu(global_matrix(disc)).solve(disc.rhs())
-    assert np.abs(traces.uhat - lu).max() <= 1e-12 * np.abs(lu).max()
+    assert np.abs(uhat - lu).max() <= 1e-12 * np.abs(lu).max()
     mono = monolithic_solve(mesh, cfg, data.f, data.g).uhat
-    assert np.abs(traces.uhat - mono).max() <= 1e-8 * np.abs(mono).max()
+    assert np.abs(uhat - mono).max() <= 1e-8 * np.abs(mono).max()
 
 
 def test_failed_fallback_names_the_residual(monkeypatch):
