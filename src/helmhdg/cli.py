@@ -5,8 +5,9 @@
     hdg converge --kappa 10,20,40 --p 1 --fixed-kappa-h 1.1 --out results
     hdg verify   [--only energy-identity]
 
-Each command takes only the flags it reads, and its ``--config`` file
-only the RunConfig fields those flags set; anything else exits 2.
+Each command takes only the flags it reads; anything else exits 2.
+``hdg converge @run.args --out results`` reads arguments from the file
+``run.args``, one per line (``--kappa=20,40,60``); flags after it win.
 Every CSV carries a comment header echoing the resolved configuration
 and the BLAS thread setting, floats are printed with 17 significant
 digits, and repeated invocations produce byte-identical outputs apart
@@ -18,12 +19,9 @@ stdout closed it (as in ``hdg verify | head -1``).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-import types
-import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -92,8 +90,6 @@ class RunConfig:
             raise UsageError("mesh subdivisions must be strictly increasing")
         if self.workers < 1 or self.max_dofs < 1:
             raise UsageError("guards and worker counts must be positive")
-        if self.fixed_kappa_h is not None and self.fixed_kappa3h2 is not None:
-            raise UsageError("choose at most one of --fixed-kappa-h / --fixed-kappa3h2")
         for line in (self.fixed_kappa_h, self.fixed_kappa3h2):
             if line is not None and not (math.isfinite(line) and line > 0):
                 raise UsageError("fixed-line constants must be finite and positive")
@@ -105,31 +101,14 @@ class UsageError(Exception):
     pass
 
 
-#: Field annotations of RunConfig, resolved once: with postponed
-#: annotations, resolving evaluates every annotation string.
-_HINTS = typing.get_type_hints(RunConfig)
-
-
-def _has_type(value, hint) -> bool:
-    """Whether a JSON value matches a RunConfig field annotation; ints
-    count as floats, bools as neither."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is list:
-        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
-    if origin is types.UnionType:
-        return any(_has_type(value, h) for h in args)
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
-
-
-def _parse_list(text: str, cast) -> list:
-    try:
+def _list_of(cast):
+    """argparse type of a comma-separated list of ``cast`` values; argparse
+    names the type by ``__name__`` when a value does not parse."""
+    def parse(text: str) -> list:
         return [cast(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise UsageError(f"cannot parse list {text!r}") from exc
+
+    parse.__name__ = f"{cast.__name__} list"
+    return parse
 
 
 def _skeleton_dofs(n: int, p: int) -> int:
@@ -180,56 +159,45 @@ def _run_case(args: tuple) -> ErrorReport:
     return run_benchmark_case(*args).report
 
 
-def _sizes_for(cfg: RunConfig, kappa: float, p: int) -> list[int]:
+def _fixed_line_size(cfg: RunConfig, kappa: float, p: int) -> int:
+    """The mesh subdivision n that puts (kappa, p) on the fixed line."""
     if cfg.fixed_kappa_h is not None:
-        return [max(1, round(math.sqrt(2.0) * kappa / (cfg.fixed_kappa_h * p)))]
-    if cfg.fixed_kappa3h2 is not None:
-        return [max(1, round(math.sqrt(2.0) * kappa**1.5 / (p * math.sqrt(cfg.fixed_kappa3h2))))]
-    return cfg.sizes
+        return max(1, round(math.sqrt(2.0) * kappa / (cfg.fixed_kappa_h * p)))
+    return max(1, round(math.sqrt(2.0) * kappa**1.5 / (p * math.sqrt(cfg.fixed_kappa3h2))))
 
 
 def cmd_converge(cfg: RunConfig) -> int:
-    """One CSV per (kappa, p) sweep, or per p for the fixed-line modes."""
-    pooled = cfg.fixed_kappa_h is None and cfg.fixed_kappa3h2 is None
-
-    jobs: list[tuple] = []
+    """One CSV per (kappa, p) sweep, or per p along a fixed line."""
+    tables: list[tuple[str, list[str], list[tuple]]] = []  # (file name, header, cases)
     for p in cfg.orders:
-        for kappa in cfg.kappas:
-            for n in _sizes_for(cfg, kappa, p):
-                _guard(cfg, kappa, p, n)
-                jobs.append((kappa, p, n))
-    os.makedirs(cfg.out_dir, exist_ok=True)
+        if cfg.fixed_kappa_h is None and cfg.fixed_kappa3h2 is None:
+            tables += [
+                (f"converge_k{kappa:g}_p{p}.csv", _config_lines(cfg, kappa, p, cfg.sizes),
+                 [(kappa, p, n) for n in cfg.sizes])
+                for kappa in cfg.kappas
+            ]
+        else:
+            cases = [(kappa, p, _fixed_line_size(cfg, kappa, p)) for kappa in cfg.kappas]
+            lines = [f"fixed line: kappa*h/p={cfg.fixed_kappa_h:g}" if cfg.fixed_kappa_h is not None
+                     else f"fixed line: kappa^3*h^2/p^2={cfg.fixed_kappa3h2:g}"]
+            for kappa, _, n in cases:
+                lines += _config_lines(cfg, kappa, p, [n])
+            tables.append((f"pollution_p{p}.csv", lines, cases))
 
+    jobs = [case for _, _, cases in tables for case in cases]
+    for job in jobs:
+        _guard(cfg, *job)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = dict(zip(jobs, pool.map(_run_case, jobs)))
     else:
         results = {job: _run_case(job) for job in jobs}
 
-    for p in cfg.orders:
-        if pooled:
-            for kappa in cfg.kappas:
-                table = ConvergenceTable()
-                for n in cfg.sizes:
-                    table.add(results[(kappa, p, n)])
-                path = os.path.join(cfg.out_dir, f"converge_k{kappa:g}_p{p}.csv")
-                write_convergence_csv(path, table, _config_lines(cfg, kappa, p, cfg.sizes))
-                print(f"wrote {path}")
-        else:
-            mode = (
-                f"kappa*h/p={cfg.fixed_kappa_h:g}"
-                if cfg.fixed_kappa_h is not None
-                else f"kappa^3*h^2/p^2={cfg.fixed_kappa3h2:g}"
-            )
-            table = ConvergenceTable()
-            lines = [f"fixed line: {mode}"]
-            for kappa in cfg.kappas:
-                (n,) = _sizes_for(cfg, kappa, p)
-                table.rows.append(results[(kappa, p, n)])
-                lines += _config_lines(cfg, kappa, p, [n])
-            path = os.path.join(cfg.out_dir, f"pollution_p{p}.csv")
-            write_convergence_csv(path, table, lines)
-            print(f"wrote {path}")
+    for name, lines, cases in tables:
+        path = os.path.join(cfg.out_dir, name)
+        write_convergence_csv(path, ConvergenceTable([results[case] for case in cases]), lines)
+        print(f"wrote {path}")
     return 0
 
 
@@ -263,32 +231,37 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Each command takes only the flags it reads; a flag's dest is the
-    RunConfig field it sets, and the same fields are its config keys."""
+    """Each command takes only the flags it reads, and a flag's dest is
+    the RunConfig field it sets.  An argument ``@FILE`` stands for the
+    lines of FILE, one argument each."""
     parser = argparse.ArgumentParser(
         prog="hdg",
         description="HDG solver for the 2-d Helmholtz equation with Robin boundary at high wave number",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     solve = sub.add_parser("solve", help="run single solves and dump solutions")
     converge = sub.add_parser("converge", help="run convergence or pollution studies")
     verify = sub.add_parser("verify", help="run the verification suite")
+    # converge takes its mesh subdivisions from at most one of these.
+    sizes = converge.add_mutually_exclusive_group()
+    for cmd in (solve, sizes):
+        cmd.add_argument("--n", dest="sizes", type=_list_of(int),
+                         help="comma-separated mesh subdivisions")
     for cmd in (solve, converge):
-        cmd.add_argument("--kappa", dest="kappas", help="comma-separated wave numbers")
-        cmd.add_argument("--p", dest="orders", help="comma-separated polynomial orders")
-        cmd.add_argument("--n", dest="sizes", help="comma-separated mesh subdivisions")
+        cmd.add_argument("--kappa", dest="kappas", type=_list_of(float),
+                         help="comma-separated wave numbers")
+        cmd.add_argument("--p", dest="orders", type=_list_of(int),
+                         help="comma-separated polynomial orders")
         cmd.add_argument("--out", dest="out_dir", help="output directory")
         cmd.add_argument("--max-dofs", type=int, help="skeleton size guard")
-    solve.add_argument("--dump-mesh", action="store_true", default=None,
-                       help="also write the mesh file")
+    solve.add_argument("--dump-mesh", action="store_true", help="also write the mesh file")
     converge.add_argument("--workers", type=int, help="parallel (kappa,p,n) runs")
-    converge.add_argument("--fixed-kappa-h", type=float,
-                          help="pollution mode: choose n so kappa*h/p equals this")
-    converge.add_argument("--fixed-kappa3h2", type=float,
-                          help="pollution mode: choose n so kappa^3*h^2/p^2 equals this")
+    sizes.add_argument("--fixed-kappa-h", type=float,
+                       help="pollution mode: choose n so kappa*h/p equals this")
+    sizes.add_argument("--fixed-kappa3h2", type=float,
+                       help="pollution mode: choose n so kappa^3*h^2/p^2 equals this")
     verify.add_argument("--only", help="run a single named check")
-    for cmd in (solve, converge, verify):
-        cmd.add_argument("--config", help="JSON file of this command's settings (flags win)")
     return parser
 
 
@@ -297,29 +270,8 @@ _PARSER = build_parser()
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The config file's settings, then the flags given: flags win."""
-    flags = dict(vars(args))
-    cfg = RunConfig(command=flags.pop("command"))
-    path = flags.pop("config")
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                settings = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
-        if not isinstance(settings, dict):
-            raise UsageError("config file must hold a JSON object")
-        for key, value in settings.items():
-            if key not in flags:
-                raise UsageError(f"config key {key!r} is not a setting of hdg {cfg.command}")
-            if not _has_type(value, _HINTS[key]):
-                raise UsageError(f"config key {key!r} has the wrong type: {value!r}")
-            setattr(cfg, key, value)
-    for key, value in flags.items():
-        if value is not None:
-            if typing.get_origin(_HINTS[key]) is list:
-                value = _parse_list(value, typing.get_args(_HINTS[key])[0])
-            setattr(cfg, key, value)
+    """The flags given, over RunConfig's defaults."""
+    cfg = RunConfig(**{key: value for key, value in vars(args).items() if value is not None})
     cfg.validate()
     return cfg
 

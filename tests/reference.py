@@ -3,19 +3,24 @@
 Each one restates a quantity that the package computes another way, so a
 test can compare the two: the residual of the local equations, the face
 moments of the numerical flux taken directly from (Q, U, lam), the
-skeleton matrix A in the global dof numbering, and the oracle's flux
-coupling with the basis evaluated per element.  It also holds the
-committed error norms of two pollution cases, which the pinned-norm test
-and the mutants that only those norms catch compare against.
+skeleton matrix A in the global dof numbering, the oracle's flux
+coupling with the basis evaluated per element, the classes' source
+moments taken element by element from the oracle's `volume_load`, and
+the trace on the element faces with the edge basis evaluated per element.
+It also holds the committed error norms of two pollution cases, which the
+pinned-norm test and the mutants that only those norms catch compare
+against.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from helmhdg.hdg_local import LocalBlocks
-from helmhdg.mesh import ElementGeometry
-from helmhdg.polybasis import TriangleBasis, quadrature_rule, reference_face_points
-from helmhdg.skeleton import Discretization, _edge_dofs
+from helmhdg.analytic import benchmark_problem
+from helmhdg.diagnostics import _uhat_on_faces
+from helmhdg.hdg_local import LocalBlocks, ProblemConfig, volume_load
+from helmhdg.mesh import ElementGeometry, Mesh, mesh_entities
+from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule, reference_face_points
+from helmhdg.skeleton import Discretization, _edge_dofs, discretize
 
 #: (e_u, e_q, e_trace) of `run_benchmark_case(kappa, 2, n)` by (kappa, n),
 #: committed values that rounding moves stay within POLLUTION_ERRORS_REL of
@@ -91,3 +96,52 @@ def grad_trace_block(geom: ElementGeometry, blocks: LocalBlocks) -> np.ndarray:
         for c in range(2):
             trace_part[:, c * n : (c + 1) * n] += geom.normals[face, c] * mass
     return trace_part - grad_part
+
+
+def benchmark_discretization(kappa: float, p: int, mesh: Mesh) -> Discretization:
+    """`discretize` of the benchmark problem on `mesh`."""
+    _, data = benchmark_problem(kappa)
+    return discretize(mesh, ProblemConfig.for_mesh(kappa, p, mesh), data.f, data.g)
+
+
+def source_moment_deviation(disc: Discretization) -> float:
+    """Largest deviation of an element's `ElementClass.f_moments` from the
+    oracle's `volume_load` of that element, relative to the latter's
+    largest moment.  `volume_load` picks its data rule from the element's
+    own size, apart from the rule that `discretize` gives the class."""
+    f = benchmark_problem(disc.cfg.kappa)[1].f
+    worst = 0.0
+    for cls in disc.classes:
+        for moments, elem in zip(cls.f_moments, cls.ids):
+            ref = volume_load(mesh_entities(disc.mesh, elem), disc.cfg, f)
+            worst = max(worst, np.abs(moments - ref).max() / np.abs(ref).max())
+    return float(worst)
+
+
+def uhat_on_faces_loop(disc: Discretization, uhat: np.ndarray, face: int) -> np.ndarray:
+    """`diagnostics._uhat_on_faces` element by element, with the edge basis
+    evaluated on each call instead of read from `reference_tables`: at t
+    on a face of orientation +1, at 1 - t on one of orientation -1."""
+    mesh, p = disc.mesh, disc.cfg.p
+    basis, t = EdgeBasis(p), quadrature_rule("edge", 2 * p).points
+    coeff = uhat.reshape(mesh.n_edges, p + 1)
+    out = np.empty((mesh.n_elements, t.size), dtype=complex)
+    for elem in range(mesh.n_elements):
+        s = t if mesh.elem_edge_orient[elem, face] == 1 else 1.0 - t
+        edge = mesh.elem_edges[elem, face]
+        out[elem] = basis.eval(s) @ coeff[edge] / np.sqrt(mesh.face_lengths[elem, face])
+    return out
+
+
+def uhat_on_faces_deviation(disc: Discretization, seed: int = 0) -> float:
+    """Largest deviation of `_uhat_on_faces` from `uhat_on_faces_loop` over
+    the three face slots, for random trace coefficients, relative to the
+    loop's largest value."""
+    rng = np.random.default_rng(seed)
+    size = disc.mesh.n_edges * (disc.cfg.p + 1)
+    uhat = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    worst = 0.0
+    for face in range(3):
+        ref = uhat_on_faces_loop(disc, uhat, face)
+        worst = max(worst, np.abs(_uhat_on_faces(disc, uhat, face) - ref).max() / np.abs(ref).max())
+    return float(worst)

@@ -167,13 +167,21 @@ def test_source_values(kappa):
     assert abs(data.f_tilde(on_zero)[0]) <= 1e-12
 
 
-def test_source_series_branch_matches_direct_formula():
-    # Both branches are valid just above the cutoff; they must agree to
-    # rounding so the hand-off is seamless.
-    z = np.linspace(5e-4, 5e-3, 11)
-    series = 1.0 - z * z / 6.0 * (1.0 - z * z / 20.0)
-    direct = np.sin(z) / z
-    assert np.abs(series - direct).max() <= 1e-15
+@pytest.mark.parametrize("kappa", [5.0, 20.0, 100.0])
+def test_source_near_the_origin_matches_mpmath(kappa):
+    # f_tilde = sin(kappa r)/r is one np.sinc call, which passes through
+    # r = 0 with the value kappa; up to kappa r = 1 it must match a
+    # 40-digit evaluation to rounding.
+    radii = np.concatenate([[0.0, 1e-300, 1e-16, 1e-9], np.geomspace(1e-6, 1.0, 25) / kappa])
+    angles = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, radii.size)
+    points = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    got = DataFunctions(kappa).f_tilde(points)
+    assert got[0] == kappa
+    with mpmath.workdps(40):
+        for (x, y), value in zip(points, got):
+            r = mpmath.sqrt(mpmath.mpf(x) ** 2 + mpmath.mpf(y) ** 2)
+            want = kappa if r == 0 else float(mpmath.sin(kappa * r) / r)
+            assert value == pytest.approx(want, rel=2e-15, abs=0.0), (x, y)
 
 
 def test_data_quadrature_degree_rule():

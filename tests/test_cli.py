@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -13,6 +12,14 @@ from helmhdg.cli import main
 def _read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _exit_code(argv):
+    """main's exit code; argparse exits 2 itself on a flag it refuses."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_converge_bookkeeping(tmp_path):
@@ -117,59 +124,64 @@ def test_range_guard_accepts_default_size_range():
 
 def test_usage_errors_exit_2(tmp_path):
     assert main(["converge", "--kappa", "-5", "--p", "1", "--n", "4", "--out", str(tmp_path)]) == 2
-    assert main(["converge", "--kappa", "5", "--p", "1", "--n", "nope", "--out", str(tmp_path)]) == 2
-    assert main([
-        "converge", "--kappa", "5", "--p", "1", "--n", "4",
-        "--fixed-kappa-h", "1", "--fixed-kappa3h2", "1", "--out", str(tmp_path),
-    ]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--kappa", "5", "--p", "1", "--n", "nope", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "converge", "--kappa", "5", "--p", "1",
+            "--fixed-kappa-h", "1", "--fixed-kappa3h2", "1", "--out", str(tmp_path),
+        ])
+    assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flags, config", [
-    (["--kappa", "nan"], None),
-    (["--kappa", "inf"], None),
-    (["--p", "11"], None),
-    (["--n", "8,4"], None),
-    ([], '{"kappas": 20}'),
-    (["--kappa", "0.001"], None),
-    (["--kappa", "0.3", "--n", "128"], None),
-    (["--kappa", "1", "--p", "3", "--n", "8,300", "--max-dofs", "2000000"], None),
-    (["--quad-degree", "12"], None),
-    ([], '{"data_quad_degree": 12}'),
-    (["--kappa", ","], None),
-    (["--n", "0"], None),
-    (["--workers", "0"], None),
-    (["--max-dofs", "0"], None),
-    (["--fixed-kappa-h", "0"], None),
-    (["--config", "missing.json"], None),
-    ([], "[20, 40]"),
-    ([], '{"fixed_kappa_h": "wide"}'),
-    (["--kappa", "20,20", "--p", "1,1"], None),
-    (["--kappa", "20,20", "--fixed-kappa-h", "1.1"], None),
-    (["--kappa", "1e300"], None),
-    (["--kappa", "20000"], None),
-    (["--kappa", "1e300", "--fixed-kappa3h2", "8"], None),
-], ids=["kappa-nan", "kappa-inf", "p-above-max", "n-decreasing", "config-scalar-kappas",
-        "kappa-0.001", "kappa-below-floor", "tau-above-cap", "quad-degree-flag",
-        "config-quad-degree", "kappa-empty-list", "n-zero", "workers-zero", "max-dofs-zero",
-        "fixed-kappa-h-zero", "config-missing", "config-array", "config-string-for-float",
-        "kappa-and-p-repeated", "kappa-repeated-on-fixed-line", "kappa-1e300",
-        "kappa-above-bessel-range", "kappa-1e300-on-fixed-line"])
-def test_bad_input_exits_2_before_any_solve(tmp_path, monkeypatch, flags, config):
+@pytest.mark.parametrize("flags, lines, message", [
+    (["--kappa", "nan"], None, "wave numbers must lie in"),
+    (["--kappa", "inf"], None, "wave numbers must lie in"),
+    (["--p", "11"], None, "polynomial orders must be in"),
+    (["--n", "8,4"], None, "strictly increasing"),
+    (["--kappa", "0.001"], None, "outside the validated range"),
+    (["--kappa", "0.3", "--n", "128"], None, "outside the validated range"),
+    (["--kappa", "1", "--p", "3", "--n", "8,300", "--max-dofs", "2000000"], None,
+     "outside the validated range"),
+    (["--quad-degree", "12"], None, "unrecognized arguments: --quad-degree 12"),
+    ([], ["--quad-degree=12"], "unrecognized arguments: --quad-degree=12"),
+    (["--kappa", ","], None, "must be non-empty"),
+    (["--n", "0"], None, "mesh subdivisions must be >= 1"),
+    (["--workers", "0"], None, "must be positive"),
+    (["--max-dofs", "0"], None, "must be positive"),
+    (["--fixed-kappa-h", "0"], None, "fixed-line constants must be finite and positive"),
+    (["@missing.args"], None, "No such file or directory: 'missing.args'"),
+    ([], ["--fixed-kappa-h=wide"], "argument --fixed-kappa-h: invalid float value: 'wide'"),
+    (["--kappa", "20,20", "--p", "1,1"], None, "wave number 20 is repeated"),
+    (["--kappa", "20,20", "--fixed-kappa-h", "1.1"], None, "wave number 20 is repeated"),
+    (["--kappa", "1e300"], None, "wave numbers must lie in"),
+    (["--kappa", "20000"], None, "wave numbers must lie in"),
+    (["--kappa", "1e300", "--fixed-kappa3h2", "8"], None, "wave numbers must lie in"),
+    (["--n", "4,8", "--fixed-kappa-h", "1.1"], None,
+     "argument --fixed-kappa-h: not allowed with argument --n"),
+], ids=["kappa-nan", "kappa-inf", "p-above-max", "n-decreasing", "kappa-0.001",
+        "kappa-below-floor", "tau-above-cap", "quad-degree-flag", "config-quad-degree",
+        "kappa-empty-list", "n-zero", "workers-zero", "max-dofs-zero", "fixed-kappa-h-zero",
+        "config-missing", "config-string-for-float", "kappa-and-p-repeated",
+        "kappa-repeated-on-fixed-line", "kappa-1e300", "kappa-above-bessel-range",
+        "kappa-1e300-on-fixed-line", "n-on-fixed-line"])
+def test_bad_input_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, flags, lines, message):
+    # Each case fails for its own reason, which the error message names.
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve started before the input was validated")
 
     monkeypatch.setattr(cli, "run_benchmark_case", no_solve)
-    monkeypatch.chdir(tmp_path)  # a relative --config path names no file
-    args = ["converge", "--kappa", "5", "--p", "1", "--n", "4,8", "--out", str(tmp_path)]
-    if config is not None:
-        path = tmp_path / "bad.json"
-        path.write_text(config)
-        args = ["converge", "--config", str(path), "--out", str(tmp_path)]
-    try:
-        code = main(args + flags)
-    except SystemExit as exc:  # argparse exits 2 on an unknown flag
-        code = exc.code
-    assert code == 2
+    monkeypatch.chdir(tmp_path)  # a relative @file path names no file
+    if lines is not None:
+        (tmp_path / "bad.args").write_text("".join(f"{line}\n" for line in lines))
+        flags = ["@bad.args"] + flags
+    args = ["converge", "--kappa", "5", "--p", "1", "--out", str(tmp_path)]
+    # A fixed line chooses n itself, and refuses a given --n.
+    if not any(arg.startswith("--fixed") for arg in flags + (lines or [])):
+        args += ["--n", "4,8"]
+    assert _exit_code(args + flags) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_repeated_kappa_or_order_is_named():
@@ -179,7 +191,7 @@ def test_repeated_kappa_or_order_is_named():
         cli.RunConfig("converge", orders=[2, 1, 2]).validate()
 
 
-@pytest.mark.parametrize("command, flags, config", [
+@pytest.mark.parametrize("command, flags, lines", [
     ("verify", ["--kappa", "100"], None),
     ("verify", ["--p", "2"], None),
     ("verify", ["--n", "3"], None),
@@ -187,38 +199,34 @@ def test_repeated_kappa_or_order_is_named():
     ("verify", ["--workers", "4"], None),
     ("verify", ["--max-dofs", "5"], None),
     ("solve", ["--workers", "3"], None),
-    ("solve", [], '{"workers": 8}'),
-    ("solve", [], '{"fixed_kappa_h": 1.1}'),
-    ("converge", [], '{"dump_mesh": true}'),
-    ("converge", [], '{"only": "oracle"}'),
-    ("verify", [], '{"kappas": [20.0]}'),
+    ("solve", [], ["--workers=8"]),
+    ("solve", [], ["--fixed-kappa-h=1.1"]),
+    ("converge", [], ["--dump-mesh"]),
+    ("converge", [], ["--only=oracle"]),
+    ("verify", [], ["--kappa=20"]),
 ], ids=["verify-kappa", "verify-p", "verify-n", "verify-out", "verify-workers",
         "verify-max-dofs", "solve-workers", "solve-config-workers",
         "solve-config-fixed-kappa-h", "converge-config-dump-mesh", "converge-config-only",
         "verify-config-kappas"])
 def test_unread_setting_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command, flags,
-                                                config):
-    # A command refuses every flag and config key that it does not read.
+                                                lines):
+    # A command refuses every flag that it does not read, given on the
+    # command line or in an @file, and names it.
     def no_work(*args, **kwargs):
         raise AssertionError("a solve or check started despite an unread setting")
 
     monkeypatch.setattr(cli, "run_benchmark_case", no_work)
     monkeypatch.setattr(cli, "run_verify", no_work)
+    if lines is not None:
+        path = tmp_path / "run.args"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        flags = [f"@{path}"]
     args = [command] + flags
     if command != "verify":
         args += ["--kappa", "5", "--p", "1", "--n", "2", "--out", str(tmp_path)]
-    if config is not None:
-        path = tmp_path / "run.json"
-        path.write_text(config)
-        args += ["--config", str(path)]
-    try:
-        code = main(args)
-    except SystemExit as exc:  # argparse exits 2 on an unknown flag
-        code = exc.code
-    assert code == 2
-    if config is not None:
-        (key,) = json.loads(config)
-        assert f"config key {key!r} is not a setting of hdg {command}" in capsys.readouterr().err
+    assert _exit_code(args) == 2
+    flag = (lines or flags)[0].split("=")[0]
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_header_echoes_blas_threads(monkeypatch):
@@ -353,10 +361,11 @@ def test_header_names_the_one_edge_rule(tmp_path, monkeypatch, kappa, p, n):
 
 
 def test_config_file_with_flag_override(tmp_path):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text('{"kappas": [10.0], "orders": [1], "sizes": [2, 4]}')
+    # An @file holds one argument per line; flags after it win.
+    args_path = tmp_path / "run.args"
+    args_path.write_text("--kappa=10\n--p=1\n--n=2,4\n")
     out = tmp_path / "out"
-    code = main(["converge", "--config", str(cfg_path), "--n", "4,8", "--out", str(out)])
+    code = main(["converge", f"@{args_path}", "--n", "4,8", "--out", str(out)])
     assert code == 0
     lines = _read(out / "converge_k10_p1.csv").splitlines()
     data_rows = [line for line in lines if not line.startswith("#")]
@@ -365,10 +374,10 @@ def test_config_file_with_flag_override(tmp_path):
 
 
 def test_dump_mesh_from_config_file(tmp_path):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text('{"dump_mesh": true}')
+    args_path = tmp_path / "run.args"
+    args_path.write_text("--dump-mesh\n")
     out = tmp_path / "out"
-    code = main(["solve", "--kappa", "5", "--p", "1", "--n", "2", "--config", str(cfg_path),
+    code = main(["solve", "--kappa", "5", "--p", "1", "--n", "2", f"@{args_path}",
                  "--out", str(out)])
     assert code == 0
     assert (out / "mesh_n2.txt").is_file()

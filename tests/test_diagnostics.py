@@ -20,7 +20,13 @@ from helmhdg.hdg_local import ProblemConfig
 from helmhdg.mesh import build_structured_mesh, mesh_entities
 from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule
 from helmhdg.skeleton import Solution, discretize, solve_helmholtz
-from reference import POLLUTION_ERRORS, POLLUTION_ERRORS_REL
+from meshes import jittered_mesh, perturbed_mesh
+from reference import (
+    POLLUTION_ERRORS,
+    POLLUTION_ERRORS_REL,
+    benchmark_discretization,
+    uhat_on_faces_deviation,
+)
 
 
 def _zero_solution(mesh, p):
@@ -34,9 +40,8 @@ def _zero_solution(mesh, p):
 
 
 def _benchmark_discretization(kappa, p, n):
-    mesh = build_structured_mesh(n)
-    _, data = benchmark_problem(kappa)
-    return mesh, discretize(mesh, ProblemConfig.for_mesh(kappa, p, mesh), data.f, data.g)
+    disc = benchmark_discretization(kappa, p, build_structured_mesh(n))
+    return disc.mesh, disc
 
 
 def _norm_u_by_radial_quadrature(kappa):
@@ -276,6 +281,20 @@ def test_energy_identity_detects_corruption():
     solution.uhat[0] += 1e-3
     after = energy_balance(solution, disc)
     assert max(after.residual_re, after.residual_im) > 1e-6
+
+
+@pytest.mark.parametrize("make, p", [
+    (lambda: build_structured_mesh(4), 2),
+    (lambda: build_structured_mesh(8), 3),
+    (perturbed_mesh, 1),
+    (jittered_mesh, 2),
+], ids=["structured-4-p2", "structured-8-p3", "perturbed-p1", "jittered-p2"])
+def test_uhat_on_faces_matches_a_per_element_loop(make, p):
+    # The energy identity's trace on the faces, read from the tables'
+    # `edge_phi`, against the edge basis evaluated per element in each
+    # face's orientation (2.3e-16 relative at worst); swapping the
+    # orientation convention in the tables moves it by 1.5.
+    assert uhat_on_faces_deviation(benchmark_discretization(20.0, p, make())) <= 1e-12
 
 
 @pytest.mark.parametrize("p,n", [(6, 4), (10, 2)])

@@ -5,7 +5,8 @@ that the benchmark's span tracer wraps still exists, and every public
 function, class and method of the package has a caller in `src/` or
 `demos/`, so code that only tests use lives with the tests.  The `hdg`
 parser and `RunConfig` name the same settings: every flag of a command
-sets a field, and every field is set by some command's flag.  Only the
+sets a field, and every field is set by some command's flag, so no flag
+(a settings file, say) feeds `RunConfig` by a second route.  Only the
 monolithic oracle imports SciPy's linalg and sparse stacks.
 
 No linter runs in CI, so this test is the check for dead imports.
@@ -262,11 +263,10 @@ def test_heavy_import_is_detected():
 
 def _setting_mismatch(parser: argparse.ArgumentParser, fields: set[str]) -> set[str]:
     """Flag dests of the subcommands that name no field, and fields but
-    `command` that no subcommand's flag sets; `help` and `config` are
-    not settings."""
+    `command` that no subcommand's flag sets; `help` is not a setting."""
     (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     dests = {action.dest for cmd in commands.values() for action in cmd._actions}
-    return (dests - {"help", "config"}) ^ (fields - {"command"})
+    return (dests - {"help"}) ^ (fields - {"command"})
 
 
 def test_parser_and_config_name_the_same_settings():
@@ -280,6 +280,8 @@ def test_setting_mismatch_is_detected():
     run = sub.add_parser("run")
     run.add_argument("--kappa", dest="kappas")
     run.add_argument("--n")
-    run.add_argument("--config")
+    run.add_argument("--settings")
     sub.add_parser("check").add_argument("--only")
-    assert _setting_mismatch(parser, {"command", "kappas", "only", "sizes"}) == {"n", "sizes"}
+    assert _setting_mismatch(parser, {"command", "kappas", "only", "sizes"}) == {
+        "n", "settings", "sizes",
+    }

@@ -5,12 +5,15 @@ The contracts: the discrete energy identity (`run_benchmark_case` raises
 "energy identity violated"), the skeleton residual contract
 `RESIDUAL_TOL`, the sweep's refusal of a singular front, the checks of
 `hdg verify`, and the pinned pollution errors (`reference.POLLUTION_ERRORS`,
-the committed values of `test_pollution_errors_are_pinned`).  Three
-mutants are caught by the pinned errors alone: tau, the sign of g and the
-edge orientation convention.  The energy identity pairs the solution with
-its own loads and tables, and the oracle and orthonormality share those
-tables, so none of them can see a change that is consistent within the
-solve.
+the committed values of `test_pollution_errors_are_pinned`).  The energy
+identity pairs the solution with its own loads and tables, and the oracle
+and orthonormality share those tables, so none of them can see a change
+that is consistent within the solve.  Two checks restate what the solve
+reads without its tables: the source moments against the oracle's
+per-element `volume_load` (`reference.source_moment_deviation`) and the
+trace on the faces against the edge basis evaluated per element
+(`reference.uhat_on_faces_deviation`).  Two mutants remain caught by the
+pinned errors alone: tau and the sign of g.
 
 Equivalent mutant, not tested: K in place of K^T in
 `Discretization.apply`.  Every class's K is complex symmetric to rounding
@@ -34,7 +37,13 @@ from helmhdg import verify
 from helmhdg.analytic import benchmark_problem
 from helmhdg.diagnostics import run_benchmark_case
 from helmhdg.mesh import build_structured_mesh
-from reference import POLLUTION_ERRORS, POLLUTION_ERRORS_REL
+from reference import (
+    POLLUTION_ERRORS,
+    POLLUTION_ERRORS_REL,
+    benchmark_discretization,
+    source_moment_deviation,
+    uhat_on_faces_deviation,
+)
 
 
 @pytest.fixture
@@ -104,7 +113,9 @@ def test_data_rule_lowered_is_caught_by_the_pinned_errors_and_the_oracle(monkeyp
     # The data rule of the condensed path and the diagnostics at degree
     # - 2 moves the errors by 2.2e-6.  The oracle's `volume_load` keeps
     # its own rule, so `hdg verify`'s oracle sees the source loads differ,
-    # if narrowly: a deviation of 1.1e-8 against its bound of 1e-8.
+    # if narrowly: a deviation of 1.1e-8 against its bound of 1e-8.  The
+    # source moments themselves move by 2.7e-9 to 5.5e-8 relative, far
+    # above their 1e-12 bound.
     degree = analytic.data_quadrature_degree
 
     def lowered(p, kappa, h):
@@ -114,6 +125,9 @@ def test_data_rule_lowered_is_caught_by_the_pinned_errors_and_the_oracle(monkeyp
     monkeypatch.setattr(diagnostics, "data_quadrature_degree", lowered)
     assert not _pinned_errors_hold()
     assert not verify.CHECKS["oracle"]().passed
+    for kappa, p, n in ((5.0, 1, 2), (20.0, 2, 16), (20.0, 2, 22)):
+        disc = benchmark_discretization(kappa, p, build_structured_mesh(n))
+        assert source_moment_deviation(disc) > 1e-12
 
 
 def test_boundary_data_sign_flipped_is_caught_by_the_pinned_errors(monkeypatch):
@@ -129,7 +143,8 @@ def test_orientation_convention_swapped_is_caught_by_the_pinned_errors(
 ):
     # The edge basis of orientation +1 read at 1 - t and of -1 at t moves
     # the errors 165-fold.  The energy identity and orthonormality read the
-    # same swapped tables, so both hold.
+    # same swapped tables, so both hold; the trace on the faces, against
+    # the edge basis evaluated per element, moves by 1.5 relative.
     class Swapped(hdg_local.EdgeBasis):
         def eval(self, t):
             return super().eval(1.0 - np.asarray(t))
@@ -137,6 +152,8 @@ def test_orientation_convention_swapped_is_caught_by_the_pinned_errors(
     monkeypatch.setattr(hdg_local, "EdgeBasis", Swapped)
     assert not _pinned_errors_hold()
     assert verify._check_orthonormality().passed
+    disc = benchmark_discretization(20.0, 2, build_structured_mesh(4))
+    assert uhat_on_faces_deviation(disc) > 1e-12
 
 
 def test_extend_add_dropping_the_last_run_is_caught_by_the_singular_front(monkeypatch):
