@@ -1,7 +1,9 @@
 """Render the solution dump the way the reference study plots its fields.
 
-The solver deliberately contains no plotting; it emits a per-quadrature-
-point CSV that external tools consume.  This script is such a tool: it
+The solver deliberately contains no plotting; it emits a CSV of u_h and
+q_h at the (p+1)^2 points of the degree-2p triangle rule on each element
+(9 per element here, at p = 2, whatever kappa h) that external tools
+consume.  This script is such a tool: it
 solves once, writes the dump, reads it back, and renders the imaginary
 part of u_h as a surface analogue (scatter colored by value) next to the
 exact field, plus the trace of Im(u) along the x-axis.

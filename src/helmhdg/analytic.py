@@ -1,4 +1,4 @@
-"""Exact benchmark solution, problem data, Bessel functions, L2 projections.
+"""Exact benchmark solution, problem data, Bessel functions, data rule degree.
 
 The benchmark is the Helmholtz problem -Lap(u) - kappa^2 u = ft on the
 centered unit square with the impedance condition du/dn + i kappa u = gt,
@@ -19,13 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy import special
-
-from .mesh import ElementGeometry
-from .polybasis import EdgeBasis, TriangleBasis, quadrature_rule
 
 BESSEL_MAX_ARGUMENT = 1e4
 
@@ -145,36 +141,3 @@ def data_quadrature_degree(p: int, kappa: float, h: float) -> int:
     mesh give one degree even where kappa h is an integer.
     """
     return 2 * p + 4 + int(math.ceil(float(f"{kappa * h:.12g}")))
-
-
-def l2_project(
-    target: str,
-    function: Callable[[np.ndarray], np.ndarray],
-    p: int,
-    geometry,
-    quad_degree: int | None = None,
-) -> np.ndarray:
-    """L2-orthogonal projection onto the order-p space of an element or edge.
-
-    In the orthonormal bases the coefficients are plain quadrature inner
-    products of the function with each basis member.  For ``target ==
-    "element"`` the geometry is an `ElementGeometry`; for ``target ==
-    "edge"`` it is the pair of endpoints, shape (2, 2), whose order fixes
-    the edge parametrization.
-    """
-    degree = 2 * p + 10 if quad_degree is None else quad_degree
-    if target == "element":
-        geom: ElementGeometry = geometry
-        rule = quadrature_rule("triangle", degree)
-        basis = TriangleBasis(p).eval(rule.points)
-        values = np.asarray(function(geom.map_to_physical(rule.points)))
-        return math.sqrt(geom.det) * (basis.T @ (rule.weights * values))
-    if target == "edge":
-        ends = np.asarray(geometry, dtype=float).reshape(2, 2)
-        length = float(np.linalg.norm(ends[1] - ends[0]))
-        rule = quadrature_rule("edge", degree)
-        basis = EdgeBasis(p).eval(rule.points)
-        pts = ends[0] + rule.points[:, None] * (ends[1] - ends[0])
-        values = np.asarray(function(pts))
-        return math.sqrt(length) * (basis.T @ (rule.weights * values))
-    raise ValueError(f"unknown projection target {target!r}")

@@ -34,7 +34,7 @@ from .diagnostics import (
     run_benchmark_case,
     write_convergence_csv,
 )
-from .hdg_local import stabilization
+from .hdg_local import reference_tables, stabilization
 from .mesh import write_mesh
 from .polybasis import MAX_ORDER
 from .skeleton import write_solution_csv
@@ -202,7 +202,9 @@ def cmd_converge(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    """Single solves with error report, energy residuals, and solution dump."""
+    """Single solves with error report, energy residuals, and a solution
+    dump at the points of `skeleton.sample_solution`, which the header's
+    last line names."""
     cases = [(kappa, p, n) for kappa in cfg.kappas for p in cfg.orders for n in cfg.sizes]
     for case in cases:
         _guard(cfg, *case)
@@ -220,8 +222,10 @@ def cmd_solve(cfg: RunConfig) -> int:
             f"seconds={r.seconds:.3f}"
         )
         path = os.path.join(cfg.out_dir, f"solution_k{kappa:g}_p{p}_n{n}.csv")
+        sample_rule = (f"sample rule = triangle rule of degree {2 * p}, "
+                       f"{len(reference_tables(p).points)} points per element")
         write_solution_csv(path, result.disc, result.solution,
-                           header_lines=_config_lines(cfg, kappa, p, [n]))
+                           header_lines=_config_lines(cfg, kappa, p, [n]) + [sample_rule])
         print(f"wrote {path}")
         if cfg.dump_mesh:
             mesh_path = os.path.join(cfg.out_dir, f"mesh_n{n}.txt")
@@ -233,12 +237,20 @@ def cmd_solve(cfg: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """Each command takes only the flags it reads, and a flag's dest is
     the RunConfig field it sets.  An argument ``@FILE`` stands for the
-    lines of FILE, one argument each."""
+    lines of FILE, one argument each; a blank line exits 2 and says so,
+    where argparse would pass it on as an empty argument."""
     parser = argparse.ArgumentParser(
         prog="hdg",
         description="HDG solver for the 2-d Helmholtz equation with Robin boundary at high wave number",
         fromfile_prefix_chars="@",
     )
+
+    def file_argument(line: str) -> list[str]:
+        if not line.strip():
+            parser.error("an argument file has a blank line; give one argument per line")
+        return [line]
+
+    parser.convert_arg_line_to_args = file_argument
     sub = parser.add_subparsers(dest="command", required=True)
     solve = sub.add_parser("solve", help="run single solves and dump solutions")
     converge = sub.add_parser("converge", help="run convergence or pollution studies")

@@ -24,8 +24,10 @@ of every edge integral, boundary data included.  The trace
 error evaluates each edge once, along its global direction, and weights
 interior edges by 2 (once per incident element) and boundary edges by 1,
 matching the broken-boundary norm.  The exact solution is evaluated on
-`skeleton.blocks` of elements or edges, so the error norms add no
-per-point array of the whole mesh to the peak memory.
+`skeleton.blocks` of elements or edges, each of at most
+`skeleton.BLOCK_POINTS` points unless one item has more, so the error
+norms add no per-point array of the whole mesh to the peak memory, however
+many points the data rule has.
 """
 
 from __future__ import annotations
@@ -142,27 +144,33 @@ def compute_errors(
     seconds: float = float("nan"),
 ) -> ErrorReport:
     """L2 errors of (u_h, q_h) and the broken trace error of uhat, taken
-    over `blocks` of the elements of a class, or of the edges."""
+    over `blocks` of the elements of a class, or of the edges.  As
+    `discretize` sums ||f||^2, each element's or edge's square error is
+    kept and the squares are summed once, not block by block."""
     mesh, cfg = disc.mesh, disc.cfg
     e_u_sq = 0.0
     e_q_sq = 0.0
     for cls in disc.classes:
-        det, weights = cls.geom.det, cls.rule.weights
-        for sel in blocks(len(cls.ids)):
+        weights = cls.rule.weights
+        u_sq = np.empty(len(cls.ids))
+        q_sq = np.empty(len(cls.ids))
+        for sel in blocks(len(cls.ids), cls.rule.n_points):
             ue, grad = exact.u_and_grad(cls.points(mesh, sel).reshape(-1, 2))
             uh, q1, q2 = cls.fields(solution, sel)
             qe = (1j * grad / exact.kappa).reshape(*uh.shape, 2)
             du = uh - ue.reshape(uh.shape)
             dq1 = q1 - qe[:, :, 0]
             dq2 = q2 - qe[:, :, 1]
-            e_u_sq += det * float((np.abs(du) ** 2 @ weights).sum())
-            e_q_sq += det * float(((np.abs(dq1) ** 2 + np.abs(dq2) ** 2) @ weights).sum())
+            u_sq[sel] = np.abs(du) ** 2 @ weights
+            q_sq[sel] = (np.abs(dq1) ** 2 + np.abs(dq2) ** 2) @ weights
+        e_u_sq += cls.geom.det * float(u_sq.sum())
+        e_q_sq += cls.geom.det * float(q_sq.sum())
 
     rule = quadrature_rule("edge", data_quadrature_degree(cfg.p, cfg.kappa, mesh.h_global))
     basis = EdgeBasis(cfg.p).eval(rule.points).T
     traces = solution.uhat.reshape(mesh.n_edges, cfg.p + 1)
-    e_t_sq = 0.0
-    for sel in blocks(mesh.n_edges):
+    t_sq = np.empty(mesh.n_edges)
+    for sel in blocks(mesh.n_edges, rule.n_points):
         edges = np.arange(sel.start, sel.stop)
         elem, face = mesh.edge_to_elements[edges, 0].T
         lengths = mesh.face_lengths[elem, face]
@@ -170,7 +178,8 @@ def compute_errors(
         diff = exact_u.reshape(edges.size, -1) - (traces[edges] @ basis) / np.sqrt(lengths)[:, None]
         # Interior edges count once per incident element.
         weights = np.where(mesh.boundary_flags[edges], 1.0, 2.0) * lengths
-        e_t_sq += float(weights @ (np.abs(diff) ** 2 @ rule.weights))
+        t_sq[sel] = weights * (np.abs(diff) ** 2 @ rule.weights)
+    e_t_sq = float(t_sq.sum())
 
     e_u = math.sqrt(e_u_sq)
     e_q = math.sqrt(e_q_sq)

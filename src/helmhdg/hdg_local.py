@@ -1,4 +1,4 @@
-"""Per-element HDG operators: local blocks, local solves, static condensation.
+"""Per-element HDG operators: local blocks, reference tables, static condensation.
 
 On every triangle T the method couples a vector flux unknown (2N scalar
 coefficients, N = dim P_p), a scalar unknown (N coefficients), and the
@@ -121,26 +121,20 @@ class LocalBlocks:
         L[n2:, n2:] = 1j * self.kappa * self.M + self.S
         return L
 
-    def rhs(self, lam: np.ndarray, f_load: np.ndarray | None = None) -> np.ndarray:
-        lam = np.asarray(lam, dtype=complex).reshape(self.n_trace)
-        top = -self.C @ lam
-        bottom = self.R @ lam
-        if f_load is not None:
-            bottom = bottom + np.asarray(f_load, dtype=complex).reshape(self.n_scalar)
-        return np.concatenate([top, bottom])
-
 
 @dataclass(frozen=True)
 class ReferenceTables:
     """Geometry-independent tables of the order-p element, all read-only:
-    the 2p triangle rule weights with basis values and gradients at its
-    points, the scalar mass M and the vector mass kron(I_2, M); the 2p
-    edge rule weights with the element basis on each local face and the
-    edge basis per orientation (index 0 for +1 at t, 1 for -1 at 1 - t);
-    and per local face the moments phi_f^T W psi and the face mass
-    phi_f^T W phi_f.  The assembly, the energy identity and `hdg verify`
-    read these, so all share one face rule and orientation convention."""
+    the 2p triangle rule points and weights with basis values and
+    gradients at its points, the scalar mass M and the vector mass
+    kron(I_2, M); the 2p edge rule weights with the element basis on each
+    local face and the edge basis per orientation (index 0 for +1 at t, 1
+    for -1 at 1 - t); and per local face the moments phi_f^T W psi and the
+    face mass phi_f^T W phi_f.  The assembly, the energy identity, the
+    solution samples and `hdg verify` read these, so all share one rule
+    and orientation convention."""
 
+    points: np.ndarray  # (nq, 2), (p + 1)^2 points
     weights: np.ndarray  # (nq,)
     phi: np.ndarray  # (nq, N)
     grad: np.ndarray  # (nq, N, 2)
@@ -156,8 +150,8 @@ class ReferenceTables:
 @functools.lru_cache(maxsize=None)
 def reference_tables(p: int) -> ReferenceTables:
     """The order-p tables, built once per process and shared by the local
-    assembly, the monolithic oracle's flux coupling, the energy identity
-    and the basis checks of `hdg verify`."""
+    assembly, the monolithic oracle's flux coupling, the energy identity,
+    `skeleton.sample_solution` and the basis checks of `hdg verify`."""
     basis = TriangleBasis(p)
     rule = quadrature_rule("triangle", 2 * p)
     phi, grad = basis.eval_with_grad(rule.points)
@@ -170,6 +164,7 @@ def reference_tables(p: int) -> ReferenceTables:
     edge_phi = np.array([edge_basis.eval(t), edge_basis.eval(1.0 - t)])
     face_trace = [[phi_f.T @ (w[:, None] * psi) for psi in edge_phi] for phi_f in face_phi]
     tables = ReferenceTables(
+        points=rule.points,
         weights=rule.weights,
         phi=phi,
         grad=grad,
@@ -237,24 +232,6 @@ def volume_load(
     phi = TriangleBasis(cfg.p).eval(rule.points)
     values = np.asarray(f(geom.map_to_physical(rule.points)), dtype=complex)
     return math.sqrt(geom.det) * (phi.T @ (rule.weights * values))
-
-
-def local_solve(
-    blocks: LocalBlocks, lam: np.ndarray, f_load: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the local equations for given face traces and source moments.
-
-    Returns the flux and scalar coefficient vectors (2N,) and (N,).  The
-    local matrix is provably invertible; a singular factorization here
-    signals an assembly bug upstream.
-    """
-    L = blocks.system_matrix()
-    try:
-        x = np.linalg.solve(L, blocks.rhs(lam, f_load))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - cannot occur for valid blocks
-        raise RuntimeError("singular local HDG system; assembly is inconsistent") from exc
-    n2 = 2 * blocks.n_scalar
-    return x[:n2], x[n2:]
 
 
 class CondensedOperators:

@@ -24,7 +24,13 @@ translated elements.  `solve_helmholtz`, `sample_solution` and the diagnostics r
 that one `Discretization`, so the data are evaluated once and the energy
 identity pairs the solution with the very loads the solve used.  The
 discretization holds no callable, sparse matrix, factor or per-point
-array, so it adds nothing to the peak memory of the solve.
+array, so it adds nothing to the peak memory of the solve.  The data are
+evaluated on `blocks` of at most `BLOCK_POINTS` points (one element or
+edge at least), so the transient memory does not grow with the data rule,
+whose degree grows with kappa h.  `sample_solution` evaluates u_h and q_h
+over a range of elements in one batched step, at the (p + 1)^2 points of
+the degree-2p rule of `reference_tables`, so the solution CSV has a fixed
+number of rows per element whatever kappa h.
 Every sum runs in a fixed order (each edge gathers its one or two
 element faces in element-major order, and each front is assembled once,
 from its class's first member), so repeated runs are bit-identical.
@@ -110,17 +116,23 @@ REFINE_TOL = 1e-12
 #: Most multifrontal sweeps during refinement.
 MAX_REFINE_STEPS = 10
 
-#: Elements, or edges, whose data one call evaluates, which bounds the
-#: transient memory of the source loads, the error norms and the CSV dump.
-BLOCK = 1024
+#: Points whose data one call evaluates: a block takes as many elements,
+#: or edges, as fit at its rule's points per item, and at least one.  This
+#: bounds the transient memory of the source loads, the error norms, the
+#: CSV dump and the projection check of `hdg verify`, however fine the data
+#: rule gets with kappa h.  2^12 points hold 163 elements or 819 edges of
+#: the 25- and 5-point data rules of p = 2 at kappa h <= 1.
+BLOCK_POINTS = 2**12
 
 SourceFn = Callable[[np.ndarray], np.ndarray]
 BoundaryFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def blocks(count: int) -> list[slice]:
-    """Consecutive slices of at most `BLOCK` items covering range(count)."""
-    return [slice(start, min(start + BLOCK, count)) for start in range(0, count, BLOCK)]
+def blocks(count: int, points: int) -> list[slice]:
+    """Consecutive slices covering range(count), each of as many items of
+    `points` points as fit in `BLOCK_POINTS`, and at least one."""
+    size = max(1, BLOCK_POINTS // points)
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def _edge_dofs(edges: np.ndarray, m: int) -> np.ndarray:
@@ -293,7 +305,7 @@ def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Di
         phi = basis.eval(rule.points)
         f_moments = np.empty((len(ids), basis.dim), dtype=complex)
         f_sq = np.empty(len(ids))
-        for sel in blocks(len(ids)):
+        for sel in blocks(len(ids), rule.n_points):
             phys = _data_points(mesh, ids[sel], geom, rule).reshape(-1, 2)
             values = np.asarray(f(phys), dtype=complex).reshape(-1, rule.n_points)
             f_moments[sel] = (values * rule.weights) @ phi
@@ -588,38 +600,34 @@ def monolithic_solve(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn)
 def sample_solution(
     disc: Discretization, solution: Solution, elements: slice = slice(None)
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate (u_h, q_h) at the data quadrature points of the elements
-    whose ids lie in the range `elements` (all by default).
+    """Evaluate (u_h, q_h) on the elements whose ids lie in the range
+    `elements` (all by default), at the (p + 1)^2 points of the degree-2p
+    triangle rule whose basis values the assembly reads (`reference_tables`).
 
     Returns (points, u values, q values) with shapes (K, 2), (K,), (K, 2),
-    ordered by ascending element index.
+    element-major in ascending element order.
     """
-    lo, hi, _ = elements.indices(disc.mesh.n_elements)
-    pts_out, u_out, q_out, owners = [], [], [], []
-    for cls in disc.classes:
-        sel = slice(*np.searchsorted(cls.ids, [lo, hi]))
-        uh, q1, q2 = cls.fields(solution, sel)
-        pts_out.append(cls.points(disc.mesh, sel).reshape(-1, 2))
-        u_out.append(uh.ravel())
-        q_out.append(np.stack([q1.ravel(), q2.ravel()], axis=1))
-        owners.append(np.repeat(cls.ids[sel], cls.rule.n_points))
-    perm = np.argsort(np.concatenate(owners), kind="stable")
-    return (
-        np.concatenate(pts_out)[perm],
-        np.concatenate(u_out)[perm],
-        np.concatenate(q_out)[perm],
-    )
+    mesh, ref = disc.mesh, reference_tables(disc.cfg.p)
+    n = ref.phi.shape[1]
+    v0 = mesh.vertices[mesh.triangles[elements, 0]]
+    points = v0[:, None, :] + ref.points @ mesh.jacobians[elements].transpose(0, 2, 1)
+    scale = 1.0 / np.sqrt(mesh.dets[elements])[:, None]
+    u = scale * (solution.U[elements] @ ref.phi.T)
+    q1 = scale * (solution.Q[elements, :n] @ ref.phi.T)
+    q2 = scale * (solution.Q[elements, n:] @ ref.phi.T)
+    return points.reshape(-1, 2), u.ravel(), np.stack([q1.ravel(), q2.ravel()], axis=1)
 
 
 def write_solution_csv(path: str, disc: Discretization, solution: Solution,
                        header_lines: list[str] | None = None) -> None:
-    """Dump (u_h, q_h) at element quadrature points as CSV for plotting,
-    over `blocks` of ascending element ids."""
+    """Dump (u_h, q_h) at the points of `sample_solution` as CSV for
+    plotting, over `blocks` of ascending element ids."""
+    samples = len(reference_tables(disc.cfg.p).points)
     with open(path, "w", encoding="utf-8") as fh:
         for line in header_lines or []:
             fh.write(f"# {line}\n")
         fh.write("x,y,re_u,im_u,re_q1,im_q1,re_q2,im_q2\n")
-        for elements in blocks(disc.mesh.n_elements):
+        for elements in blocks(disc.mesh.n_elements, samples):
             pts, u, q = sample_solution(disc, solution, elements)
             columns = [pts, u.real, u.imag, q[:, 0].real, q[:, 0].imag, q[:, 1].real, q[:, 1].imag]
             np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",")

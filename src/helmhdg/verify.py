@@ -121,22 +121,22 @@ def _projection_errors(n: int, p: int, func: Callable) -> tuple[float, float]:
     """Global element and trace L2 errors of the elementwise L2 projection.
 
     Elements are processed in the slices of `skeleton.blocks`, with one
-    call of `func` on the volume points of a block and one per local face.
-    The geometry comes from the mesh's stored arrays, so any affine mesh
-    works.
+    call of `func` per block on the volume points and the points of the
+    three local faces together.  The geometry comes from the mesh's
+    stored arrays, so any affine mesh works.
     """
     mesh = build_structured_mesh(n)
-    basis = TriangleBasis(p)
     vol_rule = quadrature_rule("triangle", 2 * p + 12)
     edge_rule = quadrature_rule("edge", 2 * p + 12)
-    phi = basis.eval(vol_rule.points)
-    face_pts = [reference_face_points(face, edge_rule.points) for face in range(3)]
-    phi_faces = [basis.eval(pts) for pts in face_pts]
+    nv = vol_rule.n_points
+    ref = np.concatenate(
+        [vol_rule.points] + [reference_face_points(face, edge_rule.points) for face in range(3)])
+    phi = TriangleBasis(p).eval(ref)
 
     v0 = mesh.vertices[mesh.triangles[:, 0]]
     jac, det, lengths = mesh.jacobians, mesh.dets, mesh.face_lengths
 
-    def physical(sel: slice, ref: np.ndarray) -> np.ndarray:
+    def physical(sel: slice) -> np.ndarray:
         # One contiguous (nE, nq) array per coordinate, faster than
         # broadcasting over a trailing axis of length 2; J's columns are
         # v1 - v0 and v2 - v0.
@@ -146,16 +146,14 @@ def _projection_errors(n: int, p: int, func: Callable) -> tuple[float, float]:
 
     vol_sq = 0.0
     trace_sq = 0.0
-    for sel in blocks(mesh.n_elements):
+    for sel in blocks(mesh.n_elements, len(ref)):
         root_det = np.sqrt(det[sel])[:, None]
-        values = np.asarray(func(physical(sel, vol_rule.points))).reshape(root_det.size, -1)
-        coeff = root_det * ((values * vol_rule.weights) @ phi)  # (nE, N)
-        diff = values - (coeff @ phi.T) / root_det
-        vol_sq += float(det[sel] @ (np.abs(diff) ** 2 @ vol_rule.weights))
-        for face in range(3):
-            fvals = np.asarray(func(physical(sel, face_pts[face]))).reshape(root_det.size, -1)
-            fdiff = fvals - (coeff @ phi_faces[face].T) / root_det
-            trace_sq += float(lengths[sel, face] @ (np.abs(fdiff) ** 2 @ edge_rule.weights))
+        values = np.asarray(func(physical(sel))).reshape(root_det.size, -1)
+        coeff = root_det * ((values[:, :nv] * vol_rule.weights) @ phi[:nv])  # (nE, N)
+        diff_sq = np.abs(values - (coeff @ phi.T) / root_det) ** 2
+        vol_sq += float(det[sel] @ (diff_sq[:, :nv] @ vol_rule.weights))
+        face_sq = diff_sq[:, nv:].reshape(-1, 3, edge_rule.n_points) @ edge_rule.weights
+        trace_sq += float(np.sum(lengths[sel] * face_sq))
     return math.sqrt(vol_sq), math.sqrt(trace_sq)
 
 

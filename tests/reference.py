@@ -1,7 +1,8 @@
 """Reference computations that only the tests use.
 
 Each one restates a quantity that the package computes another way, so a
-test can compare the two: the residual of the local equations, the face
+test can compare the two: the local equations solved element by element
+and their residual, the L2 projection onto one element or edge, the face
 moments of the numerical flux taken directly from (Q, U, lam), the
 skeleton matrix A in the global dof numbering, the oracle's flux
 coupling with the basis evaluated per element, the classes' source
@@ -11,6 +12,8 @@ It also holds the committed error norms of two pollution cases, which the
 pinned-norm test and the mutants that only those norms catch compare
 against.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +35,53 @@ POLLUTION_ERRORS = {
 POLLUTION_ERRORS_REL = 1e-9
 
 
+def local_rhs(blocks: LocalBlocks, lam: np.ndarray, f_load: np.ndarray | None = None) -> np.ndarray:
+    """Right-hand side of the local equations for face traces lam and
+    source moments f_load."""
+    lam = np.asarray(lam, dtype=complex).reshape(blocks.n_trace)
+    bottom = blocks.R @ lam
+    if f_load is not None:
+        bottom = bottom + np.asarray(f_load, dtype=complex).reshape(blocks.n_scalar)
+    return np.concatenate([-blocks.C @ lam, bottom])
+
+
+def local_solve(
+    blocks: LocalBlocks, lam: np.ndarray, f_load: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The local equations of one element solved for given face traces and
+    source moments, apart from the condensation: the flux and scalar
+    coefficient vectors (2N,) and (N,)."""
+    x = np.linalg.solve(blocks.system_matrix(), local_rhs(blocks, lam, f_load))
+    n2 = 2 * blocks.n_scalar
+    return x[:n2], x[n2:]
+
+
+def l2_project(target: str, function, p: int, geometry, quad_degree: int | None = None) -> np.ndarray:
+    """L2-orthogonal projection onto the order-p space of an element or edge.
+
+    In the orthonormal bases the coefficients are plain quadrature inner
+    products of the function with each basis member.  For ``target ==
+    "element"`` the geometry is an `ElementGeometry`; for ``target ==
+    "edge"`` it is the pair of endpoints, shape (2, 2), whose order fixes
+    the edge parametrization.
+    """
+    degree = 2 * p + 10 if quad_degree is None else quad_degree
+    if target == "element":
+        rule = quadrature_rule("triangle", degree)
+        basis = TriangleBasis(p).eval(rule.points)
+        values = np.asarray(function(geometry.map_to_physical(rule.points)))
+        return math.sqrt(geometry.det) * (basis.T @ (rule.weights * values))
+    if target == "edge":
+        ends = np.asarray(geometry, dtype=float).reshape(2, 2)
+        length = float(np.linalg.norm(ends[1] - ends[0]))
+        rule = quadrature_rule("edge", degree)
+        basis = EdgeBasis(p).eval(rule.points)
+        pts = ends[0] + rule.points[:, None] * (ends[1] - ends[0])
+        values = np.asarray(function(pts))
+        return math.sqrt(length) * (basis.T @ (rule.weights * values))
+    raise ValueError(f"unknown projection target {target!r}")
+
+
 def local_residual(
     blocks: LocalBlocks,
     Q: np.ndarray,
@@ -42,7 +92,7 @@ def local_residual(
     """Relative residual of the local equations at given coefficients."""
     L = blocks.system_matrix()
     x = np.concatenate([np.asarray(Q, dtype=complex), np.asarray(U, dtype=complex)])
-    rhs = blocks.rhs(lam, f_load)
+    rhs = local_rhs(blocks, lam, f_load)
     scale = max(np.linalg.norm(rhs), np.linalg.norm(L, ord=np.inf) * np.linalg.norm(x), 1e-300)
     return float(np.linalg.norm(L @ x - rhs) / scale)
 

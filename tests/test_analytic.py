@@ -10,10 +10,10 @@ from helmhdg.analytic import (
     bessel_j,
     benchmark_problem,
     data_quadrature_degree,
-    l2_project,
 )
 from helmhdg.mesh import ElementGeometry
 from helmhdg.polybasis import quadrature_rule, TriangleBasis
+from reference import l2_project
 
 
 def _series_oracle_j0(x, terms=80):
@@ -268,24 +268,28 @@ def test_blocked_projection_matches_per_element_loop(n, p):
 
 
 def test_projection_check_calls_func_per_block(monkeypatch):
-    from helmhdg import analytic, mesh, skeleton, verify
+    from helmhdg import mesh, skeleton, verify
 
     def forbidden(*args, **kwargs):
         raise AssertionError("per-element call in the projection check")
 
-    for module, name in ((verify, "l2_project"), (analytic, "l2_project"),
-                         (verify, "mesh_entities"), (mesh, "mesh_entities")):
-        monkeypatch.setattr(module, name, forbidden, raising=False)
+    for module in (verify, mesh):
+        monkeypatch.setattr(module, "mesh_entities", forbidden)
     calls = []
 
     def func(pts):
         calls.append(len(pts))
         return np.sin(3.0 * pts[:, 0]) * np.cos(2.0 * pts[:, 1])
 
-    n = 32
-    verify._projection_errors(n, 1, func)
-    n_blocks = math.ceil(2 * n * n / skeleton.BLOCK)
-    assert 0 < len(calls) <= 4 * n_blocks
+    n, p = 32, 1
+    verify._projection_errors(n, p, func)
+    # One call per block, on 64 volume and 3 x 8 face points per element:
+    # 46 elements fit in a block of 2^12 points, so the 2 048 elements take
+    # 44 full blocks and one of 24.
+    per_element = (quadrature_rule("triangle", 2 * p + 12).n_points
+                   + 3 * quadrature_rule("edge", 2 * p + 12).n_points)
+    assert (per_element, skeleton.BLOCK_POINTS) == (88, 2**12)
+    assert calls == [46 * 88] * 44 + [24 * 88]
 
 
 def test_edge_projection_of_constant():

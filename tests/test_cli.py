@@ -184,6 +184,20 @@ def test_bad_input_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, flags
     assert message in capsys.readouterr().err
 
 
+def test_blank_line_in_an_argument_file_is_named(tmp_path, monkeypatch, capsys):
+    # argparse would pass the blank line on as an empty argument and say
+    # only "unrecognized arguments: " with nothing after it.
+    monkeypatch.setattr(cli, "run_benchmark_case", lambda *args: pytest.fail("a solve started"))
+    path = tmp_path / "run.args"
+    path.write_text("--kappa=20\n\n--p=1\n")
+    out = tmp_path / "out"
+    assert _exit_code(["solve", f"@{path}", "--n", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "hdg: error: an argument file has a blank line" in err
+    assert "unrecognized arguments" not in err
+    assert not out.exists()
+
+
 def test_repeated_kappa_or_order_is_named():
     with pytest.raises(cli.UsageError, match="wave number 20 is repeated"):
         cli.RunConfig("converge", kappas=[20.0, 40.0, 20.0]).validate()

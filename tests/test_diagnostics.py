@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helmhdg.analytic import ExactSolution, benchmark_problem, data_quadrature_degree, l2_project
+from helmhdg.analytic import ExactSolution, benchmark_problem, data_quadrature_degree
 from helmhdg.diagnostics import (
     ConvergenceTable,
     ErrorReport,
@@ -19,12 +19,14 @@ from helmhdg.diagnostics import (
 from helmhdg.hdg_local import ProblemConfig
 from helmhdg.mesh import build_structured_mesh, mesh_entities
 from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule
+from helmhdg import skeleton
 from helmhdg.skeleton import Solution, discretize, solve_helmholtz
 from meshes import jittered_mesh, perturbed_mesh
 from reference import (
     POLLUTION_ERRORS,
     POLLUTION_ERRORS_REL,
     benchmark_discretization,
+    l2_project,
     uhat_on_faces_deviation,
 )
 
@@ -181,8 +183,10 @@ def test_blocked_errors_match_unblocked(monkeypatch):
     monkeypatch.undo()
     volume = quadrature_rule("triangle", data_quadrature_degree(p, kappa, disc.classes[0].geom.h))
     edge = quadrature_rule("edge", data_quadrature_degree(p, kappa, mesh.h_global))
-    assert calls == ([1024 * volume.n_points, 576 * volume.n_points] * 2
-                     + [1024 * edge.n_points] * 4 + [784 * edge.n_points])
+    # Blocks of 2^12 points: 163 elements of 25 points (9 full blocks and
+    # one of 133 per class) and 819 edges of 5 points (5 full and one of 785).
+    assert (volume.n_points, edge.n_points, skeleton.BLOCK_POINTS) == (25, 5, 2**12)
+    assert calls == ([163 * 25] * 9 + [133 * 25]) * 2 + [819 * 5] * 5 + [785 * 5]
     reference = _unblocked_errors(solution, exact, disc)
     for value, ref in zip((report.e_u, report.e_q, report.e_trace), reference):
         assert abs(value - ref) <= 1e-13 * ref

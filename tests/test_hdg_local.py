@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helmhdg.analytic import l2_project
 from helmhdg.hdg_local import (
     CondensedOperators,
     ProblemConfig,
     assemble_local_blocks,
-    local_solve,
     volume_load,
 )
 from helmhdg.mesh import ElementGeometry, build_structured_mesh, mesh_entities
-from reference import flux_functional, local_residual
+from reference import flux_functional, l2_project, local_residual, local_solve
 
 REF_GEOM = ElementGeometry.from_vertices([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from helmhdg.analytic import benchmark_problem, data_quadrature_degree
-from helmhdg.diagnostics import data_norms
+from helmhdg.analytic import ExactSolution, benchmark_problem, data_quadrature_degree
+from helmhdg.diagnostics import compute_errors, data_norms
 from helmhdg.hdg_local import ProblemConfig, assemble_local_blocks, reference_tables
 from helmhdg.mesh import build_structured_mesh, dissection_tree, mesh_entities
 from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule
@@ -442,6 +442,105 @@ def test_solution_csv_dump(tmp_path):
     assert first[0] == pytest.approx(pts[0, 0])
     assert first[2] == pytest.approx(u[0].real)
     assert first[6] == pytest.approx(q[0, 1].real)
+
+
+def _random_solution(mesh, p, seed=3):
+    rng = np.random.default_rng(seed)
+    n = TriangleBasis(p).dim
+    Q, U = (rng.standard_normal((mesh.n_elements, k)) + 1j * rng.standard_normal((mesh.n_elements, k))
+            for k in (2 * n, n))
+    return Solution(Q=Q, U=U, uhat=np.zeros((p + 1) * mesh.n_edges, dtype=complex), p=p)
+
+
+def test_samples_per_element_do_not_grow_with_kappa_h(tmp_path):
+    # At (60, 1, 4) the data rule has 225 points per element; the samples
+    # stay at the (p + 1)^2 = 4 points of the assembly's 2p rule.
+    mesh = build_structured_mesh(4)
+    disc = benchmark_discretization(60.0, 1, mesh)
+    assert disc.classes[0].rule.n_points == 225
+    solution, _ = solve_helmholtz(disc)
+    pts, u, q = sample_solution(disc, solution)
+    assert pts.shape == (4 * mesh.n_elements, 2) and u.shape == (4 * mesh.n_elements,)
+    assert q.shape == (4 * mesh.n_elements, 2)
+    path = tmp_path / "solution.csv"
+    write_solution_csv(str(path), disc, solution)
+    assert len(path.read_text().splitlines()) == 1 + 4 * mesh.n_elements
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("make_mesh", [lambda: build_structured_mesh(4), jittered_mesh],
+                         ids=["structured", "jittered"])
+def test_samples_match_a_per_element_evaluation(make_mesh, p):
+    # Element by element: the 2p rule's points mapped by the element's own
+    # geometry, and the basis evaluated there, not read from the tables.
+    mesh = make_mesh()
+    disc = benchmark_discretization(20.0, p, mesh)
+    solution = _random_solution(mesh, p)
+    pts, u, q = sample_solution(disc, solution)
+    ref = quadrature_rule("triangle", 2 * p)
+    phi = TriangleBasis(p).eval(ref.points)
+    n, k = phi.shape[1], ref.n_points
+    want_pts, want_u, want_q = [], [], []
+    for elem in range(mesh.n_elements):
+        geom = mesh_entities(mesh, elem)
+        scale = 1.0 / np.sqrt(geom.det)
+        want_pts.append(geom.map_to_physical(ref.points))
+        want_u.append(scale * (phi @ solution.U[elem]))
+        want_q.append(scale * np.stack([phi @ solution.Q[elem, :n], phi @ solution.Q[elem, n:]], axis=1))
+    assert pts.shape[0] == k * mesh.n_elements == (p + 1) ** 2 * mesh.n_elements
+    for got, want in ((pts, np.concatenate(want_pts)), (u, np.concatenate(want_u)),
+                      (q, np.concatenate(want_q))):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_a_sampled_range_is_rows_of_the_full_sample():
+    mesh = jittered_mesh()
+    p = 2
+    disc = benchmark_discretization(20.0, p, mesh)
+    solution = _random_solution(mesh, p)
+    full = sample_solution(disc, solution)
+    k = (p + 1) ** 2
+    for a, b in ((5, 17), (mesh.n_elements - 3, mesh.n_elements)):
+        part = sample_solution(disc, solution, slice(a, b))
+        for got, whole in zip(part, full):
+            assert np.array_equal(got, whole[k * a : k * b])
+    # One element takes BLAS's matrix-vector product, which may round the
+    # last bit differently.
+    for got, whole in zip(sample_solution(disc, solution, slice(7, 8)), full):
+        assert np.abs(got - whole[7 * k : 8 * k]).max() <= 1e-14 * np.abs(whole).max()
+
+
+def test_a_block_holds_as_many_items_as_fit_and_at_least_one():
+    budget = skeleton.BLOCK_POINTS
+    assert skeleton.blocks(10, budget // 4) == [slice(0, 4), slice(4, 8), slice(8, 10)]
+    assert skeleton.blocks(3, 10 * budget) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert skeleton.blocks(0, 5) == []
+
+
+def test_data_calls_stay_within_the_point_budget(monkeypatch):
+    # At (300, 1, 2) the data rule has 12 100 points per element, more than
+    # a block's budget, so f and the exact solution get one element per
+    # call, not all 8 elements' 96 800 points at once.
+    kappa, p = 300.0, 1
+    mesh = build_structured_mesh(2)
+    exact, data = benchmark_problem(kappa)
+    per_element = quadrature_rule("triangle", data_quadrature_degree(p, kappa, mesh.h_global)).n_points
+    assert per_element == 12_100 > skeleton.BLOCK_POINTS
+    calls = []
+
+    def f(points):
+        calls.append(len(points))
+        return data.f(points)
+
+    disc = discretize(mesh, ProblemConfig.for_mesh(kappa, p, mesh), f, data.g)
+    assert calls == [per_element] * mesh.n_elements
+    solution, _ = solve_helmholtz(disc)
+    calls.clear()
+    u_and_grad = ExactSolution.u_and_grad
+    monkeypatch.setattr(ExactSolution, "u_and_grad",
+                        lambda self, pts: calls.append(len(pts)) or u_and_grad(self, pts))
+    compute_errors(solution, exact, disc)
+    assert calls == [per_element] * mesh.n_elements
 
 
 def _fstring_rows(pts, u, q):
