@@ -22,7 +22,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import BLAS_THREAD_VARS, PINNED_AFTER_NUMPY, __version__
@@ -189,6 +188,8 @@ def cmd_converge(cfg: RunConfig) -> int:
         _guard(cfg, *job)
     os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when used
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = dict(zip(jobs, pool.map(_run_case, jobs)))
     else:

@@ -23,7 +23,10 @@ the congruence classes of elements (equal Jacobian up to rounding noise
 of translated vertices, and equal face orientations), which the
 condensation, the dissection tree and the local-uniqueness check read.
 `Mesh.edge_points` places edge quadrature points along the global edge
-direction for the boundary data and the trace error alike.  `dissection_tree` cuts the elements recursively into a tree
+direction for the boundary data and the trace error alike, and
+`Mesh.element_points` maps reference points into elements for the source
+loads, the error norms, the solution samples and the projection check.
+`dissection_tree` cuts the elements recursively into a tree
 whose translated nodes are grouped into congruence classes, which the
 skeleton solver factors once per class.
 Meshes are immutable after construction and safe for concurrent reads.
@@ -103,6 +106,16 @@ class Mesh:
         a = self.vertices[self.edges[edges, 0]]
         b = self.vertices[self.edges[edges, 1]]
         return a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+
+    def element_points(
+        self, elements: np.ndarray | slice, ref_points: np.ndarray, jacobians: np.ndarray
+    ) -> np.ndarray:
+        """Physical points x = v0 + J xhat of the nE given elements at the
+        reference points (nq, 2), shape (nE, nq, 2).  `jacobians` is one
+        (2, 2) J shared by all of them (a class representative's) or their
+        (nE, 2, 2) rows of `jacobians`."""
+        v0 = self.vertices[self.triangles[elements, 0]]
+        return v0[:, None, :] + ref_points @ np.swapaxes(jacobians, -1, -2)
 
     def validate(self) -> None:
         """Check mesh invariants; raises ValueError on any violation."""

@@ -27,9 +27,11 @@ discretization holds no callable, sparse matrix, factor or per-point
 array, so it adds nothing to the peak memory of the solve.  The data are
 evaluated on `blocks` of at most `BLOCK_POINTS` points (one element or
 edge at least), so the transient memory does not grow with the data rule,
-whose degree grows with kappa h.  `sample_solution` evaluates u_h and q_h
-over a range of elements in one batched step, at the (p + 1)^2 points of
-the degree-2p rule of `reference_tables`, so the solution CSV has a fixed
+whose degree grows with kappa h.  Every element sample maps its points by
+`Mesh.element_points` and evaluates u_h and q_h by `Solution.fields`: the
+source loads and error norms with a class representative's J and det J,
+`sample_solution` with each element's own, at the (p + 1)^2 points of the
+degree-2p rule of `reference_tables`, so the solution CSV has a fixed
 number of rows per element whatever kappa h.
 Every sum runs in a fixed order (each edge gathers its one or two
 element faces in element-major order, and each front is assembled once,
@@ -117,7 +119,7 @@ REFINE_TOL = 1e-12
 MAX_REFINE_STEPS = 10
 
 #: Points whose data one call evaluates: a block takes as many elements,
-#: or edges, as fit at its rule's points per item, and at least one.  This
+#: or edges, as fit at its rule's points per item (see `blocks`).  This
 #: bounds the transient memory of the source loads, the error norms, the
 #: CSV dump and the projection check of `hdg verify`, however fine the data
 #: rule gets with kappa h.  2^12 points hold 163 elements or 819 edges of
@@ -130,9 +132,14 @@ BoundaryFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 def blocks(count: int, points: int) -> list[slice]:
     """Consecutive slices covering range(count), each of as many items of
-    `points` points as fit in `BLOCK_POINTS`, and at least one."""
+    `points` points as fit in `BLOCK_POINTS`, and at least one.  Where two
+    fit, a lone trailing item joins the block before it, since BLAS takes
+    one item's row by its matrix-vector kernel, which rounds differently."""
     size = max(1, BLOCK_POINTS // points)
-    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+    starts = list(range(0, count, size))
+    if size > 1 and len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
 
 
 def _edge_dofs(edges: np.ndarray, m: int) -> np.ndarray:
@@ -173,6 +180,21 @@ class Solution:
             float(np.abs(self.U).max(initial=0.0)),
             float(np.abs(self.uhat).max(initial=0.0)),
         )
+
+    def fields(
+        self, elements: np.ndarray | slice, phi: np.ndarray, dets: float | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """u_h (nE, nq) and q_h (nE, nq, 2) on the nE given elements where
+        the reference basis takes the values `phi` (nq, N); `dets` is their
+        det J, one shared (a class representative's) or one per element.
+        A lone element is evaluated as a pair, so that BLAS rounds its row
+        by the matrix-matrix kernel of any other block, not matrix-vector."""
+        n = phi.shape[1]
+        rows = [self.U[elements], self.Q[elements, :n], self.Q[elements, n:]]
+        k = len(rows[0])
+        scale = 1.0 / np.sqrt(np.reshape(dets, (-1, 1)))
+        u, q1, q2 = (scale * ((np.repeat(r, 2, axis=0) if k == 1 else r) @ phi.T)[:k] for r in rows)
+        return u, np.stack([q1, q2], axis=-1)
 
     def validate(self, mesh: Mesh) -> None:
         """Check finiteness and size consistency with the mesh and order."""
@@ -222,30 +244,6 @@ class ElementClass:
     phi: np.ndarray  # (nq, N) basis values at the rule points
     f_moments: np.ndarray  # (nE, N) source moments (f, w)
     f_sq: float  # ||f||^2 over the members
-
-    def points(self, mesh: Mesh, sel: slice = slice(None)) -> np.ndarray:
-        """Physical data-rule points of the members ids[sel], shape (nE, nq, 2)."""
-        return _data_points(mesh, self.ids[sel], self.geom, self.rule)
-
-    def fields(
-        self, solution: Solution, sel: slice = slice(None)
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """u_h, q_1 and q_2 at the data points of the members ids[sel],
-        each (nE, nq)."""
-        n, ids = self.phi.shape[1], self.ids[sel]
-        scale = 1.0 / math.sqrt(self.geom.det)
-        return (
-            scale * (solution.U[ids] @ self.phi.T),
-            scale * (solution.Q[ids, :n] @ self.phi.T),
-            scale * (solution.Q[ids, n:] @ self.phi.T),
-        )
-
-
-def _data_points(
-    mesh: Mesh, ids: np.ndarray, geom: ElementGeometry, rule: QuadratureRule
-) -> np.ndarray:
-    v0 = mesh.vertices[mesh.triangles[ids, 0]]
-    return v0[:, None, :] + rule.points @ geom.jacobian.T
 
 
 @dataclass(frozen=True)
@@ -306,7 +304,7 @@ def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Di
         f_moments = np.empty((len(ids), basis.dim), dtype=complex)
         f_sq = np.empty(len(ids))
         for sel in blocks(len(ids), rule.n_points):
-            phys = _data_points(mesh, ids[sel], geom, rule).reshape(-1, 2)
+            phys = mesh.element_points(ids[sel], rule.points, geom.jacobian).reshape(-1, 2)
             values = np.asarray(f(phys), dtype=complex).reshape(-1, rule.n_points)
             f_moments[sel] = (values * rule.weights) @ phi
             f_sq[sel] = np.abs(values) ** 2 @ rule.weights
@@ -608,14 +606,9 @@ def sample_solution(
     element-major in ascending element order.
     """
     mesh, ref = disc.mesh, reference_tables(disc.cfg.p)
-    n = ref.phi.shape[1]
-    v0 = mesh.vertices[mesh.triangles[elements, 0]]
-    points = v0[:, None, :] + ref.points @ mesh.jacobians[elements].transpose(0, 2, 1)
-    scale = 1.0 / np.sqrt(mesh.dets[elements])[:, None]
-    u = scale * (solution.U[elements] @ ref.phi.T)
-    q1 = scale * (solution.Q[elements, :n] @ ref.phi.T)
-    q2 = scale * (solution.Q[elements, n:] @ ref.phi.T)
-    return points.reshape(-1, 2), u.ravel(), np.stack([q1.ravel(), q2.ravel()], axis=1)
+    points = mesh.element_points(elements, ref.points, mesh.jacobians[elements])
+    u, q = solution.fields(elements, ref.phi, mesh.dets[elements])
+    return points.reshape(-1, 2), u.ravel(), q.reshape(-1, 2)
 
 
 def write_solution_csv(path: str, disc: Discretization, solution: Solution,

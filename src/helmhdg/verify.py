@@ -122,8 +122,9 @@ def _projection_errors(n: int, p: int, func: Callable) -> tuple[float, float]:
 
     Elements are processed in the slices of `skeleton.blocks`, with one
     call of `func` per block on the volume points and the points of the
-    three local faces together.  The geometry comes from the mesh's
-    stored arrays, so any affine mesh works.
+    three local faces together, which `Mesh.element_points` maps by each
+    element's own Jacobian.  The geometry comes from the mesh's stored
+    arrays, so any affine mesh works.
     """
     mesh = build_structured_mesh(n)
     vol_rule = quadrature_rule("triangle", 2 * p + 12)
@@ -133,27 +134,17 @@ def _projection_errors(n: int, p: int, func: Callable) -> tuple[float, float]:
         [vol_rule.points] + [reference_face_points(face, edge_rule.points) for face in range(3)])
     phi = TriangleBasis(p).eval(ref)
 
-    v0 = mesh.vertices[mesh.triangles[:, 0]]
-    jac, det, lengths = mesh.jacobians, mesh.dets, mesh.face_lengths
-
-    def physical(sel: slice) -> np.ndarray:
-        # One contiguous (nE, nq) array per coordinate, faster than
-        # broadcasting over a trailing axis of length 2; J's columns are
-        # v1 - v0 and v2 - v0.
-        r0, r1, J = ref[:, 0], ref[:, 1], jac[sel]
-        xy = [v0[sel, c, None] + (r0 * J[:, c, 0, None] + r1 * J[:, c, 1, None]) for c in (0, 1)]
-        return np.stack(xy, axis=-1).reshape(-1, 2)
-
     vol_sq = 0.0
     trace_sq = 0.0
     for sel in blocks(mesh.n_elements, len(ref)):
-        root_det = np.sqrt(det[sel])[:, None]
-        values = np.asarray(func(physical(sel))).reshape(root_det.size, -1)
+        root_det = np.sqrt(mesh.dets[sel])[:, None]
+        points = mesh.element_points(sel, ref, mesh.jacobians[sel])
+        values = np.asarray(func(points.reshape(-1, 2))).reshape(root_det.size, -1)
         coeff = root_det * ((values[:, :nv] * vol_rule.weights) @ phi[:nv])  # (nE, N)
         diff_sq = np.abs(values - (coeff @ phi.T) / root_det) ** 2
-        vol_sq += float(det[sel] @ (diff_sq[:, :nv] @ vol_rule.weights))
+        vol_sq += float(mesh.dets[sel] @ (diff_sq[:, :nv] @ vol_rule.weights))
         face_sq = diff_sq[:, nv:].reshape(-1, 3, edge_rule.n_points) @ edge_rule.weights
-        trace_sq += float(np.sum(lengths[sel] * face_sq))
+        trace_sq += float(np.sum(mesh.face_lengths[sel] * face_sq))
     return math.sqrt(vol_sq), math.sqrt(trace_sq)
 
 

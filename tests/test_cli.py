@@ -275,6 +275,21 @@ def test_header_marks_pins_set_after_numpy(numpy_first):
         assert f"{var}=1" in line
 
 
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # Only `hdg converge --workers N` with N > 1 needs the process pool.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")])
+    )
+    script = "import sys, helmhdg.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 def test_closed_stdout_exits_141_without_traceback(unbuffered):
     # The reader closes the pipe before the first line is written, as

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from helmhdg.diagnostics import (
 from helmhdg.hdg_local import ProblemConfig
 from helmhdg.mesh import build_structured_mesh, mesh_entities
 from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule
-from helmhdg import skeleton
+from helmhdg import diagnostics, skeleton
 from helmhdg.skeleton import Solution, discretize, solve_helmholtz
 from meshes import jittered_mesh, perturbed_mesh
 from reference import (
@@ -149,11 +150,12 @@ def _unblocked_errors(solution, exact, disc):
     mesh, p = disc.mesh, disc.cfg.p
     e_u_sq = e_q_sq = 0.0
     for cls in disc.classes:
-        ue, grad = exact.u_and_grad(cls.points(mesh).reshape(-1, 2))
+        points = mesh.element_points(cls.ids, cls.rule.points, cls.geom.jacobian)
+        ue, grad = exact.u_and_grad(points.reshape(-1, 2))
         qe = (1j * grad / exact.kappa).reshape(len(cls.ids), -1, 2)
-        uh, q1, q2 = cls.fields(solution)
+        uh, qh = solution.fields(cls.ids, cls.phi, cls.geom.det)
         du = uh - ue.reshape(len(cls.ids), -1)
-        dq_sq = np.abs(q1 - qe[:, :, 0]) ** 2 + np.abs(q2 - qe[:, :, 1]) ** 2
+        dq_sq = np.abs(qh[..., 0] - qe[:, :, 0]) ** 2 + np.abs(qh[..., 1] - qe[:, :, 1]) ** 2
         e_u_sq += cls.geom.det * float((np.abs(du) ** 2 @ cls.rule.weights).sum())
         e_q_sq += cls.geom.det * float((dq_sq @ cls.rule.weights).sum())
     rule = quadrature_rule("edge", data_quadrature_degree(p, disc.cfg.kappa, mesh.h_global))
@@ -190,6 +192,20 @@ def test_blocked_errors_match_unblocked(monkeypatch):
     reference = _unblocked_errors(solution, exact, disc)
     for value, ref in zip((report.e_u, report.e_q, report.e_trace), reference):
         assert abs(value - ref) <= 1e-13 * ref
+
+
+def test_seconds_span_the_error_norms(monkeypatch):
+    # The case's wall time runs from the discretization through the error
+    # norms, so a slow error evaluation shows in it.
+    compute = diagnostics.compute_errors
+
+    def slow(*args, **kwargs):
+        time.sleep(0.5)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "compute_errors", slow)
+    report = run_benchmark_case(5.0, 1, 2).report
+    assert 0.5 <= report.seconds < 5.0
 
 
 def test_trace_error_evaluates_each_edge_once(monkeypatch):

@@ -68,6 +68,24 @@ def test_element_geometry_basics():
     assert np.allclose(geom.map_to_physical(ref), geom.vertices)
 
 
+@pytest.mark.parametrize("make_mesh", [lambda: build_structured_mesh(4), jittered_mesh],
+                         ids=["structured", "jittered"])
+def test_element_points_match_the_per_element_map(make_mesh):
+    mesh = make_mesh()
+    ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.3], [0.6, 0.1]])
+    want = np.stack([mesh_entities(mesh, elem).map_to_physical(ref)
+                     for elem in range(mesh.n_elements)])
+    # Each element's own Jacobian, for all elements and for a range.
+    assert np.array_equal(mesh.element_points(slice(None), ref, mesh.jacobians), want)
+    assert np.array_equal(mesh.element_points(slice(3, 9), ref, mesh.jacobians[3:9]), want[3:9])
+    # One class representative's Jacobian for all members: equal up to the
+    # rounding noise that the classes allow between members' Jacobians.
+    for k in range(mesh.elem_class.max() + 1):
+        ids = np.flatnonzero(mesh.elem_class == k)
+        got = mesh.element_points(ids, ref, mesh.jacobians[ids[0]])
+        assert np.abs(got - want[ids]).max() <= 1e-15
+
+
 def test_normals_sum_to_zero_weighted_by_length():
     mesh = build_structured_mesh(3)
     for elem in range(mesh.n_elements):

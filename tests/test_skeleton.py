@@ -504,10 +504,10 @@ def test_a_sampled_range_is_rows_of_the_full_sample():
         part = sample_solution(disc, solution, slice(a, b))
         for got, whole in zip(part, full):
             assert np.array_equal(got, whole[k * a : k * b])
-    # One element takes BLAS's matrix-vector product, which may round the
-    # last bit differently.
+    # A lone element is evaluated as a pair, so that it too takes BLAS's
+    # matrix-matrix product.
     for got, whole in zip(sample_solution(disc, solution, slice(7, 8)), full):
-        assert np.abs(got - whole[7 * k : 8 * k]).max() <= 1e-14 * np.abs(whole).max()
+        assert np.array_equal(got, whole[7 * k : 8 * k])
 
 
 def test_a_block_holds_as_many_items_as_fit_and_at_least_one():
@@ -515,6 +515,25 @@ def test_a_block_holds_as_many_items_as_fit_and_at_least_one():
     assert skeleton.blocks(10, budget // 4) == [slice(0, 4), slice(4, 8), slice(8, 10)]
     assert skeleton.blocks(3, 10 * budget) == [slice(0, 1), slice(1, 2), slice(2, 3)]
     assert skeleton.blocks(0, 5) == []
+    # Where two items fit, a lone trailing item joins the block before it.
+    assert skeleton.blocks(9, budget // 4) == [slice(0, 4), slice(4, 9)]
+    assert skeleton.blocks(5, budget // 4) == [slice(0, 5)]
+    assert skeleton.blocks(1, budget // 4) == [slice(0, 1)]
+    assert skeleton.blocks(9, budget // 2) == [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 9)]
+
+
+def test_errors_with_one_element_per_block_equal_the_default_budget(monkeypatch):
+    # With a budget of one point every element is a block of its own; the
+    # norms must keep the bits of the default budget's blocks.
+    kappa, p, n = 40.0, 2, 63
+    mesh = build_structured_mesh(n)
+    exact, data = benchmark_problem(kappa)
+    disc = discretize(mesh, ProblemConfig.for_mesh(kappa, p, mesh), data.f, data.g)
+    solution, _ = solve_helmholtz(disc)
+    default = compute_errors(solution, exact, disc)
+    monkeypatch.setattr(skeleton, "BLOCK_POINTS", 1)
+    lone = compute_errors(solution, exact, disc)
+    assert (lone.e_u, lone.e_q, lone.e_trace) == (default.e_u, default.e_q, default.e_trace)
 
 
 def test_data_calls_stay_within_the_point_budget(monkeypatch):

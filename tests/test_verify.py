@@ -142,12 +142,8 @@ def test_projection_points_equal_the_broadcast_map(n):
     # One call per block, on the volume points and the three faces' points.
     ref = np.concatenate([quadrature_rule("triangle", 14).points]
                          + [reference_face_points(face, edge) for face in range(3)])
-    v0 = mesh.vertices[mesh.triangles[:, 0]]
-    expected = []
-    for sel in blocks(mesh.n_elements, len(ref)):
-        J = mesh.jacobians[sel, None]
-        pts = v0[sel, None, :] + (ref[:, 0, None] * J[..., 0] + ref[:, 1, None] * J[..., 1])
-        expected.append(pts.reshape(-1, 2))
+    expected = [mesh.element_points(sel, ref, mesh.jacobians[sel]).reshape(-1, 2)
+                for sel in blocks(mesh.n_elements, len(ref))]
     assert len(seen) == len(expected)
     for got, want in zip(seen, expected):
         assert np.array_equal(got, want)
