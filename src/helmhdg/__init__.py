@@ -13,8 +13,7 @@ the method at desk scale.
 import os
 import sys
 
-# Pin BLAS to one thread before numpy loads: thread hand-offs slow the
-# many mid-size dense calls of the solve, and the last digits of the
+# Pin BLAS to one thread before numpy loads: the last digits of the
 # outputs depend on the thread count.  An explicit setting wins.  A pin
 # set after numpy loaded may not reach numpy's BLAS, so the variables
 # set then are recorded for the CSV header to mark.

@@ -13,7 +13,9 @@ reads without its tables: the source moments against the oracle's
 per-element `volume_load` (`reference.source_moment_deviation`) and the
 trace on the faces against the edge basis evaluated per element
 (`reference.uhat_on_faces_deviation`).  Two mutants remain caught by the
-pinned errors alone: tau and the sign of g.
+pinned errors alone: tau and the sign of g.  Refinement capped at one
+sweep (`MAX_REFINE_STEPS` = 1) shows only near a subdomain resonance,
+where one sweep misses the residual contract.
 
 Equivalent mutant, not tested: K in place of K^T in
 `Discretization.apply`.  Every class's K is complex symmetric to rounding
@@ -171,10 +173,10 @@ def test_extend_add_dropping_the_last_run_is_caught_by_the_singular_front(monkey
         run_benchmark_case(20.0, 2, 16)
 
 
-def test_refinement_stopping_at_1e9_is_caught_by_the_residual_contract(monkeypatch):
+def test_refinement_stopping_after_one_sweep_is_caught_by_the_residual_contract(monkeypatch):
     # Near a subdomain resonance one sweep leaves 4.2e-10 (3.3e-10 with
-    # BLAS on two threads), which a refinement tolerance of 1e-9 accepts.
-    monkeypatch.setattr(skeleton, "REFINE_TOL", 1e-9)
+    # BLAS on two threads); refinement capped at one sweep keeps it.
+    monkeypatch.setattr(skeleton, "MAX_REFINE_STEPS", 1)
     kappa, p, n = 51.816, 2, 64
     mesh = build_structured_mesh(n)
     _, data = benchmark_problem(kappa)

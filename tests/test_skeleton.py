@@ -703,7 +703,7 @@ def test_congruent_nodes_share_one_front():
     _, info = solve_helmholtz(disc)
     tree = dissection_tree(disc.mesh)
     assert info.factor_classes == tree.node_class.max() + 1 < tree.n_elim.size
-    assert info.refine_steps == 1 and info.residual <= skeleton.REFINE_TOL
+    assert info.refine_steps == 1 and info.residual <= 1e-12
 
 
 def test_pollution_cases_keep_their_classes_and_w():
@@ -739,11 +739,16 @@ def test_sweep_keeps_only_w():
     assert peak <= item * (w_entries + 8 * int((n_front**2).max()))
 
 
-def test_refinement_reruns_the_sweep(monkeypatch):
-    # With REFINE_TOL = 0 the refinement goes on until a sweep fails to
-    # halve the residual; every sweep factors each class of fronts anew.
-    disc = _pollution_case(40.0, 63)
-    once, once_info = solve_skeleton(disc)
+def test_subdomain_resonance_needs_the_second_sweep(monkeypatch):
+    # kappa = 51.816 is near a Dirichlet eigenvalue of a 4-member internal
+    # front class of the n = 64 tree, where one sweep misses the residual
+    # contract (4.2e-10 with BLAS on one thread, 3.3e-10 on two) and the
+    # refinement's second sweep meets it with room to spare, factoring
+    # each class of fronts anew.
+    disc = _pollution_case(51.816, 64)
+    rhs = disc.rhs()
+    once, _ = skeleton._sweep(disc, dissection_tree(disc.mesh), rhs)
+    assert skeleton_residual(disc, rhs, once)[1] > RESIDUAL_TOL
     factored = []
     solve = np.linalg.solve
 
@@ -752,30 +757,37 @@ def test_refinement_reruns_the_sweep(monkeypatch):
         return solve(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
-    monkeypatch.setattr(skeleton, "REFINE_TOL", 0.0)
-    refined, refined_info = solve_skeleton(disc)
+    refined, info = solve_skeleton(disc)
     monkeypatch.undo()
-    assert once_info.refine_steps == 1 and refined_info.refine_steps >= 2
-    assert refined_info.residual <= once_info.residual
-    assert np.abs(refined - once).max() <= 1e-12 * np.abs(once).max()
-    assert len(factored) == refined_info.refine_steps * refined_info.factor_classes
-
-
-def test_subdomain_resonance_needs_the_second_sweep():
-    # kappa = 51.816 is near a Dirichlet eigenvalue of a 4-member internal
-    # front class of the n = 64 tree, where one sweep misses the residual
-    # contract (4.2e-10 with BLAS on one thread, 3.3e-10 on two) and the
-    # refinement's second sweep meets it with room to spare.
-    kappa, p, n = 51.816, 2, 64
-    mesh = build_structured_mesh(n)
-    _, data = benchmark_problem(kappa)
-    disc = discretize(mesh, ProblemConfig.for_mesh(kappa, p, mesh), data.f, data.g)
-    rhs = disc.rhs()
-    once, _ = skeleton._sweep(disc, dissection_tree(mesh), rhs)
-    assert skeleton_residual(disc, rhs, once)[1] > RESIDUAL_TOL
-    _, info = solve_skeleton(disc)
     assert info.refine_steps == 2
-    assert info.residual <= skeleton.REFINE_TOL
+    assert info.residual <= 1e-12
+    assert len(factored) == info.refine_steps * info.factor_classes
+    assert np.abs(refined - once).max() <= 1e-8 * np.abs(refined).max()
+
+
+def test_one_sweep_that_meets_the_contract_is_kept():
+    # Just off that resonance one sweep leaves 3.3e-11: it meets the
+    # contract, so no second sweep runs.
+    disc = _pollution_case(51.8, 64)
+    _, info = solve_skeleton(disc)
+    assert info.refine_steps == 1
+    assert 1e-12 < info.residual <= RESIDUAL_TOL
+
+
+def test_nan_residual_names_itself():
+    # A source that is NaN near the origin makes the sweep's solution and
+    # its residual NaN, which fails the contract and is reported as such.
+    mesh = build_structured_mesh(8)
+    _, data = benchmark_problem(20.0)
+
+    def nan_near_origin(pts):
+        values = data.f(pts)
+        values[np.hypot(pts[:, 0], pts[:, 1]) < 0.1] = np.nan
+        return values
+
+    disc = discretize(mesh, ProblemConfig.for_mesh(20.0, 2, mesh), nan_near_origin, data.g)
+    with pytest.raises(RuntimeError, match=r"skeleton solve residual nan exceeds 1\.0e-10"):
+        solve_skeleton(disc)
 
 
 @pytest.mark.parametrize("make", [perturbed_mesh, fan_strip_mesh, jittered_mesh],
