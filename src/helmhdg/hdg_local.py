@@ -21,9 +21,13 @@ eliminates (q, u) and leaves, per element, the map from face traces to
 the face moments of qhat.n; those element matrices are the only coupling
 that survives in the global skeleton system.
 
-All functions here are pure: they read the geometry and configuration
-they are given and share no mutable state (the per-order reference
-tables are cached read-only), so elements may be processed concurrently.
+Blocks and condensation are formed for any set of elements at once,
+stacked along a leading axis, from the geometry arrays that `Mesh`
+stores; each element's result is bit-identical to forming it alone.
+
+All functions here are pure: they read the mesh and configuration they
+are given and share no mutable state (the per-order reference tables are
+cached read-only), so elements may be processed concurrently.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic import data_quadrature_degree
-from .mesh import ElementGeometry, Mesh
+from .mesh import Mesh
 from .polybasis import (
     EdgeBasis,
     TriangleBasis,
@@ -84,15 +88,16 @@ class ProblemConfig:
 
 @dataclass(frozen=True)
 class LocalBlocks:
-    """Assembled element blocks of the local HDG equations.
+    """Assembled element blocks of the local HDG equations, stacked over
+    the nE elements of one assembly.
 
     A is the i*kappa-scaled vector mass (identity times i*kappa in the
     orthonormal basis), B the divergence coupling (u, div r), C the trace
     coupling <lam, r.n>, S the tau-weighted boundary mass on scalar
     traces, R the tau-weighted trace coupling <lam, w>, and M the scalar
-    mass.  Matrices act on trial coefficients; test functions are
-    conjugated (the forms are sesquilinear, the matrices are not
-    Hermitian).
+    mass; A and M are shared by all elements.  Matrices act on trial
+    coefficients; test functions are conjugated (the forms are
+    sesquilinear, the matrices are not Hermitian).
     """
 
     p: int
@@ -100,10 +105,10 @@ class LocalBlocks:
     tau: float
     n_scalar: int
     A: np.ndarray  # (2N, 2N) complex
-    B: np.ndarray  # (2N, N)
-    C: np.ndarray  # (2N, 3(p+1))
-    S: np.ndarray  # (N, N)
-    R: np.ndarray  # (N, 3(p+1))
+    B: np.ndarray  # (nE, 2N, N)
+    C: np.ndarray  # (nE, 2N, 3(p+1))
+    S: np.ndarray  # (nE, N, N)
+    R: np.ndarray  # (nE, N, 3(p+1))
     M: np.ndarray  # (N, N)
 
     @property
@@ -111,14 +116,14 @@ class LocalBlocks:
         return 3 * (self.p + 1)
 
     def system_matrix(self) -> np.ndarray:
-        """Dense matrix of the local equations acting on (Q, U)."""
+        """Dense matrices of the local equations acting on (Q, U), one per
+        element of the leading axes of B."""
         n2 = 2 * self.n_scalar
-        size = n2 + self.n_scalar
-        L = np.zeros((size, size), dtype=complex)
-        L[:n2, :n2] = self.A
-        L[:n2, n2:] = -self.B
-        L[n2:, :n2] = self.B.T
-        L[n2:, n2:] = 1j * self.kappa * self.M + self.S
+        L = np.zeros(self.B.shape[:-2] + (n2 + self.n_scalar,) * 2, dtype=complex)
+        L[..., :n2, :n2] = self.A
+        L[..., :n2, n2:] = -self.B
+        L[..., n2:, :n2] = np.swapaxes(self.B, -1, -2)
+        L[..., n2:, n2:] = 1j * self.kappa * self.M + self.S
         return L
 
 
@@ -181,62 +186,71 @@ def reference_tables(p: int) -> ReferenceTables:
     return tables
 
 
-def assemble_local_blocks(geom: ElementGeometry, cfg: ProblemConfig) -> LocalBlocks:
-    """Element blocks of the local equations on one triangle.
+def assemble_local_blocks(mesh: Mesh, elements: np.ndarray, cfg: ProblemConfig) -> LocalBlocks:
+    """Element blocks of the local equations on the given elements, stacked
+    in their order, read from the mesh's Jacobians, determinants, face
+    lengths, normals and face orientations.
 
     All operator integrals are polynomial on affine elements and use
     exactness degree 2p; the resulting blocks are exact to rounding.  The
     reference tables are built once per order; only the geometry-dependent
-    products are formed here.
+    products are formed here.  An element with det J <= 1e-14 is refused,
+    by id, before any geometric factor is formed.
     """
-    if geom.area <= 1e-14:
-        raise ValueError(f"degenerate element (area = {geom.area!r})")
+    elements = np.asarray(elements)
+    dets = mesh.dets[elements]
+    bad = elements[~(dets > 1e-14)]
+    if bad.size:
+        det = float(mesh.dets[bad[0]])
+        raise ValueError(f"degenerate element {bad[0]} (det J = {det!r} <= 1e-14)")
     p = cfg.p
     ref = reference_tables(p)
-    n = ref.M.shape[0]
-    m = p + 1
+    n, m, k = ref.M.shape[0], p + 1, dets.size
+    lengths, normals = mesh.face_lengths[elements], mesh.normals[elements]
+    orient = np.where(mesh.elem_edge_orient[elements] == 1, 0, 1)
 
     # Physical gradients carry inv(J)^T; the det factors of the two scaled
     # basis functions cancel against the volume Jacobian.
-    gphys = np.einsum("qad,cd->qac", ref.grad, geom.inv_jt)
-    B = np.einsum("q,qac,qj->caj", ref.weights, gphys, ref.phi).reshape(2 * n, n)
+    gphys = np.einsum("qad,edc->eqac", ref.grad, np.linalg.inv(mesh.jacobians[elements]))
+    B = np.einsum("q,eqac,qj->ecaj", ref.weights, gphys, ref.phi).reshape(k, 2 * n, n)
     A = 1j * cfg.kappa * ref.vector_mass
 
-    C = np.zeros((2 * n, 3 * m))
-    S = np.zeros((n, n))
-    R = np.zeros((n, 3 * m))
+    C = np.zeros((k, 2 * n, 3 * m))
+    S = np.zeros((k, n, n))
+    R = np.zeros((k, n, 3 * m))
     for face in range(3):
-        lf = geom.face_lengths[face]
+        ratio = (lengths[:, face] / dets)[:, None, None]
         sl = slice(face * m, (face + 1) * m)
-        orient = 0 if geom.edge_orient[face] == 1 else 1
-
-        trace = math.sqrt(lf / geom.det) * ref.face_trace[face, orient]  # (n, m)
-        for c in range(2):
-            C[c * n : (c + 1) * n, sl] = geom.normals[face, c] * trace
-        S += cfg.tau * (lf / geom.det) * ref.face_mass[face]
-        R[:, sl] = cfg.tau * trace
+        trace = np.sqrt(ratio) * ref.face_trace[face, orient[:, face]]  # (k, n, m)
+        C[:, :, sl] = (normals[:, face, :, None, None] * trace[:, None]).reshape(k, 2 * n, m)
+        S += cfg.tau * ratio * ref.face_mass[face]
+        R[:, :, sl] = cfg.tau * trace
     return LocalBlocks(
         p=p, kappa=cfg.kappa, tau=cfg.tau, n_scalar=n, A=A, B=B, C=C, S=S, R=R, M=ref.M
     )
 
 
 def volume_load(
-    geom: ElementGeometry, cfg: ProblemConfig, f: Callable[[np.ndarray], np.ndarray]
+    mesh: Mesh, elem: int, cfg: ProblemConfig, f: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
-    """Moments (f, w) of the source against the element basis.
+    """Moments (f, w) of the source against the basis of one element, on
+    the data rule of its own size and at points mapped by its own J.
 
     Uses the high-degree data rule, not the 2p operator rule; the source
     of the benchmark oscillates on the scale 1/kappa.
     """
-    rule = quadrature_rule("triangle", data_quadrature_degree(cfg.p, cfg.kappa, geom.h))
+    h = mesh.face_lengths[elem].max()
+    rule = quadrature_rule("triangle", data_quadrature_degree(cfg.p, cfg.kappa, h))
     phi = TriangleBasis(cfg.p).eval(rule.points)
-    values = np.asarray(f(geom.map_to_physical(rule.points)), dtype=complex)
-    return math.sqrt(geom.det) * (phi.T @ (rule.weights * values))
+    points = mesh.element_points([elem], rule.points, mesh.jacobians[elem])[0]
+    values = np.asarray(f(points), dtype=complex)
+    return math.sqrt(mesh.dets[elem]) * (phi.T @ (rule.weights * values))
 
 
 class CondensedOperators:
-    """Schur complement of one element onto its face trace unknowns,
-    independent of the source and so shared by congruent elements.
+    """Schur complements of the elements of one assembly onto their face
+    trace unknowns, independent of the source and so shared by congruent
+    elements; every field is stacked like the blocks.
 
     For traces lam and source moments f, solving the local equations and
     taking face moments of the numerical flux gives K @ lam - F with
@@ -248,13 +262,13 @@ class CondensedOperators:
         L = blocks.system_matrix()
         n, n2 = blocks.n_scalar, 2 * blocks.n_scalar
         m = blocks.n_trace
-        rhs = np.zeros((n2 + n, m + n), dtype=complex)
-        rhs[:n2, :m] = -blocks.C
-        rhs[n2:, :m] = blocks.R
-        rhs[n2:, m:] = np.eye(n)
-        # recon_lam (3N, 3(p+1)): traces -> (Q, U); inv_load (3N, N): source moments -> (Q, U)
-        self.recon_lam, self.inv_load = np.split(np.linalg.solve(L, rhs), [m], axis=1)
-        W = np.concatenate([blocks.C.T, blocks.R.T], axis=1)
+        rhs = np.zeros(L.shape[:-1] + (m + n,), dtype=complex)
+        rhs[..., :n2, :m] = -blocks.C
+        rhs[..., n2:, :m] = blocks.R
+        rhs[..., n2:, m:] = np.eye(n)
+        # Per element, recon_lam (3N, 3(p+1)): traces -> (Q, U); inv_load (3N, N): source -> (Q, U)
+        self.recon_lam, self.inv_load = np.split(np.linalg.solve(L, rhs), [m], axis=-1)
+        W = np.concatenate([np.swapaxes(blocks.C, -1, -2), np.swapaxes(blocks.R, -1, -2)], axis=-1)
         self.K = W @ self.recon_lam - blocks.tau * np.eye(blocks.n_trace)
         self.load_to_flux = -(W @ self.inv_load)  # (3(p+1), N): source moments -> F
-        self.cond = float(np.linalg.cond(L))  # condition number of the local system
+        self.cond = np.linalg.cond(L)  # condition numbers of the local systems

@@ -12,16 +12,17 @@ parametrization; each element records, per face, the global edge id and
 whether its local face direction agrees with the global one.
 
 The element geometry is derived once, when the mesh is built, by one
-batched helper (`_element_geometry`) and stored on the mesh: per element
+batched helper (`element_geometry`) and stored on the mesh: per element
 the Jacobian of its affine reference map and its determinant, and per
 local face the length and the outward unit normal.  Every consumer (the
-mesh checks, the element classes, the boundary data, the error norms and
-the projection check) reads these arrays; `ElementGeometry` derives the
-same quantities for one element with the same helper.  The mesh alone
-decides which elements share a local system: `Mesh.elem_class` numbers
-the congruence classes of elements (equal Jacobian up to rounding noise
-of translated vertices, and equal face orientations), which the
-condensation, the dissection tree and the local-uniqueness check read.
+mesh checks, the local assembly, the boundary data, the error norms and
+the projection check) reads these arrays for any set of element ids;
+only `hdg verify`'s trace-inequality check calls the helper on a
+triangle of its own.  The mesh alone decides which elements share a
+local system: `Mesh.elem_class` numbers the congruence classes of
+elements (equal Jacobian up to rounding noise of translated vertices,
+and equal face orientations), which the condensation, the dissection
+tree and the local-uniqueness check read.
 `Mesh.edge_points` places edge quadrature points along the global edge
 direction for the boundary data and the trace error alike, and
 `Mesh.element_points` maps reference points into elements for the source
@@ -153,7 +154,7 @@ class Mesh:
             raise ValueError("face normal points toward the centroid")
 
 
-def _element_geometry(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def element_geometry(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Geometry of triangles given by their corners (F, 3, 2): Jacobians
     (F, 2, 2) with columns v1 - v0 and v2 - v0, their determinants (F,),
     face lengths (F, 3) and outward unit normals (F, 3, 2), where local
@@ -226,7 +227,7 @@ def _finish_mesh(vertices: np.ndarray, triangles: np.ndarray, n: int | None) -> 
     if np.any(counts > 2):
         raise ValueError("non-manifold mesh: an edge touches more than two elements")
 
-    jacobians, dets, face_lengths, normals = _element_geometry(vertices[triangles])
+    jacobians, dets, face_lengths, normals = element_geometry(vertices[triangles])
     # For structured meshes the mesh size is known in closed form; using it
     # makes h_global(2n) exactly half of h_global(n) in floating point.
     h_global = np.sqrt(2.0) / n if n is not None else float(face_lengths.max())
@@ -256,68 +257,6 @@ def _finish_mesh(vertices: np.ndarray, triangles: np.ndarray, n: int | None) -> 
     )
     mesh.validate()
     return mesh
-
-
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Geometry of a single triangle, including its affine reference map.
-
-    The affine map is x = v0 + J xhat with xhat in the reference triangle;
-    det J = 2 * area > 0 for positively oriented elements.
-    """
-
-    vertices: np.ndarray  # (3, 2)
-    area: float
-    h: float
-    jacobian: np.ndarray  # (2, 2), columns v1-v0 and v2-v0
-    det: float
-    inv_jt: np.ndarray  # inverse transpose of the Jacobian
-    normals: np.ndarray  # (3, 2) outward unit normals per local face
-    face_lengths: np.ndarray  # (3,)
-    edge_orient: np.ndarray  # (3,) +1/-1 vs global edge direction
-
-    @classmethod
-    def from_vertices(
-        cls, verts: np.ndarray, edge_orient: np.ndarray | None = None,
-        derived: tuple[np.ndarray, ...] | None = None,
-    ) -> "ElementGeometry":
-        """The triangle with these corners; `derived` holds its (J, det J,
-        face lengths, normals) as stored on a mesh, else they are derived
-        from the corners by the mesh's own `_element_geometry`."""
-        verts = np.asarray(verts, dtype=float).reshape(3, 2)
-        if derived is None:
-            derived = tuple(a[0] for a in _element_geometry(verts[None]))
-        jac, det, lengths, normals = derived
-        det = float(det)
-        if det <= 1e-14:
-            raise ValueError(f"degenerate or negatively oriented element (det J = {det!r})")
-        return cls(
-            vertices=verts,
-            area=0.5 * det,
-            h=float(lengths.max()),
-            jacobian=jac,
-            det=det,
-            inv_jt=np.linalg.inv(jac).T,
-            normals=normals,
-            face_lengths=lengths,
-            edge_orient=np.ones(3, dtype=np.int64) if edge_orient is None else np.asarray(edge_orient),
-        )
-
-    def map_to_physical(self, ref_points: np.ndarray) -> np.ndarray:
-        """Map reference-triangle points (npts, 2) to physical coordinates."""
-        ref_points = np.asarray(ref_points, dtype=float).reshape(-1, 2)
-        return self.vertices[0] + ref_points @ self.jacobian.T
-
-
-def mesh_entities(mesh: Mesh, elem: int) -> ElementGeometry:
-    """Geometry and connectivity of one element, read from the mesh's arrays."""
-    if not (0 <= elem < mesh.n_elements):
-        raise IndexError(f"element index {elem} out of range [0, {mesh.n_elements})")
-    return ElementGeometry.from_vertices(
-        mesh.vertices[mesh.triangles[elem]], edge_orient=mesh.elem_edge_orient[elem],
-        derived=(mesh.jacobians[elem], mesh.dets[elem], mesh.face_lengths[elem],
-                 mesh.normals[elem]),
-    )
 
 
 @dataclass(frozen=True)

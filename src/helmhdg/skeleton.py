@@ -15,12 +15,13 @@ The skeleton unknowns are p + 1 consecutive dofs per edge, in edge order,
 so a trace vector reads as an (n_edges, p + 1) array indexed by edge.
 `discretize` builds everything a solve and its diagnostics read, once per
 (mesh, config, data): per congruence class of elements (`Mesh.elem_class`)
-the member ids, the representative geometry, the condensed operators, the
-data rule with its basis values, the source moments and ||f||^2; plus the
-boundary data moments and ||g||^2, taken from the same values of g.
-Uniform meshes contain only a handful of classes, so condensation runs
-once per class and is applied to all members in batch; this is exact for
-translated elements.  `solve_helmholtz`, `sample_solution` and the diagnostics read
+the member ids, the data rule with its basis values, the source moments
+and ||f||^2; the condensed operators of all classes, stacked, from one
+batched assembly of the class representatives; plus the boundary data
+moments and ||g||^2, taken from the same values of g.  Uniform meshes
+contain only a handful of classes, so condensation runs once per class
+and is applied to all members in batch; this is exact for translated
+elements.  `solve_helmholtz`, `sample_solution` and the diagnostics read
 that one `Discretization`, so the data are evaluated once and the energy
 identity pairs the solution with the very loads the solve used.  The
 discretization holds no callable, sparse matrix, factor or per-point
@@ -89,14 +90,13 @@ import numpy as np
 
 from .analytic import data_quadrature_degree
 from .hdg_local import (
-    LocalBlocks,
     ProblemConfig,
     CondensedOperators,
     assemble_local_blocks,
     reference_tables,
     volume_load,
 )
-from .mesh import DissectionTree, ElementGeometry, Mesh, dissection_tree, mesh_entities
+from .mesh import DissectionTree, Mesh, dissection_tree
 from .polybasis import (
     EdgeBasis,
     QuadratureRule,
@@ -120,7 +120,9 @@ MAX_REFINE_STEPS = 10
 #: bounds the transient memory of the source loads, the error norms, the
 #: CSV dump and the projection check of `hdg verify`, however fine the data
 #: rule gets with kappa h.  2^12 points hold 163 elements or 819 edges of
-#: the 25- and 5-point data rules of p = 2 at kappa h <= 1.
+#: the 25- and 5-point data rules of p = 2 at kappa h <= 1.  The budget is
+#: fixed, so repeat runs are bit-identical; another value would move the
+#: last digits of the sums over the rule points (see `blocks`).
 BLOCK_POINTS = 2**12
 
 SourceFn = Callable[[np.ndarray], np.ndarray]
@@ -130,8 +132,13 @@ BoundaryFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 def blocks(count: int, points: int) -> list[slice]:
     """Consecutive slices covering range(count), each of as many items of
     `points` points as fit in `BLOCK_POINTS`, and at least one.  Where two
-    fit, a lone trailing item joins the block before it, since BLAS takes
-    one item's row by its matrix-vector kernel, which rounds differently."""
+    fit, a lone trailing item joins the block before it, so that BLAS takes
+    its products with the basis values by the matrix-matrix kernel, as for
+    any other block, not the matrix-vector one, which rounds differently.
+    The sums over the rule points (source moments, ||f||^2, error norms)
+    are BLAS products that round a row by its position in the block (for
+    `@ weights`, modulo 4), so they depend on where the blocks end: results
+    are bit-identical at the fixed budget, not independent of it."""
     size = max(1, BLOCK_POINTS // points)
     starts = list(range(0, count, size))
     if size > 1 and len(starts) > 1 and count - starts[-1] == 1:
@@ -185,7 +192,10 @@ class Solution:
         the reference basis takes the values `phi` (nq, N); `dets` is their
         det J, one shared (a class representative's) or one per element.
         A lone element is evaluated as a pair, so that BLAS rounds its row
-        by the matrix-matrix kernel of any other block, not matrix-vector."""
+        by the matrix-matrix kernel of any other block, not matrix-vector:
+        the values on a range of elements are rows of the values on all of
+        them, bit for bit (what the callers sum from them is not; see
+        `blocks`)."""
         n = phi.shape[1]
         rows = [self.U[elements], self.Q[elements, :n], self.Q[elements, n:]]
         k = len(rows[0])
@@ -232,11 +242,10 @@ def _members(classes: np.ndarray) -> list[np.ndarray]:
 @dataclass(frozen=True)
 class ElementClass:
     """Congruent elements sharing every condensation operator and the
-    data rule; the first member is the representative."""
+    data rule; the first member is the representative, whose J and det J
+    the source loads and the error norms read for all members."""
 
     ids: np.ndarray  # (nE,) member element ids, ascending
-    geom: ElementGeometry  # representative geometry
-    ops: CondensedOperators
     rule: QuadratureRule  # data rule of the representative's size
     phi: np.ndarray  # (nq, N) basis values at the rule points
     f_moments: np.ndarray  # (nE, N) source moments (f, w)
@@ -251,14 +260,15 @@ class Discretization:
     mesh: Mesh
     cfg: ProblemConfig
     classes: tuple[ElementClass, ...]  # classes[k] holds the elements of Mesh.elem_class k
+    ops: CondensedOperators  # stacked over the classes: index k condenses class k
     g_moments: np.ndarray  # (n_dofs,) boundary data moments <g, mu>
     g_sq: float  # ||g||^2 over the boundary
 
     def rhs(self) -> np.ndarray:
         """b = -sum_T scatter(F_T) + g_moments, in the global dof numbering."""
         flux = np.empty((self.mesh.n_elements, 3 * (self.cfg.p + 1)), dtype=complex)
-        for cls in self.classes:
-            flux[cls.ids] = cls.f_moments @ cls.ops.load_to_flux.T
+        for k, cls in enumerate(self.classes):
+            flux[cls.ids] = cls.f_moments @ self.ops.load_to_flux[k].T
         return self.g_moments - _sum_faces(self.mesh, flux)
 
     def apply(self, uhat: np.ndarray) -> np.ndarray:
@@ -267,8 +277,9 @@ class Discretization:
         mesh, m = self.mesh, self.cfg.p + 1
         traces = uhat.reshape(mesh.n_edges, m)
         flux = np.empty((mesh.n_elements, 3 * m), dtype=complex)
-        for cls in self.classes:
-            flux[cls.ids] = traces[mesh.elem_edges[cls.ids]].reshape(len(cls.ids), -1) @ cls.ops.K.T
+        for k, cls in enumerate(self.classes):
+            lam = traces[mesh.elem_edges[cls.ids]].reshape(len(cls.ids), -1)
+            flux[cls.ids] = lam @ self.ops.K[k].T
         return np.where(mesh.boundary_flags[:, None], traces, 0.0).ravel() - _sum_faces(mesh, flux)
 
     def reconstruct(self, uhat: np.ndarray) -> Solution:
@@ -277,9 +288,9 @@ class Discretization:
         Q = np.zeros((self.mesh.n_elements, 2 * n), dtype=complex)
         U = np.zeros((self.mesh.n_elements, n), dtype=complex)
         traces = uhat.reshape(self.mesh.n_edges, self.cfg.p + 1)
-        for cls in self.classes:
+        for k, cls in enumerate(self.classes):
             lam = traces[self.mesh.elem_edges[cls.ids]].reshape(len(cls.ids), -1)
-            x = lam @ cls.ops.recon_lam.T + cls.f_moments @ cls.ops.inv_load.T
+            x = lam @ self.ops.recon_lam[k].T + cls.f_moments @ self.ops.inv_load[k].T
             Q[cls.ids] = x[:, : 2 * n]
             U[cls.ids] = x[:, 2 * n :]
         solution = Solution(Q=Q, U=U, uhat=np.asarray(uhat, dtype=complex), p=self.cfg.p)
@@ -288,39 +299,41 @@ class Discretization:
 
 
 def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Discretization:
-    """Condense each congruence class once, evaluate f over `blocks` of
-    each class's members and g once; the data norms come from the same
-    values."""
+    """Condense the class representatives in one batched call, evaluate f
+    over `blocks` of each class's members and g once; the data norms come
+    from the same values."""
     basis = TriangleBasis(cfg.p)
+    members = _members(mesh.elem_class)
+    ops = CondensedOperators(assemble_local_blocks(mesh, [ids[0] for ids in members], cfg))
     classes = []
-    for ids in _members(mesh.elem_class):
-        geom = mesh_entities(mesh, ids[0])
-        ops = CondensedOperators(assemble_local_blocks(geom, cfg))
-        rule = quadrature_rule("triangle", data_quadrature_degree(cfg.p, cfg.kappa, geom.h))
+    for k, ids in enumerate(members):
+        rep = ids[0]
+        h, det = mesh.face_lengths[rep].max(), float(mesh.dets[rep])
+        rule = quadrature_rule("triangle", data_quadrature_degree(cfg.p, cfg.kappa, h))
         phi = basis.eval(rule.points)
         f_moments = np.empty((len(ids), basis.dim), dtype=complex)
         f_sq = np.empty(len(ids))
         for sel in blocks(len(ids), rule.n_points):
-            phys = mesh.element_points(ids[sel], rule.points, geom.jacobian).reshape(-1, 2)
+            phys = mesh.element_points(ids[sel], rule.points, mesh.jacobians[rep]).reshape(-1, 2)
             values = np.asarray(f(phys), dtype=complex).reshape(-1, rule.n_points)
             f_moments[sel] = (values * rule.weights) @ phi
             f_sq[sel] = np.abs(values) ** 2 @ rule.weights
         classes.append(ElementClass(
-            ids=ids, geom=geom, ops=ops, rule=rule, phi=phi,
-            f_moments=math.sqrt(geom.det) * f_moments, f_sq=geom.det * float(f_sq.sum()),
+            ids=ids, rule=rule, phi=phi,
+            f_moments=math.sqrt(det) * f_moments, f_sq=det * float(f_sq.sum()),
         ))
         logger.debug(
             "element class of %d (rep %d): local condition number %.3e",
-            len(ids), ids[0], ops.cond,
+            len(ids), rep, ops.cond[k],
         )
     g_moments, g_sq = boundary_loads(mesh, cfg, g)
     logger.debug(
         "discretization: kappa=%g p=%d tau=%g, %d element classes, "
         "max local condition number %.3e",
-        cfg.kappa, cfg.p, cfg.tau, len(classes), max(cls.ops.cond for cls in classes),
+        cfg.kappa, cfg.p, cfg.tau, len(classes), ops.cond.max(),
     )
     return Discretization(
-        mesh=mesh, cfg=cfg, classes=tuple(classes), g_moments=g_moments, g_sq=g_sq
+        mesh=mesh, cfg=cfg, classes=tuple(classes), ops=ops, g_moments=g_moments, g_sq=g_sq
     )
 
 
@@ -377,7 +390,7 @@ def _sweep(disc: Discretization, tree: DissectionTree, b: np.ndarray) -> tuple[n
     addition.  A singular front fails the solve and names its class.
     """
     mesh, m = disc.mesh, disc.cfg.p + 1
-    minus_k = -np.stack([cls.ops.K for cls in disc.classes])
+    minus_k = -disc.ops.K
     members = _members(tree.node_class)
     last_parent = {}  # class -> last class whose front takes its Schur complement
     for c, nodes in enumerate(members):
@@ -457,7 +470,7 @@ def solve_skeleton(disc: Discretization) -> tuple[np.ndarray, SolveInfo]:
         seconds=time.perf_counter() - start,
         n_skeleton_dofs=x.size,
         residual=resid,
-        max_local_cond=max(cls.ops.cond for cls in disc.classes),
+        max_local_cond=float(disc.ops.cond.max()),
         refine_steps=steps,
         factor_classes=int(tree.node_class.max()) + 1,
         lu_nnz=lu_nnz,
@@ -492,25 +505,26 @@ def solve_helmholtz(disc: Discretization) -> tuple[Solution, SolveInfo]:
     return disc.reconstruct(uhat), info
 
 
-def _grad_trace_block(geom: ElementGeometry, blocks: LocalBlocks) -> np.ndarray:
-    """Flux coupling of the scalar equation assembled as written,
-    <r.n, w>_dT - (r, grad w)_T, without integrating by parts.
+def _grad_trace_block(mesh: Mesh, p: int) -> np.ndarray:
+    """Flux coupling of the scalar equation of every element assembled as
+    written, <r.n, w>_dT - (r, grad w)_T, without integrating by parts:
+    (F, N, 2N).
 
     Equals B^T for exact quadrature; assembled independently so the
     monolithic oracle does not share the condensed path's shortcut.  The
     basis values, gradients and face masses are read from the order-p
     tables of `reference_tables`, so no basis is evaluated per element.
     """
-    n = blocks.n_scalar
-    ref = reference_tables(blocks.p)
-    gphys = np.einsum("qad,cd->qac", ref.grad, geom.inv_jt)
-    grad_part = np.einsum("q,qa,qic->ica", ref.weights, ref.phi, gphys).reshape(n, 2 * n)
+    ref = reference_tables(p)
+    n = ref.M.shape[0]
+    gphys = np.einsum("qad,edc->eqac", ref.grad, np.linalg.inv(mesh.jacobians))
+    grad_part = np.einsum("q,qa,eqic->eica", ref.weights, ref.phi, gphys).reshape(-1, n, 2 * n)
 
-    trace_part = np.zeros((n, 2 * n))
+    trace_part = np.zeros_like(grad_part)
     for face in range(3):
-        mass = (geom.face_lengths[face] / geom.det) * ref.face_mass[face]
+        mass = (mesh.face_lengths[:, face] / mesh.dets)[:, None, None] * ref.face_mass[face]
         for c in range(2):
-            trace_part[:, c * n : (c + 1) * n] += geom.normals[face, c] * mass
+            trace_part[:, :, c * n : (c + 1) * n] += mesh.normals[:, face, c, None, None] * mass
     return trace_part - grad_part
 
 
@@ -518,7 +532,9 @@ def monolithic_solve(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn)
     """Solve the coupled uncondensed equations as one sparse system.
 
     Independent oracle for the condensed pipeline on desk-scale meshes;
-    refuses problems beyond the size guard.
+    refuses problems beyond the size guard.  The blocks of all elements
+    are assembled in one call, and each element's source moments come
+    from its own `volume_load`.
     """
     import scipy.sparse as sp  # only the oracle loads SciPy's sparse stack
     import scipy.sparse.linalg as spla
@@ -536,43 +552,41 @@ def monolithic_solve(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn)
     # The trace layout is written out here, so that the oracle shares no
     # indexing with the condensed assembly.
     def trace_dofs(edges: np.ndarray) -> np.ndarray:
-        return n_interior + (m * edges[:, None] + np.arange(m)).ravel()
+        return n_interior + m * edges[..., None] + np.arange(m)
 
     rows, cols, vals = [], [], []
-    rhs = np.zeros(total, dtype=complex)
 
     def add(r: np.ndarray, c: np.ndarray, block_vals: np.ndarray) -> None:
-        rows.append(np.repeat(r, c.size))
-        cols.append(np.tile(c, r.size))
-        vals.append(np.asarray(block_vals, dtype=complex).ravel())
+        """Every element e's block_vals[e] at its rows r[e] and columns c[e]."""
+        shape = (mesh.n_elements, r.shape[1], c.shape[1])
+        rows.append(np.broadcast_to(r[:, :, None], shape).ravel())
+        cols.append(np.broadcast_to(c[:, None, :], shape).ravel())
+        vals.append(np.broadcast_to(block_vals, shape).astype(complex).ravel())
 
-    for elem in range(mesh.n_elements):
-        geom = mesh_entities(mesh, elem)
-        blocks = assemble_local_blocks(geom, cfg)
-        f_load = volume_load(geom, cfg, f)
-        o = elem * block
-        iq = np.arange(o, o + 2 * n)
-        iu = np.arange(o + 2 * n, o + 3 * n)
-        ilam = trace_dofs(mesh.elem_edges[elem])
+    blocks = assemble_local_blocks(mesh, np.arange(mesh.n_elements), cfg)
+    o = block * np.arange(mesh.n_elements)[:, None]
+    iq = o + np.arange(2 * n)
+    iu = o + 2 * n + np.arange(n)
+    ilam = trace_dofs(mesh.elem_edges).reshape(mesh.n_elements, 3 * m)
 
-        add(iq, iq, blocks.A)
-        add(iq, iu, -blocks.B)
-        add(iq, ilam, blocks.C)
-        add(iu, iq, _grad_trace_block(geom, blocks))
-        add(iu, iu, 1j * cfg.kappa * blocks.M + blocks.S)
-        add(iu, ilam, -blocks.R)
-        rhs[iu] = f_load
-
-        # Skeleton rows: -<qhat.n, mu> per incident element ...
-        add(ilam, iq, -blocks.C.T)
-        add(ilam, iu, -blocks.R.T)
-        add(ilam, ilam, blocks.tau * np.eye(3 * m))
+    add(iq, iq, blocks.A)
+    add(iq, iu, -blocks.B)
+    add(iq, ilam, blocks.C)
+    add(iu, iq, _grad_trace_block(mesh, cfg.p))
+    add(iu, iu, 1j * cfg.kappa * blocks.M + blocks.S)
+    add(iu, ilam, -blocks.R)
+    # Skeleton rows: -<qhat.n, mu> per incident element ...
+    add(ilam, iq, -np.swapaxes(blocks.C, 1, 2))
+    add(ilam, iu, -np.swapaxes(blocks.R, 1, 2))
+    add(ilam, ilam, blocks.tau * np.eye(3 * m))
 
     # ... plus the boundary mass <uhat, mu> on the impedance boundary.
-    bd_dofs = trace_dofs(np.flatnonzero(mesh.boundary_flags))
+    bd_dofs = trace_dofs(np.flatnonzero(mesh.boundary_flags)).ravel()
     rows.append(bd_dofs)
     cols.append(bd_dofs)
     vals.append(np.ones(bd_dofs.size, dtype=complex))
+    rhs = np.zeros(total, dtype=complex)
+    rhs[iu] = [volume_load(mesh, elem, cfg, f) for elem in range(mesh.n_elements)]
     rhs[n_interior:] += boundary_loads(mesh, cfg, g)[0]
 
     matrix = sp.coo_matrix(

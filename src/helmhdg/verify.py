@@ -6,9 +6,11 @@ that raises fails with the exception on its line while the others still
 run.  No timing or other varying value enters a line, so the output
 repeats byte for byte.  Per-element work runs on arrays: local
 uniqueness assembles one element per congruence class of the mesh
-(`Mesh.elem_class`, the classes the solver condenses once each) and takes
-one stacked `np.linalg.cond` per (kappa, p) over the classes, and
-quadrature rules and reference tables are built once per process.  The
+(`Mesh.elem_class`, the classes the solver condenses once each) in one
+batched `assemble_local_blocks` call and takes one stacked
+`np.linalg.cond` per (kappa, p) over the classes, and quadrature rules
+and reference tables are built once per process.  The trace-inequality
+check derives its triangles by the mesh's own `element_geometry`.  The
 orthonormality and trace-inequality checks read the solver's own
 `hdg_local.reference_tables` (the mass M, the 2p face rule and the basis
 values on it), so they check the tables the assembly uses, not a
@@ -29,7 +31,7 @@ import numpy as np
 from .analytic import DataFunctions, ExactSolution, benchmark_problem
 from .diagnostics import ENERGY_IDENTITY_TOL, run_benchmark_case
 from .hdg_local import ProblemConfig, assemble_local_blocks, reference_tables
-from .mesh import ElementGeometry, build_structured_mesh, mesh_entities
+from .mesh import build_structured_mesh, element_geometry
 from .polybasis import TriangleBasis, quadrature_rule, reference_face_points
 from .skeleton import blocks, discretize, monolithic_solve, solve_helmholtz
 
@@ -85,18 +87,20 @@ def _check_quadrature() -> CheckResult:
 
 
 def _trace_ratio(
-    geom: ElementGeometry, p: int, coeffs: np.ndarray, face_phi: np.ndarray, weights: np.ndarray
+    det: float, lengths: np.ndarray, p: int, coeffs: np.ndarray, face_phi: np.ndarray,
+    weights: np.ndarray,
 ) -> np.ndarray:
-    """||v||_dT sqrt(h) / (p ||v||_T) for polynomials given by coefficient
-    rows, with `face_phi` the reference basis values at the edge rule
-    points (weights `weights`) mapped onto each local face."""
+    """||v||_dT sqrt(h) / (p ||v||_T) on a triangle of det J `det` and face
+    lengths `lengths`, for polynomials given by coefficient rows, with
+    `face_phi` the reference basis values at the edge rule points (weights
+    `weights`) mapped onto each local face."""
     boundary_sq = np.zeros(coeffs.shape[0])
     for face in range(3):
-        phi = face_phi[face] / math.sqrt(geom.det)
+        phi = face_phi[face] / math.sqrt(det)
         vals = coeffs @ phi.T
-        boundary_sq += geom.face_lengths[face] * (np.abs(vals) ** 2 @ weights)
+        boundary_sq += lengths[face] * (np.abs(vals) ** 2 @ weights)
     volume = np.linalg.norm(coeffs, axis=1)  # orthonormal basis
-    return np.sqrt(boundary_sq) * math.sqrt(geom.h) / (p * volume)
+    return np.sqrt(boundary_sq) * math.sqrt(lengths.max()) / (p * volume)
 
 
 def _check_trace_inequality() -> CheckResult:
@@ -106,9 +110,9 @@ def _check_trace_inequality() -> CheckResult:
         ref = reference_tables(p)
         for h in (0.25, 0.125, 0.0625):
             s = h / math.sqrt(2.0)
-            geom = ElementGeometry.from_vertices([[0.0, 0.0], [s, 0.0], [s, s]])
+            _, det, lengths, _ = element_geometry(np.array([[[0.0, 0.0], [s, 0.0], [s, s]]]))
             coeffs = rng.standard_normal((200, ref.M.shape[0]))
-            ratio = _trace_ratio(geom, p, coeffs, ref.face_phi, ref.face_weights)
+            ratio = _trace_ratio(det[0], lengths[0], p, coeffs, ref.face_phi, ref.face_weights)
             worst = max(worst, float(ratio.max()))
     return CheckResult(
         "trace-inequality",
@@ -164,8 +168,8 @@ def _check_projection_rates() -> CheckResult:
 
 def _local_condition_numbers() -> np.ndarray:
     """2-norm condition numbers of the local systems of every element of
-    the 4 x 4 mesh, shape (kappa, p, element): one stacked
-    `np.linalg.cond` per (kappa, p) over the element classes.
+    the 4 x 4 mesh, shape (kappa, p, element): one batched assembly and
+    one stacked `np.linalg.cond` per (kappa, p) over the element classes.
 
     The first member of each class of `Mesh.elem_class` is assembled, as
     the solver condenses it, and its condition number is broadcast to the
@@ -174,13 +178,11 @@ def _local_condition_numbers() -> np.ndarray:
     """
     mesh = build_structured_mesh(4)
     first = np.unique(mesh.elem_class, return_index=True)[1]
-    geoms = [mesh_entities(mesh, elem) for elem in first]
     conds = np.empty((3, 3, mesh.n_elements))
     for i, kappa in enumerate((1.0, 20.0, 100.0)):
         for j, p in enumerate((1, 2, 3)):
-            cfg = ProblemConfig.for_mesh(kappa, p, mesh)
-            stack = np.stack([assemble_local_blocks(geom, cfg).system_matrix() for geom in geoms])
-            conds[i, j] = np.linalg.cond(stack)[mesh.elem_class]
+            local = assemble_local_blocks(mesh, first, ProblemConfig.for_mesh(kappa, p, mesh))
+            conds[i, j] = np.linalg.cond(local.system_matrix())[mesh.elem_class]
     return conds
 
 

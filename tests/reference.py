@@ -1,18 +1,21 @@
 """Reference computations that only the tests use.
 
 Each one restates a quantity that the package computes another way, so a
-test can compare the two: the local equations solved element by element
-and their residual, the L2 projection onto one element or edge, the face
-moments of the numerical flux taken directly from (Q, U, lam), the
-skeleton matrix A in the global dof numbering, the oracle's flux
+test can compare the two: the local blocks of one element, the local
+equations solved element by element and their residual, the L2
+projection onto one element or edge, the face moments of the numerical
+flux taken directly from (Q, U, lam), the skeleton matrix A in the
+global dof numbering, the oracle's flux
 coupling with the basis evaluated per element, the classes' source
 moments taken element by element from the oracle's `volume_load`, and
 the trace on the element faces with the edge basis evaluated per element.
 It also holds the committed error norms of two pollution cases, which the
 pinned-norm test and the mutants that only those norms catch compare
-against.
+against.  `triangle_mesh` makes a one-element mesh of any triangle, for
+the element-level tests that need a triangle outside a tiling.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,8 +23,8 @@ import scipy.sparse as sp
 
 from helmhdg.analytic import benchmark_problem
 from helmhdg.diagnostics import _uhat_on_faces
-from helmhdg.hdg_local import LocalBlocks, ProblemConfig, volume_load
-from helmhdg.mesh import ElementGeometry, Mesh, mesh_entities
+from helmhdg.hdg_local import LocalBlocks, ProblemConfig, assemble_local_blocks, volume_load
+from helmhdg.mesh import Mesh, element_geometry
 from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule, reference_face_points
 from helmhdg.skeleton import Discretization, _edge_dofs, discretize
 
@@ -33,6 +36,30 @@ POLLUTION_ERRORS = {
     (40.0, 63): (2.460778582832672e-5, 6.211623888193508e-5, 5.763367971498196e-4),
 }
 POLLUTION_ERRORS_REL = 1e-9
+
+
+def triangle_mesh(corners, orient=(1, 1, 1)) -> Mesh:
+    """A mesh of the one triangle with these corners, whose local faces
+    have the given orientations, with its geometry derived by
+    `element_geometry`.  It is not validated, since a lone triangle does
+    not tile the domain."""
+    vertices = np.asarray(corners, dtype=float).reshape(3, 2)
+    jacobians, dets, face_lengths, normals = element_geometry(vertices[None])
+    edge_to_elements = np.full((3, 2, 2), -1)
+    edge_to_elements[:, 0] = [[0, 0], [0, 1], [0, 2]]
+    return Mesh(
+        vertices=vertices, triangles=np.array([[0, 1, 2]]), edges=np.array([[0, 1], [1, 2], [0, 2]]),
+        edge_to_elements=edge_to_elements, boundary_flags=np.ones(3, dtype=bool),
+        h_global=float(face_lengths.max()), elem_edges=np.array([[0, 1, 2]]),
+        elem_edge_orient=np.array([orient]), jacobians=jacobians, dets=dets,
+        face_lengths=face_lengths, normals=normals, elem_class=np.zeros(1, dtype=np.int64),
+    )
+
+
+def element_blocks(mesh: Mesh, elem: int, cfg: ProblemConfig) -> LocalBlocks:
+    """The local blocks of one element, assembled alone and unstacked."""
+    blocks = assemble_local_blocks(mesh, [elem], cfg)
+    return dataclasses.replace(blocks, **{name: getattr(blocks, name)[0] for name in "BCSR"})
 
 
 def local_rhs(blocks: LocalBlocks, lam: np.ndarray, f_load: np.ndarray | None = None) -> np.ndarray:
@@ -61,7 +88,7 @@ def l2_project(target: str, function, p: int, geometry, quad_degree: int | None 
 
     In the orthonormal bases the coefficients are plain quadrature inner
     products of the function with each basis member.  For ``target ==
-    "element"`` the geometry is an `ElementGeometry`; for ``target ==
+    "element"`` the geometry is a pair (mesh, element id); for ``target ==
     "edge"`` it is the pair of endpoints, shape (2, 2), whose order fixes
     the edge parametrization.
     """
@@ -69,8 +96,10 @@ def l2_project(target: str, function, p: int, geometry, quad_degree: int | None 
     if target == "element":
         rule = quadrature_rule("triangle", degree)
         basis = TriangleBasis(p).eval(rule.points)
-        values = np.asarray(function(geometry.map_to_physical(rule.points)))
-        return math.sqrt(geometry.det) * (basis.T @ (rule.weights * values))
+        mesh, elem = geometry
+        points = mesh.element_points([elem], rule.points, mesh.jacobians[elem])[0]
+        values = np.asarray(function(points))
+        return math.sqrt(mesh.dets[elem]) * (basis.T @ (rule.weights * values))
     if target == "edge":
         ends = np.asarray(geometry, dtype=float).reshape(2, 2)
         length = float(np.linalg.norm(ends[1] - ends[0]))
@@ -110,11 +139,11 @@ def global_matrix(disc: Discretization) -> sp.csc_matrix:
     assembled by COO from the element classes."""
     mesh, m = disc.mesh, disc.cfg.p + 1
     rows, cols, vals = [], [], []
-    for cls in disc.classes:
+    for k, cls in enumerate(disc.classes):
         gidx = _edge_dofs(mesh.elem_edges[cls.ids], m).reshape(len(cls.ids), 3 * m)
         rows.append(np.repeat(gidx, 3 * m, axis=1).ravel())
         cols.append(np.tile(gidx, (1, 3 * m)).ravel())
-        vals.append(np.broadcast_to(-cls.ops.K, (len(cls.ids), 3 * m, 3 * m)).ravel())
+        vals.append(np.broadcast_to(-disc.ops.K[k], (len(cls.ids), 3 * m, 3 * m)).ravel())
     boundary = _edge_dofs(np.flatnonzero(mesh.boundary_flags), m).ravel()
     rows.append(boundary)
     cols.append(boundary)
@@ -126,15 +155,15 @@ def global_matrix(disc: Discretization) -> sp.csc_matrix:
     ).tocsc()
 
 
-def grad_trace_block(geom: ElementGeometry, blocks: LocalBlocks) -> np.ndarray:
+def grad_trace_block(mesh: Mesh, elem: int, p: int) -> np.ndarray:
     """<r.n, w>_dT - (r, grad w)_T of one element, with the basis evaluated
     on each call instead of read from `reference_tables`, as a reference
     for the monolithic oracle's flux coupling."""
-    p, n = blocks.p, blocks.n_scalar
     basis = TriangleBasis(p)
+    n = basis.dim
     rule = quadrature_rule("triangle", 2 * p)
     phi, grad = basis.eval_with_grad(rule.points)
-    gphys = np.einsum("qad,cd->qac", grad, geom.inv_jt)
+    gphys = np.einsum("qad,cd->qac", grad, np.linalg.inv(mesh.jacobians[elem]).T)
     grad_part = np.einsum("q,qa,qic->ica", rule.weights, phi, gphys).reshape(n, 2 * n)
 
     face_rule = quadrature_rule("edge", 2 * p)
@@ -142,9 +171,9 @@ def grad_trace_block(geom: ElementGeometry, blocks: LocalBlocks) -> np.ndarray:
     for face in range(3):
         phi_f = basis.eval(reference_face_points(face, face_rule.points))
         w = face_rule.weights
-        mass = (geom.face_lengths[face] / geom.det) * (phi_f.T @ (w[:, None] * phi_f))
+        mass = (mesh.face_lengths[elem, face] / mesh.dets[elem]) * (phi_f.T @ (w[:, None] * phi_f))
         for c in range(2):
-            trace_part[:, c * n : (c + 1) * n] += geom.normals[face, c] * mass
+            trace_part[:, c * n : (c + 1) * n] += mesh.normals[elem, face, c] * mass
     return trace_part - grad_part
 
 
@@ -163,7 +192,7 @@ def source_moment_deviation(disc: Discretization) -> float:
     worst = 0.0
     for cls in disc.classes:
         for moments, elem in zip(cls.f_moments, cls.ids):
-            ref = volume_load(mesh_entities(disc.mesh, elem), disc.cfg, f)
+            ref = volume_load(disc.mesh, elem, disc.cfg, f)
             worst = max(worst, np.abs(moments - ref).max() / np.abs(ref).max())
     return float(worst)
 

@@ -11,9 +11,8 @@ from helmhdg.analytic import (
     benchmark_problem,
     data_quadrature_degree,
 )
-from helmhdg.mesh import ElementGeometry
 from helmhdg.polybasis import quadrature_rule, TriangleBasis
-from reference import l2_project
+from reference import l2_project, triangle_mesh
 
 
 def _series_oracle_j0(x, terms=80):
@@ -191,31 +190,31 @@ def test_data_quadrature_degree_rule():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_projection_idempotent_on_polynomials(p):
-    geom = ElementGeometry.from_vertices([[0.1, 0.2], [0.6, 0.25], [0.2, 0.7]])
+    mesh = triangle_mesh([[0.1, 0.2], [0.6, 0.25], [0.2, 0.7]])
     basis = TriangleBasis(p)
     rng = np.random.default_rng(p)
     coeff = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
 
     def poly(pts):
         # invert the affine map to evaluate the element polynomial
-        ref = (pts - geom.vertices[0]) @ np.linalg.inv(geom.jacobian).T
-        return basis.eval(ref) @ coeff / math.sqrt(geom.det)
+        ref = (pts - mesh.vertices[0]) @ np.linalg.inv(mesh.jacobians[0]).T
+        return basis.eval(ref) @ coeff / math.sqrt(mesh.dets[0])
 
-    back = l2_project("element", poly, p, geom)
+    back = l2_project("element", poly, p, (mesh, 0))
     assert np.abs(back - coeff).max() <= 1e-12
 
 
 def test_projection_residual_orthogonality():
-    geom = ElementGeometry.from_vertices([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
+    mesh = triangle_mesh([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
     p = 2
     func = lambda pts: np.sin(pts[:, 0]) * np.cos(pts[:, 1])  # noqa: E731
-    coeff = l2_project("element", func, p, geom, quad_degree=20)
+    coeff = l2_project("element", func, p, (mesh, 0), quad_degree=20)
     rule = quadrature_rule("triangle", 20)
     basis = TriangleBasis(p)
     vals = basis.eval(rule.points)
-    proj = vals @ coeff / math.sqrt(geom.det)
-    resid = func(geom.map_to_physical(rule.points)) - proj
-    moments = math.sqrt(geom.det) * (vals.T @ (rule.weights * resid))
+    proj = vals @ coeff / math.sqrt(mesh.dets[0])
+    resid = func(mesh.element_points([0], rule.points, mesh.jacobians[0])[0]) - proj
+    moments = math.sqrt(mesh.dets[0]) * (vals.T @ (rule.weights * resid))
     assert np.abs(moments).max() <= 1e-11
 
 
@@ -233,7 +232,7 @@ def test_projection_error_halving_ratio(p):
 
 def _projection_errors_per_element(n, p, func):
     """Reference: the projection check one element at a time."""
-    from helmhdg.mesh import build_structured_mesh, mesh_entities
+    from helmhdg.mesh import build_structured_mesh
     from helmhdg.polybasis import reference_face_points
 
     mesh = build_structured_mesh(n)
@@ -243,16 +242,20 @@ def _projection_errors_per_element(n, p, func):
     vol_sq = 0.0
     trace_sq = 0.0
     for elem in range(mesh.n_elements):
-        geom = mesh_entities(mesh, elem)
-        coeff = l2_project("element", func, p, geom, quad_degree=2 * p + 12)
-        vals = basis.eval(vol_rule.points) @ coeff / math.sqrt(geom.det)
-        diff = func(geom.map_to_physical(vol_rule.points)) - vals
-        vol_sq += geom.det * float(np.abs(diff) ** 2 @ vol_rule.weights)
+        det = mesh.dets[elem]
+
+        def physical(ref_pts):
+            return mesh.element_points([elem], ref_pts, mesh.jacobians[elem])[0]
+
+        coeff = l2_project("element", func, p, (mesh, elem), quad_degree=2 * p + 12)
+        vals = basis.eval(vol_rule.points) @ coeff / math.sqrt(det)
+        diff = func(physical(vol_rule.points)) - vals
+        vol_sq += det * float(np.abs(diff) ** 2 @ vol_rule.weights)
         for face in range(3):
             ref_pts = reference_face_points(face, edge_rule.points)
-            fvals = basis.eval(ref_pts) @ coeff / math.sqrt(geom.det)
-            fdiff = func(geom.map_to_physical(ref_pts)) - fvals
-            trace_sq += geom.face_lengths[face] * float(np.abs(fdiff) ** 2 @ edge_rule.weights)
+            fvals = basis.eval(ref_pts) @ coeff / math.sqrt(det)
+            fdiff = func(physical(ref_pts)) - fvals
+            trace_sq += mesh.face_lengths[elem, face] * float(np.abs(fdiff) ** 2 @ edge_rule.weights)
     return math.sqrt(vol_sq), math.sqrt(trace_sq)
 
 
@@ -268,13 +271,13 @@ def test_blocked_projection_matches_per_element_loop(n, p):
 
 
 def test_projection_check_calls_func_per_block(monkeypatch):
-    from helmhdg import mesh, skeleton, verify
+    from helmhdg import hdg_local, skeleton, verify
 
     def forbidden(*args, **kwargs):
         raise AssertionError("per-element call in the projection check")
 
-    for module in (verify, mesh):
-        monkeypatch.setattr(module, "mesh_entities", forbidden)
+    monkeypatch.setattr(verify, "element_geometry", forbidden)
+    monkeypatch.setattr(hdg_local, "volume_load", forbidden)
     calls = []
 
     def func(pts):

@@ -18,7 +18,7 @@ from helmhdg.diagnostics import (
     write_convergence_csv,
 )
 from helmhdg.hdg_local import ProblemConfig
-from helmhdg.mesh import build_structured_mesh, mesh_entities
+from helmhdg.mesh import build_structured_mesh
 from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule
 from helmhdg import diagnostics, skeleton
 from helmhdg.skeleton import Solution, discretize, solve_helmholtz
@@ -86,9 +86,8 @@ def test_projection_injection_beats_solver():
     exact = ExactSolution(kappa)
     injected = _zero_solution(mesh, p)
     for elem in range(mesh.n_elements):
-        geom = mesh_entities(mesh, elem)
         degree = 2 * p + 12
-        injected.U[elem] = l2_project("element", exact.u, p, geom, quad_degree=degree)
+        injected.U[elem] = l2_project("element", exact.u, p, (mesh, elem), quad_degree=degree)
     proj_report = compute_errors(injected, exact, case.disc)
     assert proj_report.e_u < case.report.e_u
 
@@ -150,14 +149,15 @@ def _unblocked_errors(solution, exact, disc):
     mesh, p = disc.mesh, disc.cfg.p
     e_u_sq = e_q_sq = 0.0
     for cls in disc.classes:
-        points = mesh.element_points(cls.ids, cls.rule.points, cls.geom.jacobian)
+        rep = cls.ids[0]
+        points = mesh.element_points(cls.ids, cls.rule.points, mesh.jacobians[rep])
         ue, grad = exact.u_and_grad(points.reshape(-1, 2))
         qe = (1j * grad / exact.kappa).reshape(len(cls.ids), -1, 2)
-        uh, qh = solution.fields(cls.ids, cls.phi, cls.geom.det)
+        uh, qh = solution.fields(cls.ids, cls.phi, mesh.dets[rep])
         du = uh - ue.reshape(len(cls.ids), -1)
         dq_sq = np.abs(qh[..., 0] - qe[:, :, 0]) ** 2 + np.abs(qh[..., 1] - qe[:, :, 1]) ** 2
-        e_u_sq += cls.geom.det * float((np.abs(du) ** 2 @ cls.rule.weights).sum())
-        e_q_sq += cls.geom.det * float((dq_sq @ cls.rule.weights).sum())
+        e_u_sq += mesh.dets[rep] * float((np.abs(du) ** 2 @ cls.rule.weights).sum())
+        e_q_sq += mesh.dets[rep] * float((dq_sq @ cls.rule.weights).sum())
     rule = quadrature_rule("edge", data_quadrature_degree(p, disc.cfg.kappa, mesh.h_global))
     pts = mesh.edge_points(np.arange(mesh.n_edges), rule.points)
     elem, face = mesh.edge_to_elements[:, 0].T
@@ -183,7 +183,8 @@ def test_blocked_errors_match_unblocked(monkeypatch):
                             lambda self, pts, m=method: calls.append(len(pts)) or m(self, pts))
     report = compute_errors(solution, exact, disc)
     monkeypatch.undo()
-    volume = quadrature_rule("triangle", data_quadrature_degree(p, kappa, disc.classes[0].geom.h))
+    h = mesh.face_lengths[disc.classes[0].ids[0]].max()
+    volume = quadrature_rule("triangle", data_quadrature_degree(p, kappa, h))
     edge = quadrature_rule("edge", data_quadrature_degree(p, kappa, mesh.h_global))
     # Blocks of 2^12 points: 163 elements of 25 points (9 full blocks and
     # one of 133 per class) and 819 edges of 5 points (5 full and one of 785).
@@ -381,15 +382,15 @@ def test_boundary_data_is_evaluated_in_batches(monkeypatch):
 
 def test_data_is_evaluated_once(monkeypatch):
     # The solve and its diagnostics share one discretization: f runs once
-    # and each representative geometry is built once per element class,
-    # and g runs once (its moments and its norm share the values).
+    # per element class, the class representatives are assembled in one
+    # call, and g runs once (its moments and its norm share the values).
     import sys
 
-    from helmhdg import mesh as mesh_module
+    from helmhdg import hdg_local
     from helmhdg.analytic import DataFunctions
 
-    calls = {"f": 0, "g": 0, "mesh_entities": 0}
-    f, g, entities = DataFunctions.f, DataFunctions.g, mesh_module.mesh_entities
+    calls = {"f": 0, "g": 0, "assemble_local_blocks": 0}
+    f, g, assemble = DataFunctions.f, DataFunctions.g, hdg_local.assemble_local_blocks
 
     def counting_f(self, points):
         calls["f"] += 1
@@ -399,19 +400,19 @@ def test_data_is_evaluated_once(monkeypatch):
         calls["g"] += 1
         return g(self, points, normals)
 
-    def counting_entities(mesh, elem):
-        calls["mesh_entities"] += 1
-        return entities(mesh, elem)
+    def counting_assemble(mesh, elements, cfg):
+        calls["assemble_local_blocks"] += 1
+        return assemble(mesh, elements, cfg)
 
     monkeypatch.setattr(DataFunctions, "f", counting_f)
     monkeypatch.setattr(DataFunctions, "g", counting_g)
     for name, module in list(sys.modules.items()):
-        if name.startswith("helmhdg") and getattr(module, "mesh_entities", None) is entities:
-            monkeypatch.setattr(module, "mesh_entities", counting_entities)
+        if name.startswith("helmhdg") and getattr(module, "assemble_local_blocks", None) is assemble:
+            monkeypatch.setattr(module, "assemble_local_blocks", counting_assemble)
     n_classes = build_structured_mesh(8).elem_class.max() + 1
     assert n_classes == 2
     run_benchmark_case(20.0, 2, 8)
-    assert calls == {"f": n_classes, "g": 1, "mesh_entities": n_classes}
+    assert calls == {"f": n_classes, "g": 1, "assemble_local_blocks": 1}
 
 
 @pytest.mark.parametrize("kappa, n", list(POLLUTION_ERRORS), ids=["kappa20-n22", "kappa40-n63"])

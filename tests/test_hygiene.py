@@ -143,9 +143,12 @@ def _absent_targets(source: str) -> set[str]:
 def test_benchmark_span_targets_resolve():
     # A refactor that renames or deletes a wrapped function silently
     # detaches its benchmark metrics; only the functions removed on
-    # purpose may be missing: skeleton.volume_loads, and the two that only
-    # tests called and that moved to tests/reference.py.
-    removed = {"skeleton.volume_loads", "analytic.l2_project", "hdg_local.local_solve"}
+    # purpose may be missing: skeleton.volume_loads, the two that only
+    # tests called and that moved to tests/reference.py, and
+    # mesh.mesh_entities, deleted with the per-element geometry object.
+    removed = {
+        "skeleton.volume_loads", "analytic.l2_project", "hdg_local.local_solve", "mesh.mesh_entities",
+    }
     assert _absent_targets(SPANS.read_text(encoding="utf-8")) <= removed
 
 

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from helmhdg.mesh import (
-    ElementGeometry,
     _finish_mesh,
     build_structured_mesh,
+    element_geometry,
     format_mesh,
     ND_LEAF_SIZE,
     dissection_tree,
-    mesh_entities,
     write_mesh,
 )
 from meshes import fan_strip_mesh, jittered_mesh, perturbed_mesh
@@ -48,7 +47,7 @@ def test_invariants_hold(n):
     incidences = np.sum(mesh.edge_to_elements[:, :, 0] >= 0, axis=1)
     assert np.all(incidences[mesh.boundary_flags] == 1)
     assert np.all(incidences[~mesh.boundary_flags] == 2)
-    areas = [mesh_entities(mesh, e).area for e in range(mesh.n_elements)]
+    areas = 0.5 * mesh.dets
     assert abs(sum(areas) - 1.0) <= 1e-12
 
 
@@ -59,13 +58,15 @@ def test_refinement_halves_h_exactly():
 
 def test_element_geometry_basics():
     mesh = build_structured_mesh(1)
-    geom = mesh_entities(mesh, 0)
-    assert geom.area == pytest.approx(0.5)
-    assert abs(geom.det) == pytest.approx(2.0 * geom.area)
-    assert np.allclose(np.linalg.norm(geom.normals, axis=1), 1.0, atol=1e-14)
+    x, y = mesh.vertices[mesh.triangles[0]].T
+    area = 0.5 * abs(x @ np.roll(y, -1) - y @ np.roll(x, -1))  # shoelace
+    assert area == pytest.approx(0.5)
+    assert abs(mesh.dets[0]) == pytest.approx(2.0 * area)
+    assert np.allclose(np.linalg.norm(mesh.normals[0], axis=1), 1.0, atol=1e-14)
     # affine map is invertible and hits the vertices
     ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert np.allclose(geom.map_to_physical(ref), geom.vertices)
+    assert np.allclose(mesh.element_points([0], ref, mesh.jacobians[0])[0],
+                       mesh.vertices[mesh.triangles[0]])
 
 
 @pytest.mark.parametrize("make_mesh", [lambda: build_structured_mesh(4), jittered_mesh],
@@ -73,7 +74,7 @@ def test_element_geometry_basics():
 def test_element_points_match_the_per_element_map(make_mesh):
     mesh = make_mesh()
     ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.3], [0.6, 0.1]])
-    want = np.stack([mesh_entities(mesh, elem).map_to_physical(ref)
+    want = np.stack([mesh.vertices[mesh.triangles[elem, 0]] + ref @ mesh.jacobians[elem].T
                      for elem in range(mesh.n_elements)])
     # Each element's own Jacobian, for all elements and for a range.
     assert np.array_equal(mesh.element_points(slice(None), ref, mesh.jacobians), want)
@@ -89,33 +90,29 @@ def test_element_points_match_the_per_element_map(make_mesh):
 def test_normals_sum_to_zero_weighted_by_length():
     mesh = build_structured_mesh(3)
     for elem in range(mesh.n_elements):
-        geom = mesh_entities(mesh, elem)
-        total = (geom.normals * geom.face_lengths[:, None]).sum(axis=0)
+        total = (mesh.normals[elem] * mesh.face_lengths[elem, :, None]).sum(axis=0)
         assert np.abs(total).max() <= 1e-14
 
 
 def test_uniform_diameters_n2():
     mesh = build_structured_mesh(2)
     for elem in range(mesh.n_elements):
-        assert mesh_entities(mesh, elem).h == pytest.approx(math.sqrt(2.0) / 2.0)
-
-
-def test_out_of_range_element_rejected():
-    mesh = build_structured_mesh(2)
-    with pytest.raises(IndexError):
-        mesh_entities(mesh, 8)
-    with pytest.raises(IndexError):
-        mesh_entities(mesh, -1)
+        assert mesh.face_lengths[elem].max() == pytest.approx(math.sqrt(2.0) / 2.0)
 
 
 @pytest.mark.filterwarnings("error")
 def test_degenerate_element_rejected():
-    with pytest.raises(ValueError):
-        ElementGeometry.from_vertices([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(ValueError):  # negatively oriented
-        ElementGeometry.from_vertices([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValueError):  # repeated vertex: a zero-length face, no warning
-        ElementGeometry.from_vertices([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    # One-triangle meshes: topologically valid, refused by `Mesh.validate`.
+    def build(corners):
+        return _finish_mesh(np.array(corners), np.array([[0, 1, 2]]), n=None)
+
+    with pytest.raises(ValueError, match="degenerate"):
+        build([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(ValueError, match="degenerate"):  # negatively oriented
+        build([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    # A repeated vertex: a zero-length face, with no warning.
+    with pytest.raises(ValueError, match="degenerate"):
+        build([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -128,10 +125,10 @@ def test_shared_edges_traverse_same_physical_points(n):
     for edge in np.flatnonzero(~mesh.boundary_flags):
         sides = []
         for elem, face in mesh.edge_to_elements[edge]:
-            geom = mesh_entities(mesh, int(elem))
-            a = geom.vertices[face]
-            b = geom.vertices[(face + 1) % 3]
-            s = t if geom.edge_orient[face] == 1 else 1.0 - t
+            corners = mesh.vertices[mesh.triangles[elem]]
+            a = corners[face]
+            b = corners[(face + 1) % 3]
+            s = t if mesh.elem_edge_orient[elem, face] == 1 else 1.0 - t
             sides.append(a + s[:, None] * (b - a))
         assert np.abs(sides[0] - sides[1]).max() <= 1e-15
 
@@ -140,8 +137,8 @@ def test_opposite_sides_have_opposite_normals():
     mesh = build_structured_mesh(3)
     for edge in np.flatnonzero(~mesh.boundary_flags):
         (e1, f1), (e2, f2) = mesh.edge_to_elements[edge]
-        n1 = mesh_entities(mesh, int(e1)).normals[int(f1)]
-        n2 = mesh_entities(mesh, int(e2)).normals[int(f2)]
+        n1 = mesh.normals[e1, f1]
+        n2 = mesh.normals[e2, f2]
         assert np.abs(n1 + n2).max() <= 1e-14
 
 
@@ -245,21 +242,16 @@ def test_vertex_cut_that_empties_a_side_falls_back_to_the_median_rank():
     fan_strip_mesh,
 ], ids=["n1", "n8", "perturbed", "fan-strip"])
 def test_stored_geometry_matches_element_geometry(make):
-    # `mesh_entities` reads the batched arrays stored on the mesh; the
-    # standalone path derives one element's geometry from its corners.
-    # They must agree bit for bit, in every field.
+    # The mesh stores `element_geometry` of all its elements at once; the
+    # same helper on one element's corners alone must agree bit for bit,
+    # in every array.
     mesh = make()
     for elem in range(mesh.n_elements):
-        geom = mesh_entities(mesh, elem)
-        alone = ElementGeometry.from_vertices(
-            mesh.vertices[mesh.triangles[elem]], edge_orient=mesh.elem_edge_orient[elem]
-        )
-        assert np.array_equal(mesh.jacobians[elem], geom.jacobian)
-        assert np.array_equal(mesh.dets[elem], geom.det)
-        assert np.array_equal(mesh.face_lengths[elem], geom.face_lengths)
-        assert np.array_equal(mesh.normals[elem], geom.normals)
-        for name, value in vars(alone).items():
-            assert np.array_equal(getattr(geom, name), value), name
+        jac, det, lengths, normals = element_geometry(mesh.vertices[mesh.triangles[elem]][None])
+        assert np.array_equal(mesh.jacobians[elem], jac[0])
+        assert np.array_equal(mesh.dets[elem], det[0])
+        assert np.array_equal(mesh.face_lengths[elem], lengths[0])
+        assert np.array_equal(mesh.normals[elem], normals[0])
     assert mesh.h_global == (math.sqrt(2.0) / mesh.n if mesh.n else mesh.face_lengths.max())
 
 

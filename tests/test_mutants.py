@@ -94,8 +94,8 @@ def test_trace_coupling_scaled_in_the_condensed_path_is_caught_by_the_energy_ide
     # residual re 0.70 at (20, 2, 16)).
     assemble = skeleton.assemble_local_blocks
 
-    def scaled(geom, cfg):
-        blocks = assemble(geom, cfg)
+    def scaled(mesh, elements, cfg):
+        blocks = assemble(mesh, elements, cfg)
         return dataclasses.replace(blocks, R=1.01 * blocks.R)
 
     monkeypatch.setattr(skeleton, "assemble_local_blocks", scaled)

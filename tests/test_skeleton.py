@@ -11,8 +11,8 @@ import scipy.sparse.linalg as spla
 
 from helmhdg.analytic import ExactSolution, benchmark_problem, data_quadrature_degree
 from helmhdg.diagnostics import compute_errors, data_norms
-from helmhdg.hdg_local import ProblemConfig, assemble_local_blocks, reference_tables
-from helmhdg.mesh import build_structured_mesh, dissection_tree, mesh_entities
+from helmhdg.hdg_local import ProblemConfig, reference_tables
+from helmhdg.mesh import build_structured_mesh, dissection_tree
 from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule
 import helmhdg.skeleton as skeleton
 from helmhdg.skeleton import (
@@ -33,6 +33,7 @@ from helmhdg.skeleton import (
 from meshes import fan_strip_mesh, jittered_mesh, perturbed_mesh
 from reference import (
     benchmark_discretization,
+    element_blocks,
     flux_functional,
     global_matrix,
     grad_trace_block,
@@ -131,10 +132,10 @@ def test_boundary_edges_carry_extra_mass():
     # rebuild only the condensed-flux part
     flux_only = np.zeros_like(full)
     m = cfg.p + 1
-    for cls in disc.classes:
+    for k, cls in enumerate(disc.classes):
         for elem in cls.ids:
             idx = _edge_dofs(mesh.elem_edges[elem], m).ravel()
-            flux_only[np.ix_(idx, idx)] += -cls.ops.K
+            flux_only[np.ix_(idx, idx)] += -disc.ops.K[k]
     extra = full - flux_only
     expected = np.zeros_like(full)
     for edge in np.flatnonzero(mesh.boundary_flags):
@@ -159,7 +160,7 @@ def test_skeleton_matrix_is_schur_complement_of_monolithic():
     total = n_interior + 2 * mesh.n_edges
     full = np.zeros((total, total), dtype=complex)
     for elem in range(mesh.n_elements):
-        blocks = assemble_local_blocks(mesh_entities(mesh, elem), cfg)
+        blocks = element_blocks(mesh, elem, cfg)
         o = elem * block
         lam = n_interior + _edge_dofs(mesh.elem_edges[elem], 2).ravel()
         full[o : o + 2 * n, o : o + 2 * n] = blocks.A
@@ -232,8 +233,8 @@ def test_reconstruction_satisfies_local_equations():
 
     traces = solution.uhat.reshape(mesh.n_edges, cfg.p + 1)
     for elem in range(mesh.n_elements):
-        blocks = assemble_local_blocks(mesh_entities(mesh, elem), cfg)
-        load = volume_load(mesh_entities(mesh, elem), cfg, data.f)
+        blocks = element_blocks(mesh, elem, cfg)
+        load = volume_load(mesh, elem, cfg, data.f)
         lam = traces[mesh.elem_edges[elem]].ravel()
         resid = local_residual(blocks, solution.Q[elem], solution.U[elem], lam, load)
         assert resid <= 1e-9
@@ -251,7 +252,7 @@ def test_flux_continuity_across_interior_edges():
 
     fluxes = []
     for elem in range(mesh.n_elements):
-        blocks = assemble_local_blocks(mesh_entities(mesh, elem), cfg)
+        blocks = element_blocks(mesh, elem, cfg)
         lam = traces[mesh.elem_edges[elem]].ravel()
         fluxes.append(flux_functional(blocks, solution.Q[elem], solution.U[elem], lam))
     scale = max(np.abs(np.concatenate(fluxes)).max(), 1e-300)
@@ -289,7 +290,7 @@ def test_solve_skeleton_builds_and_logs_the_solve_info(caplog):
     with caplog.at_level(logging.INFO, logger=skeleton.__name__):
         uhat, info = solve_skeleton(disc)
     assert info.n_skeleton_dofs == uhat.size == disc.rhs().size
-    assert info.max_local_cond == max(cls.ops.cond for cls in disc.classes)
+    assert info.max_local_cond == disc.ops.cond.max()
     assert info.seconds > 0.0
     (record,) = [r for r in caplog.records if r.name == skeleton.__name__]
     assert record.levelno == logging.INFO
@@ -361,14 +362,13 @@ def test_oracle_equals_the_per_element_flux_coupling(make, p, monkeypatch):
     # coupling, nor of the oracle's solution.
     mesh = make()
     cfg = ProblemConfig.for_mesh(5.0, p, mesh)
+    batched = skeleton._grad_trace_block(mesh, p)
     for elem in range(mesh.n_elements):
-        geom = mesh_entities(mesh, elem)
-        local = assemble_local_blocks(geom, cfg)
-        assert skeleton._grad_trace_block(geom, local).tobytes() == (
-            grad_trace_block(geom, local).tobytes())
+        assert batched[elem].tobytes() == grad_trace_block(mesh, elem, p).tobytes()
     _, data = benchmark_problem(5.0)
     got = monolithic_solve(mesh, cfg, data.f, data.g)
-    monkeypatch.setattr(skeleton, "_grad_trace_block", grad_trace_block)
+    monkeypatch.setattr(skeleton, "_grad_trace_block", lambda mesh, p: np.array(
+        [grad_trace_block(mesh, elem, p) for elem in range(mesh.n_elements)]))
     want = monolithic_solve(mesh, cfg, data.f, data.g)
     for name in ("Q", "U", "uhat"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -482,9 +482,8 @@ def test_samples_match_a_per_element_evaluation(make_mesh, p):
     n, k = phi.shape[1], ref.n_points
     want_pts, want_u, want_q = [], [], []
     for elem in range(mesh.n_elements):
-        geom = mesh_entities(mesh, elem)
-        scale = 1.0 / np.sqrt(geom.det)
-        want_pts.append(geom.map_to_physical(ref.points))
+        scale = 1.0 / np.sqrt(mesh.dets[elem])
+        want_pts.append(mesh.vertices[mesh.triangles[elem, 0]] + ref.points @ mesh.jacobians[elem].T)
         want_u.append(scale * (phi @ solution.U[elem]))
         want_q.append(scale * np.stack([phi @ solution.Q[elem, :n], phi @ solution.Q[elem, n:]], axis=1))
     assert pts.shape[0] == k * mesh.n_elements == (p + 1) ** 2 * mesh.n_elements
@@ -609,7 +608,7 @@ def _per_edge_boundary_reference(mesh, cfg, g):
         a, b = mesh.vertices[lo], mesh.vertices[hi]
         length = float(np.linalg.norm(b - a))
         elem, face = mesh.edge_to_elements[edge, 0]
-        normal = mesh_entities(mesh, int(elem)).normals[int(face)]
+        normal = mesh.normals[elem, face]
         rule = quadrature_rule("edge", data_quadrature_degree(cfg.p, cfg.kappa, mesh.h_global))
         pts = a + rule.points[:, None] * (b - a)
         vals = np.asarray(g(pts, np.tile(normal, (rule.n_points, 1))), dtype=complex)
@@ -683,8 +682,8 @@ def test_condensed_operators_are_complex_symmetric(kappa, p, make):
     # `Discretization.apply` may take K or K^T.  Measured worst 1.8e-15.
     mesh = make()
     disc = discretize(mesh, ProblemConfig.for_mesh(kappa, p, mesh), zero_f, zero_g)
-    for cls in disc.classes:
-        assert np.abs(cls.ops.K - cls.ops.K.T).max() <= 1e-13 * np.abs(cls.ops.K).max()
+    for K in disc.ops.K:
+        assert np.abs(K - K.T).max() <= 1e-13 * np.abs(K).max()
     matrix = global_matrix(disc)
     assert abs(matrix - matrix.T).max() <= 1e-13 * abs(matrix).max()
 
@@ -830,8 +829,7 @@ def test_singular_front_names_its_class(monkeypatch):
     # With every K zero, the first leaf front eliminates its interior
     # edges from a zero block.
     disc = _pollution_case(20.0, 22)
-    for cls in disc.classes:
-        monkeypatch.setattr(cls.ops, "K", np.zeros_like(cls.ops.K))
+    monkeypatch.setattr(disc.ops, "K", np.zeros_like(disc.ops.K))
     with pytest.raises(RuntimeError, match=(
         r"front of node class 0 is singular \(\d+ of \d+ dofs eliminated\), so the "
         r"skeleton solve cannot meet its residual contract 1\.0e-10"

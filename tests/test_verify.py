@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from helmhdg import diagnostics, hdg_local, polybasis, verify
-from helmhdg.hdg_local import ProblemConfig, assemble_local_blocks
-from helmhdg.mesh import build_structured_mesh, mesh_entities
+from helmhdg.hdg_local import ProblemConfig
+from helmhdg.mesh import build_structured_mesh
 from helmhdg.polybasis import quadrature_rule, reference_face_points
 from helmhdg.skeleton import blocks
 from meshes import jittered_mesh
+from reference import element_blocks
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -36,12 +37,13 @@ def _workloads_value(name):
     )
 
 
-def _counting(monkeypatch, owner, name):
+def _counting(monkeypatch, owner, name, record=lambda *args: 1):
+    """Calls of owner.name from now on, each as `record` of its arguments."""
     calls = []
     original = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(1)
+        calls.append(record(*args))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, wrapper)
@@ -53,8 +55,8 @@ def test_stacked_condition_numbers_equal_per_element_loop():
     expected = np.array([
         [
             [
-                np.linalg.cond(assemble_local_blocks(
-                    mesh_entities(mesh, elem), ProblemConfig.for_mesh(kappa, p, mesh)
+                np.linalg.cond(element_blocks(
+                    mesh, elem, ProblemConfig.for_mesh(kappa, p, mesh)
                 ).system_matrix())
                 for elem in range(mesh.n_elements)
             ]
@@ -70,8 +72,8 @@ def test_stacked_condition_numbers_equal_per_element_loop():
 def test_local_uniqueness_fails_without_the_mass_block(monkeypatch):
     assemble = verify.assemble_local_blocks
 
-    def no_mass(geom, cfg):
-        blocks = assemble(geom, cfg)
+    def no_mass(mesh, elements, cfg):
+        blocks = assemble(mesh, elements, cfg)
         return dataclasses.replace(blocks, A=np.zeros_like(blocks.A))
 
     monkeypatch.setattr(verify, "assemble_local_blocks", no_mass)
@@ -88,12 +90,13 @@ def test_local_uniqueness_fails_on_nan_condition_number(monkeypatch):
 
 
 def test_local_uniqueness_builds_each_geometry_once_and_stacks_cond(monkeypatch):
-    # The 4 x 4 mesh has 2 distinct geometries, so 2 x 9 local systems.
-    entities = _counting(monkeypatch, verify, "mesh_entities")
-    assembled = _counting(monkeypatch, verify, "assemble_local_blocks")
+    # The 4 x 4 mesh has 2 distinct geometries, so 2 x 9 local systems,
+    # assembled by one call per (kappa, p).
+    assembled = _counting(monkeypatch, verify, "assemble_local_blocks",
+                          lambda mesh, elements, cfg: len(elements))
     conds = _counting(monkeypatch, np.linalg, "cond")
     assert verify._check_local_uniqueness().passed
-    assert (len(entities), len(assembled), len(conds)) == (2, 18, 9)
+    assert (assembled, len(conds)) == ([2] * 9, 9)
 
 
 def test_condition_numbers_on_a_mesh_without_repeated_geometry(monkeypatch):
@@ -104,8 +107,8 @@ def test_condition_numbers_on_a_mesh_without_repeated_geometry(monkeypatch):
     expected = np.array([
         [
             [
-                np.linalg.cond(assemble_local_blocks(
-                    mesh_entities(mesh, elem), ProblemConfig.for_mesh(kappa, p, mesh)
+                np.linalg.cond(element_blocks(
+                    mesh, elem, ProblemConfig.for_mesh(kappa, p, mesh)
                 ).system_matrix())
                 for elem in range(mesh.n_elements)
             ]
@@ -113,9 +116,10 @@ def test_condition_numbers_on_a_mesh_without_repeated_geometry(monkeypatch):
         ]
         for kappa in (1.0, 20.0, 100.0)
     ])
-    entities = _counting(monkeypatch, verify, "mesh_entities")
+    assembled = _counting(monkeypatch, verify, "assemble_local_blocks",
+                          lambda mesh, elements, cfg: len(elements))
     got = verify._local_condition_numbers()
-    assert len(entities) == mesh.n_elements
+    assert assembled == [mesh.n_elements] * 9
     assert got.shape == (3, 3, mesh.n_elements)
     assert got.tobytes() == expected.tobytes()
 
@@ -161,8 +165,8 @@ def test_a_check_that_raises_fails_and_the_others_still_run(monkeypatch, capsys)
     # np.linalg.cond raises LinAlgError on a stack holding a NaN.
     assemble = verify.assemble_local_blocks
 
-    def nan_mass(geom, cfg):
-        local = assemble(geom, cfg)
+    def nan_mass(mesh, elements, cfg):
+        local = assemble(mesh, elements, cfg)
         A = local.A.copy()
         A[0, 0] = math.nan
         return dataclasses.replace(local, A=A)
