@@ -30,12 +30,12 @@ cfg = ProblemConfig.for_mesh(KAPPA, ORDER, mesh)
 exact, data = benchmark_problem(KAPPA)
 print(f"mesh: {mesh.n_elements} triangles, h = {mesh.h_global:.4f}, tau = {cfg.tau:.4f}")
 
-# The discretization is built once: element classes with their condensed
-# operators, and the source and boundary moments.  The solve and every
-# diagnostic below read it; the solve returns the coefficients of
-# (q_h, u_h, uhat_h) plus bookkeeping.
+# The discretization is built once: the element classes with their
+# condensed operators, the one data rule, and the source and boundary
+# moments.  The solve and every diagnostic below read it; the solve
+# returns the coefficients of (q_h, u_h, uhat_h) plus bookkeeping.
 disc = discretize(mesh, cfg, data.f, data.g)
-print(f"{len(disc.classes)} element classes")
+print(f"{len(disc.members)} element classes")
 solution, info = solve_helmholtz(disc)
 print(f"skeleton unknowns: {info.n_skeleton_dofs}, solve residual {info.residual:.2e}, "
       f"{info.seconds:.2f} s, max local condition number {info.max_local_cond:.1e}")

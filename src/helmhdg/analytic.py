@@ -133,11 +133,13 @@ def data_quadrature_degree(p: int, kappa: float, h: float) -> int:
 
     2p + 4 plus one unit per resolved oscillation keeps the quadrature
     error of the oscillatory integrands below the discretization error.
-    This is the only data-rule policy, with no override: the source rule
-    takes the element class size, and every edge integral (boundary data
-    and trace error) the global mesh size.  kappa h is rounded to 12
-    significant digits before its ceiling is taken, so a size computed
-    from vertex coordinates and the closed-form sqrt(2)/n of the same
-    mesh give one degree even where kappa h is an integer.
+    This is the only data-rule policy, with no override: every data and
+    error integral takes the global mesh size, so one triangle rule serves
+    all element data (source loads, ||f||^2, volume errors and the oracle's
+    `volume_load`) and one edge rule every edge integral (boundary data
+    and trace error).  kappa h is rounded to 12 significant digits before
+    its ceiling is taken, so a size computed from vertex coordinates and
+    the closed-form sqrt(2)/n of the same mesh give one degree even where
+    kappa h is an integer.
     """
     return 2 * p + 4 + int(math.ceil(float(f"{kappa * h:.12g}")))

@@ -89,6 +89,9 @@ class RunConfig:
             raise UsageError("mesh subdivisions must be strictly increasing")
         if self.workers < 1 or self.max_dofs < 1:
             raise UsageError("guards and worker counts must be positive")
+        cpus = os.cpu_count() or 1
+        if self.workers > cpus:
+            raise UsageError(f"{self.workers} workers exceed the {cpus} CPUs of this machine")
         for line in (self.fixed_kappa_h, self.fixed_kappa3h2):
             if line is not None and not (math.isfinite(line) and line > 0):
                 raise UsageError("fixed-line constants must be finite and positive")
@@ -132,10 +135,10 @@ def _guard(cfg: RunConfig, kappa: float, p: int, n: int) -> None:
 def _config_lines(cfg: RunConfig, kappa: float, p: int, sizes: list[int]) -> list[str]:
     """Provenance header: everything needed to reproduce the file.  The
     data rule degree is that of the global mesh size h = sqrt(2)/n, the
-    rule of every edge integral and, on the structured mesh, of every
-    element.  The last digits depend on the BLAS thread count; a thread
-    variable that helmhdg set after numpy loaded is marked, since numpy's
-    BLAS may not have read it."""
+    rule of every edge and every element integral.  The last digits
+    depend on the BLAS thread count; a thread variable that helmhdg set
+    after numpy loaded is marked, since numpy's BLAS may not have read
+    it."""
     taus = (stabilization(kappa, p, math.sqrt(2.0) / n) for n in sizes)
     degrees = (data_quadrature_degree(p, kappa, math.sqrt(2.0) / n) for n in sizes)
     return [
@@ -187,10 +190,13 @@ def cmd_converge(cfg: RunConfig) -> int:
     for job in jobs:
         _guard(cfg, *job)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    if cfg.workers > 1:
+    # The pool forks all its workers at the first submit, so it gets no
+    # more than there are jobs.
+    workers = min(cfg.workers, len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when used
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(zip(jobs, pool.map(_run_case, jobs)))
     else:
         results = {job: _run_case(job) for job in jobs}

@@ -17,10 +17,12 @@ tau ||u_h - uhat||^2 <= ||f|| ||u_h|| + ||g||^2, where ||f||^2 and
 f and g that built the loads; the data are never evaluated again.  The
 standard pipeline enforces both on every solve.
 
-Error norms against the exact solution use `data_quadrature_degree`,
-which has no override: the volume errors on the classes' data rules,
-the trace error on the edge rule of the global mesh size, the one rule
-of every edge integral, boundary data included.  The trace
+Error norms against the exact solution use `data_quadrature_degree` on
+the global mesh size, which has no override: the volume errors on the
+discretization's one triangle data rule, at each element's own mapped
+points and det J as its source loads, and the trace error on the edge
+rule of the same degree, the one rule of every edge integral, boundary
+data included.  The trace
 error evaluates each edge once, along its global direction, and weights
 interior edges by 2 (once per incident element) and boundary edges by 1,
 matching the broken-boundary norm.  The exact solution is evaluated on
@@ -84,13 +86,14 @@ class ConvergenceTable:
     def errors(self, kind: str) -> np.ndarray:
         return np.array([getattr(r, f"e_{kind}") for r in self.rows])
 
-    def pairwise_rates(self, kind: str) -> list[float]:
+    def pairwise_rates(self, kind: str) -> list[float | None]:
         """Observed slope between consecutive rows; equals the log2 error
-        ratio when the mesh size halves."""
+        ratio when the mesh size halves, and is None where both rows share
+        h, as a fixed line may put two wave numbers on one mesh."""
         e = self.errors(kind)
         h = np.array([r.h for r in self.rows])
         return [
-            float(np.log(e[k] / e[k + 1]) / np.log(h[k] / h[k + 1]))
+            float(np.log(e[k] / e[k + 1]) / np.log(h[k] / h[k + 1])) if h[k] != h[k + 1] else None
             for k in range(len(e) - 1)
         ]
 
@@ -142,29 +145,22 @@ def compute_errors(
     exact: ExactSolution,
     disc: Discretization,
 ) -> ErrorReport:
-    """L2 errors of (u_h, q_h) and the broken trace error of uhat, taken
-    over `blocks` of the elements of a class, or of the edges.  As
-    `discretize` sums ||f||^2, each element's or edge's square error is
-    kept and the squares are summed once, not block by block."""
-    mesh, cfg = disc.mesh, disc.cfg
-    e_u_sq = 0.0
-    e_q_sq = 0.0
-    for cls in disc.classes:
-        weights, rep = cls.rule.weights, cls.ids[0]
-        det = float(mesh.dets[rep])
-        u_sq = np.empty(len(cls.ids))
-        q_sq = np.empty(len(cls.ids))
-        for sel in blocks(len(cls.ids), cls.rule.n_points):
-            ids = cls.ids[sel]
-            points = mesh.element_points(ids, cls.rule.points, mesh.jacobians[rep])
-            ue, grad = exact.u_and_grad(points.reshape(-1, 2))
-            uh, qh = solution.fields(ids, cls.phi, det)
-            du = uh - ue.reshape(uh.shape)
-            dq = qh - (1j * grad / exact.kappa).reshape(qh.shape)
-            u_sq[sel] = np.abs(du) ** 2 @ weights
-            q_sq[sel] = (np.abs(dq[..., 0]) ** 2 + np.abs(dq[..., 1]) ** 2) @ weights
-        e_u_sq += det * float(u_sq.sum())
-        e_q_sq += det * float(q_sq.sum())
+    """L2 errors of (u_h, q_h) on the data rule of `discretize` and the
+    broken trace error of uhat, taken over `blocks` of the elements, or of
+    the edges.  As `discretize` sums ||f||^2, each element's or edge's
+    square error is kept and the squares are summed once, not block by
+    block."""
+    mesh, cfg, rule = disc.mesh, disc.cfg, disc.rule
+    u_sq = np.empty(mesh.n_elements)
+    q_sq = np.empty(mesh.n_elements)
+    for sel in blocks(mesh.n_elements, rule.n_points):
+        points = mesh.element_points(sel, rule.points)
+        ue, grad = exact.u_and_grad(points.reshape(-1, 2))
+        uh, qh = solution.fields(sel, disc.phi, mesh.dets[sel])
+        du = uh - ue.reshape(uh.shape)
+        dq = qh - (1j * grad / exact.kappa).reshape(qh.shape)
+        u_sq[sel] = np.abs(du) ** 2 @ rule.weights
+        q_sq[sel] = (np.abs(dq[..., 0]) ** 2 + np.abs(dq[..., 1]) ** 2) @ rule.weights
 
     rule = quadrature_rule("edge", data_quadrature_degree(cfg.p, cfg.kappa, mesh.h_global))
     basis = EdgeBasis(cfg.p).eval(rule.points).T
@@ -181,8 +177,8 @@ def compute_errors(
         t_sq[sel] = weights * (np.abs(diff) ** 2 @ rule.weights)
     e_t_sq = float(t_sq.sum())
 
-    e_u = math.sqrt(e_u_sq)
-    e_q = math.sqrt(e_q_sq)
+    e_u = math.sqrt(float(mesh.dets @ u_sq))
+    e_q = math.sqrt(float(mesh.dets @ q_sq))
     return ErrorReport(
         kappa=cfg.kappa,
         p=cfg.p,
@@ -235,7 +231,7 @@ def energy_balance(solution: Solution, disc: Discretization) -> EnergyBalance:
     uhat_bd = solution.uhat.reshape(mesh.n_edges, cfg.p + 1)[mesh.boundary_flags]
     uhat_bd_sq = float(np.sum(np.abs(uhat_bd) ** 2))
 
-    f_pairing = sum(np.sum(cls.f_moments * np.conj(solution.U[cls.ids])) for cls in disc.classes)
+    f_pairing = np.sum(disc.f_moments * np.conj(solution.U))
     rhs = complex(f_pairing + np.dot(disc.g_moments, np.conj(solution.uhat)))
     lhs = 1j * cfg.kappa * (norm_u_sq - norm_q_sq) + cfg.tau * jump_sq + uhat_bd_sq
 
@@ -258,7 +254,7 @@ def energy_balance(solution: Solution, disc: Discretization) -> EnergyBalance:
 def data_norms(disc: Discretization) -> tuple[float, float]:
     """L2 norms of the source over the domain and of g over the boundary,
     from the values of f and g that built the solve's loads."""
-    return math.sqrt(sum(cls.f_sq for cls in disc.classes)), math.sqrt(disc.g_sq)
+    return math.sqrt(disc.f_sq), math.sqrt(disc.g_sq)
 
 
 def stability_ratio(norm_u: float, f_norm: float, g_norm: float, cfg: ProblemConfig, h: float) -> float:
@@ -323,16 +319,16 @@ def format_float(value: float) -> str:
 
 
 def write_convergence_csv(path: str, table: ConvergenceTable, config_lines: list[str]) -> None:
-    """Write a convergence table with pairwise rates and a config-echo header."""
+    """Write a convergence table with pairwise rates and a config-echo
+    header; a rate cell is empty on the first row and where a row shares
+    the previous row's h."""
     columns = [
         "kappa", "p", "n", "h", "dofs",
         "e_u", "e_q", "e_q_scaled", "e_trace",
         "rate_u", "rate_q", "rate_trace", "seconds",
     ]
     rates = {
-        kind: [""] + [format_float(r) for r in table.pairwise_rates(kind)]
-        if len(table.rows) > 1
-        else [""] * len(table.rows)
+        kind: [""] + ["" if r is None else format_float(r) for r in table.pairwise_rates(kind)]
         for kind in ("u", "q", "trace")
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -60,8 +60,8 @@ class ProblemConfig:
     """Wave number, polynomial order, and stabilization of one run.
 
     The data quadrature is not part of the configuration: every data and
-    error integral takes its degree from `data_quadrature_degree` on the
-    size of its element, or on the global mesh size on edges.
+    error integral, on elements and on edges alike, takes its degree from
+    `data_quadrature_degree` on the global mesh size.
     """
 
     kappa: float
@@ -234,15 +234,15 @@ def volume_load(
     mesh: Mesh, elem: int, cfg: ProblemConfig, f: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
     """Moments (f, w) of the source against the basis of one element, on
-    the data rule of its own size and at points mapped by its own J.
+    the data rule of the global mesh size (the policy of `discretize`) and
+    at points mapped by the element's own J.
 
     Uses the high-degree data rule, not the 2p operator rule; the source
     of the benchmark oscillates on the scale 1/kappa.
     """
-    h = mesh.face_lengths[elem].max()
-    rule = quadrature_rule("triangle", data_quadrature_degree(cfg.p, cfg.kappa, h))
+    rule = quadrature_rule("triangle", data_quadrature_degree(cfg.p, cfg.kappa, mesh.h_global))
     phi = TriangleBasis(cfg.p).eval(rule.points)
-    points = mesh.element_points([elem], rule.points, mesh.jacobians[elem])[0]
+    points = mesh.element_points([elem], rule.points)[0]
     values = np.asarray(f(points), dtype=complex)
     return math.sqrt(mesh.dets[elem]) * (phi.T @ (rule.weights * values))
 

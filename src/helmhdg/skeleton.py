@@ -14,14 +14,19 @@ are known, interior coefficients are recovered element by element.
 The skeleton unknowns are p + 1 consecutive dofs per edge, in edge order,
 so a trace vector reads as an (n_edges, p + 1) array indexed by edge.
 `discretize` builds everything a solve and its diagnostics read, once per
-(mesh, config, data): per congruence class of elements (`Mesh.elem_class`)
-the member ids, the data rule with its basis values, the source moments
-and ||f||^2; the condensed operators of all classes, stacked, from one
-batched assembly of the class representatives; plus the boundary data
-moments and ||g||^2, taken from the same values of g.  Uniform meshes
-contain only a handful of classes, so condensation runs once per class
-and is applied to all members in batch; this is exact for translated
-elements.  `solve_helmholtz`, `sample_solution` and the diagnostics read
+(mesh, config, data): the one triangle data rule, of the degree that
+`data_quadrature_degree` gives the global mesh size, with its basis
+values; the source moments of every element and ||f||^2; the member ids
+of each congruence class of elements (`Mesh.elem_class`) and the
+condensed operators of all classes, stacked, from one batched assembly of
+the class representatives; plus the boundary data moments and ||g||^2,
+taken from the same values of g.  Uniform meshes contain only a handful
+of classes, so condensation runs once per class and is applied to all
+members in batch; this is exact for translated elements.  The data take
+no class: every element maps the rule's points by its own J and scales
+by its own det J, so the source loads, the error norms and the oracle's
+`volume_load` share one rule and one map on any mesh.
+`solve_helmholtz`, `sample_solution` and the diagnostics read
 that one `Discretization`, so the data are evaluated once and the energy
 identity pairs the solution with the very loads the solve used.  The
 discretization holds no callable, sparse matrix, factor or per-point
@@ -29,9 +34,9 @@ array, so it adds nothing to the peak memory of the solve.  The data are
 evaluated on `blocks` of at most `BLOCK_POINTS` points (one element or
 edge at least), so the transient memory does not grow with the data rule,
 whose degree grows with kappa h.  Every element sample maps its points by
-`Mesh.element_points` and evaluates u_h and q_h by `Solution.fields`: the
-source loads and error norms with a class representative's J and det J,
-`sample_solution` with each element's own, at the (p + 1)^2 points of the
+`Mesh.element_points` and evaluates u_h and q_h by `Solution.fields`, each
+element by its own J and det J: the source loads and the error norms at
+the data rule's points, `sample_solution` at the (p + 1)^2 points of the
 degree-2p rule of `reference_tables`, so the solution CSV has a fixed
 number of rows per element whatever kappa h.
 Every sum runs in a fixed order (each edge gathers its one or two
@@ -81,7 +86,6 @@ condensed solve loads neither.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -186,20 +190,19 @@ class Solution:
         )
 
     def fields(
-        self, elements: np.ndarray | slice, phi: np.ndarray, dets: float | np.ndarray
+        self, elements: np.ndarray | slice, phi: np.ndarray, dets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """u_h (nE, nq) and q_h (nE, nq, 2) on the nE given elements where
-        the reference basis takes the values `phi` (nq, N); `dets` is their
-        det J, one shared (a class representative's) or one per element.
-        A lone element is evaluated as a pair, so that BLAS rounds its row
-        by the matrix-matrix kernel of any other block, not matrix-vector:
-        the values on a range of elements are rows of the values on all of
-        them, bit for bit (what the callers sum from them is not; see
-        `blocks`)."""
+        the reference basis takes the values `phi` (nq, N); `dets` (nE,) is
+        their det J.  A lone element is evaluated as a pair, so that BLAS
+        rounds its row by the matrix-matrix kernel of any other block, not
+        matrix-vector: the values on a range of elements are rows of the
+        values on all of them, bit for bit (what the callers sum from them
+        is not; see `blocks`)."""
         n = phi.shape[1]
         rows = [self.U[elements], self.Q[elements, :n], self.Q[elements, n:]]
         k = len(rows[0])
-        scale = 1.0 / np.sqrt(np.reshape(dets, (-1, 1)))
+        scale = 1.0 / np.sqrt(dets)[:, None]
         u, q1, q2 = (scale * ((np.repeat(r, 2, axis=0) if k == 1 else r) @ phi.T)[:k] for r in rows)
         return u, np.stack([q1, q2], axis=-1)
 
@@ -240,26 +243,17 @@ def _members(classes: np.ndarray) -> list[np.ndarray]:
 
 
 @dataclass(frozen=True)
-class ElementClass:
-    """Congruent elements sharing every condensation operator and the
-    data rule; the first member is the representative, whose J and det J
-    the source loads and the error norms read for all members."""
-
-    ids: np.ndarray  # (nE,) member element ids, ascending
-    rule: QuadratureRule  # data rule of the representative's size
-    phi: np.ndarray  # (nq, N) basis values at the rule points
-    f_moments: np.ndarray  # (nE, N) source moments (f, w)
-    f_sq: float  # ||f||^2 over the members
-
-
-@dataclass(frozen=True)
 class Discretization:
     """Everything a solve and its diagnostics read for one (mesh, config)
     and data (f, g); built once by `discretize`."""
 
     mesh: Mesh
     cfg: ProblemConfig
-    classes: tuple[ElementClass, ...]  # classes[k] holds the elements of Mesh.elem_class k
+    rule: QuadratureRule  # triangle data rule of the global mesh size
+    phi: np.ndarray  # (nq, N) basis values at its points
+    f_moments: np.ndarray  # (F, N) source moments (f, w)
+    f_sq: float  # ||f||^2 over the domain
+    members: tuple[np.ndarray, ...]  # element ids of Mesh.elem_class k, ascending
     ops: CondensedOperators  # stacked over the classes: index k condenses class k
     g_moments: np.ndarray  # (n_dofs,) boundary data moments <g, mu>
     g_sq: float  # ||g||^2 over the boundary
@@ -267,8 +261,8 @@ class Discretization:
     def rhs(self) -> np.ndarray:
         """b = -sum_T scatter(F_T) + g_moments, in the global dof numbering."""
         flux = np.empty((self.mesh.n_elements, 3 * (self.cfg.p + 1)), dtype=complex)
-        for k, cls in enumerate(self.classes):
-            flux[cls.ids] = cls.f_moments @ self.ops.load_to_flux[k].T
+        for k, ids in enumerate(self.members):
+            flux[ids] = self.f_moments[ids] @ self.ops.load_to_flux[k].T
         return self.g_moments - _sum_faces(self.mesh, flux)
 
     def apply(self, uhat: np.ndarray) -> np.ndarray:
@@ -277,9 +271,9 @@ class Discretization:
         mesh, m = self.mesh, self.cfg.p + 1
         traces = uhat.reshape(mesh.n_edges, m)
         flux = np.empty((mesh.n_elements, 3 * m), dtype=complex)
-        for k, cls in enumerate(self.classes):
-            lam = traces[mesh.elem_edges[cls.ids]].reshape(len(cls.ids), -1)
-            flux[cls.ids] = lam @ self.ops.K[k].T
+        for k, ids in enumerate(self.members):
+            lam = traces[mesh.elem_edges[ids]].reshape(len(ids), -1)
+            flux[ids] = lam @ self.ops.K[k].T
         return np.where(mesh.boundary_flags[:, None], traces, 0.0).ravel() - _sum_faces(mesh, flux)
 
     def reconstruct(self, uhat: np.ndarray) -> Solution:
@@ -288,11 +282,11 @@ class Discretization:
         Q = np.zeros((self.mesh.n_elements, 2 * n), dtype=complex)
         U = np.zeros((self.mesh.n_elements, n), dtype=complex)
         traces = uhat.reshape(self.mesh.n_edges, self.cfg.p + 1)
-        for k, cls in enumerate(self.classes):
-            lam = traces[self.mesh.elem_edges[cls.ids]].reshape(len(cls.ids), -1)
-            x = lam @ self.ops.recon_lam[k].T + cls.f_moments @ self.ops.inv_load[k].T
-            Q[cls.ids] = x[:, : 2 * n]
-            U[cls.ids] = x[:, 2 * n :]
+        for k, ids in enumerate(self.members):
+            lam = traces[self.mesh.elem_edges[ids]].reshape(len(ids), -1)
+            x = lam @ self.ops.recon_lam[k].T + self.f_moments[ids] @ self.ops.inv_load[k].T
+            Q[ids] = x[:, : 2 * n]
+            U[ids] = x[:, 2 * n :]
         solution = Solution(Q=Q, U=U, uhat=np.asarray(uhat, dtype=complex), p=self.cfg.p)
         solution.validate(self.mesh)
         return solution
@@ -300,40 +294,30 @@ class Discretization:
 
 def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Discretization:
     """Condense the class representatives in one batched call, evaluate f
-    over `blocks` of each class's members and g once; the data norms come
-    from the same values."""
+    on the data rule over `blocks` of all elements and g once; the data
+    norms come from the same values."""
     basis = TriangleBasis(cfg.p)
-    members = _members(mesh.elem_class)
+    members = tuple(_members(mesh.elem_class))
     ops = CondensedOperators(assemble_local_blocks(mesh, [ids[0] for ids in members], cfg))
-    classes = []
-    for k, ids in enumerate(members):
-        rep = ids[0]
-        h, det = mesh.face_lengths[rep].max(), float(mesh.dets[rep])
-        rule = quadrature_rule("triangle", data_quadrature_degree(cfg.p, cfg.kappa, h))
-        phi = basis.eval(rule.points)
-        f_moments = np.empty((len(ids), basis.dim), dtype=complex)
-        f_sq = np.empty(len(ids))
-        for sel in blocks(len(ids), rule.n_points):
-            phys = mesh.element_points(ids[sel], rule.points, mesh.jacobians[rep]).reshape(-1, 2)
-            values = np.asarray(f(phys), dtype=complex).reshape(-1, rule.n_points)
-            f_moments[sel] = (values * rule.weights) @ phi
-            f_sq[sel] = np.abs(values) ** 2 @ rule.weights
-        classes.append(ElementClass(
-            ids=ids, rule=rule, phi=phi,
-            f_moments=math.sqrt(det) * f_moments, f_sq=det * float(f_sq.sum()),
-        ))
-        logger.debug(
-            "element class of %d (rep %d): local condition number %.3e",
-            len(ids), rep, ops.cond[k],
-        )
+    rule = quadrature_rule("triangle", data_quadrature_degree(cfg.p, cfg.kappa, mesh.h_global))
+    phi = basis.eval(rule.points)
+    f_moments = np.empty((mesh.n_elements, basis.dim), dtype=complex)
+    f_sq = np.empty(mesh.n_elements)
+    for sel in blocks(mesh.n_elements, rule.n_points):
+        phys = mesh.element_points(sel, rule.points).reshape(-1, 2)
+        values = np.asarray(f(phys), dtype=complex).reshape(-1, rule.n_points)
+        f_moments[sel] = (values * rule.weights) @ phi
+        f_sq[sel] = np.abs(values) ** 2 @ rule.weights
     g_moments, g_sq = boundary_loads(mesh, cfg, g)
     logger.debug(
         "discretization: kappa=%g p=%d tau=%g, %d element classes, "
         "max local condition number %.3e",
-        cfg.kappa, cfg.p, cfg.tau, len(classes), ops.cond.max(),
+        cfg.kappa, cfg.p, cfg.tau, len(members), ops.cond.max(),
     )
     return Discretization(
-        mesh=mesh, cfg=cfg, classes=tuple(classes), ops=ops, g_moments=g_moments, g_sq=g_sq
+        mesh=mesh, cfg=cfg, rule=rule, phi=phi,
+        f_moments=np.sqrt(mesh.dets)[:, None] * f_moments, f_sq=float(mesh.dets @ f_sq),
+        members=members, ops=ops, g_moments=g_moments, g_sq=g_sq,
     )
 
 
@@ -615,7 +599,7 @@ def sample_solution(
     element-major in ascending element order.
     """
     mesh, ref = disc.mesh, reference_tables(disc.cfg.p)
-    points = mesh.element_points(elements, ref.points, mesh.jacobians[elements])
+    points = mesh.element_points(elements, ref.points)
     u, q = solution.fields(elements, ref.phi, mesh.dets[elements])
     return points.reshape(-1, 2), u.ravel(), q.reshape(-1, 2)
 

@@ -142,7 +142,7 @@ def _projection_errors(n: int, p: int, func: Callable) -> tuple[float, float]:
     trace_sq = 0.0
     for sel in blocks(mesh.n_elements, len(ref)):
         root_det = np.sqrt(mesh.dets[sel])[:, None]
-        points = mesh.element_points(sel, ref, mesh.jacobians[sel])
+        points = mesh.element_points(sel, ref)
         values = np.asarray(func(points.reshape(-1, 2))).reshape(root_det.size, -1)
         coeff = root_det * ((values[:, :nv] * vol_rule.weights) @ phi[:nv])  # (nE, N)
         diff_sq = np.abs(values - (coeff @ phi.T) / root_det) ** 2

@@ -6,12 +6,13 @@ equations solved element by element and their residual, the L2
 projection onto one element or edge, the face moments of the numerical
 flux taken directly from (Q, U, lam), the skeleton matrix A in the
 global dof numbering, the oracle's flux
-coupling with the basis evaluated per element, the classes' source
-moments taken element by element from the oracle's `volume_load`, and
+coupling with the basis evaluated per element, the source moments taken
+element by element from the oracle's `volume_load`, and
 the trace on the element faces with the edge basis evaluated per element.
 It also holds the committed error norms of two pollution cases, which the
 pinned-norm test and the mutants that only those norms catch compare
-against.  `triangle_mesh` makes a one-element mesh of any triangle, for
+against, and the patch test's polynomial solution, which the solver must
+reproduce to rounding wherever it lies in the discrete space.  `triangle_mesh` makes a one-element mesh of any triangle, for
 the element-level tests that need a triangle outside a tiling.
 """
 
@@ -22,11 +23,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from helmhdg.analytic import benchmark_problem
-from helmhdg.diagnostics import _uhat_on_faces
+from helmhdg.diagnostics import _uhat_on_faces, compute_errors
 from helmhdg.hdg_local import LocalBlocks, ProblemConfig, assemble_local_blocks, volume_load
 from helmhdg.mesh import Mesh, element_geometry
 from helmhdg.polybasis import EdgeBasis, TriangleBasis, quadrature_rule, reference_face_points
-from helmhdg.skeleton import Discretization, _edge_dofs, discretize
+from helmhdg.skeleton import Discretization, _edge_dofs, discretize, solve_helmholtz
 
 #: (e_u, e_q, e_trace) of `run_benchmark_case(kappa, 2, n)` by (kappa, n),
 #: committed values that rounding moves stay within POLLUTION_ERRORS_REL of
@@ -36,6 +37,12 @@ POLLUTION_ERRORS = {
     (40.0, 63): (2.460778582832672e-5, 6.211623888193508e-5, 5.763367971498196e-4),
 }
 POLLUTION_ERRORS_REL = 1e-9
+
+#: Coefficients (1, x, y, x^2, xy, y^2) of the patch test's u, and the
+#: bound on its errors: u has unit size, and a solve reproduces it to
+#: 4.4e-13 at worst on the patch test's meshes.
+PATCH_U = (1 + 2j, 0.3, -0.7j, 0.5, 0.2j, -0.4)
+PATCH_TOL = 1e-10
 
 
 def triangle_mesh(corners, orient=(1, 1, 1)) -> Mesh:
@@ -97,7 +104,7 @@ def l2_project(target: str, function, p: int, geometry, quad_degree: int | None 
         rule = quadrature_rule("triangle", degree)
         basis = TriangleBasis(p).eval(rule.points)
         mesh, elem = geometry
-        points = mesh.element_points([elem], rule.points, mesh.jacobians[elem])[0]
+        points = mesh.element_points([elem], rule.points)[0]
         values = np.asarray(function(points))
         return math.sqrt(mesh.dets[elem]) * (basis.T @ (rule.weights * values))
     if target == "edge":
@@ -139,11 +146,11 @@ def global_matrix(disc: Discretization) -> sp.csc_matrix:
     assembled by COO from the element classes."""
     mesh, m = disc.mesh, disc.cfg.p + 1
     rows, cols, vals = [], [], []
-    for k, cls in enumerate(disc.classes):
-        gidx = _edge_dofs(mesh.elem_edges[cls.ids], m).reshape(len(cls.ids), 3 * m)
+    for k, ids in enumerate(disc.members):
+        gidx = _edge_dofs(mesh.elem_edges[ids], m).reshape(len(ids), 3 * m)
         rows.append(np.repeat(gidx, 3 * m, axis=1).ravel())
         cols.append(np.tile(gidx, (1, 3 * m)).ravel())
-        vals.append(np.broadcast_to(-disc.ops.K[k], (len(cls.ids), 3 * m, 3 * m)).ravel())
+        vals.append(np.broadcast_to(-disc.ops.K[k], (len(ids), 3 * m, 3 * m)).ravel())
     boundary = _edge_dofs(np.flatnonzero(mesh.boundary_flags), m).ravel()
     rows.append(boundary)
     cols.append(boundary)
@@ -184,16 +191,15 @@ def benchmark_discretization(kappa: float, p: int, mesh: Mesh) -> Discretization
 
 
 def source_moment_deviation(disc: Discretization) -> float:
-    """Largest deviation of an element's `ElementClass.f_moments` from the
-    oracle's `volume_load` of that element, relative to the latter's
-    largest moment.  `volume_load` picks its data rule from the element's
-    own size, apart from the rule that `discretize` gives the class."""
+    """Largest deviation of an element's `Discretization.f_moments` from
+    the oracle's `volume_load` of that element, relative to the latter's
+    largest moment.  `volume_load` picks its data rule on its own, apart
+    from the rule that `discretize` builds."""
     f = benchmark_problem(disc.cfg.kappa)[1].f
     worst = 0.0
-    for cls in disc.classes:
-        for moments, elem in zip(cls.f_moments, cls.ids):
-            ref = volume_load(disc.mesh, elem, disc.cfg, f)
-            worst = max(worst, np.abs(moments - ref).max() / np.abs(ref).max())
+    for elem, moments in enumerate(disc.f_moments):
+        ref = volume_load(disc.mesh, elem, disc.cfg, f)
+        worst = max(worst, np.abs(moments - ref).max() / np.abs(ref).max())
     return float(worst)
 
 
@@ -224,3 +230,42 @@ def uhat_on_faces_deviation(disc: Discretization, seed: int = 0) -> float:
         ref = uhat_on_faces_loop(disc, uhat, face)
         worst = max(worst, np.abs(_uhat_on_faces(disc, uhat, face) - ref).max() / np.abs(ref).max())
     return float(worst)
+
+
+class PolynomialSolution:
+    """u = c_1 + c_x x + c_y y + c_xx x^2 + c_xy x y + c_yy y^2 at wave
+    number kappa, with the rescaled data of the first-order system,
+    f = -i(-Lap u - kappa^2 u)/kappa and g = -i(du/dn + i kappa u)/kappa, as
+    `analytic.DataFunctions` gives them for the benchmark."""
+
+    def __init__(self, kappa: float, coeffs):
+        self.kappa = float(kappa)
+        self.coeffs = coeffs
+
+    def u_and_grad(self, points):
+        x, y = np.asarray(points, dtype=float).reshape(-1, 2).T
+        c1, cx, cy, cxx, cxy, cyy = self.coeffs
+        u = c1 + cx * x + cy * y + cxx * x * x + cxy * x * y + cyy * y * y
+        return u, np.column_stack([cx + 2 * cxx * x + cxy * y, cy + cxy * x + 2 * cyy * y])
+
+    def u(self, points):
+        return self.u_and_grad(points)[0]
+
+    def f(self, points):
+        laplacian = 2 * (self.coeffs[3] + self.coeffs[5])
+        return -1j * (-laplacian - self.kappa**2 * self.u(points)) / self.kappa
+
+    def g(self, points, normals):
+        u, grad = self.u_and_grad(points)
+        du_dn = np.sum(grad * np.asarray(normals, dtype=float).reshape(-1, 2), axis=1)
+        return -1j * (du_dn + 1j * self.kappa * u) / self.kappa
+
+
+def patch_errors(mesh: Mesh, p: int, kappa: float = 7.0) -> tuple[float, float, float]:
+    """(e_u, e_q, e_trace) of the condensed solve on `mesh` for the patch
+    test's u, quadratic for p >= 2 and its linear part for p = 1, so that
+    u lies in the order-p space."""
+    exact = PolynomialSolution(kappa, PATCH_U if p >= 2 else PATCH_U[:3] + (0, 0, 0))
+    disc = discretize(mesh, ProblemConfig.for_mesh(kappa, p, mesh), exact.f, exact.g)
+    report = compute_errors(solve_helmholtz(disc)[0], exact, disc)
+    return report.e_u, report.e_q, report.e_trace

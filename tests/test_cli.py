@@ -348,6 +348,67 @@ def test_parallel_workers_match_serial(tmp_path):
         assert _strip_wall_time(_read(serial / name)) == _strip_wall_time(_read(parallel / name))
 
 
+def test_workers_beyond_the_cpu_count_exit_2_before_any_solve(tmp_path, monkeypatch, capsys):
+    from helmhdg import diagnostics
+
+    def forbidden(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "run_benchmark_case", forbidden)
+    monkeypatch.setattr(diagnostics, "run_benchmark_case", forbidden)
+    code = main(["converge", "--kappa", "5", "--p", "1", "--n", "2", "--workers", "4",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "4 workers exceed the 3 CPUs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records `max_workers` and maps
+    in this process, so no process is started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers, kappas, pool_sizes", [
+    (64, "5", []), (64, "5,6,7", [3]), (2, "5,6,7", [2]),
+], ids=["one-job-runs-serially", "pool-sized-by-jobs", "pool-sized-by-workers"])
+def test_pool_takes_no_more_workers_than_jobs(tmp_path, monkeypatch, workers, kappas, pool_sizes):
+    import concurrent.futures
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    assert main(["converge", "--kappa", kappas, "--p", "1", "--n", "2", "--workers", str(workers),
+                 "--out", str(tmp_path)]) == 0
+    assert _RecordingPool.sizes == pool_sizes
+
+
+def test_rows_sharing_h_leave_the_rate_cells_empty(tmp_path):
+    # kappa*h/p = 1.1 puts kappa = 20 and 20.5 on n = 26: no rate between
+    # them, where log(h/h) = 0 would give -inf.
+    assert main(["converge", "--kappa", "20,20.5,40", "--p", "1", "--fixed-kappa-h", "1.1",
+                 "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in _read(tmp_path / "pollution_p1.csv").splitlines()
+            if not line.startswith("#")][1:]
+    assert [row[2] for row in rows] == ["26", "26", "51"]
+    assert rows[0][9:12] == rows[1][9:12] == ["", "", ""]
+    assert all(np.isfinite(float(rate)) for rate in rows[2][9:12])
+
+
 @pytest.mark.parametrize("kappa, p, n", [(20, 2, 10), (20, 2, 20), (10, 2, 5), (40, 2, 20)])
 def test_header_names_the_one_edge_rule(tmp_path, monkeypatch, kappa, p, n):
     # kappa/n is an integer here, where degrees taken from computed edge
@@ -515,21 +576,33 @@ def test_header_tau_is_the_solve_tau(tmp_path, kappa, p, n):
 
 
 @pytest.mark.parametrize("root2_multiple", [5, 10, 20])
-def test_element_classes_take_the_header_degree(root2_multiple):
+def test_element_classes_take_the_header_degree(monkeypatch, root2_multiple):
     # Where kappa h = kappa sqrt(2) / n is an integer, the diagonal length
     # computed from the vertices and sqrt(2) / n differ in the last bit;
-    # the element classes must still take the header's degree.
+    # every element, of every class, must still take the header's degree,
+    # the one of the data rule that `discretize` builds.
     import math
 
-    from helmhdg.analytic import data_quadrature_degree
+    from helmhdg import skeleton
+    from helmhdg.hdg_local import ProblemConfig
     from helmhdg.mesh import build_structured_mesh
 
     kappa, p = root2_multiple * math.sqrt(2.0), 2
-    for n in range(1, 60):
+    degrees = []
+    rule = skeleton.quadrature_rule
+
+    def recording(domain, degree):
+        if domain == "triangle":
+            degrees.append(degree)
+        return rule(domain, degree)
+
+    monkeypatch.setattr(skeleton, "quadrature_rule", recording)
+    for n in (d for d in range(1, 60) if 2 * root2_multiple % d == 0):
         (line,) = [line for line in cli._config_lines(cli.RunConfig("solve"), kappa, p, [n])
                    if line.startswith("data quadrature degree = ")]
         header = int(line.rsplit(" ", 1)[1])
         mesh = build_structured_mesh(n)
-        reps = np.unique(mesh.elem_class, return_index=True)[1]
-        degrees = {data_quadrature_degree(p, kappa, mesh.face_lengths[rep].max()) for rep in reps}
-        assert degrees | {data_quadrature_degree(p, kappa, mesh.h_global)} == {header}, n
+        degrees.clear()
+        skeleton.discretize(mesh, ProblemConfig.for_mesh(kappa, p, mesh),
+                            lambda x: np.zeros(len(x)), lambda x, nrm: np.zeros(len(x)))
+        assert degrees == [header], n

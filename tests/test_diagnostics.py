@@ -144,20 +144,17 @@ def test_edge_major_trace_error_matches_per_face_loop(kappa, p, n, uneven, uneve
 
 
 def _unblocked_errors(solution, exact, disc):
-    """e_u, e_q and e_trace with the exact solution evaluated once per
-    element class and once on all edges."""
-    mesh, p = disc.mesh, disc.cfg.p
-    e_u_sq = e_q_sq = 0.0
-    for cls in disc.classes:
-        rep = cls.ids[0]
-        points = mesh.element_points(cls.ids, cls.rule.points, mesh.jacobians[rep])
-        ue, grad = exact.u_and_grad(points.reshape(-1, 2))
-        qe = (1j * grad / exact.kappa).reshape(len(cls.ids), -1, 2)
-        uh, qh = solution.fields(cls.ids, cls.phi, mesh.dets[rep])
-        du = uh - ue.reshape(len(cls.ids), -1)
-        dq_sq = np.abs(qh[..., 0] - qe[:, :, 0]) ** 2 + np.abs(qh[..., 1] - qe[:, :, 1]) ** 2
-        e_u_sq += mesh.dets[rep] * float((np.abs(du) ** 2 @ cls.rule.weights).sum())
-        e_q_sq += mesh.dets[rep] * float((dq_sq @ cls.rule.weights).sum())
+    """e_u, e_q and e_trace with the exact solution evaluated once on all
+    elements and once on all edges."""
+    mesh, p, rule = disc.mesh, disc.cfg.p, disc.rule
+    points = mesh.element_points(slice(None), rule.points)
+    ue, grad = exact.u_and_grad(points.reshape(-1, 2))
+    qe = (1j * grad / exact.kappa).reshape(mesh.n_elements, -1, 2)
+    uh, qh = solution.fields(slice(None), disc.phi, mesh.dets)
+    du = uh - ue.reshape(mesh.n_elements, -1)
+    dq_sq = np.abs(qh[..., 0] - qe[:, :, 0]) ** 2 + np.abs(qh[..., 1] - qe[:, :, 1]) ** 2
+    e_u_sq = float(mesh.dets @ (np.abs(du) ** 2 @ rule.weights))
+    e_q_sq = float(mesh.dets @ (dq_sq @ rule.weights))
     rule = quadrature_rule("edge", data_quadrature_degree(p, disc.cfg.kappa, mesh.h_global))
     pts = mesh.edge_points(np.arange(mesh.n_edges), rule.points)
     elem, face = mesh.edge_to_elements[:, 0].T
@@ -170,8 +167,8 @@ def _unblocked_errors(solution, exact, disc):
 
 
 def test_blocked_errors_match_unblocked(monkeypatch):
-    # n = 40 has 1600 elements per class and 4880 edges, so both loops
-    # take several blocks; the norms move by summation order only.
+    # n = 40 has 3200 elements and 4880 edges, so both loops take several
+    # blocks; the norms move by summation order only.
     kappa, p, n = 20.0, 2, 40
     mesh, disc = _benchmark_discretization(kappa, p, n)
     exact = ExactSolution(kappa)
@@ -183,13 +180,13 @@ def test_blocked_errors_match_unblocked(monkeypatch):
                             lambda self, pts, m=method: calls.append(len(pts)) or m(self, pts))
     report = compute_errors(solution, exact, disc)
     monkeypatch.undo()
-    h = mesh.face_lengths[disc.classes[0].ids[0]].max()
-    volume = quadrature_rule("triangle", data_quadrature_degree(p, kappa, h))
+    volume = quadrature_rule("triangle", data_quadrature_degree(p, kappa, mesh.h_global))
     edge = quadrature_rule("edge", data_quadrature_degree(p, kappa, mesh.h_global))
-    # Blocks of 2^12 points: 163 elements of 25 points (9 full blocks and
-    # one of 133 per class) and 819 edges of 5 points (5 full and one of 785).
+    assert np.array_equal(disc.rule.points, volume.points)
+    # Blocks of 2^12 points: 163 elements of 25 points (19 full blocks and
+    # one of 103) and 819 edges of 5 points (5 full and one of 785).
     assert (volume.n_points, edge.n_points, skeleton.BLOCK_POINTS) == (25, 5, 2**12)
-    assert calls == ([163 * 25] * 9 + [133 * 25]) * 2 + [819 * 5] * 5 + [785 * 5]
+    assert calls == [163 * 25] * 19 + [103 * 25] + [819 * 5] * 5 + [785 * 5]
     reference = _unblocked_errors(solution, exact, disc)
     for value, ref in zip((report.e_u, report.e_q, report.e_trace), reference):
         assert abs(value - ref) <= 1e-13 * ref
@@ -382,8 +379,8 @@ def test_boundary_data_is_evaluated_in_batches(monkeypatch):
 
 def test_data_is_evaluated_once(monkeypatch):
     # The solve and its diagnostics share one discretization: f runs once
-    # per element class, the class representatives are assembled in one
-    # call, and g runs once (its moments and its norm share the values).
+    # per block of elements, the class representatives are assembled in
+    # one call, and g runs once (its moments and its norm share the values).
     import sys
 
     from helmhdg import hdg_local
@@ -409,10 +406,11 @@ def test_data_is_evaluated_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("helmhdg") and getattr(module, "assemble_local_blocks", None) is assemble:
             monkeypatch.setattr(module, "assemble_local_blocks", counting_assemble)
-    n_classes = build_structured_mesh(8).elem_class.max() + 1
-    assert n_classes == 2
-    run_benchmark_case(20.0, 2, 8)
-    assert calls == {"f": n_classes, "g": 1, "assemble_local_blocks": 1}
+    # The 128 elements of n = 8 at 49 data points each take two blocks.
+    assert len(skeleton.blocks(build_structured_mesh(8).n_elements, 49)) == 2
+    disc = run_benchmark_case(20.0, 2, 8).disc
+    assert disc.rule.n_points == 49
+    assert calls == {"f": 2, "g": 1, "assemble_local_blocks": 1}
 
 
 @pytest.mark.parametrize("kappa, n", list(POLLUTION_ERRORS), ids=["kappa20-n22", "kappa40-n63"])

@@ -65,7 +65,7 @@ def test_element_geometry_basics():
     assert np.allclose(np.linalg.norm(mesh.normals[0], axis=1), 1.0, atol=1e-14)
     # affine map is invertible and hits the vertices
     ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert np.allclose(mesh.element_points([0], ref, mesh.jacobians[0])[0],
+    assert np.allclose(mesh.element_points([0], ref)[0],
                        mesh.vertices[mesh.triangles[0]])
 
 
@@ -76,15 +76,10 @@ def test_element_points_match_the_per_element_map(make_mesh):
     ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.3], [0.6, 0.1]])
     want = np.stack([mesh.vertices[mesh.triangles[elem, 0]] + ref @ mesh.jacobians[elem].T
                      for elem in range(mesh.n_elements)])
-    # Each element's own Jacobian, for all elements and for a range.
-    assert np.array_equal(mesh.element_points(slice(None), ref, mesh.jacobians), want)
-    assert np.array_equal(mesh.element_points(slice(3, 9), ref, mesh.jacobians[3:9]), want[3:9])
-    # One class representative's Jacobian for all members: equal up to the
-    # rounding noise that the classes allow between members' Jacobians.
-    for k in range(mesh.elem_class.max() + 1):
-        ids = np.flatnonzero(mesh.elem_class == k)
-        got = mesh.element_points(ids, ref, mesh.jacobians[ids[0]])
-        assert np.abs(got - want[ids]).max() <= 1e-15
+    # Each element's own Jacobian, for all elements, a range and a list.
+    assert np.array_equal(mesh.element_points(slice(None), ref), want)
+    assert np.array_equal(mesh.element_points(slice(3, 9), ref), want[3:9])
+    assert np.array_equal(mesh.element_points([7, 2], ref), want[[7, 2]])
 
 
 def test_normals_sum_to_zero_weighted_by_length():

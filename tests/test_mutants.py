@@ -4,16 +4,23 @@ is edited) and each caught by the contract its test names.
 The contracts: the discrete energy identity (`run_benchmark_case` raises
 "energy identity violated"), the skeleton residual contract
 `RESIDUAL_TOL`, the sweep's refusal of a singular front, the checks of
-`hdg verify`, and the pinned pollution errors (`reference.POLLUTION_ERRORS`,
-the committed values of `test_pollution_errors_are_pinned`).  The energy
+`hdg verify`, the pinned pollution errors (`reference.POLLUTION_ERRORS`,
+the committed values of `test_pollution_errors_are_pinned`), and the
+patch test (`test_patch.py`, errors at most `reference.PATCH_TOL` where u
+lies in the discrete space).  The energy
 identity pairs the solution with its own loads and tables, and the oracle
 and orthonormality share those tables, so none of them can see a change
 that is consistent within the solve.  Two checks restate what the solve
 reads without its tables: the source moments against the oracle's
 per-element `volume_load` (`reference.source_moment_deviation`) and the
 trace on the faces against the edge basis evaluated per element
-(`reference.uhat_on_faces_deviation`).  Two mutants remain caught by the
-pinned errors alone: tau and the sign of g.  Refinement capped at one
+(`reference.uhat_on_faces_deviation`).  The patch test is the second
+check of the sign of g and of the sign of the source moments, besides
+the pinned errors: it compares with an exact solution, not with numbers
+taken from the code.  tau stays caught by the pinned errors alone: every
+tau > 0 gives a consistent method, so no reproduction check can see a
+change of tau; the paper's choice p/(kappa h) is what makes its
+estimates kappa-explicit.  Refinement capped at one
 sweep (`MAX_REFINE_STEPS` = 1) shows only near a subdomain resonance,
 where one sweep misses the residual contract.
 
@@ -39,10 +46,13 @@ from helmhdg import verify
 from helmhdg.analytic import benchmark_problem
 from helmhdg.diagnostics import run_benchmark_case
 from helmhdg.mesh import build_structured_mesh
+from meshes import jittered_mesh
 from reference import (
     POLLUTION_ERRORS,
     POLLUTION_ERRORS_REL,
+    PATCH_TOL,
     benchmark_discretization,
+    patch_errors,
     source_moment_deviation,
     uhat_on_faces_deviation,
 )
@@ -138,6 +148,31 @@ def test_boundary_data_sign_flipped_is_caught_by_the_pinned_errors(monkeypatch):
     g = analytic.DataFunctions.g
     monkeypatch.setattr(analytic.DataFunctions, "g", lambda self, pts, nrm: -g(self, pts, nrm))
     assert not _pinned_errors_hold()
+
+
+def test_boundary_loads_negated_are_caught_by_the_patch_test(monkeypatch):
+    # -<g, mu> from `boundary_loads` lifts e_u of the patch test on the
+    # jittered mesh at p = 2 from 9.4e-15 to 4.4.
+    loads = skeleton.boundary_loads
+
+    def negated(mesh, cfg, g):
+        moments, g_sq = loads(mesh, cfg, g)
+        return -moments, g_sq
+
+    monkeypatch.setattr(skeleton, "boundary_loads", negated)
+    assert max(patch_errors(jittered_mesh(), 2)) > PATCH_TOL
+
+
+def test_source_moments_negated_are_caught_by_the_patch_test(monkeypatch):
+    # -(f, w) in the discretization that `discretize` builds lifts e_u of
+    # the patch test on the jittered mesh at p = 2 from 9.4e-15 to 6.1.
+    build = skeleton.Discretization
+
+    def negated(**fields):
+        return build(**{**fields, "f_moments": -fields["f_moments"]})
+
+    monkeypatch.setattr(skeleton, "Discretization", negated)
+    assert max(patch_errors(jittered_mesh(), 2)) > PATCH_TOL
 
 
 def test_orientation_convention_swapped_is_caught_by_the_pinned_errors(

@@ -132,8 +132,8 @@ def test_boundary_edges_carry_extra_mass():
     # rebuild only the condensed-flux part
     flux_only = np.zeros_like(full)
     m = cfg.p + 1
-    for k, cls in enumerate(disc.classes):
-        for elem in cls.ids:
+    for k, ids in enumerate(disc.members):
+        for elem in ids:
             idx = _edge_dofs(mesh.elem_edges[elem], m).ravel()
             flux_only[np.ix_(idx, idx)] += -disc.ops.K[k]
     extra = full - flux_only
@@ -376,9 +376,9 @@ def test_oracle_equals_the_per_element_flux_coupling(make, p, monkeypatch):
 
 @pytest.mark.parametrize("kappa, p, n", [(5.0, 1, 2), (20.0, 2, 16), (20.0, 2, 22)])
 def test_source_moments_match_the_oracles_volume_load(kappa, p, n):
-    # Every member's moments, on its class's data rule, are the oracle's
-    # per-element `volume_load` to rounding (7e-15 relative at worst); a
-    # data rule lowered by 2 moves them by 2.7e-9 to 5.5e-8.
+    # Every element's moments, on the discretization's data rule, are the
+    # oracle's per-element `volume_load` to rounding (7.8e-16 relative at
+    # worst); a data rule lowered by 2 moves them by 2.7e-9 to 5.5e-8.
     disc = benchmark_discretization(kappa, p, build_structured_mesh(n))
     assert source_moment_deviation(disc) <= 1e-12
 
@@ -457,7 +457,7 @@ def test_samples_per_element_do_not_grow_with_kappa_h(tmp_path):
     # stay at the (p + 1)^2 = 4 points of the assembly's 2p rule.
     mesh = build_structured_mesh(4)
     disc = benchmark_discretization(60.0, 1, mesh)
-    assert disc.classes[0].rule.n_points == 225
+    assert disc.rule.n_points == 225
     solution, _ = solve_helmholtz(disc)
     pts, u, q = sample_solution(disc, solution)
     assert pts.shape == (4 * mesh.n_elements, 2) and u.shape == (4 * mesh.n_elements,)

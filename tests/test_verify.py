@@ -146,7 +146,7 @@ def test_projection_points_equal_the_broadcast_map(n):
     # One call per block, on the volume points and the three faces' points.
     ref = np.concatenate([quadrature_rule("triangle", 14).points]
                          + [reference_face_points(face, edge) for face in range(3)])
-    expected = [mesh.element_points(sel, ref, mesh.jacobians[sel]).reshape(-1, 2)
+    expected = [mesh.element_points(sel, ref).reshape(-1, 2)
                 for sel in blocks(mesh.n_elements, len(ref))]
     assert len(seen) == len(expected)
     for got, want in zip(seen, expected):
