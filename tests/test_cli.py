@@ -349,14 +349,11 @@ def test_parallel_workers_match_serial(tmp_path):
 
 
 def test_workers_beyond_the_cpu_count_exit_2_before_any_solve(tmp_path, monkeypatch, capsys):
-    from helmhdg import diagnostics
-
     def forbidden(*args):
         raise AssertionError("a case ran")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(cli, "run_benchmark_case", forbidden)
-    monkeypatch.setattr(diagnostics, "run_benchmark_case", forbidden)
     code = main(["converge", "--kappa", "5", "--p", "1", "--n", "2", "--workers", "4",
                  "--out", str(tmp_path / "out")])
     assert code == 2
