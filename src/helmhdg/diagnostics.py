@@ -158,9 +158,10 @@ def compute_errors(
         ue, grad = exact.u_and_grad(points.reshape(-1, 2))
         uh, qh = solution.fields(sel, disc.phi, mesh.dets[sel])
         du = uh - ue.reshape(uh.shape)
-        dq = qh - (1j * grad / exact.kappa).reshape(qh.shape)
-        u_sq[sel] = np.abs(du) ** 2 @ rule.weights
-        q_sq[sel] = (np.abs(dq[..., 0]) ** 2 + np.abs(dq[..., 1]) ** 2) @ rule.weights
+        dq = qh - ((1j / exact.kappa) * grad).reshape(qh.shape)
+        dq_sq = dq.real**2 + dq.imag**2
+        u_sq[sel] = (du.real**2 + du.imag**2) @ rule.weights
+        q_sq[sel] = (dq_sq[..., 0] + dq_sq[..., 1]) @ rule.weights
 
     rule = quadrature_rule("edge", data_quadrature_degree(cfg.p, cfg.kappa, mesh.h_global))
     basis = EdgeBasis(cfg.p).eval(rule.points).T
@@ -174,7 +175,7 @@ def compute_errors(
         diff = exact_u.reshape(edges.size, -1) - (traces[edges] @ basis) / np.sqrt(lengths)[:, None]
         # Interior edges count once per incident element.
         weights = np.where(mesh.boundary_flags[edges], 1.0, 2.0) * lengths
-        t_sq[sel] = weights * (np.abs(diff) ** 2 @ rule.weights)
+        t_sq[sel] = weights * ((diff.real**2 + diff.imag**2) @ rule.weights)
     e_t_sq = float(t_sq.sum())
 
     e_u = math.sqrt(float(mesh.dets @ u_sq))
@@ -217,19 +218,22 @@ def energy_balance(solution: Solution, disc: Discretization) -> EnergyBalance:
     precision.
     """
     mesh, cfg = disc.mesh, disc.cfg
-    norm_u_sq = float(np.sum(np.abs(solution.U) ** 2))
-    norm_q_sq = float(np.sum(np.abs(solution.Q) ** 2))
+    U, Q = solution.U, solution.Q
+    norm_u_sq = float(np.sum(U.real**2 + U.imag**2))
+    norm_q_sq = float(np.sum(Q.real**2 + Q.imag**2))
 
     ref = reference_tables(cfg.p)
     inv_sqrt_det = 1.0 / np.sqrt(mesh.dets)[:, None]
     jump_sq = 0.0
     for face in range(3):
         uh = inv_sqrt_det * (solution.U @ ref.face_phi[face].T)
-        lam = _uhat_on_faces(disc, solution.uhat, face)
-        jump_sq += float(mesh.face_lengths[:, face] @ (np.abs(uh - lam) ** 2 @ ref.face_weights))
+        jump = uh - _uhat_on_faces(disc, solution.uhat, face)
+        jump_sq += float(
+            mesh.face_lengths[:, face] @ ((jump.real**2 + jump.imag**2) @ ref.face_weights)
+        )
 
     uhat_bd = solution.uhat.reshape(mesh.n_edges, cfg.p + 1)[mesh.boundary_flags]
-    uhat_bd_sq = float(np.sum(np.abs(uhat_bd) ** 2))
+    uhat_bd_sq = float(np.sum(uhat_bd.real**2 + uhat_bd.imag**2))
 
     f_pairing = np.sum(disc.f_moments * np.conj(solution.U))
     rhs = complex(f_pairing + np.dot(disc.g_moments, np.conj(solution.uhat)))

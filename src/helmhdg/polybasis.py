@@ -8,17 +8,18 @@ that is orthonormal in the L2 inner product on ``T``.  Edge bases are
 shifted Legendre polynomials, orthonormal on ``[0, 1]``.  Orthonormality
 turns every mass matrix into the identity, so L2 projection reduces to
 inner products against the basis and local element solves stay well
-conditioned.  The Jacobi and Legendre factors and their derivatives come
-from ``scipy.special`` (its three-term recurrences for integer degree),
-evaluated for every basis member at once; `TriangleBasis.eval` computes
-the values without the derivatives.
+conditioned.  The Jacobi factors and their derivatives come from one
+three-term recurrence in the degree, SciPy's form for integer degree,
+run for every basis member at once; `TriangleBasis.eval` computes the
+values without the derivatives.  The Legendre factors of the edge basis
+come from NumPy's `legvander`.
 
 Edge quadrature is Gauss-Legendre.  Triangle rules collapse the square
 ``[-1, 1]^2`` onto ``T``: a Gauss-Legendre rule in the first coordinate
 tensorized with a Gauss-Jacobi(1, 0) rule in the second, whose weight
 function absorbs the collapsed-coordinate Jacobian exactly.  The
 Gauss-Jacobi nodes are eigenvalues of a symmetric tridiagonal matrix,
-found by NumPy's LAPACK, so no rule loads ``scipy.linalg``.  The rules are
+found by NumPy's LAPACK, so no rule loads SciPy.  The rules are
 therefore available at any exactness degree.  Each (domain, degree) rule is
 built once per process and shared: its point and weight arrays are
 read-only.
@@ -30,8 +31,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import eval_jacobi, eval_legendre
+from numpy.polynomial.legendre import leggauss, legvander
 
 MAX_ORDER = 10
 
@@ -47,17 +47,46 @@ def _check_order(p: int) -> None:
         raise ValueError(f"polynomial order must be in [1, {MAX_ORDER}], got {p}")
 
 
+def _jacobi(n, alpha, beta, t: np.ndarray) -> np.ndarray:
+    """P_n^(alpha,beta)(t) for integer n, alpha, beta >= 0, broadcast over
+    all four arguments.
+
+    This is the recurrence of scipy.special.eval_jacobi for integer degree:
+    it runs on p_k = P_k / binom(k + alpha, k), which is 1 at t = 1, adds
+    increments proportional to t - 1 and scales by the binomial, an exact
+    integer here, at the end.  At the hundreds of nodes of a large
+    Gauss-Jacobi rule it rounds less than the recurrence in P_k itself.
+    """
+    n = np.asarray(n)
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    tm1 = np.asarray(t, dtype=float) - 1.0
+    ab = alpha + beta
+    out = np.where(n == 0, 1.0, 0.5 * (2.0 * (alpha + 1.0) + (ab + 2.0) * tm1))
+    d = (ab + 2.0) * tm1 / (2.0 * (alpha + 1.0))
+    p = d + 1.0
+    binom = alpha + 1.0
+    for k in range(1, int(n.max(initial=0))):
+        s = 2.0 * k + ab
+        d = ((s * (s + 1.0) * (s + 2.0)) * tm1 * p + (2.0 * k * (k + beta) * (s + 2.0)) * d) / (
+            2.0 * (k + alpha + 1.0) * (k + ab + 1.0) * s
+        )
+        p = d + p
+        binom = binom * (k + 1.0 + alpha) / (k + 1.0)
+        np.copyto(out, binom * p, where=n == k + 1)
+    return out
+
+
 def _jacobi_with_deriv(
     n: np.ndarray, alpha: np.ndarray | float, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """P_n^(alpha,0)(t) and its derivative, broadcast over n, alpha and t.
 
     The derivative is (n + alpha + 1)/2 P_(n-1)^(alpha+1,1)(t), zero for
-    n = 0.  Degrees stay integer arrays: scipy evaluates integer degrees
-    by the three-term recurrence, float ones through hyp2f1.
+    n = 0.
     """
-    vals = eval_jacobi(n, alpha, 0.0, t)
-    inner = eval_jacobi(np.maximum(n - 1, 0), alpha + 1.0, 1.0, t)
+    vals = _jacobi(n, alpha, 0, t)
+    inner = _jacobi(np.maximum(n - 1, 0), alpha + 1.0, 1, t)
     return vals, np.where(n >= 1, 0.5 * (n + alpha + 1.0), 0.0) * inner
 
 
@@ -97,8 +126,8 @@ class TriangleBasis:
         floating-point operations as the values of `eval_with_grad`."""
         eta1, eta2, g = self._collapsed(points)
         m, n = self._m, self._n
-        pm = eval_jacobi(m, 0.0, 0.0, eta1[:, None])
-        pn = eval_jacobi(n, 2.0 * m + 1.0, 0.0, eta2[:, None])
+        pm = _jacobi(m, 0, 0, eta1[:, None])
+        pn = _jacobi(n, 2.0 * m + 1.0, 0, eta2[:, None])
         return self._norm * pm * g[:, None] ** m * pn
 
     def eval_with_grad(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +163,7 @@ class EdgeBasis:
         t = np.asarray(t, dtype=float).reshape(-1)
         if t.min(initial=0.0) < -_INSIDE_TOL or t.max(initial=0.0) > 1.0 + _INSIDE_TOL:
             raise ValueError("evaluation points must lie in [0, 1]")
-        return eval_legendre(np.arange(self.p + 1), 2.0 * t[:, None] - 1.0) * self._scale
+        return legvander(2.0 * t - 1.0, self.p) * self._scale
 
 
 @dataclass(frozen=True)
@@ -156,8 +185,7 @@ def _gauss_jacobi_10(n: int) -> tuple[np.ndarray, np.ndarray]:
     The nodes are the eigenvalues of the symmetric tridiagonal Jacobi
     matrix of P^(1,0) (Golub and Welsch, Math. Comp. 23, 1969), polished
     by one Newton step; the weights are 1 / (P_(n-1) P_n') scaled to sum
-    to 2.  Matrix, step and weights are those of scipy.special.roots_jacobi,
-    whose first call would import scipy.linalg.
+    to 2.  Matrix, step and weights are those of scipy.special.roots_jacobi.
     """
     k = np.arange(n, dtype=float)
     jacobi = np.diag(-1.0 / ((2.0 * k + 1.0) * (2.0 * k + 3.0)))
@@ -167,9 +195,9 @@ def _gauss_jacobi_10(n: int) -> tuple[np.ndarray, np.ndarray]:
         * np.where(k == 1, 1.0, np.sqrt(k * (k + 1.0) / (2.0 * k)))
     )
     x = np.linalg.eigvalsh(jacobi)
-    dy = 0.5 * (n + 2) * eval_jacobi(n - 1, 2.0, 1.0, x)
-    x -= eval_jacobi(n, 1.0, 0.0, x) / dy
-    fm = eval_jacobi(n - 1, 1.0, 0.0, x)
+    dy = 0.5 * (n + 2) * _jacobi(n - 1, 2, 1, x)
+    x -= _jacobi(n, 1, 0, x) / dy
+    fm = _jacobi(n - 1, 1, 0, x)
 
     def centred(v: np.ndarray) -> np.ndarray:
         # Both factors span many decades at large n; scale each to about 1.

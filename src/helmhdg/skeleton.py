@@ -78,9 +78,10 @@ and is named.  The W of a sweep live only inside it.
 A monolithic solver assembles the uncondensed coupled equations directly
 and serves as an independent oracle for the condensed pipeline; it keeps
 SuperLU's default COLAMD ordering and pivoting so that it shares no
-solver choice with the condensed path.  It alone imports SciPy's sparse
-stack (and with it ``scipy.linalg``), so a process that only runs the
-condensed solve loads neither.
+solver choice with the condensed path.  It is the only code in the
+package that imports SciPy (its sparse stack, and with it
+``scipy.linalg``), so a process that only runs the condensed solve loads
+no SciPy module.
 """
 
 from __future__ import annotations
@@ -307,7 +308,7 @@ def discretize(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Di
         phys = mesh.element_points(sel, rule.points).reshape(-1, 2)
         values = np.asarray(f(phys), dtype=complex).reshape(-1, rule.n_points)
         f_moments[sel] = (values * rule.weights) @ phi
-        f_sq[sel] = np.abs(values) ** 2 @ rule.weights
+        f_sq[sel] = (values.real**2 + values.imag**2) @ rule.weights
     g_moments, g_sq = boundary_loads(mesh, cfg, g)
     logger.debug(
         "discretization: kappa=%g p=%d tau=%g, %d element classes, "
@@ -340,7 +341,7 @@ def boundary_loads(mesh: Mesh, cfg: ProblemConfig, g: BoundaryFn) -> tuple[np.nd
     out = np.zeros((mesh.n_edges, cfg.p + 1), dtype=complex)
     out[edges] = np.sqrt(lengths)[:, None] * (
         (values * rule.weights) @ EdgeBasis(cfg.p).eval(rule.points))
-    return out.ravel(), float(lengths @ (np.abs(values) ** 2 @ rule.weights))
+    return out.ravel(), float(lengths @ ((values.real**2 + values.imag**2) @ rule.weights))
 
 
 def _extend_add(front: np.ndarray, schur: np.ndarray, slots: np.ndarray, m: int) -> None:

@@ -3,8 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from helmhdg.analytic import (
+    BESSEL_MAX_ARGUMENT,
     DataFunctions,
     ExactSolution,
     bessel_j,
@@ -59,6 +61,17 @@ def test_bessel_against_mpmath():
     for order in (0, 1):
         ref = np.array([float(mpmath.besselj(order, mpmath.mpf(float(v)))) for v in x])
         assert np.abs(bessel_j(order, x) - ref).max() <= 1e-12
+
+
+def test_bessel_matches_scipy_on_a_dense_grid():
+    # The same Cephes approximations as scipy.special.j0 and j1, with the
+    # phases of the x > 5 branch built from cos x and sin x.
+    x = np.concatenate(
+        [np.linspace(0.0, 10.0, 100_001), np.linspace(10.0, BESSEL_MAX_ARGUMENT, 1_000_001)]
+    )
+    for chunk in np.array_split(x, 11):
+        for order, ref in ((0, special.j0), (1, special.j1)):
+            assert np.abs(bessel_j(order, chunk) - ref(chunk)).max() <= 1e-14
 
 
 def test_bessel_rejects_bad_arguments():

@@ -24,6 +24,11 @@ estimates kappa-explicit.  Refinement capped at one
 sweep (`MAX_REFINE_STEPS` = 1) shows only near a subdomain resonance,
 where one sweep misses the residual contract.
 
+The boundary mass doubled in `Discretization.apply`, the operator that
+the residual reads, is caught by the residual contract: the sweep still
+factors the unmutated operator, so refinement stalls far above
+`RESIDUAL_TOL` and the patch test never gets a solution to compare.
+
 Equivalent mutant, not tested: K in place of K^T in
 `Discretization.apply`.  Every class's K is complex symmetric to rounding
 (1.8e-15 relative at worst, `test_condensed_operators_are_complex_symmetric`),
@@ -191,6 +196,21 @@ def test_orientation_convention_swapped_is_caught_by_the_pinned_errors(
     assert verify._check_orthonormality().passed
     disc = benchmark_discretization(20.0, 2, build_structured_mesh(4))
     assert uhat_on_faces_deviation(disc) > 1e-12
+
+
+def test_boundary_mass_doubled_is_caught_by_the_residual_contract(monkeypatch):
+    # I_boundary x 2 in A leaves the patch test's solve on the jittered
+    # mesh at p = 2 a relative residual of 0.81 (0.70 on the 4 x 4 mesh).
+    apply = skeleton.Discretization.apply
+
+    def doubled(self, uhat):
+        traces = uhat.reshape(self.mesh.n_edges, -1)
+        boundary = np.where(self.mesh.boundary_flags[:, None], traces, 0.0).ravel()
+        return apply(self, uhat) + boundary
+
+    monkeypatch.setattr(skeleton.Discretization, "apply", doubled)
+    with pytest.raises(RuntimeError, match=r"skeleton solve residual .* exceeds 1\.0e-10"):
+        patch_errors(jittered_mesh(), 2)
 
 
 def test_extend_add_dropping_the_last_run_is_caught_by_the_singular_front(monkeypatch):

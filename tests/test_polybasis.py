@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import roots_jacobi
+from scipy.special import eval_jacobi, eval_legendre, roots_jacobi
 
 from helmhdg.mesh import element_geometry
 from helmhdg.polybasis import (
+    MAX_ORDER,
     REF_VERTICES,
     EdgeBasis,
     TriangleBasis,
     _gauss_jacobi_10,
+    _jacobi,
     quadrature_rule,
     reference_face_points,
 )
@@ -248,6 +250,45 @@ def test_values_equal_the_values_of_eval_with_grad(p):
     pts = np.vstack([_interior_points(np.random.default_rng(p), 256), REF_VERTICES])
     basis = TriangleBasis(p)
     assert basis.eval(pts).tobytes() == basis.eval_with_grad(pts)[0].tobytes()
+
+
+def _jacobi_deviation(n, alpha, beta, t):
+    """Largest deviation of `_jacobi` from scipy.special.eval_jacobi at t,
+    relative to binom(n + max(alpha, beta), n), the maximum of
+    |P_n^(alpha,beta)| on [-1, 1]."""
+    want = eval_jacobi(n, float(alpha), float(beta), t)
+    return np.abs(_jacobi(n, alpha, beta, t) - want).max() / math.comb(n + max(alpha, beta), n)
+
+
+def test_jacobi_matches_scipy_for_the_bases():
+    # The triangle bases take P_n^(2m+1,0) and their derivatives
+    # P_(n-1)^(2m+2,1) for m + n <= MAX_ORDER; this covers every degree and
+    # parameter up to 2 MAX_ORDER + 2.
+    rng = np.random.default_rng(0)
+    t = np.concatenate([np.linspace(-1.0, 1.0, 401), rng.uniform(-1.0, 1.0, 200)])
+    worst = max(
+        _jacobi_deviation(n, alpha, beta, t)
+        for n in range(2 * MAX_ORDER + 2)
+        for alpha in range(2 * MAX_ORDER + 3)
+        for beta in (0, 1)
+    )
+    assert worst <= 1e-15
+
+
+def test_jacobi_matches_scipy_at_the_gauss_jacobi_nodes():
+    # `_gauss_jacobi_10` takes P_(n-1)^(2,1), P_n^(1,0) and P_(n-1)^(1,0)
+    # at its nodes; n reaches about 360 on the data rule of kappa h = 707.
+    for n in [*range(1, 41), *range(50, 401, 50)]:
+        x = roots_jacobi(n, 1.0, 0.0)[0]
+        for args in ((n - 1, 2, 1), (n, 1, 0), (n - 1, 1, 0)):
+            assert _jacobi_deviation(*args, x) <= 1e-15, (n, args)
+
+
+def test_edge_basis_matches_scipy_legendre():
+    t = np.linspace(0.0, 1.0, 1001)
+    want = eval_legendre(np.arange(MAX_ORDER + 1), 2.0 * t[:, None] - 1.0)
+    want *= np.sqrt(2.0 * np.arange(MAX_ORDER + 1) + 1.0)
+    assert np.abs(EdgeBasis(MAX_ORDER).eval(t) - want).max() <= 1e-14 * math.sqrt(2 * MAX_ORDER + 1)
 
 
 def test_gauss_jacobi_matches_scipy_and_integrates_moments():

@@ -860,8 +860,8 @@ def test_extend_add_by_slices_equals_gather_and_scatter(slots):
 
 
 def test_condensed_solve_loads_no_scipy_linalg_or_sparse():
-    # Only the monolithic oracle loads SciPy's linalg and sparse stacks,
-    # which cost about 10 MB of resident memory in every process.
+    # Only the monolithic oracle loads SciPy; the CLI and a condensed solve
+    # load no SciPy module at all, not even scipy.special.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -869,9 +869,10 @@ def test_condensed_solve_loads_no_scipy_linalg_or_sparse():
     )
     script = (
         "import sys\n"
+        "import helmhdg.cli\n"
         "from helmhdg.diagnostics import run_benchmark_case\n"
         "run_benchmark_case(20, 2, 8)\n"
-        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
