@@ -218,9 +218,8 @@ def energy_balance(solution: Solution, disc: Discretization) -> EnergyBalance:
     precision.
     """
     mesh, cfg = disc.mesh, disc.cfg
-    U, Q = solution.U, solution.Q
-    norm_u_sq = float(np.sum(U.real**2 + U.imag**2))
-    norm_q_sq = float(np.sum(Q.real**2 + Q.imag**2))
+    norm_u_sq = float(np.sum(solution.U.real**2 + solution.U.imag**2))
+    norm_q_sq = float(np.sum(solution.Q.real**2 + solution.Q.imag**2))
 
     ref = reference_tables(cfg.p)
     inv_sqrt_det = 1.0 / np.sqrt(mesh.dets)[:, None]

@@ -59,21 +59,25 @@ def _jacobi(n, alpha, beta, t: np.ndarray) -> np.ndarray:
     """
     n = np.asarray(n)
     alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    tm1 = np.asarray(t, dtype=float) - 1.0
     ab = alpha + beta
+    tm1 = np.asarray(t, dtype=float) - 1.0
     out = np.where(n == 0, 1.0, 0.5 * (2.0 * (alpha + 1.0) + (ab + 2.0) * tm1))
+    top = int(n.max(initial=0))
+    if top < 2:
+        return out
+    # Coefficients of the steps k = 1, ..., top - 1, which lift p to degree k + 1.
+    k = np.arange(1.0, top).reshape((-1,) + (1,) * ab.ndim)
+    s = 2.0 * k + ab
+    num_p, num_d = s * (s + 1.0) * (s + 2.0), 2.0 * k * (k + beta) * (s + 2.0)
+    den = 2.0 * (k + alpha + 1.0) * (k + ab + 1.0) * s
     d = (ab + 2.0) * tm1 / (2.0 * (alpha + 1.0))
     p = d + 1.0
     binom = alpha + 1.0
-    for k in range(1, int(n.max(initial=0))):
-        s = 2.0 * k + ab
-        d = ((s * (s + 1.0) * (s + 2.0)) * tm1 * p + (2.0 * k * (k + beta) * (s + 2.0)) * d) / (
-            2.0 * (k + alpha + 1.0) * (k + ab + 1.0) * s
-        )
+    for i in range(top - 1):
+        d = (num_p[i] * tm1 * p + num_d[i] * d) / den[i]
         p = d + p
-        binom = binom * (k + 1.0 + alpha) / (k + 1.0)
-        np.copyto(out, binom * p, where=n == k + 1)
+        binom = binom * (i + 2.0 + alpha) / (i + 2.0)
+        np.copyto(out, binom * p, where=n == i + 2)
     return out
 
 
