@@ -52,6 +52,10 @@ ND_LEAF_SIZE = 32
 class Mesh:
     """Triangle mesh with edge connectivity and size metadata.
 
+    Every int array is int32, which indexes meshes of up to 2^31 entries
+    at half the memory of int64; a sort key that combines two indices
+    (a vertex pair, an element's node and rank) is formed in int64.
+
     Attributes
     ----------
     vertices : (V, 2) float array
@@ -180,7 +184,7 @@ def build_structured_mesh(n: int) -> Mesh:
 
     # Square (i, j) has lower-left vertex j * (n + 1) + i; squares and
     # their two triangles run x-fastest.
-    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    j, i = np.divmod(np.arange(n * n, dtype=np.int32), n)
     a = j * (n + 1) + i
     b, c, d = a + 1, a + n + 2, a + n + 1
     triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(2 * n * n, 3)
@@ -190,19 +194,21 @@ def build_structured_mesh(n: int) -> Mesh:
 
 def _finish_mesh(vertices: np.ndarray, triangles: np.ndarray, n: int | None) -> Mesh:
     """Derive edge connectivity and size metadata from vertices/triangles."""
+    triangles = np.asarray(triangles, dtype=np.int32)
     f = triangles.shape[0]
     face_from = triangles
     face_to = np.roll(triangles, -1, axis=1)
     lo = np.minimum(face_from, face_to)
     hi = np.maximum(face_from, face_to)
 
-    # Sorting the keys lo * V + hi sorts the pairs (lo, hi) lexicographically.
+    # Sorting the keys lo * V + hi sorts the pairs (lo, hi) lexicographically;
+    # they exceed int32 from about V = 2^15.5 on.
     n_vertices = vertices.shape[0]
-    keys, inverse = np.unique((lo * n_vertices + hi).ravel(), return_inverse=True)
-    edges = np.column_stack([keys // n_vertices, keys % n_vertices])
+    keys, inverse = np.unique((lo.astype(np.int64) * n_vertices + hi).ravel(), return_inverse=True)
+    edges = np.column_stack([keys // n_vertices, keys % n_vertices]).astype(np.int32)
     n_edges = edges.shape[0]
-    elem_edges = inverse.reshape(f, 3).astype(np.int64)
-    elem_edge_orient = np.where(face_from == lo, 1, -1).astype(np.int64)
+    elem_edges = inverse.reshape(f, 3).astype(np.int32)
+    elem_edge_orient = np.where(face_from == lo, 1, -1).astype(np.int32)
 
     # Incidences in element-major order: stable sort of the flattened
     # face -> edge map groups the 1-2 faces touching each edge.
@@ -213,7 +219,7 @@ def _finish_mesh(vertices: np.ndarray, triangles: np.ndarray, n: int | None) -> 
     elem_of = order // 3
     face_of = order % 3
 
-    edge_to_elements = np.full((n_edges, 2, 2), -1, dtype=np.int64)
+    edge_to_elements = np.full((n_edges, 2, 2), -1, dtype=np.int32)
     edge_to_elements[:, 0, 0] = elem_of[first]
     edge_to_elements[:, 0, 1] = face_of[first]
     interior = counts == 2
@@ -234,7 +240,7 @@ def _finish_mesh(vertices: np.ndarray, triangles: np.ndarray, n: int | None) -> 
     keys = np.round(jacobians / h_global, 12).reshape(f, 4).view(np.int64)
     by_key = _group_rows(np.column_stack([keys, elem_edge_orient]))
     first_elem = np.unique(by_key, return_index=True)[1]
-    elem_class = np.unique(first_elem[by_key], return_inverse=True)[1]
+    elem_class = np.unique(first_elem[by_key], return_inverse=True)[1].astype(np.int32)
 
     mesh = Mesh(
         vertices=vertices,
@@ -273,7 +279,8 @@ class DissectionTree:
     are translates with equal element classes (`Mesh.elem_class`), equal
     boundary pattern and, for internal nodes, children of equal classes at
     equal offsets, so they share one dense front.  Classes are numbered in ascending height,
-    so children's classes precede their parents'.
+    so children's classes precede their parents'.  Like the mesh's, every
+    array is int32.
     """
 
     children: np.ndarray  # (n_nodes, 2) left and right child, -1 for leaves
@@ -312,7 +319,7 @@ def dissection_tree(mesh: Mesh) -> DissectionTree:
         place[axis, np.lexsort((cent[:, 1 - axis], cent[:, axis]))] = np.arange(f)
     levels, splits = _bisect(cent, place, [3 * np.unique(q[:, axis]) for axis in range(2)])
     n_nodes = 1 + max((first[-1] + 1 for _, first in splits), default=0)
-    children = np.full((n_nodes, 2), -1, dtype=np.int64)
+    children = np.full((n_nodes, 2), -1, dtype=np.int32)
     height = np.zeros(n_nodes, dtype=np.int64)
     elem_leaf = np.max(levels, axis=0)
     ref = np.full((n_nodes, 2), np.iinfo(np.int64).max)  # least centroid per axis
@@ -335,8 +342,8 @@ def dissection_tree(mesh: Mesh) -> DissectionTree:
         ):
             hit = np.flatnonzero(sel)
             nodes.append(node[hit])
-            roles.append(np.full(hit.size, role))
-            edges.append(hit)
+            roles.append(np.full(hit.size, role, dtype=np.int8))
+            edges.append(hit.astype(np.int32))
     nodes, roles, edges = (np.concatenate(x) for x in (nodes, roles, edges))
     # Side-major edge order: by direction (reduced, pointing right or up),
     # then by the line the edge lies on, then by its place along the line.
@@ -348,15 +355,15 @@ def dissection_tree(mesh: Mesh) -> DissectionTree:
     along = d[:, 0] * mid[:, 0] + d[:, 1] * mid[:, 1]
     rank = np.empty(mesh.n_edges, dtype=np.int64)
     rank[np.lexsort((along, line, d[:, 1], d[:, 0]))] = np.arange(mesh.n_edges)
-    order = np.argsort((2 * nodes + roles) * mesh.n_edges + rank[edges])
+    order = np.argsort((2 * nodes.astype(np.int64) + roles) * mesh.n_edges + rank[edges])
     nodes, roles, edges = nodes[order], roles[order], edges[order]
 
     # Classes, height by height: a leaf's key is its elements' classes,
     # centroids relative to the node and boundary faces, in centroid order;
     # an internal node's key its children's classes and their offset.
-    node_class = np.empty(n_nodes, dtype=np.int64)
+    node_class = np.empty(n_nodes, dtype=np.int32)
     leaves = np.flatnonzero(children[:, 0] < 0)
-    by_leaf = np.argsort(elem_leaf * f + place[1])
+    by_leaf = np.argsort(elem_leaf.astype(np.int64) * f + place[1])
     leaf = elem_leaf[by_leaf]
     faces = mesh.boundary_flags[mesh.elem_edges[by_leaf]] @ [1, 2, 4]
     keys = np.full((leaves.size, ND_LEAF_SIZE, 4), -1, dtype=np.int64)
@@ -369,10 +376,10 @@ def dissection_tree(mesh: Mesh) -> DissectionTree:
         left, right = children[at, 0], children[at, 1]
         keys = np.column_stack([node_class[left], node_class[right], ref[right] - ref[left]])
         node_class[at] = n_classes + _group_rows(keys)
+    front_ptr = np.concatenate([[0], np.cumsum(np.bincount(nodes, minlength=n_nodes))])
     return DissectionTree(
-        children=children, node_class=node_class,
-        front_ptr=np.concatenate([[0], np.cumsum(np.bincount(nodes, minlength=n_nodes))]),
-        front_edges=edges, n_elim=np.bincount(nodes[roles == 0], minlength=n_nodes),
+        children=children, node_class=node_class, front_ptr=front_ptr.astype(np.int32),
+        front_edges=edges, n_elim=np.bincount(nodes[roles == 0], minlength=n_nodes).astype(np.int32),
         elem_leaf=elem_leaf,
     )
 
@@ -393,7 +400,7 @@ def _bisect(
     levels, splits = [], []
     while True:
         count = np.bincount(nd)
-        level = np.full(f, -1, dtype=np.int64)
+        level = np.full(f, -1, dtype=np.int32)
         level[ids] = base + nd
         levels.append(level)
         keep = count[nd] > ND_LEAF_SIZE

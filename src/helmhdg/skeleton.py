@@ -278,16 +278,20 @@ class Discretization:
         return np.where(mesh.boundary_flags[:, None], traces, 0.0).ravel() - _sum_faces(mesh, flux)
 
     def reconstruct(self, uhat: np.ndarray) -> Solution:
-        """Recover the element coefficients from solved traces."""
-        n = TriangleBasis(self.cfg.p).dim
-        Q = np.zeros((self.mesh.n_elements, 2 * n), dtype=complex)
-        U = np.zeros((self.mesh.n_elements, n), dtype=complex)
-        traces = uhat.reshape(self.mesh.n_edges, self.cfg.p + 1)
-        for k, ids in enumerate(self.members):
-            lam = traces[self.mesh.elem_edges[ids]].reshape(len(ids), -1)
-            x = lam @ self.ops.recon_lam[k].T + self.f_moments[ids] @ self.ops.inv_load[k].T
-            Q[ids] = x[:, : 2 * n]
-            U[ids] = x[:, 2 * n :]
+        """Recover the element coefficients from solved traces, class by
+        class over `blocks` of its members, so that the transients stay
+        small beside Q and U."""
+        mesh, n = self.mesh, TriangleBasis(self.cfg.p).dim
+        Q = np.empty((mesh.n_elements, 2 * n), dtype=complex)
+        U = np.empty((mesh.n_elements, n), dtype=complex)
+        traces = uhat.reshape(mesh.n_edges, self.cfg.p + 1)
+        for k, members in enumerate(self.members):
+            for sel in blocks(len(members), 3 * n):
+                ids = members[sel]
+                lam = traces[mesh.elem_edges[ids]].reshape(len(ids), -1)
+                x = lam @ self.ops.recon_lam[k].T + self.f_moments[ids] @ self.ops.inv_load[k].T
+                Q[ids] = x[:, : 2 * n]
+                U[ids] = x[:, 2 * n :]
         solution = Solution(Q=Q, U=U, uhat=np.asarray(uhat, dtype=complex), p=self.cfg.p)
         solution.validate(self.mesh)
         return solution
@@ -344,35 +348,54 @@ def boundary_loads(mesh: Mesh, cfg: ProblemConfig, g: BoundaryFn) -> tuple[np.nd
     return out.ravel(), float(lengths @ ((values.real**2 + values.imag**2) @ rule.weights))
 
 
-def _extend_add(front: np.ndarray, schur: np.ndarray, slots: np.ndarray, m: int) -> None:
-    """front[dofs, dofs] += schur, where dofs are the skeleton dofs of the
-    front slots of a child's interface edges: one slice addition per pair
-    of contiguous runs of slots (at most 4 runs on structured meshes), so
-    no gathered copy of the front is made."""
-    cut = np.flatnonzero(np.diff(slots) != 1) + 1
+def _extend_add(
+    front: tuple[np.ndarray, np.ndarray], schur: np.ndarray, slots: np.ndarray, m: int
+) -> None:
+    """front[dofs, dofs] += schur, where the front is held as its eliminated
+    rows and its interface rows, and dofs are the skeleton dofs of the front
+    slots of a child's interface edges: one slice addition per pair of
+    contiguous runs of slots (at most 4 runs on structured meshes, each cut
+    where it passes from the eliminated rows to the interface rows), so no
+    gathered copy of the front is made."""
+    top, bottom = front
+    cut = np.flatnonzero((np.diff(slots) != 1) | (m * slots[1:] == top.shape[0])) + 1
     runs = [
-        (slice(m * a, m * b), slice(m * slots[a], m * (slots[a] + b - a)))
+        (slice(m * a, m * b), m * slots[a], m * (slots[a] + b - a))
         for a, b in zip(np.r_[0, cut], np.r_[cut, slots.size])
     ]
-    for rows, to_rows in runs:
-        for cols, to_cols in runs:
-            front[to_rows, to_cols] += schur[rows, cols]
+    for rows, lo, hi in runs:
+        part, lo, hi = (top, lo, hi) if lo < top.shape[0] else (
+            bottom, lo - top.shape[0], hi - top.shape[0])
+        for cols, left, right in runs:
+            part[lo:hi, left:right] += schur[rows, cols]
+
+
+def _front_dofs(tree: DissectionTree, nodes: np.ndarray, m: int) -> list[np.ndarray]:
+    """Eliminated and interface skeleton dofs of congruent tree nodes, one
+    row per node, in the order of their fronts."""
+    rep = nodes[0]
+    size = tree.front_ptr[rep + 1] - tree.front_ptr[rep]
+    edges = tree.front_edges[tree.front_ptr[nodes][:, None] + np.arange(size)]
+    return np.split(_edge_dofs(edges, m).reshape(len(nodes), -1), [m * tree.n_elim[rep]], axis=1)
 
 
 def _sweep(disc: Discretization, tree: DissectionTree, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """A^-1 b by one multifrontal sweep: returns x and the entries of
-    W = F_II^-1 F_IB kept for the back substitution.
+    """A^-1 b by one multifrontal sweep, in place of b: returns it and the
+    entries of W = F_II^-1 F_IB kept for the back substitution.
 
     Children first, each class of congruent tree nodes builds its front
     once, with its members' loads in the columns after it (a leaf's from -K
     of its elements plus the identity on its boundary edges, an internal
     node's by extend-add of its children's Schur complements F_BB - F_BI W,
     each freed once its last parent class is built).  One dense solve
-    gives W and the eliminated loads, and one product F_BI [W | y], whose
-    buffer then takes F_BB - F_BI W and the load update of the interface;
-    the front is then freed.  The back substitution runs parents first on
-    W alone.  Siblings may share interface dofs, hence the unbuffered
-    addition.  A singular front fails the solve and names its class.
+    gives W and the eliminated loads; the eliminated rows of the front are
+    then freed, and one product F_BI [W | y], whose buffer then takes
+    F_BB - F_BI W and the load update of the interface, frees the rest.
+    Each class keeps its W as an array of its own, so no load column stays
+    alive with it, and the back substitution, parents first, rebuilds the
+    members' dofs from the tree.  Siblings may share interface dofs, hence
+    the unbuffered addition.  A singular front fails the solve and names
+    its class.
     """
     mesh, m = disc.mesh, disc.cfg.p + 1
     minus_k = -disc.ops.K
@@ -384,68 +407,79 @@ def _sweep(disc: Discretization, tree: DissectionTree, b: np.ndarray) -> tuple[n
                 last_parent[tree.node_class[child]] = c
     by_leaf = np.argsort(tree.elem_leaf, kind="stable")
     leaf_ptr = np.searchsorted(tree.elem_leaf[by_leaf], np.arange(tree.n_elim.size + 1))
-    position = np.empty(mesh.n_edges, dtype=np.int64)  # edge -> slot in the current front
+    position = np.empty(mesh.n_edges, dtype=np.int32)  # edge -> slot in the current front
     schur: dict[int, np.ndarray] = {}
-    kept = []  # (eliminated dofs, interface dofs, W) of each class
-    x = b.copy()
+    kept = []  # W of each class
+    x = b
     for c, nodes in enumerate(members):
         rep = nodes[0]
         edges = tree.front(rep)
         position[edges] = np.arange(edges.size)
         n_f, n_i = m * edges.size, m * tree.n_elim[rep]
         n_b = n_f - n_i
-        dofs = _edge_dofs(tree.front_edges[tree.front_ptr[nodes][:, None] + np.arange(edges.size)], m)
-        elim, iface = np.split(dofs.reshape(len(nodes), -1), [n_i], axis=1)
-        front = np.zeros((n_f, n_f + len(nodes)), dtype=complex)
-        front[:n_i, n_f:] = x[elim].T
+        elim, iface = _front_dofs(tree, nodes, m)
         if tree.children[rep, 0] < 0:
+            front = np.zeros((n_f, n_f + len(nodes)), dtype=complex)
             elems = by_leaf[leaf_ptr[rep] : leaf_ptr[rep + 1]]
             dofs = _edge_dofs(position[mesh.elem_edges[elems]], m).reshape(len(elems), -1)
             np.add.at(front, (dofs[:, :, None], dofs[:, None, :]), minus_k[mesh.elem_class[elems]])
             boundary = _edge_dofs(position[edges[mesh.boundary_flags[edges]]], m).ravel()
             front[boundary, boundary] += 1.0
+            top, bottom = front[:n_i], front[n_i:]
+            del front
         else:
+            top = np.zeros((n_i, n_f + len(nodes)), dtype=complex)
+            bottom = np.zeros((n_b, n_f + len(nodes)), dtype=complex)
             child_classes = tree.node_class[tree.children[rep]]
             for child, k in zip(tree.children[rep], child_classes):
-                _extend_add(front, schur[k], position[tree.front(child)[tree.n_elim[child] :]], m)
+                slots = position[tree.front(child)[tree.n_elim[child] :]]
+                _extend_add((top, bottom), schur[k], slots, m)
             for k in set(child_classes.tolist()):
                 if last_parent[k] == c:
                     del schur[k]
+        top[:, n_f:] = x[elim].T
         try:
-            solved = np.linalg.solve(front[:n_i, :n_i], front[:n_i, n_i:])  # [W | y]
+            solved = np.linalg.solve(top[:, :n_i], top[:, n_i:])  # [W | y]
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(
                 f"front of node class {c} is singular ({n_i} of {n_f} dofs eliminated), "
                 f"so the skeleton solve cannot meet its residual contract {RESIDUAL_TOL:.1e}"
             ) from exc
         x[elim] = solved[:, n_b:].T
-        update = front[n_i:, :n_i] @ solved
-        np.subtract(front[n_i:, n_i:], update, out=update)  # [F_BB - F_BI W | -F_BI y]
+        del top  # before the product allocates its buffer
+        update = bottom[:, :n_i] @ solved
+        np.subtract(bottom[:, n_i:], update, out=update)  # [F_BB - F_BI W | -F_BI y]
+        del bottom
         np.add.at(x, iface.ravel(), update[:, n_b:].T.ravel())
         if c in last_parent:
             schur[c] = update[:, :n_b]
-        kept.append((elim, iface, solved[:, :n_b]))
-        del front, update  # before the next class allocates its own
-    for elim, iface, w in reversed(kept):
+        kept.append(solved[:, :n_b].copy())
+        del solved, update  # before the next class allocates its own
+    for nodes, w in zip(reversed(members), reversed(kept)):
+        elim, iface = _front_dofs(tree, nodes, m)
         x[elim] -= x[iface] @ w.T
-    return x, sum(w.size for _, _, w in kept)
+    return x, sum(w.size for w in kept)
 
 
 def solve_skeleton(disc: Discretization) -> tuple[np.ndarray, SolveInfo]:
     """Solve the skeleton system by multifrontal nested dissection over
     congruence classes of subdomains, with iterative refinement against
     the class-wise A; each refinement step runs one sweep on the residual.
-    Returns the traces and what the solve measured."""
+    The sweep solves in place of its right-hand side, and the residual
+    rebuilds the right-hand side, so that beside the sweep's own arrays
+    only the current x is alive.  Returns the traces and what the solve
+    measured."""
     start = time.perf_counter()
     tree = dissection_tree(disc.mesh)
-    rhs = disc.rhs()
-    x = np.zeros_like(rhs)
-    r, resid, steps, lu_nnz = rhs, (1.0 if np.any(rhs) else 0.0), 0, 0
+    x = disc.rhs()  # the first sweep solves in place of it; a zero one solves itself
+    r, resid, steps, lu_nnz = x, (1.0 if np.any(x) else 0.0), 0, 0
     while resid > RESIDUAL_TOL and steps < MAX_REFINE_STEPS:
         dx, lu_nnz = _sweep(disc, tree, r)
-        x += dx
+        if steps:
+            x += dx
+        del r, dx
         previous = resid
-        r, resid = skeleton_residual(disc, rhs, x)
+        r, resid = skeleton_residual(disc, disc.rhs(), x)
         steps += 1
         if not resid <= 0.5 * previous:
             break
@@ -476,7 +510,8 @@ def skeleton_residual(
 ) -> tuple[np.ndarray, float]:
     """Residual rhs - A uhat of a candidate trace solution, with A applied
     class by class, and its norm relative to ||rhs||."""
-    r = rhs - disc.apply(uhat)
+    r = disc.apply(uhat)
+    np.subtract(rhs, r, out=r)
     rhs_norm, err = float(np.linalg.norm(rhs)), float(np.linalg.norm(r))
     if rhs_norm == 0.0:
         return r, (0.0 if err == 0.0 else float("inf"))

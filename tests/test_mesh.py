@@ -368,7 +368,7 @@ def test_structured_triangles_match_per_square_loop(n):
             a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
             triangles += [(a, b, c), (a, c, d)]
     mesh = build_structured_mesh(n)
-    assert mesh.triangles.dtype == np.int64
+    assert mesh.triangles.dtype == np.int32
     assert np.array_equal(mesh.triangles, np.array(triangles))
 
 

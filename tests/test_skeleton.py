@@ -744,9 +744,8 @@ def test_subdomain_resonance_needs_the_second_sweep():
     # contract (4.2e-10 with BLAS on one thread, 3.3e-10 on two) and the
     # refinement's second sweep meets it with room to spare.
     disc = _pollution_case(51.816, 64)
-    rhs = disc.rhs()
-    once, _ = skeleton._sweep(disc, dissection_tree(disc.mesh), rhs)
-    assert skeleton_residual(disc, rhs, once)[1] > RESIDUAL_TOL
+    once, _ = skeleton._sweep(disc, dissection_tree(disc.mesh), disc.rhs())  # in place
+    assert skeleton_residual(disc, disc.rhs(), once)[1] > RESIDUAL_TOL
     _, info = solve_skeleton(disc)
     assert info.refine_steps == 2
     assert info.residual <= 1e-12
@@ -843,20 +842,23 @@ def test_singular_front_names_its_class(monkeypatch):
 ], ids=["one-run", "three-runs", "ten-runs"])
 def test_extend_add_by_slices_equals_gather_and_scatter(slots):
     # The slice additions add each entry of the Schur complement once, so
-    # they equal the np.ix_ gather and scatter bit for bit.
+    # they equal the np.ix_ gather and scatter bit for bit, wherever the
+    # front's rows split into eliminated and interface rows.
     m, rng = 3, np.random.default_rng(len(slots))
     slots = np.array(slots)
 
     def complex_normal(shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    front = complex_normal((m * 13, m * 13 + 2))  # 13 edge slots and 2 load columns
-    schur = complex_normal((m * slots.size,) * 2)
-    want = front.copy()
-    dofs = _edge_dofs(slots, m).ravel()
-    want[np.ix_(dofs, dofs)] += schur
-    _extend_add(front, schur, slots, m)
-    assert front.tobytes() == want.tobytes()
+    for n_elim in (0, 2, 5, 13):
+        front = complex_normal((m * 13, m * 13 + 2))  # 13 edge slots and 2 load columns
+        schur = complex_normal((m * slots.size,) * 2)
+        want = front.copy()
+        dofs = _edge_dofs(slots, m).ravel()
+        want[np.ix_(dofs, dofs)] += schur
+        top, bottom = front[: m * n_elim].copy(), front[m * n_elim :].copy()
+        _extend_add((top, bottom), schur, slots, m)
+        assert np.vstack([top, bottom]).tobytes() == want.tobytes()
 
 
 def test_condensed_solve_loads_no_scipy_linalg_or_sparse():
