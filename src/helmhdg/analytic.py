@@ -83,6 +83,13 @@ _LARGE = np.array([
 ])
 
 
+#: Most points whose power table `_polyvals` builds by one running product
+#: (`np.multiply.accumulate`), which NumPy steps point by point: a larger
+#: table takes one vectorized product per power instead.  Both give the
+#: same powers, z^k = z^(k-1) z.
+_ACCUMULATE_POINTS = 64
+
+
 def _polyvals(coefs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Polynomials with coefficient rows `coefs` (rows, degree + 1),
     highest degree first, at the points z: shape (rows, z.size).
@@ -94,8 +101,12 @@ def _polyvals(coefs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """
     powers = np.empty((coefs.shape[1], z.size))
     powers[-1] = 1.0
-    for k in range(coefs.shape[1] - 2, -1, -1):
-        np.multiply(powers[k + 1], z, out=powers[k])
+    if z.size <= _ACCUMULATE_POINTS:
+        powers[:-1] = z
+        np.multiply.accumulate(powers[::-1], out=powers[::-1])
+    else:
+        for k in range(coefs.shape[1] - 2, -1, -1):
+            np.multiply(powers[k + 1], z, out=powers[k])
     return coefs @ powers
 
 
@@ -106,29 +117,36 @@ def _bessel(x: np.ndarray, cos_x: np.ndarray, sin_x: np.ndarray, max_order: int 
     The phases come from cos x and sin x: cos(x - pi/4) = (cos x + sin x)/sqrt(2),
     sin(x - pi/4) = cos(x - 3 pi/4) = (sin x - cos x)/sqrt(2) and
     sin(x - 3 pi/4) = -(cos x + sin x)/sqrt(2).  The x > 5 branch runs on
-    every point, with x clipped to 5, and the x <= 5 branch overwrites the
-    points it covers.
+    every point, with x clipped to 5 where some point lies below, and the
+    x <= 5 branch overwrites the points it covers; a branch that covers no
+    point is skipped.
     """
     rows = max_order + 1
-    xl = np.maximum(x, 5.0)
-    w = 5.0 / xl
-    # All eight rows, so that J0 rounds alike with or without J1.
-    pq = _polyvals(_LARGE, w * w)[: 4 * rows]
-    p, q = pq[0::4] / pq[1::4], w * pq[2::4] / pq[3::4]
-    plus, minus = cos_x + sin_x, sin_x - cos_x
-    out = np.empty((rows, x.size))
-    out[0] = p[0] * plus - q[0] * minus
-    if max_order:
-        out[1] = p[1] * minus + q[1] * plus
-    # sqrt(2 / (pi x)) times the phases' 1/sqrt(2).
-    out *= 1.0 / np.sqrt(math.pi * xl)
-    small = np.flatnonzero(x <= 5.0)
-    if small.size:
+    small = x <= 5.0
+    n_small = np.count_nonzero(small)
+    if n_small == x.size:
+        out = np.empty((rows, x.size))
+    else:
+        xl = np.maximum(x, 5.0) if n_small else x
+        w = 5.0 / xl
+        # All eight rows, so that J0 rounds alike with or without J1.
+        pq = _polyvals(_LARGE, w * w)[: 4 * rows]
+        p, q = pq[0::4] / pq[1::4], w * pq[2::4] / pq[3::4]
+        plus, minus = cos_x + sin_x, sin_x - cos_x
+        out = np.empty((rows, x.size))
+        out[0] = p[0] * plus - q[0] * minus
+        if max_order:
+            out[1] = p[1] * minus + q[1] * plus
+        # sqrt(2 / (pi x)) times the phases' 1/sqrt(2).
+        out *= 1.0 / np.sqrt(math.pi * xl)
+    if n_small:
+        small = np.flatnonzero(small)
         xs = x[small]
         z = xs * xs
         rs = _polyvals(_SMALL, z)
         vals = (z - _SMALL_ZEROS[:, :1]) * (z - _SMALL_ZEROS[:, 1:]) * rs[0::2] / rs[1::2]
-        vals[1] *= xs
+        if max_order:
+            vals[1] *= xs
         out[:, small] = vals[:rows]
     return out
 

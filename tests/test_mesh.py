@@ -355,6 +355,29 @@ def test_dissection_tree_without_congruence_has_one_class_per_node():
     assert np.array_equal(np.sort(tree.node_class), np.arange(tree.n_elim.size))
 
 
+def test_int64_sort_keys_keep_the_n256_mesh_and_tree():
+    # The index arrays are int32, but at n = 256 the edge keys lo V + hi
+    # reach 4.3e9 and the front keys (2 node + role) E + rank 3.2e9, past
+    # 2^31: formed in int32 they would wrap.  The edges stay the sorted
+    # vertex pairs of the faces, every edge is eliminated at one node, and
+    # the tree keeps the 94 node classes and the sum of n_I n_B at p = 2
+    # that int64 index arrays gave.
+    mesh = build_structured_mesh(256)
+    assert mesh.triangles.dtype == mesh.edges.dtype == np.int32
+    faces = np.stack([mesh.triangles, np.roll(mesh.triangles, -1, axis=1)], axis=2)
+    assert np.array_equal(mesh.edges[mesh.elem_edges], np.sort(faces, axis=2))
+    lo, hi = mesh.edges.T.astype(np.int64)
+    assert np.all(np.diff(lo * mesh.n_vertices + hi) > 0)
+    tree = dissection_tree(mesh)
+    assert tree.front_edges.dtype == tree.node_class.dtype == np.int32
+    order = _eliminated(tree, range(tree.n_elim.size))
+    assert np.array_equal(np.sort(order), np.arange(mesh.n_edges))
+    reps = np.unique(tree.node_class, return_index=True)[1]
+    n_i = 3 * tree.n_elim[reps].astype(np.int64)
+    n_b = 3 * np.diff(tree.front_ptr)[reps] - n_i
+    assert (reps.size, int(n_i @ n_b)) == (94, 4_234_752)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_structured_triangles_match_per_square_loop(n):
     # Squares x-fastest, each split into (a, b, c) and (a, c, d) with a its
