@@ -64,9 +64,14 @@ class by class from the element operators.  The solve has one right-hand
 side, so the sweep eliminates the load while it factors (Liu, SIAM Review
 34, 1992): children first, each class solves F_II for W = F_II^-1 F_IB
 and its members' eliminated load at once, forms F_BB - F_BI W in the
-buffer of the product F_BI W and passes it up, and then keeps only W,
-freeing the front, so that the back substitution, parents first, reads W
-alone.  Starting from x = 0, each refinement step adds one sweep's
+buffer of the product F_BI W (the front's eliminated rows freed before
+it) and passes it up, and then keeps only W, as an array of its own, so
+that the back substitution, parents first, reads W alone and rebuilds
+the dofs from the tree.  A solve's peak is therefore W plus about one
+front: the sweep solves in place of its right-hand side, the residual
+rebuilds the right-hand side, the mesh and tree index arrays are int32
+and the reconstruction runs over `blocks` of each class's elements.
+Starting from x = 0, each refinement step adds one sweep's
 solution for the residual of x (`skeleton_residual`) while the relative
 residual misses the `RESIDUAL_TOL` contract, and keeps it; refinement
 stops early when a step fails to halve the residual or `MAX_REFINE_STEPS`
