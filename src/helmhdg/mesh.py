@@ -330,7 +330,7 @@ def dissection_tree(mesh: Mesh) -> DissectionTree:
         ref[parents] = np.minimum(ref[first], ref[first + 1])
 
     # Fronts: (node, role, edge) with role 0 eliminated, 1 interface.
-    e1 = mesh.edge_to_elements[:, 0, 0]
+    e1 = mesh.edge_to_elements[:, 0, 0].astype(np.intp)  # indexes every level: convert once
     e2 = np.where(mesh.boundary_flags, e1, mesh.edge_to_elements[:, 1, 0])
     nodes, roles, edges = [], [], []
     for k, level in enumerate(levels):
@@ -377,10 +377,10 @@ def dissection_tree(mesh: Mesh) -> DissectionTree:
         keys = np.column_stack([node_class[left], node_class[right], ref[right] - ref[left]])
         node_class[at] = n_classes + _group_rows(keys)
     front_ptr = np.concatenate([[0], np.cumsum(np.bincount(nodes, minlength=n_nodes))])
+    n_elim = np.bincount(nodes[roles == 0], minlength=n_nodes)
     return DissectionTree(
         children=children, node_class=node_class, front_ptr=front_ptr.astype(np.int32),
-        front_edges=edges, n_elim=np.bincount(nodes[roles == 0], minlength=n_nodes).astype(np.int32),
-        elem_leaf=elem_leaf,
+        front_edges=edges, n_elim=n_elim.astype(np.int32), elem_leaf=elem_leaf,
     )
 
 

@@ -359,29 +359,32 @@ def _extend_add(
     """front[dofs, dofs] += schur, where the front is held as its eliminated
     rows and its interface rows, and dofs are the skeleton dofs of the front
     slots of a child's interface edges: one slice addition per pair of
-    contiguous runs of slots (at most 4 runs on structured meshes, each cut
-    where it passes from the eliminated rows to the interface rows), so no
-    gathered copy of the front is made."""
+    contiguous runs of slots (at most 4 runs on structured meshes; a run of
+    rows that passes from the eliminated rows to the interface rows adds
+    in two parts), so no gathered copy of the front is made."""
     top, bottom = front
-    cut = np.flatnonzero((np.diff(slots) != 1) | (m * slots[1:] == top.shape[0])) + 1
-    runs = [
-        (slice(m * a, m * b), m * slots[a], m * (slots[a] + b - a))
+    n_top = top.shape[0]
+    cut = np.flatnonzero(np.diff(slots) != 1) + 1
+    runs = [  # (first, end) rows of schur and the first row of the front they go to
+        (m * int(a), m * int(b), m * int(slots[a]))
         for a, b in zip(np.r_[0, cut], np.r_[cut, slots.size])
     ]
-    for rows, lo, hi in runs:
-        part, lo, hi = (top, lo, hi) if lo < top.shape[0] else (
-            bottom, lo - top.shape[0], hi - top.shape[0])
-        for cols, left, right in runs:
-            part[lo:hi, left:right] += schur[rows, cols]
+    for lo, hi, at in runs:
+        mid = lo + min(max(n_top - at, 0), hi - lo)  # rows lo:mid go to the eliminated rows
+        for part, a, b, to in ((top, lo, mid, at), (bottom, mid, hi, at + mid - lo - n_top)):
+            if a < b:
+                for left, right, to_col in runs:
+                    part[to : to + b - a, to_col : to_col + right - left] += schur[a:b, left:right]
 
 
-def _front_dofs(tree: DissectionTree, nodes: np.ndarray, m: int) -> list[np.ndarray]:
+def _front_dofs(tree: DissectionTree, nodes: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Eliminated and interface skeleton dofs of congruent tree nodes, one
     row per node, in the order of their fronts."""
     rep = nodes[0]
     size = tree.front_ptr[rep + 1] - tree.front_ptr[rep]
     edges = tree.front_edges[tree.front_ptr[nodes][:, None] + np.arange(size)]
-    return np.split(_edge_dofs(edges, m).reshape(len(nodes), -1), [m * tree.n_elim[rep]], axis=1)
+    dofs, n_i = _edge_dofs(edges, m).reshape(len(nodes), -1), m * tree.n_elim[rep]
+    return dofs[:, :n_i], dofs[:, n_i:]
 
 
 def _sweep(disc: Discretization, tree: DissectionTree, b: np.ndarray) -> tuple[np.ndarray, int]:
