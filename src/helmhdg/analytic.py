@@ -83,13 +83,6 @@ _LARGE = np.array([
 ])
 
 
-#: Most points whose power table `_polyvals` builds by one running product
-#: (`np.multiply.accumulate`), which NumPy steps point by point: a larger
-#: table takes one vectorized product per power instead.  Both give the
-#: same powers, z^k = z^(k-1) z.
-_ACCUMULATE_POINTS = 64
-
-
 def _polyvals(coefs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Polynomials with coefficient rows `coefs` (rows, degree + 1),
     highest degree first, at the points z: shape (rows, z.size).
@@ -101,18 +94,14 @@ def _polyvals(coefs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """
     powers = np.empty((coefs.shape[1], z.size))
     powers[-1] = 1.0
-    if z.size <= _ACCUMULATE_POINTS:
-        powers[:-1] = z
-        np.multiply.accumulate(powers[::-1], out=powers[::-1])
-    else:
-        for k in range(coefs.shape[1] - 2, -1, -1):
-            np.multiply(powers[k + 1], z, out=powers[k])
+    for k in range(coefs.shape[1] - 2, -1, -1):
+        np.multiply(powers[k + 1], z, out=powers[k])
     return coefs @ powers
 
 
-def _bessel(x: np.ndarray, cos_x: np.ndarray, sin_x: np.ndarray, max_order: int = 1) -> np.ndarray:
-    """J_0, ..., J_max_order (max_order 0 or 1) at the points 0 <= x, shape
-    (max_order + 1, x.size), given cos x and sin x.
+def _bessel(x: np.ndarray, cos_x: np.ndarray, sin_x: np.ndarray) -> np.ndarray:
+    """J_0 and J_1 at the points 0 <= x, shape (2, x.size), given cos x
+    and sin x.
 
     The phases come from cos x and sin x: cos(x - pi/4) = (cos x + sin x)/sqrt(2),
     sin(x - pi/4) = cos(x - 3 pi/4) = (sin x - cos x)/sqrt(2) and
@@ -121,22 +110,17 @@ def _bessel(x: np.ndarray, cos_x: np.ndarray, sin_x: np.ndarray, max_order: int 
     x <= 5 branch overwrites the points it covers; a branch that covers no
     point is skipped.
     """
-    rows = max_order + 1
     small = x <= 5.0
     n_small = np.count_nonzero(small)
-    if n_small == x.size:
-        out = np.empty((rows, x.size))
-    else:
+    out = np.empty((2, x.size))
+    if n_small < x.size:
         xl = np.maximum(x, 5.0) if n_small else x
         w = 5.0 / xl
-        # All eight rows, so that J0 rounds alike with or without J1.
-        pq = _polyvals(_LARGE, w * w)[: 4 * rows]
+        pq = _polyvals(_LARGE, w * w)
         p, q = pq[0::4] / pq[1::4], w * pq[2::4] / pq[3::4]
         plus, minus = cos_x + sin_x, sin_x - cos_x
-        out = np.empty((rows, x.size))
         out[0] = p[0] * plus - q[0] * minus
-        if max_order:
-            out[1] = p[1] * minus + q[1] * plus
+        out[1] = p[1] * minus + q[1] * plus
         # sqrt(2 / (pi x)) times the phases' 1/sqrt(2).
         out *= 1.0 / np.sqrt(math.pi * xl)
     if n_small:
@@ -145,9 +129,8 @@ def _bessel(x: np.ndarray, cos_x: np.ndarray, sin_x: np.ndarray, max_order: int 
         z = xs * xs
         rs = _polyvals(_SMALL, z)
         vals = (z - _SMALL_ZEROS[:, :1]) * (z - _SMALL_ZEROS[:, 1:]) * rs[0::2] / rs[1::2]
-        if max_order:
-            vals[1] *= xs
-        out[:, small] = vals[:rows]
+        vals[1] *= xs
+        out[:, small] = vals
     return out
 
 
@@ -162,7 +145,7 @@ def bessel_j(order: int, x) -> np.ndarray | float:
     if arr.size and (arr.min() < 0.0 or arr.max() > BESSEL_MAX_ARGUMENT):
         raise ValueError(f"argument must lie in [0, {BESSEL_MAX_ARGUMENT:g}]")
     flat = arr.reshape(-1)
-    res = _bessel(flat, np.cos(flat), np.sin(flat), order)[order].reshape(arr.shape)
+    res = _bessel(flat, np.cos(flat), np.sin(flat))[order].reshape(arr.shape)
     return float(res) if np.isscalar(x) or arr.shape == () else res
 
 
@@ -175,37 +158,34 @@ class ExactSolution:
     """Radial exact solution of the benchmark problem at wave number kappa."""
 
     def __init__(self, kappa: float):
-        if kappa <= 0:
-            raise ValueError("wave number must be positive")
         self.kappa = float(kappa)
+        if not 0.0 < self.kappa <= BESSEL_MAX_ARGUMENT:  # false for NaN
+            raise ValueError(
+                f"wave number must lie in (0, {BESSEL_MAX_ARGUMENT:g}], where J0 and J1 "
+                f"are validated, got {kappa!r}"
+            )
         k = np.array([self.kappa])
         (j0k,), (j1k,) = _bessel(k, np.cos(k), np.sin(k))
-        den = complex(j0k, j1k)
         # J0 and J1 have no common zeros, so the denominator never vanishes.
-        assert abs(den) > 0.0, "J0(kappa) + i J1(kappa) vanished"
+        den = complex(j0k, j1k)
         self.coef = complex(math.cos(self.kappa), math.sin(self.kappa)) / (self.kappa * den)
-
-    def _radial(self, points: np.ndarray, max_order: int) -> tuple[np.ndarray, ...]:
-        """r, and cos, sin and J_0..J_max_order of kappa r, at the points."""
-        r = _radius(points)
-        kr = self.kappa * r
-        cos, sin = np.cos(kr), np.sin(kr)
-        return (r, cos, sin, *_bessel(kr, cos, sin, max_order))
 
     def u_and_grad(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """u, shape (npts,), and grad u, shape (npts, 2), from one Bessel
         evaluation; the gradient is zero at the origin by symmetry."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        r, cos, sin, j0, j1 = self._radial(pts, 1)
+        r = _radius(pts)
+        kr = self.kappa * r
+        cos, sin = np.cos(kr), np.sin(kr)
+        j0, j1 = _bessel(kr, cos, sin)
         du_dr = -sin + self.coef * self.kappa * j1
         # grad u = (du/dr / r) x, and x = 0 where r = 0.
         grad = (du_dr / np.where(r > 0.0, r, 1.0))[:, None] * pts
         return cos / self.kappa - self.coef * j0, grad
 
     def u(self, points: np.ndarray) -> np.ndarray:
-        """u, shape (npts,), without J1 and the gradient."""
-        _, cos, _, j0 = self._radial(points, 0)
-        return cos / self.kappa - self.coef * j0
+        """u, shape (npts,)."""
+        return self.u_and_grad(points)[0]
 
     def grad_u(self, points: np.ndarray) -> np.ndarray:
         """Gradient of u, shape (npts, 2)."""

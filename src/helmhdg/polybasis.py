@@ -10,8 +10,7 @@ turns every mass matrix into the identity, so L2 projection reduces to
 inner products against the basis and local element solves stay well
 conditioned.  The Jacobi factors and their derivatives come from one
 three-term recurrence in the degree, SciPy's form for integer degree,
-run for every basis member at once; `TriangleBasis.eval` computes the
-values without the derivatives.  The Legendre factors of the edge basis
+run for every basis member at once.  The Legendre factors of the edge basis
 come from NumPy's `legvander`.
 
 Edge quadrature is Gauss-Legendre.  Triangle rules collapse the square
@@ -126,13 +125,8 @@ class TriangleBasis:
         return eta1, eta2, g
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        """Basis values at reference points, shape (npts, dim); the same
-        floating-point operations as the values of `eval_with_grad`."""
-        eta1, eta2, g = self._collapsed(points)
-        m, n = self._m, self._n
-        pm = _jacobi(m, 0, 0, eta1[:, None])
-        pn = _jacobi(n, 2.0 * m + 1.0, 0, eta2[:, None])
-        return self._norm * pm * g[:, None] ** m * pn
+        """Basis values at reference points, shape (npts, dim)."""
+        return self.eval_with_grad(points)[0]
 
     def eval_with_grad(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values (npts, dim) and gradients (npts, dim, 2) at reference points."""

@@ -9,6 +9,7 @@ from helmhdg.analytic import (
     BESSEL_MAX_ARGUMENT,
     DataFunctions,
     ExactSolution,
+    _bessel,
     bessel_j,
     benchmark_problem,
     data_quadrature_degree,
@@ -83,6 +84,41 @@ def test_bessel_rejects_bad_arguments():
         bessel_j(0, 2e4)
 
 
+def test_bessel_gives_each_point_the_same_bits_in_any_batch():
+    # The blocked error norms split the points into batches, so every point
+    # must round alike whichever batch of 2 or more points holds it.  A
+    # lone x > 5 point takes another BLAS kernel and is left out.
+    small = np.concatenate([[0.0, 5.0], np.linspace(0.0, 5.0, 61)[1:-1]])
+    large = np.concatenate(
+        [[np.nextafter(5.0, 6.0), BESSEL_MAX_ARGUMENT], np.geomspace(5.5, 9e3, 70)]
+    )
+    x = np.concatenate([small, large])
+    want = _bessel(x, np.cos(x), np.sin(x))
+
+    def check(start, stop):
+        got = _bessel(x[start:stop], np.cos(x[start:stop]), np.sin(x[start:stop]))
+        assert got.shape == (2, stop - start)
+        assert got.tobytes() == want[:, start:stop].tobytes()
+
+    check(0, small.size)
+    check(small.size, x.size)
+    check(3, 3)
+    for size in (2, 3, 7, 64, 65):
+        for start in range(x.size - size + 1):
+            check(start, start + size)
+
+
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 2e4])
+def test_exact_solution_rejects_kappa_outside_the_bessel_range(kappa):
+    with pytest.raises(ValueError, match="wave number must lie in"):
+        ExactSolution(kappa)
+
+
+def test_exact_solution_builds_at_the_largest_kappa():
+    sol = ExactSolution(BESSEL_MAX_ARGUMENT)
+    assert np.isfinite(sol.coef)
+
+
 @pytest.mark.parametrize("kappa", [5.0, 20.0, 40.0])
 def test_exact_solution_at_origin(kappa):
     sol = ExactSolution(kappa)
@@ -155,8 +191,8 @@ def test_exact_solution_check_catches_wrong_robin_data(monkeypatch):
 
 
 def test_u_alone_equals_the_value_of_u_and_grad():
-    # u skips the gradient's terms but shares its formula, bit for bit,
-    # also at the origin and on the boundary.
+    # u gives the value of u_and_grad, bit for bit, also at the origin and
+    # on the boundary.
     sol = ExactSolution(60.0)
     rng = np.random.default_rng(5)
     pts = np.vstack([[[0.0, 0.0], [0.5, -0.5]], rng.uniform(-0.5, 0.5, (500, 2))])

@@ -174,10 +174,10 @@ def test_blocked_errors_match_unblocked(monkeypatch):
     exact = ExactSolution(kappa)
     solution, _ = solve_helmholtz(disc)
     calls = []
-    for name in ("u_and_grad", "u"):
-        method = getattr(ExactSolution, name)
-        monkeypatch.setattr(ExactSolution, name,
-                            lambda self, pts, m=method: calls.append(len(pts)) or m(self, pts))
+    # `u` returns the value of `u_and_grad`, so this one counter sees every point.
+    u_and_grad = ExactSolution.u_and_grad
+    monkeypatch.setattr(ExactSolution, "u_and_grad",
+                        lambda self, pts: calls.append(len(pts)) or u_and_grad(self, pts))
     report = compute_errors(solution, exact, disc)
     monkeypatch.undo()
     volume = quadrature_rule("triangle", data_quadrature_degree(p, kappa, mesh.h_global))

@@ -3,7 +3,8 @@ imports another's private (underscore-prefixed) names, the package's
 `__all__` lists exactly what `__init__.py` imports, every function
 that the benchmark's span tracer wraps still exists, and every public
 function, class and method of the package has a caller in `src/` or
-`demos/`, so code that only tests use lives with the tests.  The `hdg`
+`demos/`, so code that only tests use lives with the tests.  No module
+checks anything with an `assert`, which `python -O` strips.  The `hdg`
 parser and `RunConfig` name the same settings: every flag of a command
 sets a field, and every field is set by some command's flag, so no flag
 (a settings file, say) feeds `RunConfig` by a second route.  Only the
@@ -82,6 +83,21 @@ def test_private_import_is_detected():
         "from helmhdg.mesh import _finish_mesh\nfrom numpy import _private\n"
     )
     assert _private_imports(source) == ["line 2: _batches", "line 3: _finish_mesh"]
+
+
+def _asserts(source: str) -> list[int]:
+    """Lines of the `assert` statements, which `python -O` strips."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_module_checks_without_assert(path):
+    assert _asserts(path.read_text(encoding="utf-8")) == []
+
+
+def test_assert_is_detected():
+    source = "def f(x):\n    assert x > 0, 'x'\n    return x  # assert\n"
+    assert _asserts(source) == [2]
 
 
 def _all_mismatch(source: str) -> set[str]:

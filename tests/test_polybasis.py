@@ -246,7 +246,7 @@ def test_trace_inequality_on_scaled_elements(p, h):
 
 @pytest.mark.parametrize("p", [1, 2, 5, 10])
 def test_values_equal_the_values_of_eval_with_grad(p):
-    # eval skips the derivatives but rounds the values the same way.
+    # eval gives the values of eval_with_grad, bit for bit.
     pts = np.vstack([_interior_points(np.random.default_rng(p), 256), REF_VERTICES])
     basis = TriangleBasis(p)
     assert basis.eval(pts).tobytes() == basis.eval_with_grad(pts)[0].tobytes()

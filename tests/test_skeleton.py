@@ -394,13 +394,15 @@ def test_oracle_evaluates_no_basis_per_element(monkeypatch):
     # `volume_load` evaluates the basis at its data rule once per element;
     # every other basis evaluation of the oracle is independent of n.  The
     # order-1 tables are built first, so neither count includes them.
+    # `TriangleBasis.eval` returns the values of `eval_with_grad`, so
+    # counting the latter counts each evaluation once.
     _, data = benchmark_problem(5.0)
     reference_tables(1)
     outside_loads = []
     for n in (2, 4):
         evals, loads = [], []
         for owner, name in (
-            (TriangleBasis, "eval"), (TriangleBasis, "eval_with_grad"), (EdgeBasis, "eval"),
+            (TriangleBasis, "eval_with_grad"), (EdgeBasis, "eval"),
         ):
             monkeypatch.setattr(owner, name, _counted(getattr(owner, name), evals))
         monkeypatch.setattr(skeleton, "volume_load", _counted(skeleton.volume_load, loads))
@@ -538,7 +540,8 @@ def test_errors_with_one_element_per_block_equal_the_default_budget(monkeypatch)
 def test_data_calls_stay_within_the_point_budget(monkeypatch):
     # At (300, 1, 2) the data rule has 12 100 points per element, more than
     # a block's budget, so f and the exact solution get one element per
-    # call, not all 8 elements' 96 800 points at once.
+    # call, not all 8 elements' 96 800 points at once.  The trace error's
+    # `u` then takes the 16 edges of 110 points in one call.
     kappa, p = 300.0, 1
     mesh = build_structured_mesh(2)
     exact, data = benchmark_problem(kappa)
@@ -558,7 +561,9 @@ def test_data_calls_stay_within_the_point_budget(monkeypatch):
     monkeypatch.setattr(ExactSolution, "u_and_grad",
                         lambda self, pts: calls.append(len(pts)) or u_and_grad(self, pts))
     compute_errors(solution, exact, disc)
-    assert calls == [per_element] * mesh.n_elements
+    edge = quadrature_rule("edge", data_quadrature_degree(p, kappa, mesh.h_global)).n_points
+    assert (mesh.n_edges, edge) == (16, 110)
+    assert calls == [per_element] * mesh.n_elements + [mesh.n_edges * edge]
 
 
 def _fstring_rows(pts, u, q):
