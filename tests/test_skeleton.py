@@ -401,9 +401,7 @@ def test_oracle_evaluates_no_basis_per_element(monkeypatch):
     outside_loads = []
     for n in (2, 4):
         evals, loads = [], []
-        for owner, name in (
-            (TriangleBasis, "eval_with_grad"), (EdgeBasis, "eval"),
-        ):
+        for owner, name in ((TriangleBasis, "eval_with_grad"), (EdgeBasis, "eval")):
             monkeypatch.setattr(owner, name, _counted(getattr(owner, name), evals))
         monkeypatch.setattr(skeleton, "volume_load", _counted(skeleton.volume_load, loads))
         mesh = build_structured_mesh(n)
