@@ -142,7 +142,7 @@ def bessel_j(order: int, x) -> np.ndarray | float:
     if order not in (0, 1):
         raise ValueError(f"only orders 0 and 1 are supported, got {order}")
     arr = np.asarray(x, dtype=float)
-    if arr.size and (arr.min() < 0.0 or arr.max() > BESSEL_MAX_ARGUMENT):
+    if arr.size and not (0.0 <= arr.min() and arr.max() <= BESSEL_MAX_ARGUMENT):  # false for NaN
         raise ValueError(f"argument must lie in [0, {BESSEL_MAX_ARGUMENT:g}]")
     flat = arr.reshape(-1)
     res = _bessel(flat, np.cos(flat), np.sin(flat))[order].reshape(arr.shape)

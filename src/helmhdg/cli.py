@@ -5,7 +5,9 @@
     hdg converge --kappa 10,20,40 --p 1 --fixed-kappa-h 1.1 --out results
     hdg verify   [--only energy-identity]
 
-Each command takes only the flags it reads; anything else exits 2.
+Each command takes only the flags it reads; anything else exits 2.  The
+parser holds every default, and the namespace it returns is the run's
+configuration.
 ``hdg converge @run.args --out results`` reads arguments from the file
 ``run.args``, one per line (``--kappa=20,40,60``); flags after it win.
 Every CSV carries a comment header echoing the resolved configuration
@@ -22,7 +24,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import BLAS_THREAD_VARS, PINNED_AFTER_NUMPY, __version__
 from .analytic import BESSEL_MAX_ARGUMENT, data_quadrature_degree
@@ -53,52 +54,6 @@ MIN_KAPPA = 1.0
 MAX_TAU = 550.0
 
 
-@dataclass
-class RunConfig:
-    """Resolved CLI configuration of one invocation."""
-
-    command: str
-    kappas: list[float] = field(default_factory=lambda: [20.0])
-    orders: list[int] = field(default_factory=lambda: [1])
-    sizes: list[int] = field(default_factory=lambda: [8, 16, 32, 64])
-    out_dir: str = "."
-    workers: int = 1
-    max_dofs: int = DEFAULT_MAX_DOFS
-    fixed_kappa_h: float | None = None
-    fixed_kappa3h2: float | None = None
-    dump_mesh: bool = False
-    only: str | None = None
-
-    def validate(self) -> None:
-        if not self.kappas or not self.orders or not self.sizes:
-            raise UsageError("kappa, p, and n lists must be non-empty")
-        if not all(0 < k <= BESSEL_MAX_ARGUMENT for k in self.kappas):  # false for NaN
-            raise UsageError(
-                f"wave numbers must lie in (0, {BESSEL_MAX_ARGUMENT:g}], where the exact "
-                "solution's J0(kappa) and J1(kappa) are validated"
-            )
-        if not all(1 <= p <= MAX_ORDER for p in self.orders):
-            raise UsageError(f"polynomial orders must be in [1, {MAX_ORDER}]")
-        for name, values in (("wave number", self.kappas), ("polynomial order", self.orders)):
-            for k, value in enumerate(values):
-                if value in values[:k]:
-                    raise UsageError(f"{name} {value:g} is repeated")
-        if any(n < 1 for n in self.sizes):
-            raise UsageError("mesh subdivisions must be >= 1")
-        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise UsageError("mesh subdivisions must be strictly increasing")
-        if self.workers < 1 or self.max_dofs < 1:
-            raise UsageError("guards and worker counts must be positive")
-        cpus = os.cpu_count() or 1
-        if self.workers > cpus:
-            raise UsageError(f"{self.workers} workers exceed the {cpus} CPUs of this machine")
-        for line in (self.fixed_kappa_h, self.fixed_kappa3h2):
-            if line is not None and not (math.isfinite(line) and line > 0):
-                raise UsageError("fixed-line constants must be finite and positive")
-        if self.only is not None and self.only not in CHECKS:
-            raise UsageError(f"unknown check {self.only!r}; available: {', '.join(CHECKS)}")
-
-
 class UsageError(Exception):
     pass
 
@@ -117,7 +72,37 @@ def _skeleton_dofs(n: int, p: int) -> int:
     return (p + 1) * (3 * n * n + 2 * n)
 
 
-def _guard(cfg: RunConfig, kappa: float, p: int, n: int) -> None:
+def _validate(args: argparse.Namespace) -> None:
+    """Refuse the settings of `solve` or `converge` that no case may run with."""
+    if not args.kappas or not args.orders or not args.sizes:
+        raise UsageError("kappa, p, and n lists must be non-empty")
+    if not all(0 < k <= BESSEL_MAX_ARGUMENT for k in args.kappas):  # false for NaN
+        raise UsageError(
+            f"wave numbers must lie in (0, {BESSEL_MAX_ARGUMENT:g}], where the exact "
+            "solution's J0(kappa) and J1(kappa) are validated"
+        )
+    if not all(1 <= p <= MAX_ORDER for p in args.orders):
+        raise UsageError(f"polynomial orders must be in [1, {MAX_ORDER}]")
+    for name, values in (("wave number", args.kappas), ("polynomial order", args.orders)):
+        for k, value in enumerate(values):
+            if value in values[:k]:
+                raise UsageError(f"{name} {value:g} is repeated")
+    if any(n < 1 for n in args.sizes):
+        raise UsageError("mesh subdivisions must be >= 1")
+    if any(b <= a for a, b in zip(args.sizes, args.sizes[1:])):
+        raise UsageError("mesh subdivisions must be strictly increasing")
+    if args.max_dofs < 1 or args.command == "converge" and args.workers < 1:
+        raise UsageError("guards and worker counts must be positive")
+    if args.command == "converge":
+        cpus = os.cpu_count() or 1
+        if args.workers > cpus:
+            raise UsageError(f"{args.workers} workers exceed the {cpus} CPUs of this machine")
+        for line in (args.fixed_kappa_h, args.fixed_kappa3h2):
+            if line is not None and not (math.isfinite(line) and line > 0):
+                raise UsageError("fixed-line constants must be finite and positive")
+
+
+def _guard(args: argparse.Namespace, kappa: float, p: int, n: int) -> None:
     tau = stabilization(kappa, p, math.sqrt(2.0) / n)
     if kappa < MIN_KAPPA or tau > MAX_TAU:
         raise UsageError(
@@ -125,14 +110,22 @@ def _guard(cfg: RunConfig, kappa: float, p: int, n: int) -> None:
             f"kappa >= {MIN_KAPPA:g} and tau = p/(kappa*h) <= {MAX_TAU:g} (tau = {tau:.4g})"
         )
     dofs = _skeleton_dofs(n, p)
-    if dofs > cfg.max_dofs:
+    if dofs > args.max_dofs:
         raise UsageError(
             f"refusing kappa={kappa:g} p={p} n={n}: {dofs} skeleton unknowns exceed "
-            f"the size guard max_dofs={cfg.max_dofs} (raise it with --max-dofs)"
+            f"the size guard max_dofs={args.max_dofs} (raise it with --max-dofs)"
         )
 
 
-def _config_lines(cfg: RunConfig, kappa: float, p: int, sizes: list[int]) -> list[str]:
+def _make_out_dir(path: str) -> None:
+    """Create the output directory, or refuse a path that cannot be one."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create the output directory {path!r}: {exc.strerror}") from exc
+
+
+def _config_lines(args: argparse.Namespace, kappa: float, p: int, sizes: list[int]) -> list[str]:
     """Provenance header: everything needed to reproduce the file.  The
     data rule degree is that of the global mesh size h = sqrt(2)/n, the
     rule of every edge and every element integral.  The last digits
@@ -143,7 +136,7 @@ def _config_lines(cfg: RunConfig, kappa: float, p: int, sizes: list[int]) -> lis
     degrees = (data_quadrature_degree(p, kappa, math.sqrt(2.0) / n) for n in sizes)
     return [
         f"helmhdg version {__version__}",
-        f"command = {cfg.command}",
+        f"command = {args.command}",
         f"kappa = {format_float(kappa)}",
         f"p = {p}",
         f"n = {','.join(str(n) for n in sizes)}",
@@ -161,38 +154,39 @@ def _run_case(args: tuple) -> ErrorReport:
     return run_benchmark_case(*args).report
 
 
-def _fixed_line_size(cfg: RunConfig, kappa: float, p: int) -> int:
+def _fixed_line_size(args: argparse.Namespace, kappa: float, p: int) -> int:
     """The mesh subdivision n that puts (kappa, p) on the fixed line."""
-    if cfg.fixed_kappa_h is not None:
-        return max(1, round(math.sqrt(2.0) * kappa / (cfg.fixed_kappa_h * p)))
-    return max(1, round(math.sqrt(2.0) * kappa**1.5 / (p * math.sqrt(cfg.fixed_kappa3h2))))
+    if args.fixed_kappa_h is not None:
+        return max(1, round(math.sqrt(2.0) * kappa / (args.fixed_kappa_h * p)))
+    return max(1, round(math.sqrt(2.0) * kappa**1.5 / (p * math.sqrt(args.fixed_kappa3h2))))
 
 
-def cmd_converge(cfg: RunConfig) -> int:
+def cmd_converge(args: argparse.Namespace) -> int:
     """One CSV per (kappa, p) sweep, or per p along a fixed line."""
     tables: list[tuple[str, list[str], list[tuple]]] = []  # (file name, header, cases)
-    for p in cfg.orders:
-        if cfg.fixed_kappa_h is None and cfg.fixed_kappa3h2 is None:
+    for p in args.orders:
+        if args.fixed_kappa_h is None and args.fixed_kappa3h2 is None:
             tables += [
-                (f"converge_k{kappa:g}_p{p}.csv", _config_lines(cfg, kappa, p, cfg.sizes),
-                 [(kappa, p, n) for n in cfg.sizes])
-                for kappa in cfg.kappas
+                (f"converge_k{kappa:g}_p{p}.csv", _config_lines(args, kappa, p, args.sizes),
+                 [(kappa, p, n) for n in args.sizes])
+                for kappa in args.kappas
             ]
         else:
-            cases = [(kappa, p, _fixed_line_size(cfg, kappa, p)) for kappa in cfg.kappas]
-            lines = [f"fixed line: kappa*h/p={cfg.fixed_kappa_h:g}" if cfg.fixed_kappa_h is not None
-                     else f"fixed line: kappa^3*h^2/p^2={cfg.fixed_kappa3h2:g}"]
+            cases = [(kappa, p, _fixed_line_size(args, kappa, p)) for kappa in args.kappas]
+            lines = [f"fixed line: kappa*h/p={args.fixed_kappa_h:g}"
+                     if args.fixed_kappa_h is not None
+                     else f"fixed line: kappa^3*h^2/p^2={args.fixed_kappa3h2:g}"]
             for kappa, _, n in cases:
-                lines += _config_lines(cfg, kappa, p, [n])
+                lines += _config_lines(args, kappa, p, [n])
             tables.append((f"pollution_p{p}.csv", lines, cases))
 
     jobs = [case for _, _, cases in tables for case in cases]
     for job in jobs:
-        _guard(cfg, *job)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+        _guard(args, *job)
+    _make_out_dir(args.out_dir)
     # The pool forks all its workers at the first submit, so it gets no
     # more than there are jobs.
-    workers = min(cfg.workers, len(jobs))
+    workers = min(args.workers, len(jobs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when used
 
@@ -202,20 +196,20 @@ def cmd_converge(cfg: RunConfig) -> int:
         results = {job: _run_case(job) for job in jobs}
 
     for name, lines, cases in tables:
-        path = os.path.join(cfg.out_dir, name)
+        path = os.path.join(args.out_dir, name)
         write_convergence_csv(path, ConvergenceTable([results[case] for case in cases]), lines)
         print(f"wrote {path}")
     return 0
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(args: argparse.Namespace) -> int:
     """Single solves with error report, energy residuals, and a solution
     dump at the points of `skeleton.sample_solution`, which the header's
     last line names."""
-    cases = [(kappa, p, n) for kappa in cfg.kappas for p in cfg.orders for n in cfg.sizes]
+    cases = [(kappa, p, n) for kappa in args.kappas for p in args.orders for n in args.sizes]
     for case in cases:
-        _guard(cfg, *case)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+        _guard(args, *case)
+    _make_out_dir(args.out_dir)
     for kappa, p, n in cases:
         result = run_benchmark_case(kappa, p, n)
         r = result.report
@@ -228,22 +222,23 @@ def cmd_solve(cfg: RunConfig) -> int:
             f"dofs={r.dofs} local_cond={result.info.max_local_cond:.3e} "
             f"seconds={r.seconds:.3f}"
         )
-        path = os.path.join(cfg.out_dir, f"solution_k{kappa:g}_p{p}_n{n}.csv")
+        path = os.path.join(args.out_dir, f"solution_k{kappa:g}_p{p}_n{n}.csv")
         sample_rule = (f"sample rule = triangle rule of degree {2 * p}, "
                        f"{len(reference_tables(p).points)} points per element")
         write_solution_csv(path, result.disc, result.solution,
-                           header_lines=_config_lines(cfg, kappa, p, [n]) + [sample_rule])
+                           header_lines=_config_lines(args, kappa, p, [n]) + [sample_rule])
         print(f"wrote {path}")
-        if cfg.dump_mesh:
-            mesh_path = os.path.join(cfg.out_dir, f"mesh_n{n}.txt")
+        if args.dump_mesh:
+            mesh_path = os.path.join(args.out_dir, f"mesh_n{n}.txt")
             write_mesh(result.disc.mesh, mesh_path)
             print(f"wrote {mesh_path}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Each command takes only the flags it reads, and a flag's dest is
-    the RunConfig field it sets.  An argument ``@FILE`` stands for the
+    """Each command takes only the flags it reads and holds their
+    defaults, so the namespace that parsing returns is the run's
+    configuration, one attribute per flag's dest.  An argument ``@FILE`` stands for the
     lines of FILE, one argument each; a blank line exits 2 and says so,
     where argparse would pass it on as an empty argument."""
     parser = argparse.ArgumentParser(
@@ -274,13 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated polynomial orders")
         cmd.add_argument("--out", dest="out_dir", help="output directory")
         cmd.add_argument("--max-dofs", type=int, help="skeleton size guard")
+        cmd.set_defaults(kappas=(20.0,), orders=(1,), sizes=(8, 16, 32, 64), out_dir=".",
+                         max_dofs=DEFAULT_MAX_DOFS)
     solve.add_argument("--dump-mesh", action="store_true", help="also write the mesh file")
-    converge.add_argument("--workers", type=int, help="parallel (kappa,p,n) runs")
+    converge.add_argument("--workers", type=int, default=1, help="parallel (kappa,p,n) runs")
     sizes.add_argument("--fixed-kappa-h", type=float,
                        help="pollution mode: choose n so kappa*h/p equals this")
     sizes.add_argument("--fixed-kappa3h2", type=float,
                        help="pollution mode: choose n so kappa^3*h^2/p^2 equals this")
-    verify.add_argument("--only", help="run a single named check")
+    verify.add_argument("--only", choices=CHECKS, metavar="CHECK",
+                        help="run a single named check: %(choices)s")
     return parser
 
 
@@ -288,23 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The flags given, over RunConfig's defaults."""
-    cfg = RunConfig(**{key: value for key, value in vars(args).items() if value is not None})
-    cfg.validate()
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        if cfg.command == "verify":
-            code = run_verify(only=cfg.only)
-        elif cfg.command == "converge":
-            code = cmd_converge(cfg)
+        if args.command == "verify":
+            code = run_verify(only=args.only)
         else:
-            code = cmd_solve(cfg)
+            _validate(args)
+            code = cmd_converge(args) if args.command == "converge" else cmd_solve(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

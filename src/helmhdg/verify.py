@@ -197,7 +197,8 @@ def _check_local_uniqueness() -> CheckResult:
     )
 
 
-def _check_oracle(n: int = 2, p: int = 1, kappa: float = 5.0) -> CheckResult:
+def _check_oracle() -> CheckResult:
+    n, p, kappa = 2, 1, 5.0
     mesh = build_structured_mesh(n)
     cfg = ProblemConfig.for_mesh(kappa, p, mesh)
     _, data = benchmark_problem(kappa)
@@ -214,8 +215,8 @@ def _check_oracle(n: int = 2, p: int = 1, kappa: float = 5.0) -> CheckResult:
     )
 
 
-def _check_energy_identity(kappa: float = 20.0, n: int = 16, p: int = 2) -> CheckResult:
-    res = run_benchmark_case(kappa, p, n)
+def _check_energy_identity() -> CheckResult:
+    res = run_benchmark_case(20.0, 2, 16)
     re, im = res.balance.residual_re, res.balance.residual_im
     ok = max(re, im) <= ENERGY_IDENTITY_TOL and res.stability <= STABILITY_CONSTANT
     return CheckResult(

@@ -84,6 +84,20 @@ def test_bessel_rejects_bad_arguments():
         bessel_j(0, 2e4)
 
 
+@pytest.mark.parametrize("x", [float("nan"), [1.0, float("nan")], float("inf")],
+                         ids=["nan", "nan-in-array", "inf"])
+@pytest.mark.parametrize("order", [0, 1])
+def test_bessel_rejects_non_finite_arguments(order, x):
+    # A comparison with NaN is false, so the range check must fail for it.
+    with pytest.raises(ValueError, match="argument must lie in"):
+        bessel_j(order, x)
+
+
+def test_bessel_accepts_both_ends_of_its_range():
+    assert bessel_j(0, -0.0) == 1.0
+    assert np.isfinite(bessel_j(1, [0.0, BESSEL_MAX_ARGUMENT])).all()
+
+
 def test_bessel_gives_each_point_the_same_bits_in_any_batch():
     # The blocked error norms split the points into batches, so every point
     # must round alike whichever batch of 2 or more points holds it.  A

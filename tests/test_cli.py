@@ -111,15 +111,29 @@ def test_solve_guards_every_case_before_the_first(tmp_path, monkeypatch, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub"], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_unusable_out_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, command, out):
+    # A plain file can neither be the output directory nor hold one.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_benchmark_case", no_solve)
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / out)
+    assert main([command, "--kappa", "20", "--p", "1", "--n", "2", "--out", path]) == 2
+    assert f"usage error: cannot create the output directory {path!r}" in capsys.readouterr().err
+
+
 def test_range_guard_accepts_default_size_range():
     # Within the default size guard, kappa = 1 (the floor) is accepted at
     # every order up to the largest n, and so are the benchmark cases.
-    config = cli.RunConfig(command="solve")
+    args = cli.build_parser().parse_args(["solve"])
     for p in (1, 2, 3):
-        n = max(n for n in range(1, 400) if cli._skeleton_dofs(n, p) <= config.max_dofs)
-        cli._guard(config, cli.MIN_KAPPA, p, n)
+        n = max(n for n in range(1, 400) if cli._skeleton_dofs(n, p) <= args.max_dofs)
+        cli._guard(args, cli.MIN_KAPPA, p, n)
     for kappa, n in ((20.0, 22), (40.0, 63), (60.0, 116)):
-        cli._guard(config, kappa, 2, n)
+        cli._guard(args, kappa, 2, n)
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -198,11 +212,24 @@ def test_blank_line_in_an_argument_file_is_named(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_parser_holds_the_defaults_of_a_run():
+    # One parser serves every call of main, so its defaults are tuples that
+    # no run can change in place.
+    parse = cli.build_parser().parse_args
+    common = {"kappas": (20.0,), "orders": (1,), "sizes": (8, 16, 32, 64), "out_dir": ".",
+              "max_dofs": cli.DEFAULT_MAX_DOFS}
+    assert vars(parse(["solve"])) == {"command": "solve", "dump_mesh": False, **common}
+    assert vars(parse(["converge"])) == {"command": "converge", "workers": 1,
+                                         "fixed_kappa_h": None, "fixed_kappa3h2": None, **common}
+    assert vars(parse(["verify"])) == {"command": "verify", "only": None}
+
+
 def test_repeated_kappa_or_order_is_named():
+    parse = cli.build_parser().parse_args
     with pytest.raises(cli.UsageError, match="wave number 20 is repeated"):
-        cli.RunConfig("converge", kappas=[20.0, 40.0, 20.0]).validate()
+        cli._validate(parse(["converge", "--kappa", "20,40,20"]))
     with pytest.raises(cli.UsageError, match="polynomial order 2 is repeated"):
-        cli.RunConfig("converge", orders=[2, 1, 2]).validate()
+        cli._validate(parse(["converge", "--p", "2,1,2"]))
 
 
 @pytest.mark.parametrize("command, flags, lines", [
@@ -246,7 +273,7 @@ def test_unread_setting_exits_2_before_any_work(tmp_path, monkeypatch, capsys, c
 def test_header_echoes_blas_threads(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    lines = cli._config_lines(cli.RunConfig("solve"), 5.0, 1, [4])
+    lines = cli._config_lines(cli.build_parser().parse_args(["solve"]), 5.0, 1, [4])
     (line,) = [line for line in lines if line.startswith("BLAS threads = ")]
     assert "OPENBLAS_NUM_THREADS=3" in line and "MKL_NUM_THREADS=unset" in line
 
@@ -261,7 +288,8 @@ def test_header_marks_pins_set_after_numpy(numpy_first):
     script = (
         ("import numpy\n" if numpy_first else "")
         + "from helmhdg import cli\n"
-        + "print(cli._config_lines(cli.RunConfig('solve'), 5.0, 1, [4])[-1])\n"
+        + "args = cli.build_parser().parse_args(['solve'])\n"
+        + "print(cli._config_lines(args, 5.0, 1, [4])[-1])\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
@@ -484,8 +512,13 @@ def test_verify_only_oracle(capsys):
     assert "n=2, p=1" in out
 
 
-def test_verify_unknown_check_is_usage_error():
-    assert main(["verify", "--only", "does-not-exist"]) == 2
+def test_verify_unknown_check_is_usage_error(monkeypatch, capsys):
+    # argparse refuses a name outside CHECKS, and the message lists them.
+    monkeypatch.setattr(cli, "run_verify", lambda **kwargs: pytest.fail("a check started"))
+    assert _exit_code(["verify", "--only", "does-not-exist"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --only: invalid choice: 'does-not-exist'" in err
+    assert "'energy-identity'" in err
 
 
 def test_value_error_inside_a_check_is_contract_failure(monkeypatch, capsys):
@@ -594,8 +627,9 @@ def test_element_classes_take_the_header_degree(monkeypatch, root2_multiple):
         return rule(domain, degree)
 
     monkeypatch.setattr(skeleton, "quadrature_rule", recording)
+    args = cli.build_parser().parse_args(["solve"])
     for n in (d for d in range(1, 60) if 2 * root2_multiple % d == 0):
-        (line,) = [line for line in cli._config_lines(cli.RunConfig("solve"), kappa, p, [n])
+        (line,) = [line for line in cli._config_lines(args, kappa, p, [n])
                    if line.startswith("data quadrature degree = ")]
         header = int(line.rsplit(" ", 1)[1])
         mesh = build_structured_mesh(n)

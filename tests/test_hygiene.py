@@ -4,11 +4,11 @@ imports another's private (underscore-prefixed) names, the package's
 that the benchmark's span tracer wraps still exists, and every public
 function, class and method of the package has a caller in `src/` or
 `demos/`, so code that only tests use lives with the tests.  No module
-checks anything with an `assert`, which `python -O` strips.  The `hdg`
-parser and `RunConfig` name the same settings: every flag of a command
-sets a field, and every field is set by some command's flag, so no flag
-(a settings file, say) feeds `RunConfig` by a second route.  Only the
-monolithic oracle imports SciPy's linalg and sparse stacks.
+checks anything with an `assert`, which `python -O` strips.  The
+namespace of an `hdg` command is its run's configuration, so every
+default its parser holds is the dest of one of its own flags: no setting
+reaches a command by a default alone, which no flag could change.  Only
+the monolithic oracle imports SciPy's linalg and sparse stacks.
 
 No linter runs in CI, so this test is the check for dead imports.
 `__init__.py` is skipped by the unused-import check: it re-exports its
@@ -18,13 +18,12 @@ deleted API cannot stay behind in `__all__` and break `import *`.
 
 import argparse
 import ast
-import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
-from helmhdg.cli import RunConfig, build_parser
+from helmhdg.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "helmhdg"
@@ -282,27 +281,29 @@ def test_heavy_import_is_detected():
     assert _heavy_imports(source) == ["line 1", "line 2", "line 3", "line 7", "line 8"]
 
 
-def _setting_mismatch(parser: argparse.ArgumentParser, fields: set[str]) -> set[str]:
-    """Flag dests of the subcommands that name no field, and fields but
-    `command` that no subcommand's flag sets; `help` is not a setting."""
+def _defaults_without_flag(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
+    """Per subcommand, the keys of its parser's defaults that are the dest
+    of none of its own flags."""
     (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    dests = {action.dest for cmd in commands.values() for action in cmd._actions}
-    return (dests - {"help"}) ^ (fields - {"command"})
+    found = {}
+    for name, cmd in commands.items():
+        hidden = set(cmd._defaults) - {action.dest for action in cmd._actions}
+        if hidden:
+            found[name] = hidden
+    return found
 
 
-def test_parser_and_config_name_the_same_settings():
-    fields = {field.name for field in dataclasses.fields(RunConfig)}
-    assert _setting_mismatch(build_parser(), fields) == set()
+def test_every_default_is_the_dest_of_a_flag():
+    assert _defaults_without_flag(build_parser()) == {}
 
 
-def test_setting_mismatch_is_detected():
+def test_default_without_flag_is_detected():
     parser = argparse.ArgumentParser()
     sub = parser.add_subparsers(dest="command")
     run = sub.add_parser("run")
     run.add_argument("--kappa", dest="kappas")
-    run.add_argument("--n")
-    run.add_argument("--settings")
-    sub.add_parser("check").add_argument("--only")
-    assert _setting_mismatch(parser, {"command", "kappas", "only", "sizes"}) == {
-        "n", "settings", "sizes",
-    }
+    run.set_defaults(kappas=(20.0,), hidden=1)
+    check = sub.add_parser("check")
+    check.add_argument("--only")
+    check.set_defaults(only="all", kappas=(20.0,))
+    assert _defaults_without_flag(parser) == {"run": {"hidden"}, "check": {"kappas"}}
