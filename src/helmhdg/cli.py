@@ -24,6 +24,7 @@ import argparse
 import math
 import os
 import sys
+import textwrap
 
 from . import BLAS_THREAD_VARS, PINNED_AFTER_NUMPY, __version__
 from .analytic import BESSEL_MAX_ARGUMENT, data_quadrature_degree
@@ -157,8 +158,22 @@ def _run_case(args: tuple) -> ErrorReport:
 def _fixed_line_size(args: argparse.Namespace, kappa: float, p: int) -> int:
     """The mesh subdivision n that puts (kappa, p) on the fixed line."""
     if args.fixed_kappa_h is not None:
-        return max(1, round(math.sqrt(2.0) * kappa / (args.fixed_kappa_h * p)))
-    return max(1, round(math.sqrt(2.0) * kappa**1.5 / (p * math.sqrt(args.fixed_kappa3h2))))
+        flag, constant = "--fixed-kappa-h", args.fixed_kappa_h
+        size = math.sqrt(2.0) * kappa / (constant * p)
+    else:
+        flag, constant = "--fixed-kappa3h2", args.fixed_kappa3h2
+        size = math.sqrt(2.0) * kappa**1.5 / (p * math.sqrt(constant))
+    if not math.isfinite(size):
+        raise UsageError(f"{flag} {constant} puts kappa={kappa:g} p={p} at an infinite n")
+    return max(1, round(size))
+
+
+def _distinct_paths(out_dir: str, names: list[str]) -> None:
+    """Refuse two cases that would write one file, so none is overwritten."""
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise UsageError(f"two cases write {os.path.join(out_dir, name)}; "
+                             "give wave numbers that differ in their first 6 significant digits")
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
@@ -180,6 +195,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
                 lines += _config_lines(args, kappa, p, [n])
             tables.append((f"pollution_p{p}.csv", lines, cases))
 
+    _distinct_paths(args.out_dir, [name for name, _, _ in tables])
     jobs = [case for _, _, cases in tables for case in cases]
     for job in jobs:
         _guard(args, *job)
@@ -202,11 +218,16 @@ def cmd_converge(args: argparse.Namespace) -> int:
     return 0
 
 
+def _solution_name(kappa: float, p: int, n: int) -> str:
+    return f"solution_k{kappa:g}_p{p}_n{n}.csv"
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     """Single solves with error report, energy residuals, and a solution
     dump at the points of `skeleton.sample_solution`, which the header's
     last line names."""
     cases = [(kappa, p, n) for kappa in args.kappas for p in args.orders for n in args.sizes]
+    _distinct_paths(args.out_dir, [_solution_name(*case) for case in cases])
     for case in cases:
         _guard(args, *case)
     _make_out_dir(args.out_dir)
@@ -222,7 +243,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             f"dofs={r.dofs} local_cond={result.info.max_local_cond:.3e} "
             f"seconds={r.seconds:.3f}"
         )
-        path = os.path.join(args.out_dir, f"solution_k{kappa:g}_p{p}_n{n}.csv")
+        path = os.path.join(args.out_dir, _solution_name(kappa, p, n))
         sample_rule = (f"sample rule = triangle rule of degree {2 * p}, "
                        f"{len(reference_tables(p).points)} points per element")
         write_solution_csv(path, result.disc, result.solution,
@@ -233,6 +254,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
             write_mesh(result.disc.mesh, mesh_path)
             print(f"wrote {mesh_path}")
     return 0
+
+
+class _WholeNamesFormatter(argparse.HelpFormatter):
+    """Wraps help text at spaces only, so no check name (`local-uniqueness`)
+    is split at its hyphen."""
+
+    def _split_lines(self, text: str, width: int) -> list[str]:
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     solve = sub.add_parser("solve", help="run single solves and dump solutions")
     converge = sub.add_parser("converge", help="run convergence or pollution studies")
-    verify = sub.add_parser("verify", help="run the verification suite")
+    verify = sub.add_parser("verify", help="run the verification suite",
+                            formatter_class=_WholeNamesFormatter)
     # converge takes its mesh subdivisions from at most one of these.
     sizes = converge.add_mutually_exclusive_group()
     for cmd in (solve, sizes):

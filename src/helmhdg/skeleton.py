@@ -81,12 +81,15 @@ residual that still misses the contract, NaN included, fails the solve
 and is named.  The W of a sweep live only inside it.
 
 A monolithic solver assembles the uncondensed coupled equations directly
-and serves as an independent oracle for the condensed pipeline; it keeps
-SuperLU's default COLAMD ordering and pivoting so that it shares no
-solver choice with the condensed path.  It is the only code in the
-package that imports SciPy (its sparse stack, and with it
-``scipy.linalg``), so a process that only runs the condensed solve loads
-no SciPy module.
+and serves as an independent oracle for the condensed pipeline.  A system
+of at most `DENSE_ORACLE_LIMIT` unknowns (that of `hdg verify` has 104) is
+factored whole by one dense LU of NumPy's LAPACK; a larger one by
+SuperLU with its default COLAMD ordering and pivoting.  Either way the
+oracle shares no condensation, elimination order, front or Schur
+complement with the sweep; the dense path shares only the LAPACK kernel.
+Its SuperLU path is the only code in the package that imports SciPy (its
+sparse stack, and with it ``scipy.linalg``), so a process that runs the
+condensed solve, or `hdg verify`, loads no SciPy module.
 """
 
 from __future__ import annotations
@@ -118,6 +121,11 @@ logger = logging.getLogger(__name__)
 
 #: Refuse monolithic solves beyond this many coupled unknowns.
 MONOLITHIC_GUARD = 200_000
+
+#: Monolithic systems of at most this many unknowns are factored dense:
+#: the matrix and its LU copy take 8 MB at the limit, against the 29 MB
+#: that importing SciPy's sparse stack adds to the resident set.
+DENSE_ORACLE_LIMIT = 512
 
 #: Relative residual contract of the direct solvers.
 RESIDUAL_TOL = 1e-10
@@ -557,16 +565,17 @@ def _grad_trace_block(mesh: Mesh, p: int) -> np.ndarray:
 
 
 def monolithic_solve(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn) -> Solution:
-    """Solve the coupled uncondensed equations as one sparse system.
+    """Solve the coupled uncondensed equations as one system.
 
     Independent oracle for the condensed pipeline on desk-scale meshes;
     refuses problems beyond the size guard.  The blocks of all elements
     are assembled in one call, and each element's source moments come
-    from its own `volume_load`.
+    from its own `volume_load`.  The whole matrix, interior and trace
+    unknowns alike, is factored at once: dense up to `DENSE_ORACLE_LIMIT`
+    unknowns, by SuperLU above it, so no path eliminates the element
+    unknowns first as the condensed solve does.  Both paths meet the
+    same `RESIDUAL_TOL` contract.
     """
-    import scipy.sparse as sp  # only the oracle loads SciPy's sparse stack
-    import scipy.sparse.linalg as spla
-
     n = TriangleBasis(cfg.p).dim
     block = 3 * n
     m = cfg.p + 1
@@ -617,11 +626,17 @@ def monolithic_solve(mesh: Mesh, cfg: ProblemConfig, f: SourceFn, g: BoundaryFn)
     rhs[iu] = [volume_load(mesh, elem, cfg, f) for elem in range(mesh.n_elements)]
     rhs[n_interior:] += boundary_loads(mesh, cfg, g)[0]
 
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(total, total),
-    ).tocsc()
-    x = spla.splu(matrix).solve(rhs)
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    if total <= DENSE_ORACLE_LIMIT:
+        matrix = np.zeros((total, total), dtype=complex)
+        np.add.at(matrix, (rows, cols), vals)  # sums duplicates, as tocsc does
+        x = np.linalg.solve(matrix, rhs)
+    else:
+        import scipy.sparse as sp  # only a large oracle system loads SciPy's sparse stack
+        import scipy.sparse.linalg as spla
+
+        matrix = sp.coo_matrix((vals, (rows, cols)), shape=(total, total)).tocsc()
+        x = spla.splu(matrix).solve(rhs)
 
     rhs_norm = float(np.linalg.norm(rhs))
     resid = float(np.linalg.norm(matrix @ x - rhs))

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helmhdg import BLAS_THREAD_VARS, cli
 from helmhdg.cli import main
@@ -174,12 +178,13 @@ def test_usage_errors_exit_2(tmp_path):
     (["--kappa", "1e300", "--fixed-kappa3h2", "8"], None, "wave numbers must lie in"),
     (["--n", "4,8", "--fixed-kappa-h", "1.1"], None,
      "argument --fixed-kappa-h: not allowed with argument --n"),
+    (["--fixed-kappa-h", "1e-320"], None, "--fixed-kappa-h 1e-320 puts kappa=5 p=1 at an infinite n"),
 ], ids=["kappa-nan", "kappa-inf", "p-above-max", "n-decreasing", "kappa-0.001",
         "kappa-below-floor", "tau-above-cap", "quad-degree-flag", "config-quad-degree",
         "kappa-empty-list", "n-zero", "workers-zero", "max-dofs-zero", "fixed-kappa-h-zero",
         "config-missing", "config-string-for-float", "kappa-and-p-repeated",
         "kappa-repeated-on-fixed-line", "kappa-1e300", "kappa-above-bessel-range",
-        "kappa-1e300-on-fixed-line", "n-on-fixed-line"])
+        "kappa-1e300-on-fixed-line", "n-on-fixed-line", "fixed-kappa-h-overflows-n"])
 def test_bad_input_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, flags, lines, message):
     # Each case fails for its own reason, which the error message names.
     def no_solve(*args, **kwargs):
@@ -196,6 +201,20 @@ def test_bad_input_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, flags
         args += ["--n", "4,8"]
     assert _exit_code(args + flags) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name", [("converge", "converge_k20_p1.csv"),
+                                           ("solve", "solution_k20_p1_n2.csv")])
+def test_cases_sharing_an_output_file_exit_2_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                              command, name):
+    # File names print kappa with 6 significant digits, so 20 and 20.000001
+    # would write one file and the second would overwrite the first.
+    monkeypatch.setattr(cli, "run_benchmark_case", lambda *args: pytest.fail("a solve started"))
+    out = tmp_path / "out"
+    argv = [command, "--kappa", "20,20.000001", "--p", "1", "--n", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"usage error: two cases write {out / name};" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_blank_line_in_an_argument_file_is_named(tmp_path, monkeypatch, capsys):
@@ -521,6 +540,38 @@ def test_verify_unknown_check_is_usage_error(monkeypatch, capsys):
     assert "'energy-identity'" in err
 
 
+@pytest.mark.parametrize("columns", ["60", "80", "100"])
+def test_verify_help_keeps_every_check_name_whole(monkeypatch, capsys, columns):
+    # argparse's wrapping would split `local-uniqueness` at its hyphen.
+    from helmhdg.verify import CHECKS
+
+    monkeypatch.setenv("COLUMNS", columns)
+    assert _exit_code(["verify", "--help"]) == 0
+    text = capsys.readouterr().out
+    assert [name for name in CHECKS if name not in text] == []
+
+
+def test_verify_loads_no_scipy_module():
+    # The oracle's 104 unknowns are factored dense, so `hdg verify` runs on
+    # NumPy alone.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")])
+    )
+    script = (
+        "import sys\n"
+        "import helmhdg.cli\n"
+        "code = helmhdg.cli.main(['verify'])\n"
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_value_error_inside_a_check_is_contract_failure(monkeypatch, capsys):
     # Only an unknown check name is a usage error; a check that raises
     # (say, a non-finite error norm) broke a numerical contract.
@@ -637,3 +688,25 @@ def test_element_classes_take_the_header_degree(monkeypatch, root2_multiple):
         skeleton.discretize(mesh, ProblemConfig.for_mesh(kappa, p, mesh),
                             lambda x: np.zeros(len(x)), lambda x, nrm: np.zeros(len(x)))
         assert degrees == [header], n
+
+
+class _Reached(Exception):
+    """Raised where a command would start its first solve or check."""
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(flag=st.sampled_from(["--fixed-kappa-h", "--fixed-kappa3h2"]),
+       constant=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       kappa=st.floats(cli.MIN_KAPPA, 1e4), p=st.integers(1, 3))
+def test_every_fixed_line_constant_exits_2_or_reaches_the_first_solve(flag, constant, kappa, p):
+    # A constant that `_validate` accepts (finite and positive) is either
+    # refused with exit 2, subnormal ones included, or its case reaches the
+    # point where the command makes its output directory.
+    argv = ["converge", "--kappa", repr(kappa), "--p", str(p), flag, repr(constant)]
+    with mock.patch.object(cli, "_make_out_dir", side_effect=_Reached), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except _Reached:
+            return
+    assert code == 2, argv

@@ -39,6 +39,13 @@ def test_config_validation():
         ProblemConfig(kappa=1.0, p=1, tau=0.0)
 
 
+@pytest.mark.parametrize("kappa, tau", [(0.0, 1.0), (1.0, 0.0)], ids=["kappa-zero", "tau-zero"])
+def test_config_rejects_zero(kappa, tau):
+    # Both must be strictly positive: a check mutated from > to >= fails here.
+    with pytest.raises(ValueError, match="positive"):
+        ProblemConfig(kappa=kappa, p=1, tau=tau)
+
+
 @pytest.mark.parametrize("kappa, tau", [
     (float("nan"), 1.0), (float("inf"), 1.0), (20.0, float("nan")),
 ], ids=["kappa-nan", "kappa-inf", "tau-nan"])

@@ -425,6 +425,34 @@ def test_monolithic_zero_data_and_guard():
     assert MONOLITHIC_GUARD == 200_000
 
 
+def test_one_oracle_system_through_both_paths(monkeypatch):
+    # The 192 unknowns at n = 2, p = 2 lie below the limit, so only a limit
+    # of 0 sends them through SuperLU; both paths give the same solution.
+    mesh = build_structured_mesh(2)
+    cfg = ProblemConfig.for_mesh(5.0, 2, mesh)
+    _, data = benchmark_problem(5.0)
+    factored = _record_splu(monkeypatch)
+    dense = monolithic_solve(mesh, cfg, data.f, data.g)
+    assert factored == []
+    monkeypatch.setattr(skeleton, "DENSE_ORACLE_LIMIT", 0)
+    sparse = monolithic_solve(mesh, cfg, data.f, data.g)
+    assert factored == [(192, 192)]
+    scale = dense.coefficient_norm()
+    for name in ("Q", "U", "uhat"):
+        assert np.abs(getattr(sparse, name) - getattr(dense, name)).max() <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("dense_limit", [skeleton.DENSE_ORACLE_LIMIT, 0], ids=["dense", "sparse"])
+def test_both_oracle_paths_check_the_residual(monkeypatch, dense_limit):
+    # A negative contract fails any residual, so each path must compute one.
+    mesh = build_structured_mesh(2)
+    _, data = benchmark_problem(5.0)
+    monkeypatch.setattr(skeleton, "DENSE_ORACLE_LIMIT", dense_limit)
+    monkeypatch.setattr(skeleton, "RESIDUAL_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="monolithic residual"):
+        monolithic_solve(mesh, ProblemConfig.for_mesh(5.0, 1, mesh), data.f, data.g)
+
+
 def test_solution_csv_dump(tmp_path):
     mesh = build_structured_mesh(2)
     cfg = ProblemConfig.for_mesh(5.0, 1, mesh)
